@@ -6,7 +6,6 @@ from .errors import (
     DegeneratePairing,
     DimensionRuleViolation,
     FiberMismatch,
-    HypothesisFailed,
     Inconsistent,
     MissingTripleData,
     NotInvertible,
@@ -50,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CutoffTooSmall", "DegeneratePairing", "DimensionRuleViolation",
-    "FiberMismatch", "HypothesisFailed", "Inconsistent", "MissingTripleData",
+    "FiberMismatch", "Inconsistent", "MissingTripleData",
     "NotInvertible", "PrimingInvalid", "QhfibError", "TableIncomplete",
     "UnknownBasisLabel", "UnknownSuite",
     "ComposeReport", "FibrationModel", "LoopComposite", "NonsqueezingResult",

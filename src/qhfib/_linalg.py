@@ -12,10 +12,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(n: int, m: int) -> Matrix:
     return [[Fraction(0)] * m for _ in range(n)]
 
@@ -25,22 +21,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(k)]
-        for i in range(n)
-    ]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -86,32 +66,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
-
-
-def solve_unique(a: Matrix, b: Vector) -> Vector:
-    from .errors import Inconsistent
-
-    x = solve(a, b)
-    if x is None:
-        raise Inconsistent("linear system has no solution")
-    return x
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the kernel, one vector per free column."""
-    if not a:
-        return []
-    red, pivots = rref(a)
-    cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
 
 
 def invert(a: Matrix) -> Matrix | None:

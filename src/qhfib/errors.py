@@ -53,13 +53,5 @@ class PrimingInvalid(QhfibError):
     """A splitting map fails the section-of-restriction property."""
 
 
-class HypothesisFailed(QhfibError):
-    """Input data violates the hypothesis a routine needs; details attached."""
-
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = offending or []
-
-
 class UnknownSuite(QhfibError):
     """The verifier was asked for a suite name it does not define."""

@@ -16,10 +16,12 @@ once).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from ._linalg import invert, nullspace, rank, solve
+from ._linalg import invert, rank, solve
 from .errors import (
     FiberMismatch,
     Inconsistent,
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .manifold import ManifoldModel, QHClass
 from .novikov import H2Class, H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing
+from .quantum import GWTable, QuantumRing, contract
 
 
 class PsiOperator:
@@ -42,6 +44,29 @@ class PsiOperator:
         self.images = list(images)
         self.degree_shift = degree_shift
         self.cutoff = Fraction(cutoff)
+
+    @classmethod
+    def from_loop_table(cls, model: ManifoldModel, table, offset: H2Class,
+                        degree_shift, cutoff) -> PsiOperator:
+        """The operator of a fiber-keyed two-point table {(i, j, B): n} at
+        the section shifted by the fiber class `offset`:
+        Psi(e_i) = sum over (i, j, B) of n f_j e^{offset - B}, with f_j the
+        dual basis."""
+        dual = model.dual_basis()
+        images = []
+        for i in range(len(model.basis)):
+            # the section's own class leads: term order decides which
+            # coordinates later sums keep for equal classes
+            per_class = {model.h2.zero(): model.zero_vector()}
+            for (a, j, c), val in table.items():
+                if a != i:
+                    continue
+                vec = per_class.setdefault(c - offset, model.zero_vector())
+                for t, y in enumerate(dual[j]):
+                    vec[t] += val * y
+            img = model.qh({-rel: vec for rel, vec in per_class.items()})
+            images.append(img.truncate(cutoff))
+        return cls(model, images, degree_shift, cutoff)
 
     def apply(self, a: QHClass) -> QHClass:
         if a.model is not self.model:
@@ -91,6 +116,35 @@ class ComposeReport:
                             "detail": detail})
         if not passed:
             self.ok = False
+
+
+def _normalizing_class(lattice: H2Lattice, u0, c0, name) -> H2Class:
+    """The spherical class B of a fiber lattice that normalizes a section
+    with coupling value u0 and vertical Chern value c0: omega(B) = -u0, and
+    c1(B) = -c0 too when the spherical directions tell area and Chern
+    number apart."""
+    sph = lattice.spherical_indices()
+    u_row = [lattice.omega[i] for i in sph]
+    c_row = [lattice.c1[i] for i in sph]
+    if any(u_row):
+        rows, rhs = [u_row], [-u0]
+        if rank([u_row, c_row]) == 2:
+            rows.append(c_row)
+            rhs.append(-c0)
+    elif u0 != 0:
+        raise Inconsistent(
+            f"{name}: coupling value {format_rational(u0)} cannot be normalized: "
+            f"the coupling class vanishes on all {len(sph)} spherical fiber directions"
+        )
+    else:
+        rows, rhs = ([c_row], [-c0]) if any(c_row) else ([], [])
+    x = solve(rows, rhs) if rows else [Fraction(0)] * len(sph)
+    if x is None:
+        raise Inconsistent(f"{name}: section normalization system unsolvable")
+    coords = [Fraction(0)] * len(lattice.generators)
+    for t, i in enumerate(sph):
+        coords[i] = x[t]
+    return lattice.cls(coords)
 
 
 class FibrationModel:
@@ -174,6 +228,7 @@ class FibrationModel:
         self.vertical_ring = QuantumRing(self.total, self.vertical_gw)
         self.base_area = None if base_area is None else Fraction(base_area)
         self.product_structure = bool(product_structure)
+        self._loop_tables = {}
 
     # -- degree-2 plumbing --------------------------------------------------
 
@@ -209,32 +264,27 @@ class FibrationModel:
             coords[i] = x[t]
         return lat.cls(coords)
 
-    def iota_class(self, a: QHClass) -> QHClass:
-        """Push a fiber quantum class into the total space."""
+    def push_forward(self, a: QHClass, matrix) -> QHClass:
+        """A fiber quantum class in the total space: each basis class e_i
+        goes to matrix[i] (iota or the splitting), exponents through
+        iota_h2."""
         if a.model is not self.fiber:
-            raise ValueError("iota acts on fiber classes")
+            raise ValueError("push-forward acts on fiber classes")
         terms = {}
         for e, vec in a.terms.items():
             out = self.total.zero_vector()
             for i, x in enumerate(vec):
                 if x:
-                    for t, y in enumerate(self.iota[i]):
+                    for t, y in enumerate(matrix[i]):
                         out[t] += x * y
             terms[self.iota_h2_class(e)] = out
         return self.total.qh(terms)
 
+    def iota_class(self, a: QHClass) -> QHClass:
+        return self.push_forward(a, self.iota)
+
     def splitting_class(self, a: QHClass) -> QHClass:
-        if a.model is not self.fiber:
-            raise ValueError("splitting acts on fiber classes")
-        terms = {}
-        for e, vec in a.terms.items():
-            out = self.total.zero_vector()
-            for i, x in enumerate(vec):
-                if x:
-                    for t, y in enumerate(self.splitting_map[i]):
-                        out[t] += x * y
-            terms[self.iota_h2_class(e)] = out
-        return self.total.qh(terms)
+        return self.push_forward(a, self.splitting_map)
 
     def _validate_priming(self):
         m, f = self.total, self.fiber
@@ -280,78 +330,60 @@ class FibrationModel:
 
     # -- Seidel operator ------------------------------------------------------
 
-    def _pair_invariant_route(self, arity, p, q, offset):
-        """n(iota-basis p, iota-basis q; sigma_ref + offset) by table route."""
-        if arity == "two_point":
-            total = Fraction(0)
-            for a, xa in enumerate(self.iota[p]):
-                if not xa:
-                    continue
-                for b, xb in enumerate(self.iota[q]):
-                    if xb:
-                        total += xa * xb * self.section_gw.two(a, b, offset)
-            return total
-        fund = self.iota[self.fiber.fundamental_index]
-        total = Fraction(0)
-        for a, xa in enumerate(self.iota[p]):
-            if not xa:
-                continue
-            for b, xb in enumerate(self.iota[q]):
-                if not xb:
-                    continue
-                for r, xr in enumerate(fund):
-                    if xr:
-                        total += xa * xb * xr * self.section_gw.three(a, b, r, offset)
-        return total
-
-    def _psi_images(self, offset0: H2Class, cutoff, arity):
+    def _loop_table(self, arity) -> dict:
+        """Section data as a fiber-keyed two-point table
+        {(i, j, B): n(iota e_i, iota e_j; sigma_ref + B)}, over the fiber
+        classes B of the stored keys inside the declared window. The
+        "three_point" route inserts the fiber's fundamental class in the
+        third slot; it meets every section once. Built once per arity."""
+        table = self._loop_tables.get(arity)
+        if table is not None:
+            return table
+        table = self._loop_tables[arity] = {}
         w = self.section_gw.window(arity)
-        need = offset0.omega + Fraction(cutoff)
-        if w is None or need > w:
-            raise TableIncomplete(
-                f"{self.name}: {arity} section data must be complete through "
-                f"area {format_rational(need)} "
-                f"({'none declared' if w is None else 'have ' + format_rational(w)})"
-            )
-        dual = self.fiber.dual_basis()
-        offsets = {}
-        zero_off = offset0
-        offsets[zero_off] = self.fiber.h2.zero()
-        for cls in self.section_gw.known_key_classes(arity):
-            b = self.fiber_class_from_total(cls - offset0)
-            if b is None or b.omega > Fraction(cutoff):
+        support = [[(t, x) for t, x in enumerate(row) if x] for row in self.iota]
+        extra = [support[self.fiber.fundamental_index]] if arity == "three_point" else []
+        for key in self.section_gw.known_key_classes(arity):
+            b = self.fiber_class_from_total(key)
+            if b is None or w is None or key.omega > w:
                 continue
-            offsets.setdefault(cls, b)
-        images = []
-        for i in range(len(self.fiber.basis)):
-            img = self.fiber.qh({})
-            for cls, b in offsets.items():
-                vec = self.fiber.zero_vector()
-                hit = False
-                for j in range(len(self.fiber.basis)):
-                    val = self._pair_invariant_route(arity, i, j, cls)
+            for i, si in enumerate(support):
+                for j, sj in enumerate(support):
+                    val = sum(
+                        (prod(x for _, x in combo) * self.section_gw.query(
+                            arity, tuple(t for t, _ in combo), key)
+                         for combo in itertools.product(si, sj, *extra)),
+                        Fraction(0),
+                    )
                     if val:
-                        hit = True
-                        for t, y in enumerate(dual[j]):
-                            vec[t] += val * y
-                if hit:
-                    img = img + self.fiber.qh({-b: vec})
-            images.append(img.truncate(cutoff))
-        return images
+                        table[(i, j, b)] = val
+        return table
 
     def psi_operator(self, cutoff, sigma: H2Class | None = None) -> PsiOperator:
-        """Seidel operator at the section sigma (default: the reference)."""
+        """Seidel operator at the section sigma (default: the reference),
+        from the two-point section data, or from the three-point data when
+        only that covers the window."""
         sigma = self.sigma_ref if sigma is None else sigma
         offset0 = sigma - self.sigma_ref
-        try:
-            images = self._psi_images(offset0, cutoff, "two_point")
-        except TableIncomplete as two_exc:
-            try:
-                images = self._psi_images(offset0, cutoff, "three_point")
-            except TableIncomplete:
-                raise two_exc from None
-        shift = 2 * (self.sigma_ref.c1 + offset0.c1)
-        return PsiOperator(self.fiber, images, shift, cutoff)
+        b0 = self.fiber_class_from_total(offset0)
+        if b0 is None:
+            raise QhfibError(
+                f"{self.name}: {sigma!r} is not a section class: it differs from "
+                "the reference section by a class that is not a fiber class"
+            )
+        need = offset0.omega + Fraction(cutoff)
+        for arity in ("two_point", "three_point"):
+            w = self.section_gw.window(arity)
+            if w is not None and need <= w:
+                return PsiOperator.from_loop_table(
+                    self.fiber, self._loop_table(arity), b0,
+                    2 * (self.sigma_ref.c1 + offset0.c1), cutoff)
+        w = self.section_gw.window("two_point")
+        raise TableIncomplete(
+            f"{self.name}: two_point section data must be complete through "
+            f"area {format_rational(need)} "
+            f"({'none declared' if w is None else 'have ' + format_rational(w)})"
+        )
 
     def psi(self, a: QHClass, cutoff, sigma: H2Class | None = None) -> QHClass:
         return self.psi_operator(cutoff, sigma).apply(a)
@@ -361,51 +393,11 @@ class FibrationModel:
 
     # -- normalized section ---------------------------------------------------
 
-    def spherical_fiber_directions(self) -> list[H2Class]:
-        """Total-lattice images of the spherical fiber generators."""
-        out = []
-        for gi in self.fiber.h2.spherical_indices():
-            coords = [Fraction(0)] * len(self.fiber.h2.generators)
-            coords[gi] = Fraction(1)
-            out.append(self.iota_h2_class(self.fiber.h2.cls(coords)))
-        return out
-
     def sigma_phi(self) -> H2Class:
         """The section class normalized against the coupling class (and the
         vertical Chern class when the spherical directions allow both)."""
-        dirs = self.spherical_fiber_directions()
-        u_row = [d.omega for d in dirs]
-        c_row = [d.c1 for d in dirs]
-        u0, c0 = self.sigma_ref.omega, self.sigma_ref.c1
-        if any(u_row):
-            m = [u_row]
-            rhs = [-u0]
-            if rank([u_row, c_row]) == 2:
-                m.append(c_row)
-                rhs.append(-c0)
-            x = solve(m, rhs)
-            if x is None:
-                raise Inconsistent(f"{self.name}: section normalization system unsolvable")
-        else:
-            if u0 != 0:
-                ns = len(nullspace([u_row])) if dirs else 0
-                raise Inconsistent(
-                    f"{self.name}: coupling value {format_rational(u0)} on the reference "
-                    f"section cannot be normalized: the coupling class vanishes on all "
-                    f"{len(dirs)} spherical fiber directions "
-                    f"(solution space is {ns}-dimensional and misses the target)"
-                )
-            if any(c_row):
-                x = solve([c_row], [-c0])
-                if x is None:
-                    raise Inconsistent(f"{self.name}: chern normalization unsolvable")
-            else:
-                x = [Fraction(0)] * len(dirs)
-        out = self.sigma_ref
-        for t, d in enumerate(dirs):
-            if x[t]:
-                out = out + d.scale(x[t])
-        return out
+        b = _normalizing_class(self.fiber.h2, self.sigma_ref.omega, self.sigma_ref.c1, self.name)
+        return self.sigma_ref + self.iota_h2_class(b)
 
     def rho(self, cutoff) -> QHClass:
         """Seidel element: image of the fundamental class at the normalized
@@ -450,10 +442,12 @@ class FibrationModel:
         offset0 = sigma - self.sigma_ref
         m = self.total
         w = self.section_gw.window("three_point")
-        dual = m.dual_basis()
         out = m.qh({})
         cutoff = Fraction(cutoff)
-        keys = self.section_gw.known_key_classes("three_point")
+        cands = [offset0] + [
+            cls for cls in self.section_gw.known_key_classes("three_point")
+            if cls != offset0 and self.fiber_class_from_total(cls - offset0) is not None
+        ]
         for ea, va in a.terms.items():
             for eb, vb in b.terms.items():
                 base = ea + eb
@@ -464,27 +458,10 @@ class FibrationModel:
                         f"data through area {format_rational(need)} "
                         f"({'none declared' if w is None else 'have ' + format_rational(w)})"
                     )
-                cands = {offset0}
-                for cls in keys:
-                    if self.fiber_class_from_total(cls - offset0) is not None:
-                        cands.add(cls)
-                for cls in cands:
-                    shift = base - (cls - offset0)
-                    if shift.omega < -cutoff:
-                        continue
-                    rhs = []
-                    for j in range(len(m.basis)):
-                        tot = Fraction(0)
-                        for i, xi in enumerate(va):
-                            if not xi:
-                                continue
-                            for k, yk in enumerate(vb):
-                                if yk:
-                                    tot += xi * yk * self.section_gw.three(i, k, j, cls)
-                        rhs.append(tot)
-                    if any(rhs):
-                        vec = m.solve_pairing(rhs)
-                        out = out + m.qh({shift: vec})
+                shifts = {cls: base - (cls - offset0) for cls in cands
+                          if base.omega - cls.omega + offset0.omega >= -cutoff}
+                for cls, vec in contract(m, va, vb, self.section_gw.three, shifts).items():
+                    out = out + m.qh({shifts[cls]: vec})
         return out.truncate(cutoff)
 
     # -- restriction to the fiber ----------------------------------------------
@@ -931,48 +908,11 @@ class LoopComposite:
                 f"{format_rational(self.window)}, need "
                 f"{format_rational(offset.omega + cutoff)}"
             )
-        dual = self.fiber.dual_basis()
-        images = []
-        for i in range(len(self.fiber.basis)):
-            img = self.fiber.qh({})
-            per_class: dict[H2Class, list] = {}
-            for (a, b, cls), val in self.table.items():
-                if a != i or val == 0:
-                    continue
-                rel = cls - offset
-                vec = per_class.setdefault(rel, self.fiber.zero_vector())
-                for t, y in enumerate(dual[b]):
-                    vec[t] += val * y
-            for rel, vec in per_class.items():
-                if any(vec):
-                    img = img + self.fiber.qh({-rel: vec})
-            images.append(img.truncate(cutoff))
-        return PsiOperator(self.fiber, images, 2 * (self.c0 + offset.c1), cutoff)
+        return PsiOperator.from_loop_table(
+            self.fiber, self.table, offset, 2 * (self.c0 + offset.c1), cutoff)
 
     def normalized_offset(self) -> H2Class:
-        lat = self.fiber.h2
-        sph = lat.spherical_indices()
-        u_row = [lat.omega[i] for i in sph]
-        c_row = [lat.c1[i] for i in sph]
-        if any(u_row):
-            m = [u_row]
-            rhs = [-self.u0]
-            if rank([u_row, c_row]) == 2:
-                m.append(c_row)
-                rhs.append(-self.c0)
-            x = solve(m, rhs)
-            if x is None:
-                raise Inconsistent(f"{self.name}: normalization unsolvable")
-        else:
-            if self.u0 != 0:
-                raise Inconsistent(f"{self.name}: coupling value cannot be normalized")
-            x = solve([c_row], [-self.c0]) if any(c_row) else [Fraction(0)] * len(sph)
-            if x is None:
-                raise Inconsistent(f"{self.name}: chern normalization unsolvable")
-        coords = [Fraction(0)] * len(lat.generators)
-        for t, i in enumerate(sph):
-            coords[i] = x[t]
-        return lat.cls(coords)
+        return _normalizing_class(self.fiber.h2, self.u0, self.c0, self.name)
 
     def rho(self, cutoff) -> QHClass:
         off = self.normalized_offset()
@@ -997,12 +937,11 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     # table coverage: a composite entry at total offset A splits as B + B'
     # over the two factors; each factor must answer through its share
     def min_key_area(fib):
-        vals = [
-            fib.fiber_class_from_total(cls).omega
-            for cls in fib.section_gw.known_key_classes("two_point")
-            if fib.fiber_class_from_total(cls) is not None
-        ]
-        return min(vals, default=Fraction(0))
+        return min(
+            (cls.omega for cls in fib.section_gw.known_key_classes("two_point")
+             if fib.fiber_class_from_total(cls) is not None),
+            default=Fraction(0),
+        )
 
     w_f = f.section_gw.window("two_point")
     w_g = g.section_gw.window("two_point")
@@ -1017,40 +956,15 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
             f"need {format_rational(cutoff)}"
         )
 
-    def fiber_offsets(fib, w):
-        out = {fib.fiber.h2.zero()}
-        for cls in fib.section_gw.known_key_classes("two_point"):
-            b = fib.fiber_class_from_total(cls)
-            if b is not None and cls.omega <= w:
-                out.add(b)
-        return sorted(out, key=lambda c: (c.omega, c.c1, c.coords))
-
+    # n(i, j; B + B') = sum over t, s of n_f(i, t; B) (f_t)_s n_g(s, j; B'),
+    # g's classes re-express by coordinates, legitimate because composable()
+    # matched the lattices
     table: dict[tuple, Fraction] = {}
-    offs_f = fiber_offsets(f, w_f)
-    offs_g = fiber_offsets(g, w_g)
-    k = len(fiber.basis)
-    for bf in offs_f:
-        for bg in offs_g:
-            # keys live on f's fiber lattice; g's offsets re-express by
-            # coordinates, legitimate because composable() matched the lattices
-            total_off = bf + fiber.h2.cls(bg.coords)
-            for i in range(k):
-                for j in range(k):
-                    val = Fraction(0)
-                    for t in range(k):
-                        first = f._pair_invariant_route(
-                            "two_point", i, t, f.iota_h2_class(bf))
-                        if first == 0:
-                            continue
-                        second = Fraction(0)
-                        for s, xs in enumerate(dual[t]):
-                            if xs:
-                                second += xs * g._pair_invariant_route(
-                                    "two_point", s, j, g.iota_h2_class(bg))
-                        val += first * second
-                    if val != 0:
-                        key = (i, j, total_off)
-                        table[key] = table.get(key, Fraction(0)) + val
+    for (i, t, bf), x in f._loop_table("two_point").items():
+        for (s, j, bg), y in g._loop_table("two_point").items():
+            if dual[t][s]:
+                key = (i, j, bf + fiber.h2.cls(bg.coords))
+                table[key] = table.get(key, Fraction(0)) + x * dual[t][s] * y
     table = {kk: v for kk, v in table.items() if v != 0}
 
     comp = LoopComposite(

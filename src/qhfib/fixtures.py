@@ -221,6 +221,26 @@ def gw_to_dict(model: ManifoldModel, table: GWTable) -> dict:
     }
 
 
+def _check_tables(d: dict, keys) -> None:
+    """Each table entry is [[labels], [coords], value]; a malformed one is
+    named by its JSON path."""
+    for key in keys:
+        table = d.get(key, {})
+        if not isinstance(table, dict):
+            raise QhfibError(f"{key}: a table is a JSON object")
+        for arity in ARITIES:
+            entries = table.get(arity, [])
+            if not isinstance(entries, list):
+                raise QhfibError(f"{key}.{arity}: the entries form a JSON list")
+            for n, entry in enumerate(entries):
+                if not (isinstance(entry, list) and len(entry) == 3
+                        and isinstance(entry[0], list) and isinstance(entry[1], list)):
+                    raise QhfibError(
+                        f"{key}.{arity}[{n}]: an entry is [[labels], [coords], value], "
+                        f"got {json.dumps(entry, default=str)}"
+                    )
+
+
 def _entry_dicts(d: dict, lattice: H2Lattice) -> dict:
     tables = {}
     for arity in ARITIES:
@@ -269,6 +289,7 @@ def fibration_to_dict(fib: FibrationModel) -> dict:
 
 
 def fibration_from_dict(d: dict) -> FibrationModel:
+    _check_tables(d, ("fiber_gw", "vertical_gw", "section_gw"))
     fiber = manifold_from_dict(d["fiber"])
     fiber_gw = gw_from_dict(d["fiber_gw"], fiber)
     total = manifold_from_dict(d["total"])
@@ -305,6 +326,7 @@ def from_dict(d: dict):
     if kind == "fibration":
         return fibration_from_dict(d)
     if kind == "ring":
+        _check_tables(d, ("gw",))
         model = manifold_from_dict(d["model"])
         return model, gw_from_dict(d["gw"], model)
     raise QhfibError(f"fixture kind must be 'ring' or 'fibration', got {kind!r}")

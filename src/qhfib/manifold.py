@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._linalg import invert, solve
+from ._linalg import invert
 from .errors import (
     DegeneratePairing,
     MissingTripleData,
@@ -152,15 +152,20 @@ class ManifoldModel:
             Fraction(0),
         )
 
-    def dual_basis(self):
-        """Vectors f_j with e_i . f_j = delta_ij."""
+    def _pairing_inverse(self):
+        """The inverse transpose of the pairing, computed once. Row j is the
+        dual vector f_j; applied to a vector it solves the pairing system."""
         if self._dual is None:
             inv = invert([row[:] for row in self.pairing])
             if inv is None:
                 raise DegeneratePairing(f"{self.name}: intersection pairing is singular")
             # e_i . f_j = sum_k inv[j][k] P_ik = (P inv^T)_ij = delta required
             self._dual = [list(col) for col in zip(*inv)]
-        return [row[:] for row in self._dual]
+        return self._dual
+
+    def dual_basis(self):
+        """Vectors f_j with e_i . f_j = delta_ij."""
+        return [row[:] for row in self._pairing_inverse()]
 
     def triple_eval(self, i: int, j: int, k: int) -> Fraction:
         ck, sign = koszul_sorted((i, j, k), self.degrees)
@@ -190,22 +195,20 @@ class ManifoldModel:
         return total
 
     def solve_pairing(self, rhs) -> list[Fraction]:
-        """The vector x with x . e_j = rhs[j] for every j."""
-        cols = len(self.basis)
-        a = [[self.pairing[i][j] for i in range(cols)] for j in range(cols)]
-        x = solve(a, [Fraction(r) for r in rhs])
-        if x is None:
-            raise DegeneratePairing(f"{self.name}: pairing system has no solution")
-        return x
+        """The vector x with x . e_j = rhs[j] for every j; a singular
+        pairing raises DegeneratePairing."""
+        return [
+            sum((d * r for d, r in zip(row, rhs) if r), Fraction(0))
+            for row in self._pairing_inverse()
+        ]
 
     def cap(self, a, b) -> list[Fraction]:
-        """Classical cap product a cap b, solved against the pairing."""
-        rhs = []
-        for j in range(len(self.basis)):
-            ej = self.zero_vector()
-            ej[j] = Fraction(1)
-            rhs.append(self.triple_form(a, b, ej))
-        return self.solve_pairing(rhs)
+        """Classical cap product a cap b: the three-point contraction of
+        a and b against the triple form."""
+        from .quantum import contract
+
+        classical = contract(self, a, b, lambda i, k, j, _: self.triple_eval(i, k, j), [None])
+        return classical.get(None, self.zero_vector())
 
     def fundamental_vector(self) -> list[Fraction]:
         v = self.zero_vector()

@@ -245,14 +245,6 @@ class NovikovElement:
         return "Nov<" + " + ".join(bits) + ">"
 
 
-def nov_add(x: NovikovElement, y: NovikovElement) -> NovikovElement:
-    return x + y
-
-
-def nov_mul(x: NovikovElement, y: NovikovElement) -> NovikovElement:
-    return x * y
-
-
 def nov_truncate(x: NovikovElement, cutoff) -> NovikovElement:
     """Drop terms below the energy window: keep e^E with omega(E) >= -cutoff."""
     cutoff = Fraction(cutoff)

@@ -18,6 +18,7 @@ Two table kinds:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import DimensionRuleViolation, TableIncomplete
 from .manifold import ManifoldModel, QHClass, koszul_sorted
@@ -162,6 +163,25 @@ class GWTable:
         return t
 
 
+def contract(model: ManifoldModel, va, vb, three, classes) -> dict:
+    """The contraction behind every product: for each class B in `classes`,
+    the vector x with x . e_j = sum_{i,k} va_i vb_k three(i, k, j, B), that is
+    the three-point numbers of va and vb against the inverse pairing.
+    Classes whose vector vanishes are left out. The classical cap product is
+    the case three = triple form."""
+    model._pairing_inverse()  # a singular pairing raises even when every sum vanishes
+    pairs = [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
+    out = {}
+    for cls in classes:
+        rhs = [
+            sum((c * three(i, k, j, cls) for i, k, c in pairs), Fraction(0))
+            for j in range(len(model.basis))
+        ]
+        if any(rhs):
+            out[cls] = model.solve_pairing(rhs)
+    return out
+
+
 class QuantumRing:
     """QH(M) with the product induced by a three-point fiber-type table."""
 
@@ -172,40 +192,29 @@ class QuantumRing:
         self.table = table
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
-        """a * b; with a cutoff the result is truncated and the table must
-        cover the needed window, without one the stored keys are trusted to
-        be the whole story."""
+        """a * b. With a cutoff the result is truncated and the table must
+        cover the needed window. With cutoff=None the stored keys are
+        trusted to be complete: every class missing from the table counts
+        as zero, whatever window the table declares."""
         m = self.model
         keys = self.table.known_key_classes("three_point")
+        w = self.table.window("three_point")
         out = m.qh({})
         for ea, va in a.terms.items():
             for eb, vb in b.terms.items():
                 base = ea + eb
                 if cutoff is not None:
                     need = base.omega + Fraction(cutoff)
-                    w = self.table.window("three_point")
                     if w is None or need > w:
                         raise TableIncomplete(
                             f"{m.name}: product needs three-point data through "
                             f"area {format_rational(need)}"
                         )
                 out = out + m.qh({base: m.cap(va, vb)})
-                for cls in keys:
-                    shift = base - cls
-                    if cutoff is not None and shift.omega < -Fraction(cutoff):
-                        continue
-                    rhs = []
-                    for j in range(len(m.basis)):
-                        tot = Fraction(0)
-                        for i, xi in enumerate(va):
-                            if not xi:
-                                continue
-                            for k, yk in enumerate(vb):
-                                if yk:
-                                    tot += xi * yk * self.table.three(i, k, j, cls)
-                        rhs.append(tot)
-                    if any(rhs):
-                        out = out + m.qh({shift: m.solve_pairing(rhs)})
+                shifts = {cls: base - cls for cls in keys
+                          if cutoff is None or base.omega - cls.omega >= -Fraction(cutoff)}
+                for cls, vec in contract(m, va, vb, self.table.three, shifts).items():
+                    out = out + m.qh({shifts[cls]: vec})
         return out if cutoff is None else out.truncate(cutoff)
 
     def unit(self) -> QHClass:
@@ -619,14 +628,15 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
             for a in range(k1):
                 for b in range(k2):
                     pairing[bi(i, j)][bi(a, b)] = m1.pairing[i][a] * m2.pairing[j][b]
+    # all degrees are even, so every ordering of a factor key carries its
+    # value; the sorted keys of the first factor against every distinct
+    # ordering of the second's reach every product key, and the model
+    # constructor re-canonicalizes the combined keys
     triple = {}
     for (i, a, x), v1 in m1.triple.items():
-        for (j, b, y), v2 in m2.triple.items():
-            # canonical keys on each factor are enough: all degrees even
-            triple[(bi(i, j), bi(a, b), bi(x, y))] = v1 * v2
-    # cross terms where one factor triple involves repeats are already covered:
-    # m.triple iterates canonical sorted keys, and koszul_sorted in the model
-    # constructor re-canonicalizes the combined keys.
+        for key2, v2 in m2.triple.items():
+            for j, b, y in dict.fromkeys(permutations(key2)):
+                triple[(bi(i, j), bi(a, b), bi(x, y))] = v1 * v2
     gens = list(m1.h2.generators)
     gens2 = []
     for g in m2.h2.generators:

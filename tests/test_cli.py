@@ -71,6 +71,28 @@ def test_missing_cutoff_is_a_usage_error(capsys, monkeypatch):
     assert "cutoff" in err
 
 
+def test_negative_cutoff_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("QHFIB_CUTOFF", raising=False)
+    code, out, err = run(capsys, "rho", "--builtin", "ruled", "--cutoff", "-1")
+    assert code == 2
+    assert out == ""
+    assert "cutoff" in err
+    monkeypatch.setenv("QHFIB_CUTOFF", "-2")
+    code, out, err = run(capsys, "product", "--builtin", "ruled", "T-", "T-")
+    assert code == 2
+    assert out == ""
+    assert "cutoff" in err
+
+
+def test_psi_refuses_a_non_section_class(capsys):
+    # sigma_ref + S meets the fiber twice: there is no loop operator to report
+    code, out, err = run(capsys, "psi", "--builtin", "ruled", "--cutoff", "6",
+                         "--offset", "S", "1")
+    assert code == 2
+    assert out == ""
+    assert "not a section class" in err
+
+
 def test_exactly_one_source_is_required(capsys):
     code, _, err = run(capsys, "rho", "--cutoff", "6")
     assert code == 2

@@ -67,6 +67,19 @@ def test_malformed_fixture_files_are_rejected(tmp_path):
     wrong.write_text('{"kind": "mystery"}')
     with pytest.raises(QhfibError):
         load(str(wrong))
+    # a table entry missing its value names its JSON path
+    d = to_dict(catalog.build("ruled"))
+    d["section_gw"]["two_point"][0] = d["section_gw"]["two_point"][0][:2]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(d))
+    with pytest.raises(QhfibError) as err:
+        load(str(short))
+    assert "section_gw.two_point[0]" in str(err.value)
+    ring = to_dict(catalog.ruled_surface_fiber())
+    ring["gw"]["three_point"][0] = "T-"
+    with pytest.raises(QhfibError) as err:
+        from_dict(ring)
+    assert "gw.three_point[0]" in str(err.value)
 
 
 def test_lattice_expression_round_trip(ruled):

@@ -149,3 +149,17 @@ def test_tensor_ring_of_two_spheres():
     ap = tm.h2.gen("A'")
     assert ring.product(pp, pp, CUTOFF) == tm.qh_basis("1|1").shift(-a - ap)
     assert ring.product(ring.unit(), pp, CUTOFF) == pp
+
+
+def test_tensor_ring_of_ruled_fiber_and_sphere():
+    # the factor-2 triple (1, 1, pt) must also pair in its orders (1, pt, 1)
+    # and (pt, 1, 1) against the ruled fiber's sorted keys
+    mf, gf = catalog.ruled_surface_fiber()
+    mb, gb = catalog.sphere(5)
+    tm, tt = tensor_model(mf, gf, mb, gb, "RxS")
+    ring = QuantumRing(tm, tt)
+    one_pt, f_one = tm.qh_basis("1|pt"), tm.qh_basis("F|1")
+    assert ring.product(one_pt, f_one, CUTOFF) == tm.qh_basis("F|pt")
+    assert ring.product(f_one, one_pt, CUTOFF) == tm.qh_basis("F|pt")
+    for cutoff in (2, 4):
+        assert ring.associativity_report(cutoff)["status"] == "pass"
