@@ -16,7 +16,6 @@ from .errors import (
     UnknownSuite,
 )
 from .fibration import (
-    ComposeReport,
     FibrationModel,
     LoopComposite,
     NonsqueezingResult,
@@ -36,7 +35,6 @@ from .novikov import (
 )
 from .quantum import GWTable, QuantumRing, tensor_model
 from .splitting import (
-    SplitReport,
     corrected_splitting,
     product_fixture,
     ring_split_check,
@@ -52,13 +50,13 @@ __all__ = [
     "FiberMismatch", "Inconsistent", "MissingTripleData",
     "NotInvertible", "PrimingInvalid", "QhfibError", "TableIncomplete",
     "UnknownBasisLabel", "UnknownSuite",
-    "ComposeReport", "FibrationModel", "LoopComposite", "NonsqueezingResult",
+    "FibrationModel", "LoopComposite", "NonsqueezingResult",
     "PsiOperator", "composable", "compose", "mirror",
     "ManifoldModel", "QHClass",
     "H2Class", "H2Lattice", "NovikovElement", "format_rational",
     "nov_invert", "parse_rational",
     "GWTable", "QuantumRing", "tensor_model",
-    "SplitReport", "corrected_splitting", "product_fixture",
+    "corrected_splitting", "product_fixture",
     "ring_split_check", "splitting_correction", "verify_product_pattern",
     "SUITE_NAMES", "VerificationReport", "run_suite",
     "__version__",

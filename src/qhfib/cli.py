@@ -37,21 +37,26 @@ def _add_cutoff(p: argparse.ArgumentParser):
                    help="energy cutoff (rational); default from QHFIB_CUTOFF")
 
 
-def _load(args):
-    if bool(args.fixture) == bool(args.builtin):
-        raise QhfibError("give exactly one of --fixture or --builtin")
-    if args.fixture:
-        return fixtures.load(args.fixture)
+def _build(name, param_items):
+    """A builtin model from its name and the --param K=V items."""
     params = {}
-    for item in args.param:
+    for item in param_items:
         if "=" not in item:
             raise QhfibError(f"--param wants K=V, got {item!r}")
         k, v = item.split("=", 1)
         params[k] = v
     try:
-        return catalog.build(args.builtin, **params)
+        return catalog.build(name, **params)
     except KeyError as exc:
         raise QhfibError(str(exc)) from exc
+
+
+def _load(args):
+    if bool(args.fixture) == bool(args.builtin):
+        raise QhfibError("give exactly one of --fixture or --builtin")
+    if args.fixture:
+        return fixtures.load(args.fixture)
+    return _build(args.builtin, args.param)
 
 
 def _fibration(obj) -> FibrationModel:
@@ -70,18 +75,6 @@ def _cutoff(args, required=True):
     if cutoff < 0:
         raise QhfibError(f"the energy cutoff must be >= 0, got {format_rational(cutoff)}")
     return cutoff
-
-
-def _print_checks(checks) -> bool:
-    ok = True
-    for c in checks:
-        line = f"{c['name']}: {c['status']}"
-        if c.get("detail"):
-            line += f" ({c['detail']})"
-        print(line)
-        if c["status"] == "fail":
-            ok = False
-    return ok
 
 
 # -- commands -------------------------------------------------------------
@@ -163,14 +156,16 @@ def cmd_split(args) -> int:
     fib = _fibration(_load(args))
     cutoff = _cutoff(args)
     rep = ring_split_check(fib, cutoff)
-    if not rep.hypothesis_ok:
+    if rep["status"] == "skip":
         print("splitting hypothesis fails: the fiber carries invariants")
-        for line in rep.offending:
+        for line in rep["details"]:
             print(f"  {line}")
         return 1
-    ok = _print_checks(rep.checks)
-    print("ring splits" if rep.ok else "ring does not split as claimed")
-    return 0 if (ok and rep.ok) else 1
+    for line in rep["details"]:
+        print(line)
+    ok = rep["status"] == "pass"
+    print("ring splits" if ok else "ring does not split as claimed")
+    return 0 if ok else 1
 
 
 def cmd_nonsqueeze(args) -> int:
@@ -211,7 +206,9 @@ def cmd_compose(args) -> int:
     else:
         raise QhfibError("give --with FILE or --mirror")
     comp, rep = compose(fib, other, cutoff)
-    ok = _print_checks(rep.checks)
+    for line in rep["details"]:
+        print(line)
+    ok = rep["status"] == "pass"
     try:
         rho = comp.rho(cutoff)
         print(f"rho(composite) = {fixtures.format_qh(rho)}")
@@ -224,12 +221,7 @@ def cmd_compose(args) -> int:
 def cmd_fixture(args) -> int:
     import json as _json
 
-    try:
-        obj = catalog.build(args.name, **dict(
-            item.split("=", 1) for item in args.param
-        ))
-    except KeyError as exc:
-        raise QhfibError(str(exc)) from exc
+    obj = _build(args.name, args.param)
     if args.out:
         fixtures.save(obj, args.out)
         print(f"wrote {args.out}")

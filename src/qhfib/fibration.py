@@ -17,7 +17,7 @@ once).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .manifold import ManifoldModel, QHClass
 from .novikov import H2Class, H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing, contract
+from .quantum import GWTable, QuantumRing, check, contract, step
 
 
 class PsiOperator:
@@ -104,18 +104,6 @@ class NonsqueezingResult:
     bound: Fraction | None
     window: Fraction
     detail: str
-
-
-@dataclass
-class ComposeReport:
-    ok: bool
-    checks: list = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.checks.append({"name": name, "status": "pass" if passed else "fail",
-                            "detail": detail})
-        if not passed:
-            self.ok = False
 
 
 def _normalizing_class(lattice: H2Lattice, u0, c0, name) -> H2Class:
@@ -510,8 +498,7 @@ class FibrationModel:
         try:
             d = self.fiber_restriction_matrix()
         except Inconsistent as exc:
-            failures.append(str(exc))
-            return {"status": "fail", "details": failures}
+            return check(failures + [str(exc)])
         d_rank = rank([row[:] for row in d])
         if d_rank != len(f.basis):
             failures.append("restriction to the fiber is not surjective")
@@ -528,25 +515,20 @@ class FibrationModel:
                 failures.append(
                     f"restriction of iota({f.labels[i]}) to the fiber is nonzero"
                 )
-        return {"status": "fail" if failures else "pass", "details": failures}
+        return check(failures)
 
     # -- identities tying the tables together -----------------------------------
 
     def module_report(self, cutoff, sigma: H2Class | None = None) -> dict:
-        """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis."""
+        """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis.
+        Raises TableIncomplete when the tables do not cover the cutoff."""
         failures = []
-        try:
-            op = self.psi_operator(cutoff, sigma)
-        except TableIncomplete as exc:
-            return {"status": "skip", "details": [str(exc)]}
+        op = self.psi_operator(cutoff, sigma)
         ring = self.fiber_ring
         qcls = op.apply(self.fiber.qh_unit())
         for i, lbl in enumerate(self.fiber.labels):
             a = self.fiber.qh_basis(lbl)
-            try:
-                want = ring.product(qcls, a, cutoff)
-            except TableIncomplete as exc:
-                return {"status": "skip", "details": [str(exc)]}
+            want = ring.product(qcls, a, cutoff)
             if op.apply(a) != want:
                 failures.append(
                     f"Psi({lbl}) = {op.apply(a)!r} but Q*{lbl} = {want!r}"
@@ -554,11 +536,8 @@ class FibrationModel:
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
                 a, b = self.fiber.qh_basis(la), self.fiber.qh_basis(lb)
-                try:
-                    left = op.apply(ring.product(a, b, cutoff))
-                    right = ring.product(op.apply(a), b, cutoff)
-                except TableIncomplete as exc:
-                    return {"status": "skip", "details": [str(exc)]}
+                left = op.apply(ring.product(a, b, cutoff))
+                right = ring.product(op.apply(a), b, cutoff)
                 if left != right:
                     failures.append(
                         f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}"
@@ -581,25 +560,22 @@ class FibrationModel:
                         f"Psi at shifted section != e^B twist on {lbl} (B = {b!r})"
                     )
             break
-        status = "fail" if failures else "pass"
-        return {"status": status, "details": failures}
+        return check(failures)
 
     def vertical_report(self, cutoff) -> dict:
         """iota is a ring map and the splitting is a module map for the
-        vertical product."""
+        vertical product. Raises TableIncomplete when the tables do not
+        cover the cutoff."""
         failures = []
         ring = self.fiber_ring
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
                 a, b = self.fiber.qh_basis(la), self.fiber.qh_basis(lb)
-                try:
-                    fiber_prod = ring.product(a, b, cutoff)
-                    left = self.vertical_product(self.iota_class(a),
-                                                 self.iota_class(b), cutoff)
-                    mid = self.vertical_product(self.splitting_class(a),
-                                                self.iota_class(b), cutoff)
-                except TableIncomplete as exc:
-                    return {"status": "skip", "details": [str(exc)]}
+                fiber_prod = ring.product(a, b, cutoff)
+                left = self.vertical_product(self.iota_class(a),
+                                             self.iota_class(b), cutoff)
+                mid = self.vertical_product(self.splitting_class(a),
+                                            self.iota_class(b), cutoff)
                 want = self.iota_class(fiber_prod).truncate(cutoff)
                 if not left.is_zero():
                     failures.append(
@@ -610,7 +586,7 @@ class FibrationModel:
                     failures.append(
                         f"s({la}) *v iota({lb}) = {mid!r} != iota({la}*{lb}) = {want!r}"
                     )
-        return {"status": "fail" if failures else "pass", "details": failures}
+        return check(failures)
 
     def vertical_table_report(self) -> dict:
         """Entry-level check of the vertical table against fiber data:
@@ -621,7 +597,7 @@ class FibrationModel:
         try:
             d = self.fiber_restriction_matrix()
         except Inconsistent as exc:
-            return {"status": "fail", "details": [str(exc)]}
+            return check([str(exc)])
         iota_cols = [[self.iota[i][t] for i in range(len(f.basis))]
                      for t in range(len(m.basis))]
 
@@ -671,11 +647,7 @@ class FibrationModel:
                                 f"{cls!r}) = {format_rational(got)}, fiber data forces "
                                 f"{format_rational(want)}"
                             )
-        if failures:
-            return {"status": "fail", "details": failures}
-        if skips:
-            return {"status": "skip", "details": sorted(set(skips))}
-        return {"status": "pass", "details": []}
+        return check(failures, skips)
 
     def section_divisor_report(self) -> dict:
         """Divisor slots in section invariants: over the section class
@@ -685,8 +657,7 @@ class FibrationModel:
         divisor slot reduces to the matching 2-point one."""
         m = self.total
         if m.h2.embed is None:
-            return {"status": "skip",
-                    "details": ["no degree-2 embedding on the total lattice"]}
+            return check([], ["no degree-2 embedding on the total lattice"])
         codim2 = 2 * m.n - 2
         divisors = m.indices_of_degree(codim2)
         deg2 = m.indices_of_degree(2)
@@ -740,11 +711,7 @@ class FibrationModel:
                         f"divisor slot {m.labels[w]} forces "
                         f"{format_rational(meets(w, off) * base)}"
                     )
-        if failures:
-            return {"status": "fail", "details": failures}
-        if skips:
-            return {"status": "skip", "details": sorted(set(skips))}
-        return {"status": "pass", "details": []}
+        return check(failures, skips)
 
     # -- loop invariants --------------------------------------------------------
 
@@ -868,7 +835,7 @@ class FibrationModel:
         try:
             self.total.dual_basis()
             self.fiber.dual_basis()
-        except Exception as exc:  # degenerate pairing and friends
+        except QhfibError as exc:  # a degenerate pairing
             failures.append(str(exc))
         q = self.splitting_pairing()
         if any(any(row) for row in q):
@@ -876,7 +843,7 @@ class FibrationModel:
                 "splitting is primed but not corrected: s(e_i).s(e_j) != 0 "
                 f"(q = {[[format_rational(x) for x in row] for row in q]})"
             )
-        return {"status": "fail" if failures else "pass", "details": failures}
+        return check(failures)
 
 
 def composable(f: FibrationModel, g: FibrationModel):
@@ -926,8 +893,9 @@ class LoopComposite:
 
 def compose(f: FibrationModel, g: FibrationModel, cutoff):
     """Glue g after f at their reference sections. Returns the composite
-    loop data plus a report cross-checking the literal convolution against
-    operator composition and the normalization gluing."""
+    loop data plus a check record whose details are one step line each for
+    the literal convolution against operator composition and for the
+    normalization gluing."""
     composable(f, g)
     cutoff = Fraction(cutoff)
     fiber = f.fiber
@@ -974,7 +942,7 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
         window=window,
     )
 
-    report = ComposeReport(ok=True)
+    report = check([])
     op_f = f.psi_operator(cutoff)
     op_g = g.psi_operator(cutoff)
     if g.fiber is not fiber:
@@ -991,8 +959,8 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
         )
     composed = op_g.compose(op_f)
     literal = comp.psi_operator(cutoff)
-    report.add(
-        "convolution-matches-operator-composition",
+    step(
+        report, "convolution-matches-operator-composition",
         literal.equal_mod(composed, cutoff),
         "two-point convolution against Psi_g after Psi_f",
     )
@@ -1003,15 +971,15 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
         sf, sg = f.sigma_phi(), g.sigma_phi()
         glued_u = sf.omega + sg.omega
         glued_c = sf.c1 + sg.c1
-        report.add(
-            "normalization-glues",
+        step(
+            report, "normalization-glues",
             (u_norm == glued_u == 0) and (c_norm == glued_c),
             f"composite normalized coupling {format_rational(u_norm)}, "
             f"glued sections give {format_rational(glued_u)} "
             f"(chern: {format_rational(c_norm)} vs {format_rational(glued_c)})",
         )
     except Inconsistent as exc:
-        report.add("normalization-glues", False, str(exc))
+        step(report, "normalization-glues", False, str(exc))
     return comp, report
 
 

@@ -221,6 +221,30 @@ def gw_to_dict(model: ManifoldModel, table: GWTable) -> dict:
     }
 
 
+# the keys each fixture kind must carry, as JSON paths; the rest are optional
+_MANIFOLD_KEYS = ("name", "n", "basis", "pairing",
+                  "h2.generators", "h2.omega", "h2.c1", "h2.spherical")
+_REQUIRED = {
+    "fibration": ("name", "iota", "splitting", "iota_h2", "sigma_ref", "fiber_gw")
+    + tuple(f"{part}.{key}" for part in ("fiber", "total") for key in _MANIFOLD_KEYS),
+    "ring": ("gw",) + tuple(f"model.{key}" for key in _MANIFOLD_KEYS),
+}
+
+
+def _check_required(d: dict, paths) -> None:
+    """Every required key is present; the first missing one is named by its
+    JSON path."""
+    for path in paths:
+        node, seen = d, []
+        for key in path.split("."):
+            if not isinstance(node, dict):
+                raise QhfibError(f"{'.'.join(seen)}: expected a JSON object")
+            seen.append(key)
+            if key not in node:
+                raise QhfibError(f"fixture is missing the required key {'.'.join(seen)}")
+            node = node[key]
+
+
 def _check_tables(d: dict, keys) -> None:
     """Each table entry is [[labels], [coords], value]; a malformed one is
     named by its JSON path."""
@@ -323,13 +347,14 @@ def to_dict(obj) -> dict:
 
 def from_dict(d: dict):
     kind = d.get("kind")
+    if kind not in ("ring", "fibration"):
+        raise QhfibError(f"fixture kind must be 'ring' or 'fibration', got {kind!r}")
+    _check_required(d, _REQUIRED[kind])
     if kind == "fibration":
         return fibration_from_dict(d)
-    if kind == "ring":
-        _check_tables(d, ("gw",))
-        model = manifold_from_dict(d["model"])
-        return model, gw_from_dict(d["gw"], model)
-    raise QhfibError(f"fixture kind must be 'ring' or 'fibration', got {kind!r}")
+    _check_tables(d, ("gw",))
+    model = manifold_from_dict(d["model"])
+    return model, gw_from_dict(d["gw"], model)
 
 
 def save(obj, path: str) -> None:

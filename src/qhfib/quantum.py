@@ -20,12 +20,33 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DimensionRuleViolation, TableIncomplete
+from .errors import DimensionRuleViolation, QhfibError, TableIncomplete
 from .manifold import ManifoldModel, QHClass, koszul_sorted
 from .novikov import H2Class, format_rational
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
 _SLOTS = {"two_point": 2, "three_point": 3, "four_point_chi": 4}
+# most candidate exponents the inverse search may visit; builtins need < 30
+CANDIDATE_BUDGET = 4096
+
+
+def check(failures, skips=()) -> dict:
+    """The one check record {"status", "details"}: fail with the failures,
+    else skip with the distinct skip reasons, else pass."""
+    if failures:
+        return {"status": "fail", "details": list(failures)}
+    if skips:
+        return {"status": "skip", "details": sorted(set(skips))}
+    return {"status": "pass", "details": []}
+
+
+def step(report, name, passed, detail=""):
+    """Append the line "name: pass|fail (detail)" to a check record; a
+    failing step fails the record."""
+    line = f"{name}: {'pass' if passed else 'fail'}"
+    report["details"].append(line + (f" ({detail})" if detail else ""))
+    if not passed:
+        report["status"] = "fail"
 
 
 def _normalize_completeness(level):
@@ -251,8 +272,11 @@ class QuantumRing:
         for b in bases:
             seen.setdefault(b, b)
         while frontier:
-            if len(seen) > 4096:
-                break
+            if len(seen) > CANDIDATE_BUDGET:
+                raise QhfibError(
+                    f"{self.model.name}: the inverse search passed its budget of "
+                    f"{CANDIDATE_BUDGET} candidate exponents; invertibility is undecided"
+                )
             nxt = []
             for e in frontier:
                 for k in keys:
@@ -323,8 +347,7 @@ class QuantumRing:
             if any(vec):
                 terms[e] = [v for v in vec]
         inv = m.qh(terms)
-        check = self.product(q, inv).truncate(cutoff)
-        if check != self.unit().truncate(cutoff):
+        if self.product(q, inv).truncate(cutoff) != self.unit().truncate(cutoff):
             return None
         return inv
 
@@ -344,26 +367,21 @@ class QuantumRing:
     # -- structural checks ---------------------------------------------------
 
     def associativity_report(self, cutoff) -> dict:
-        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff."""
+        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff.
+        Raises TableIncomplete when the table does not cover the cutoff."""
         m = self.model
         failures = []
-        status = "pass"
         for i, la in enumerate(m.labels):
             for j, lb in enumerate(m.labels):
                 for k, lc in enumerate(m.labels):
                     a, b, c = m.qh_basis(la), m.qh_basis(lb), m.qh_basis(lc)
-                    try:
-                        left = self.product(self.product(a, b, cutoff), c, cutoff)
-                        right = self.product(a, self.product(b, c, cutoff), cutoff)
-                    except TableIncomplete as exc:
-                        return {"status": "skip", "details": [str(exc)]}
+                    left = self.product(self.product(a, b, cutoff), c, cutoff)
+                    right = self.product(a, self.product(b, c, cutoff), cutoff)
                     if left != right:
                         failures.append(
                             f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}"
                         )
-        if failures:
-            status = "fail"
-        return {"status": status, "details": failures}
+        return check(failures)
 
     def _splitting_sum(self, v1, v2, v3, v4, cls, candidates) -> Fraction | None:
         """sum over A1+A2=cls of n(v1,v2,e;A1) n(e^,v3,v4;A2), classical
@@ -457,11 +475,7 @@ class QuantumRing:
                                     f"{format_rational(stored)} but 3-point splitting "
                                     f"gives {format_rational(derived)}"
                                 )
-        if failures:
-            return {"status": "fail", "details": failures}
-        if skips:
-            return {"status": "skip", "details": sorted(set(skips))}
-        return {"status": "pass", "details": []}
+        return check(failures, skips)
 
     def axioms_report(self) -> dict:
         """Fundamental-class and divisor axioms plus the 4-point reduction."""
@@ -519,11 +533,9 @@ class QuantumRing:
         # section tables the class pairing against a divisor involves the
         # reference section, which the table does not know, so that check
         # lives with the fibration
-        if not plain:
-            pass
-        elif m.h2.embed is None:
+        if plain and m.h2.embed is None:
             skips.append("no degree-2 embedding on the lattice: divisor axiom unchecked")
-        else:
+        elif plain:
             deg2 = m.indices_of_degree(2 * m.n - 2)
             checked = set()
             for (idx, cls), val in self.table.three_point.items():
@@ -560,11 +572,7 @@ class QuantumRing:
                             f"{format_rational(lhs)} but (w.B) n({labels}; {cls!r}) = "
                             f"{format_rational(wb * base)}"
                         )
-        if failures:
-            return {"status": "fail", "details": failures}
-        if skips:
-            return {"status": "skip", "details": sorted(set(skips))}
-        return {"status": "pass", "details": []}
+        return check(failures, skips)
 
     # -- the energy-positive part -------------------------------------------
 
@@ -584,7 +592,8 @@ class QuantumRing:
         return True
 
     def qh_plus_closure_report(self, cutoff) -> dict:
-        """Products of generators of the energy-positive part stay inside."""
+        """Products of generators of the energy-positive part stay inside.
+        Raises TableIncomplete when the table does not cover the cutoff."""
         m = self.model
         gens = [m.qh_basis(lbl) for lbl, d in m.basis if d < 2 * m.n]
         for cls in self.table.known_key_classes("three_point"):
@@ -592,13 +601,10 @@ class QuantumRing:
         failures = []
         for a in gens:
             for b in gens:
-                try:
-                    p = self.product(a, b, cutoff)
-                except TableIncomplete as exc:
-                    return {"status": "skip", "details": [str(exc)]}
+                p = self.product(a, b, cutoff)
                 if not self.qh_plus_member(p):
                     failures.append(f"{a!r} * {b!r} = {p!r} leaves the positive part")
-        return {"status": "fail" if failures else "pass", "details": failures}
+        return check(failures)
 
 
 def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,

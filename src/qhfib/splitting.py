@@ -15,14 +15,13 @@ section map built from the Seidel element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import TableIncomplete
+from .errors import QhfibError, TableIncomplete
 from .fibration import FibrationModel
 from .manifold import ManifoldModel
 from .novikov import H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing
+from .quantum import GWTable, QuantumRing, check, step
 
 
 def splitting_correction(degrees, n, q):
@@ -107,62 +106,43 @@ def dict_from(store):
     return {idx + (cls,): v for (idx, cls), v in store.items()}
 
 
-@dataclass
-class SplitReport:
-    ok: bool
-    hypothesis_ok: bool
-    offending: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.checks.append(
-            {"name": name, "status": "pass" if passed else "fail", "detail": detail}
-        )
-        if not passed:
-            self.ok = False
-
-
-def ring_split_check(fib: FibrationModel, cutoff) -> SplitReport:
+def ring_split_check(fib: FibrationModel, cutoff) -> dict:
     """Does QH(P) split off QH(M) through a section map?
 
     Hypothesis: every listed fiber invariant and vertical invariant is zero.
     When it holds, the Seidel element is a classical monomial mu.a e^E, and
     s_A(x) = (1/mu) iota(x) *h iota([M]) at the section sigma_phi + iota(A),
     A = -E, must restrict to the identity and be isotropic for both the
-    pairing and the triple form. The report never raises on an honest
-    failure; it records it.
+    pairing and the triple form. The check record holds one step line per
+    identity; an honest failure is recorded, never raised. When the
+    hypothesis fails the record is a skip listing the nonvanishing
+    invariants in table order.
     """
-    report = SplitReport(ok=True, hypothesis_ok=True)
+    offending = []
     for label, table in (("fiber", fib.fiber_gw), ("vertical", fib.vertical_gw)):
         for arity in ("two_point", "three_point", "four_point_chi"):
             for (idx, cls), val in table._store(arity).items():
                 names = ",".join(table.model.labels[i] for i in idx)
-                report.offending.append(
+                offending.append(
                     f"{label} {arity} ({names}; {cls!r}) = {format_rational(val)}"
                 )
-    if report.offending:
-        report.hypothesis_ok = False
-        report.ok = False
-        report.add(
-            "hypothesis",
-            False,
-            "nonvanishing invariants: " + "; ".join(report.offending),
-        )
-        return report
-    report.add("hypothesis", True, "all listed fiber and vertical invariants vanish")
+    if offending:
+        return {"status": "skip", "details": offending}
+    report = check([])
+    step(report, "hypothesis", True, "all listed fiber and vertical invariants vanish")
 
     try:
         shape = fib.rho_shape(cutoff)
-    except Exception as exc:
-        report.add("seidel-element", False, str(exc))
+    except QhfibError as exc:
+        step(report, "seidel-element", False, str(exc))
         return report
     if not shape["monomial"]:
-        report.add(
-            "seidel-element", False,
+        step(
+            report, "seidel-element", False,
             f"Seidel element is not a basis monomial: {shape['value']!r}"
         )
         return report
-    report.add("seidel-element", True, f"rho = {shape['value']!r}")
+    step(report, "seidel-element", True, f"rho = {shape['value']!r}")
     mu = shape["coefficient"]
     a_cls = -shape["exponent"]
     sigma_a = fib.sigma_phi() + fib.iota_h2_class(a_cls)
@@ -170,7 +150,6 @@ def ring_split_check(fib: FibrationModel, cutoff) -> SplitReport:
     m, f = fib.total, fib.fiber
     d = fib.fiber_restriction_matrix()
     images = []
-    section_ok = True
     for i, lbl in enumerate(f.labels):
         try:
             img = fib.horizontal_product(
@@ -179,21 +158,17 @@ def ring_split_check(fib: FibrationModel, cutoff) -> SplitReport:
                 cutoff, sigma_a,
             ).scale(Fraction(1) / mu)
         except TableIncomplete as exc:
-            report.add("section-map", False, str(exc))
+            step(report, "section-map", False, str(exc))
             return report
-        extra = {e for e in img.terms if not e.is_zero()}
-        if extra:
-            report.add(
-                "section-map", False,
+        if any(not e.is_zero() for e in img.terms):
+            step(
+                report, "section-map", False,
                 f"s({lbl}) = {img!r} has quantum corrections, not a classical class",
             )
-            section_ok = False
-            images.append(None)
-            continue
         images.append(img)
-    if not section_ok:
+    if report["status"] == "fail":
         return report
-    report.add("section-map", True, "s(x) classical for every basis class")
+    step(report, "section-map", True, "s(x) classical for every basis class")
 
     for i, lbl in enumerate(f.labels):
         vec = images[i].classical()
@@ -203,42 +178,23 @@ def ring_split_check(fib: FibrationModel, cutoff) -> SplitReport:
         ]
         want = [Fraction(int(j == i)) for j in range(len(f.basis))]
         if restr != want:
-            report.add(
-                "restricts-to-identity", False,
+            step(
+                report, "restricts-to-identity", False,
                 f"s({lbl}) restricts to {restr}, not {lbl}",
             )
             break
     else:
-        report.add("restricts-to-identity", True, "")
+        step(report, "restricts-to-identity", True, "")
 
-    flat = True
-    for i, la in enumerate(f.labels):
-        for j, lb in enumerate(f.labels):
-            if not images[i].pair(images[j]).is_zero():
-                report.add("pairing-isotropic", False,
-                           f"s({la}) . s({lb}) != 0")
-                flat = False
-                break
-        if not flat:
-            break
-    if flat:
-        report.add("pairing-isotropic", True, "")
-
-    flat3 = True
-    for i, la in enumerate(f.labels):
-        for j, lb in enumerate(f.labels):
-            for k, lc in enumerate(f.labels):
-                if not images[i].triple(images[j], images[k]).is_zero():
-                    report.add("triple-isotropic", False,
-                               f"t(s({la}), s({lb}), s({lc})) != 0")
-                    flat3 = False
-                    break
-            if not flat3:
-                break
-        if not flat3:
-            break
-    if flat3:
-        report.add("triple-isotropic", True, "")
+    # the first pair (triple) of basis images that meet, if any
+    basis = list(zip(f.labels, images))
+    meet = next((f"s({la}) . s({lb}) != 0" for la, x in basis for lb, y in basis
+                 if not x.pair(y).is_zero()), "")
+    step(report, "pairing-isotropic", not meet, meet)
+    meet = next((f"t(s({la}), s({lb}), s({lc})) != 0"
+                 for la, x in basis for lb, y in basis for lc, z in basis
+                 if not x.triple(y, z).is_zero()), "")
+    step(report, "triple-isotropic", not meet, meet)
 
     try:
         mm = fib.horizontal_product(
@@ -246,20 +202,19 @@ def ring_split_check(fib: FibrationModel, cutoff) -> SplitReport:
             cutoff, sigma_a,
         )
     except TableIncomplete as exc:
-        report.add("fiber-squares-to-total", False, str(exc))
-        mm = None
-    if mm is not None:
+        step(report, "fiber-squares-to-total", False, str(exc))
+    else:
         want = m.qh_unit().scale(mu)
-        report.add(
-            "fiber-squares-to-total", mm == want,
+        step(
+            report, "fiber-squares-to-total", mm == want,
             f"[M] *h [M] = {mm!r}, expected {want!r}",
         )
 
     ic, _ = fib.invariant_Ic()
-    report.add("chern-invariant-vanishes", ic == 0, f"Ic = {ic}")
+    step(report, "chern-invariant-vanishes", ic == 0, f"Ic = {ic}")
     iu = fib.invariant_Iu()
-    report.add(
-        "coupling-invariant-vanishes",
+    step(
+        report, "coupling-invariant-vanishes",
         all(v == 0 for v in iu.values()),
         f"Iu = {{{', '.join(f'{k}: {format_rational(v)}' for k, v in iu.items())}}}",
     )
@@ -445,8 +400,7 @@ def verify_product_pattern(fib: FibrationModel) -> dict:
     """For a declared trivial bundle, rebuild the expected vertical and
     section tables from fiber data and diff them against what is stored."""
     if not fib.product_structure:
-        return {"status": "skip",
-                "details": ["fibration does not declare a product structure"]}
+        return check([], ["fibration does not declare a product structure"])
     failures = []
     k = len(fib.fiber.basis)
     std = all(
@@ -455,8 +409,7 @@ def verify_product_pattern(fib: FibrationModel) -> dict:
         for i in range(k)
     )
     if not std:
-        return {"status": "skip",
-                "details": ["product check needs the standard iota/splitting layout"]}
+        return check([], ["product check needs the standard iota/splitting layout"])
     vertical2, vertical3, section2, section3, section4 = product_section_tables(
         fib.fiber, fib.fiber_gw
     )
@@ -509,4 +462,4 @@ def verify_product_pattern(fib: FibrationModel) -> dict:
                     f"{tag} ({names}; {cls!r}): stored {format_rational(h)}, "
                     f"product rule gives {format_rational(w)}"
                 )
-    return {"status": "fail" if failures else "pass", "details": failures}
+    return check(failures)

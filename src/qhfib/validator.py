@@ -2,9 +2,11 @@
 
 A suite runs a family of structural checks against a fibration (or, for the
 purely ring-level suites, a bare manifold model with its invariant table)
-and reports each check as pass, fail, or skip. Skips flag data the tables
-genuinely cannot answer; they are never failures. Reports serialize to
-stable JSON so runs can be diffed.
+and stores each check as the record {"status": pass|fail|skip, "details"}
+that every report returns. Skips flag data the tables genuinely cannot
+answer; they are never failures. A report method raises TableIncomplete
+when a whole check lacks data, and _guard records that as a skip. Reports
+serialize to stable JSON so runs can be diffed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
 )
 from .fibration import FibrationModel, compose, mirror
 from .novikov import format_rational
-from .quantum import QuantumRing
+from .quantum import QuantumRing, check
 from .splitting import ring_split_check, verify_product_pattern
 
 
@@ -58,7 +60,7 @@ def _guard(fn):
     try:
         return fn()
     except TableIncomplete as exc:
-        return {"status": "skip", "details": [str(exc)]}
+        return check([], [str(exc)])
 
 
 def _ring_of(obj):
@@ -80,7 +82,7 @@ def _suite_structure(obj, cutoff):
         model.dual_basis()
         if isinstance(obj, FibrationModel):
             obj.total.dual_basis()
-        return {"status": "pass", "details": []}
+        return check([])
 
     checks["nondegenerate-pairing"] = _guard(body)
     return checks
@@ -140,11 +142,9 @@ def _suite_module(obj, cutoff):
     def invertible():
         try:
             obj.rho(cutoff)
-        except NotInvertible as exc:
-            return {"status": "fail", "details": [str(exc)]}
-        except Inconsistent as exc:
-            return {"status": "fail", "details": [str(exc)]}
-        return {"status": "pass", "details": []}
+        except (NotInvertible, Inconsistent) as exc:
+            return check([str(exc)])
+        return check([])
 
     checks["seidel-invertible"] = _guard(invertible)
     return checks
@@ -160,17 +160,10 @@ def _suite_split(obj, cutoff):
 
     def body():
         rep = ring_split_check(obj, cutoff)
-        if not rep.hypothesis_ok:
-            return {
-                "status": "skip",
-                "details": ["splitting hypothesis fails honestly: "
-                            + "; ".join(rep.offending)],
-            }
-        details = [
-            f"{c['name']}: {c['status']}" + (f" ({c['detail']})" if c["detail"] else "")
-            for c in rep.checks
-        ]
-        return {"status": "pass" if rep.ok else "fail", "details": details}
+        if rep["status"] == "skip":
+            return check([], ["splitting hypothesis fails honestly: "
+                              + "; ".join(rep["details"])])
+        return rep
 
     return {"ring-splitting": _guard(body)}
 
@@ -181,26 +174,18 @@ def _suite_compose(obj, cutoff):
     def body():
         rev = mirror(obj, cutoff)
         comp, rep = compose(obj, rev, cutoff)
-        details = [
-            f"{c['name']}: {c['status']}" + (f" ({c['detail']})" if c["detail"] else "")
-            for c in rep.checks
-        ]
-        if not rep.ok:
-            return {"status": "fail", "details": details}
-        ring = _ring_of(obj)
+        if rep["status"] == "fail":
+            return rep
         try:
             rho = comp.rho(cutoff)
         except NotInvertible as exc:
-            return {"status": "fail", "details": details + [str(exc)]}
-        unit = ring.unit().truncate(cutoff)
-        if rho.truncate(cutoff) != unit:
-            return {
-                "status": "fail",
-                "details": details + [
-                    f"loop composed with its reverse acts by {rho!r}, not the unit"
-                ],
-            }
-        return {"status": "pass", "details": details + ["reverse loop cancels"]}
+            return check(rep["details"] + [str(exc)])
+        if rho.truncate(cutoff) != _ring_of(obj).unit().truncate(cutoff):
+            return check(rep["details"] + [
+                f"loop composed with its reverse acts by {rho!r}, not the unit"
+            ])
+        rep["details"].append("reverse loop cancels")
+        return rep
 
     return {"mirror-composition": _guard(body)}
 

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qhfib import catalog
+from qhfib import catalog, format_rational
+from qhfib.quantum import ARITIES
 
 settings.register_profile(
     "suite",
@@ -14,6 +16,21 @@ settings.register_profile(
 settings.load_profile("suite")
 
 CUTOFF = Fraction(6)
+
+# a step line of a check record: "name: pass|fail" with an optional detail
+STEP_LINE = re.compile(r"^[a-z-]+: (pass|fail)( \(|$)")
+
+
+def offending_lines(fib):
+    """Every stored fiber and vertical invariant, in table order: the lines
+    a failed ring-splitting hypothesis reports."""
+    return [
+        f"{label} {arity} ({','.join(table.model.labels[i] for i in idx)}; {cls!r}) "
+        f"= {format_rational(val)}"
+        for label, table in (("fiber", fib.fiber_gw), ("vertical", fib.vertical_gw))
+        for arity in ARITIES
+        for (idx, cls), val in table._store(arity).items()
+    ]
 
 
 @pytest.fixture(scope="session")

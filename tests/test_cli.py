@@ -236,3 +236,84 @@ def test_console_script_entry_point():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "Ic = 1 (mod 2)" in res.stdout
+
+
+SPLIT_QTP = """\
+hypothesis: pass (all listed fiber and vertical invariants vanish)
+seidel-element: pass (rho = QH<quantum-trivial: 1>)
+section-map: pass (s(x) classical for every basis class)
+restricts-to-identity: pass
+pairing-isotropic: pass
+triple-isotropic: pass
+fiber-squares-to-total: pass ([M] *h [M] = QH<quantum-trivialxS2: s(1)>, expected QH<quantum-trivialxS2: s(1)>)
+chern-invariant-vanishes: pass (Ic = 0)
+coupling-invariant-vanishes: pass (Iu = {E1: 0, E2: 0})
+ring splits
+"""
+
+SPLIT_RULED = """\
+splitting hypothesis fails: the fiber carries invariants
+  fiber two_point (T-,pt; H2<1*F>) = 1
+  fiber three_point (T-,T-,pt; H2<1*F>) = 1
+  fiber four_point_chi (1,T-,T-,pt; H2<1*F>) = 1
+  fiber four_point_chi (F,T-,T-,T-; H2<1*F>) = 1
+  fiber four_point_chi (T-,T-,T-,T-; H2<1*F>) = -2
+  vertical two_point (pt,Zm; H2<1*F>) = 1
+  vertical two_point (pt,Zp; H2<1*F>) = 1
+  vertical two_point (T,S; H2<1*F>) = 1
+  vertical three_point (T,S,Zm; H2<1*F>) = 1
+  vertical three_point (T,S,Zp; H2<1*F>) = 1
+  vertical three_point (pt,Zm,Zm; H2<1*F>) = 1
+  vertical three_point (pt,Zm,Zp; H2<1*F>) = 1
+  vertical three_point (pt,Zp,Zp; H2<1*F>) = 1
+"""
+
+COMPOSE_RULED = """\
+convolution-matches-operator-composition: pass (two-point convolution against Psi_g after Psi_f)
+normalization-glues: pass (composite normalized coupling 0, glued sections give 0 (chern: 0 vs 0))
+rho(composite) = 1
+"""
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (("split", "--builtin", "quantum-trivial-product", "--cutoff", "6"), 0, SPLIT_QTP),
+    (("split", "--builtin", "ruled", "--cutoff", "6"), 1, SPLIT_RULED),
+    (("compose", "--builtin", "ruled", "--mirror", "--cutoff", "6"), 0, COMPOSE_RULED),
+])
+def test_split_and_compose_print_their_step_lines_exactly(capsys, argv, code, want):
+    got, out, err = run(capsys, *argv)
+    assert (got, out, err) == (code, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fixture", "ruled", "--param", "kappa"),
+    ("rho", "--builtin", "ruled", "--param", "kappa", "--cutoff", "6"),
+])
+def test_a_param_without_a_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --param wants K=V, got 'kappa'\n"
+
+
+def test_a_fixture_missing_a_required_key_is_a_data_error(capsys, tmp_path):
+    for key in ("iota", "fiber"):
+        d = json.loads(Path(RULED_FIXTURE).read_text())
+        del d[key]
+        path = tmp_path / f"no-{key}.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "verify", "--fixture", str(path), "--cutoff", "6")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: fixture is missing the required key {key}\n"
+
+
+def test_an_exhausted_inverse_search_is_not_reported_as_math(capsys, monkeypatch):
+    import qhfib.quantum
+
+    monkeypatch.setattr(qhfib.quantum, "CANDIDATE_BUDGET", 3)
+    code, out, err = run(capsys, "rho", "--builtin", "ruled", "--cutoff", "6")
+    assert code == 2
+    assert out == ""
+    assert "budget of 3 candidate exponents" in err
+    assert "not invertible" not in err

@@ -80,6 +80,28 @@ def test_malformed_fixture_files_are_rejected(tmp_path):
     with pytest.raises(QhfibError) as err:
         from_dict(ring)
     assert "gw.three_point[0]" in str(err.value)
+    # a missing required key is named by its JSON path
+    for path in ("iota", "fiber", "fiber_gw", "fiber.pairing", "total.h2",
+                 "total.h2.omega"):
+        d = to_dict(catalog.build("ruled"))
+        *parents, last = path.split(".")
+        node = d
+        for key in parents:
+            node = node[key]
+        del node[last]
+        with pytest.raises(QhfibError) as err:
+            from_dict(d)
+        assert str(err.value) == f"fixture is missing the required key {path}"
+    ring = to_dict(catalog.ruled_surface_fiber())
+    del ring["model"]["basis"]
+    with pytest.raises(QhfibError) as err:
+        from_dict(ring)
+    assert str(err.value) == "fixture is missing the required key model.basis"
+    ring = to_dict(catalog.ruled_surface_fiber())
+    ring["model"]["h2"] = ["F"]
+    with pytest.raises(QhfibError) as err:
+        from_dict(ring)
+    assert str(err.value) == "model.h2: expected a JSON object"
 
 
 def test_lattice_expression_round_trip(ruled):

@@ -8,11 +8,13 @@ from qhfib import (
     DimensionRuleViolation,
     GWTable,
     NotInvertible,
+    QhfibError,
     QuantumRing,
     TableIncomplete,
     catalog,
     tensor_model,
 )
+from qhfib.quantum import check, step
 from tests.conftest import CUTOFF
 
 
@@ -163,3 +165,30 @@ def test_tensor_ring_of_ruled_fiber_and_sphere():
     assert ring.product(f_one, one_pt, CUTOFF) == tm.qh_basis("F|pt")
     for cutoff in (2, 4):
         assert ring.associativity_report(cutoff)["status"] == "pass"
+
+
+def test_check_records_decide_fail_then_skip_then_pass():
+    assert check([]) == {"status": "pass", "details": []}
+    assert check([], ["b", "a", "b"]) == {"status": "skip", "details": ["a", "b"]}
+    assert check(["x"], ["a"]) == {"status": "fail", "details": ["x"]}
+    rep = check([])
+    step(rep, "first", True)
+    step(rep, "second", False, "why")
+    step(rep, "third", True, "fine")
+    assert rep == {"status": "fail",
+                   "details": ["first: pass", "second: fail (why)", "third: pass (fine)"]}
+
+
+def test_an_exhausted_inverse_search_raises_a_budget_error(monkeypatch):
+    import qhfib.quantum
+
+    fib = catalog.build("ruled")
+    q = fib.q_class(CUTOFF, fib.sigma_phi())
+    assert fib.fiber_ring.inverse_or_none(q, CUTOFF) is not None
+    monkeypatch.setattr(qhfib.quantum, "CANDIDATE_BUDGET", 3)
+    with pytest.raises(QhfibError, match="budget of 3 candidate exponents") as err:
+        fib.fiber_ring.inverse_or_none(q, CUTOFF)
+    assert not isinstance(err.value, NotInvertible)
+    with pytest.raises(QhfibError, match="budget") as err:
+        fib.rho(CUTOFF)
+    assert not isinstance(err.value, NotInvertible)

@@ -15,7 +15,7 @@ from qhfib import (
     verify_product_pattern,
 )
 from qhfib.splitting import correction_valid, dict_from
-from tests.conftest import CUTOFF
+from tests.conftest import CUTOFF, STEP_LINE, offending_lines
 
 
 def random_defect(rng, n):
@@ -88,18 +88,20 @@ def test_correction_preserves_module_identities():
 
 def test_ring_split_holds_for_the_quantum_trivial_product(trivial_product):
     rep = ring_split_check(trivial_product, CUTOFF)
-    assert rep.hypothesis_ok
-    assert rep.ok
-    assert all(c["status"] == "pass" for c in rep.checks)
+    assert rep["status"] != "skip"
+    assert rep["status"] == "pass"
+    assert any(ln.startswith("hypothesis: pass") for ln in rep["details"])
+    assert all(ln.split(" (", 1)[0].endswith(": pass") for ln in rep["details"])
 
 
 def test_ring_split_reports_an_honest_hypothesis_failure(ruled):
     rep = ring_split_check(ruled, CUTOFF)
-    assert not rep.hypothesis_ok
-    assert not rep.ok
-    assert any("T-,pt" in line for line in rep.offending)
-    # the criterion is conditional: no splitting claim is evaluated
-    assert [c["name"] for c in rep.checks] == ["hypothesis"]
+    assert rep["status"] == "skip"
+    assert any("T-,pt" in line for line in rep["details"])
+    # the criterion is conditional: no splitting claim is evaluated, and
+    # the details are exactly the offending entries
+    assert rep["details"] == offending_lines(ruled)
+    assert not any(STEP_LINE.match(line) for line in rep["details"])
 
 
 def test_product_pattern_matches_the_stored_tables(sphere_product, trivial_product):
@@ -138,3 +140,17 @@ def test_product_pattern_flags_a_tampered_section_count(sphere_product):
     rep = verify_product_pattern(tampered)
     assert rep["status"] == "fail"
     assert rep["details"]
+
+
+def test_programming_errors_are_not_recorded_as_failures(monkeypatch):
+    fib = catalog.build("quantum-trivial-product")
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("a bug, not a verdict")
+
+    monkeypatch.setattr(fib, "rho_shape", boom)
+    with pytest.raises(RuntimeError):
+        ring_split_check(fib, CUTOFF)
+    monkeypatch.setattr(fib.total, "dual_basis", boom)
+    with pytest.raises(RuntimeError):
+        fib.structure_report()

@@ -7,7 +7,9 @@ import pytest
 
 from qhfib import (
     QhfibError,
+    QuantumRing,
     SUITE_NAMES,
+    TableIncomplete,
     UnknownSuite,
     catalog,
     run_suite,
@@ -111,3 +113,22 @@ def test_a_tampered_section_count_is_caught():
     except QhfibError:
         detected = True
     assert detected
+
+
+def test_missing_data_is_a_skip_only_in_run_suite():
+    # every declared window set to 3: the report method raises, and
+    # run_suite records the same message as a whole-check skip
+    d = to_dict(catalog.build("ruled"))
+    for table in ("fiber_gw", "vertical_gw", "section_gw"):
+        windows = d[table]["complete_below"]
+        for arity, w in windows.items():
+            if w is not None:
+                windows[arity] = "3"
+    fib = from_dict(d)
+    msg = "ruled-surface: product needs three-point data through area 6"
+    rep = run_suite(fib, "all", 6)
+    assert rep.checks["fiber-associativity"] == {"status": "skip", "details": [msg]}
+    ring = QuantumRing(fib.fiber, fib.fiber_gw)
+    with pytest.raises(TableIncomplete) as err:
+        ring.associativity_report(6)
+    assert str(err.value) == msg
