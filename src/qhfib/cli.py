@@ -86,7 +86,7 @@ def cmd_product(args) -> int:
     if isinstance(obj, FibrationModel):
         fib = obj
         if args.space == "fiber":
-            model, mul = fib.fiber, QuantumRing(fib.fiber, fib.fiber_gw).product
+            model, mul = fib.fiber, fib.fiber_ring.product
         elif args.space == "vertical":
             model, mul = fib.total, fib.vertical_product
         else:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import QhfibError, UnknownBasisLabel
 from .fibration import FibrationModel
 from .manifold import ManifoldModel, QHClass
-from .novikov import H2Class, H2Lattice, NovikovElement, format_rational, parse_rational
+from .novikov import H2Class, H2Lattice, format_rational, parse_rational
 from .quantum import ARITIES, GWTable
 
 _COEFF = re.compile(r"(\d+(?:/\d+)?)\*")
@@ -126,23 +126,6 @@ def format_qh(q: QHClass) -> str:
     return "".join(parts) if parts else "0"
 
 
-def format_nov(x: NovikovElement) -> str:
-    keys = sorted(x.terms, key=lambda e: (-e.omega, e.c1, e.coords))
-    parts = []
-    for e in keys:
-        c = x.terms[e]
-        if c == 0:
-            continue
-        lead = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if e.is_zero():
-            parts.append(lead + format_rational(mag))
-            continue
-        coeff = f"{format_rational(mag)}*" if mag != 1 else ""
-        parts.append(lead + coeff + f"e^{{{format_lin(e)}}}")
-    return "".join(parts) if parts else "0"
-
-
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -221,20 +204,23 @@ def gw_to_dict(model: ManifoldModel, table: GWTable) -> dict:
     }
 
 
-# the keys each fixture kind must carry, as JSON paths; the rest are optional
-_MANIFOLD_KEYS = ("name", "n", "basis", "pairing",
-                  "h2.generators", "h2.omega", "h2.c1", "h2.spherical")
+# the keys each fixture kind must carry, as JSON paths with their types; the rest are optional
+_MANIFOLD_KEYS = (("name", str), ("n", (int, str)), ("basis", list), ("pairing", list),
+                  ("h2.generators", list), ("h2.omega", list), ("h2.c1", list),
+                  ("h2.spherical", list))
 _REQUIRED = {
-    "fibration": ("name", "iota", "splitting", "iota_h2", "sigma_ref", "fiber_gw")
-    + tuple(f"{part}.{key}" for part in ("fiber", "total") for key in _MANIFOLD_KEYS),
-    "ring": ("gw",) + tuple(f"model.{key}" for key in _MANIFOLD_KEYS),
+    "fibration": (("name", str), ("iota", list), ("splitting", list), ("iota_h2", list),
+                  ("sigma_ref", list), ("fiber_gw", dict))
+    + tuple((f"{part}.{key}", kind) for part in ("fiber", "total") for key, kind in _MANIFOLD_KEYS),
+    "ring": (("gw", dict),) + tuple((f"model.{key}", kind) for key, kind in _MANIFOLD_KEYS),
 }
+_JSON_TYPES = {dict: "object", list: "list", str: "string", (int, str): "integer or string"}
 
 
 def _check_required(d: dict, paths) -> None:
-    """Every required key is present; the first missing one is named by its
-    JSON path."""
-    for path in paths:
+    """Every required key is present with its JSON type; the first missing
+    or mistyped one is named by its JSON path."""
+    for path, kind in paths:
         node, seen = d, []
         for key in path.split("."):
             if not isinstance(node, dict):
@@ -243,6 +229,9 @@ def _check_required(d: dict, paths) -> None:
             if key not in node:
                 raise QhfibError(f"fixture is missing the required key {'.'.join(seen)}")
             node = node[key]
+        if not isinstance(node, kind):
+            raise QhfibError(f"{path}: expected a JSON {_JSON_TYPES[kind]}, "
+                             f"got {json.dumps(node, default=str)}")
 
 
 def _check_tables(d: dict, keys) -> None:

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import _linalg
 from .errors import CutoffTooSmall, NotInvertible, QhfibError
@@ -65,6 +66,7 @@ class H2Lattice:
             raise ValueError("lattice covector lengths disagree with generators")
         if self.embed is not None and len(self.embed) != k:
             raise ValueError("embed must give one homology vector per generator")
+        object.__setattr__(self, "_zero", H2Class(self, (Fraction(0),) * k))
 
     def cls(self, coords) -> H2Class:
         coords = tuple(Fraction(c) for c in coords)
@@ -73,7 +75,7 @@ class H2Lattice:
         return H2Class(self, coords)
 
     def zero(self) -> H2Class:
-        return self.cls((0,) * len(self.generators))
+        return self._zero
 
     def gen(self, label: str) -> H2Class:
         i = self.generators.index(label)
@@ -97,18 +99,15 @@ class H2Lattice:
 class H2Class:
     lattice: H2Lattice
     coords: tuple[Fraction, ...]
-    _omega: Fraction = field(init=False, repr=False, compare=False)
-    _c1: Fraction = field(init=False, repr=False, compare=False)
+    # area and Chern number; computed from the coordinates unless given
+    _omega: Fraction = field(default=None, repr=False, compare=False)
+    _c1: Fraction = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_omega",
-            sum((w * c for w, c in zip(self.lattice.omega, self.coords)), Fraction(0)),
-        )
-        object.__setattr__(
-            self, "_c1",
-            sum((k * c for k, c in zip(self.lattice.c1, self.coords)), Fraction(0)),
-        )
+        if self._omega is None:
+            lat = self.lattice
+            object.__setattr__(self, "_omega", sum(map(mul, lat.omega, self.coords), Fraction(0)))
+            object.__setattr__(self, "_c1", sum(map(mul, lat.c1, self.coords), Fraction(0)))
 
     @property
     def omega(self) -> Fraction:
@@ -134,13 +133,15 @@ class H2Class:
     def __add__(self, other: H2Class) -> H2Class:
         if self.lattice is not other.lattice:
             raise ValueError("classes live on different lattices")
-        return self.lattice.cls(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        # both covectors are linear, so the sum's values are the operands' sums
+        return H2Class(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)),
+                       self._omega + other._omega, self._c1 + other._c1)
 
     def __sub__(self, other: H2Class) -> H2Class:
         return self + (-other)
 
     def __neg__(self) -> H2Class:
-        return self.lattice.cls(tuple(-a for a in self.coords))
+        return H2Class(self.lattice, tuple(-a for a in self.coords), -self._omega, -self._c1)
 
     def scale(self, r) -> H2Class:
         r = Fraction(r)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DimensionRuleViolation, QhfibError, TableIncomplete
+from .errors import DimensionRuleViolation, MissingTripleData, QhfibError, TableIncomplete
 from .manifold import ManifoldModel, QHClass, koszul_sorted
 from .novikov import H2Class, format_rational
 
@@ -72,6 +72,7 @@ class GWTable:
         self.kind = kind
         self.section_c1 = section_c1
         self.complete_below = _normalize_completeness(complete_below)
+        self._key_classes = {}  # arity -> sorted key classes, filled on first use
         self.two_point = self._load("two_point", two_point or {})
         self.three_point = self._load("three_point", three_point or {})
         self.four_point_chi = self._load("four_point_chi", four_point_chi or {})
@@ -138,10 +139,10 @@ class GWTable:
         return self.complete_below[arity]
 
     def known_key_classes(self, arity) -> list[H2Class]:
-        seen: dict[H2Class, H2Class] = {}
-        for (_, cls) in self._store(arity):
-            seen.setdefault(cls, cls)
-        return sorted(seen, key=lambda c: (c.omega, c.c1, c.coords))
+        if arity not in self._key_classes:
+            seen = dict.fromkeys(cls for _, cls in self._store(arity))  # first representative
+            self._key_classes[arity] = tuple(sorted(seen, key=lambda c: (c.omega, c.c1, c.coords)))
+        return list(self._key_classes[arity])
 
     def query(self, arity, indices, cls: H2Class) -> Fraction:
         ck, sign = koszul_sorted(tuple(indices), self.model.degrees)
@@ -204,38 +205,80 @@ def contract(model: ManifoldModel, va, vb, three, classes) -> dict:
 
 
 class QuantumRing:
-    """QH(M) with the product induced by a three-point fiber-type table."""
+    """QH(M) with the product induced by a three-point fiber-type table,
+    compiled lazily into structure constants e_i * e_k at each key class.
+    Tables never change after construction, so nothing goes stale."""
 
     def __init__(self, model: ManifoldModel, table: GWTable):
         if table.model is not model:
             raise ValueError("table is attached to a different model")
         self.model = model
         self.table = table
+        # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
+        self._constants: dict = {}
+
+    def _gather(self, acc, base, pos, cls, pairs):
+        """Add sum c e_i * e_k over (i, k, c) in pairs at key class cls (None:
+        the cap) into acc at base - cls, as a repeated QHClass sum would. A
+        missing constant is contracted once, reading the table entries, and
+        raising the TableIncomplete, that contracting the whole sum would."""
+        m = self.model
+        block = self._constants.setdefault(pos, {})
+        todo = [(i, k) for i, k, _ in pairs if (i, k) not in block]
+        three = self.table.three if cls is not None else (
+            lambda i, k, j, _: m.triple_eval(i, k, j))
+        try:
+            for i, k in todo:
+                vec = contract(m, m.basis_vector(m.labels[i]), m.basis_vector(m.labels[k]),
+                               three, [cls]).get(cls, ())
+                block[i, k] = [(t, x) for t, x in enumerate(vec) if x]
+        except (TableIncomplete, MissingTripleData):
+            for j in range(len(m.basis)):  # the whole sum reads j outermost
+                for i, k in todo:
+                    three(i, k, j, cls)
+            raise
+        vec = m.zero_vector()
+        for i, k, c in pairs:
+            for t, x in block[i, k]:
+                vec[t] += c * x
+        if not any(vec):
+            return
+        e = base if cls is None else base - cls
+        if e in acc:
+            vec = [p + q for p, q in zip(acc[e], vec)]
+        if any(vec):
+            acc[e] = vec
+        else:
+            del acc[e]
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
-        """a * b. With a cutoff the result is truncated and the table must
-        cover the needed window. With cutoff=None the stored keys are
-        trusted to be complete: every class missing from the table counts
-        as zero, whatever window the table declares."""
+        """a * b, summed bilinearly from the compiled structure constants.
+        With a cutoff the result is truncated and the table must cover the
+        needed window. With cutoff=None the stored keys are trusted to be
+        complete, as they always were: every class missing from the table
+        counts as zero, whatever window the table declares."""
         m = self.model
         keys = self.table.known_key_classes("three_point")
         w = self.table.window("three_point")
-        out = m.qh({})
+        cutoff = None if cutoff is None else Fraction(cutoff)
+        acc: dict[H2Class, list] = {}
         for ea, va in a.terms.items():
             for eb, vb in b.terms.items():
                 base = ea + eb
                 if cutoff is not None:
-                    need = base.omega + Fraction(cutoff)
+                    need = base.omega + cutoff
                     if w is None or need > w:
                         raise TableIncomplete(
                             f"{m.name}: product needs three-point data through "
                             f"area {format_rational(need)}"
                         )
-                out = out + m.qh({base: m.cap(va, vb)})
-                shifts = {cls: base - cls for cls in keys
-                          if cutoff is None or base.omega - cls.omega >= -Fraction(cutoff)}
-                for cls, vec in contract(m, va, vb, self.table.three, shifts).items():
-                    out = out + m.qh({shifts[cls]: vec})
+                pairs = [(i, k, x * y) for i, x in enumerate(va) if x
+                         for k, y in enumerate(vb) if y]
+                self._gather(acc, base, None, None, pairs)
+                for pos, cls in enumerate(keys):
+                    if cutoff is None or base.omega - cls.omega >= -cutoff:
+                        self._gather(acc, base, pos, cls, pairs)
+        out = m.qh(acc)
         return out if cutoff is None else out.truncate(cutoff)
 
     def unit(self) -> QHClass:
@@ -306,11 +349,7 @@ class QuantumRing:
         if not cands:
             return None
         # q * (e_k at exponent 0), computed once per basis direction
-        cols_by_basis = []
-        for k in range(dim):
-            ek = m.zero_vector()
-            ek[k] = Fraction(1)
-            cols_by_basis.append(self.product(q, m.qh_from_vector(ek)))
+        cols_by_basis = [self.product(q, m.qh_basis(lbl)) for lbl in m.labels]
         # collect target exponents reachable above the cutoff window
         targets: dict[H2Class, int] = {}
         for e in cands:
@@ -367,16 +406,24 @@ class QuantumRing:
     # -- structural checks ---------------------------------------------------
 
     def associativity_report(self, cutoff) -> dict:
-        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff.
-        Raises TableIncomplete when the table does not cover the cutoff."""
+        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
+        reusing the k^2 basis products. Raises TableIncomplete when the
+        table does not cover the cutoff."""
         m = self.model
+        basis = [m.qh_basis(lbl) for lbl in m.labels]
+        products = {}  # made at first use, so a raise comes where the nested products raised
+
+        def basis_product(i, j):
+            if (i, j) not in products:
+                products[i, j] = self.product(basis[i], basis[j], cutoff)
+            return products[i, j]
+
         failures = []
         for i, la in enumerate(m.labels):
             for j, lb in enumerate(m.labels):
                 for k, lc in enumerate(m.labels):
-                    a, b, c = m.qh_basis(la), m.qh_basis(lb), m.qh_basis(lc)
-                    left = self.product(self.product(a, b, cutoff), c, cutoff)
-                    right = self.product(a, self.product(b, c, cutoff), cutoff)
+                    left = self.product(basis_product(i, j), basis[k], cutoff)
+                    right = self.product(basis[i], basis_product(j, k), cutoff)
                     if left != right:
                         failures.append(
                             f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}"
@@ -457,11 +504,7 @@ class QuantumRing:
                             except TableIncomplete as exc:
                                 skips.append(str(exc))
                                 continue
-                            vs = []
-                            for t in (i, j, k, l):
-                                v = m.zero_vector()
-                                v[t] = Fraction(1)
-                                vs.append(v)
+                            vs = [m.basis_vector(m.labels[t]) for t in (i, j, k, l)]
                             derived = self._splitting_sum(vs[0], vs[1], vs[2], vs[3], cls, split_cands)
                             if derived is None:
                                 skips.append(
@@ -693,13 +736,7 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
 
     def factor_value(m, t, i, j, k, cls_or_none):
         if cls_or_none is None:
-            e = m.zero_vector()
-            e[k] = Fraction(1)
-            vi = m.zero_vector()
-            vi[i] = Fraction(1)
-            vj = m.zero_vector()
-            vj[j] = Fraction(1)
-            return m.triple_form(vi, vj, e)
+            return m.triple_eval(i, j, k)
         return t.three(i, j, k, cls_or_none)
 
     entries = {}

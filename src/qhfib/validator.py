@@ -65,7 +65,7 @@ def _guard(fn):
 
 def _ring_of(obj):
     if isinstance(obj, FibrationModel):
-        return QuantumRing(obj.fiber, obj.fiber_gw)
+        return obj.fiber_ring
     model, table = obj
     return QuantumRing(model, table)
 
@@ -95,7 +95,7 @@ def _suite_assoc(obj, cutoff):
         "fiber-four-point-splitting": _guard(ring.assoc1_report),
     }
     if isinstance(obj, FibrationModel):
-        vring = QuantumRing(obj.total, obj.vertical_gw)
+        vring = obj.vertical_ring
         checks["vertical-associativity"] = _guard(
             lambda: vring.associativity_report(cutoff)
         )
@@ -111,7 +111,7 @@ def _suite_gw_axioms(obj, cutoff):
         ),
     }
     if isinstance(obj, FibrationModel):
-        vring = QuantumRing(obj.total, obj.vertical_gw)
+        vring = obj.vertical_ring
         checks["vertical-axioms"] = _guard(vring.axioms_report)
         checks["section-divisor"] = _guard(obj.section_divisor_report)
     return checks

@@ -308,6 +308,17 @@ def test_a_fixture_missing_a_required_key_is_a_data_error(capsys, tmp_path):
         assert err == f"error: fixture is missing the required key {key}\n"
 
 
+def test_a_fixture_key_of_the_wrong_type_is_a_data_error(capsys, tmp_path):
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["iota"] = 5
+    path = tmp_path / "int-iota.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", "--fixture", str(path), "--cutoff", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: iota: expected a JSON list, got 5\n"
+
+
 def test_an_exhausted_inverse_search_is_not_reported_as_math(capsys, monkeypatch):
     import qhfib.quantum
 

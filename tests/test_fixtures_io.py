@@ -102,6 +102,28 @@ def test_malformed_fixture_files_are_rejected(tmp_path):
     with pytest.raises(QhfibError) as err:
         from_dict(ring)
     assert str(err.value) == "model.h2: expected a JSON object"
+    # a required key of the wrong JSON type is named by its JSON path
+    for path, value, want in (
+            ("iota", 5, "a JSON list, got 5"),
+            ("name", ["ruled"], 'a JSON string, got ["ruled"]'),
+            ("fiber_gw", [], "a JSON object, got []"),
+            ("fiber.n", [2], "a JSON integer or string, got [2]"),
+            ("total.pairing", "1", 'a JSON list, got "1"'),
+            ("total.h2.omega", None, "a JSON list, got null")):
+        d = to_dict(catalog.build("ruled"))
+        *parents, last = path.split(".")
+        node = d
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(QhfibError) as err:
+            from_dict(d)
+        assert str(err.value) == f"{path}: expected {want}"
+    ring = to_dict(catalog.ruled_surface_fiber())
+    ring["gw"] = "none"
+    with pytest.raises(QhfibError) as err:
+        from_dict(ring)
+    assert str(err.value) == 'gw: expected a JSON object, got "none"'
 
 
 def test_lattice_expression_round_trip(ruled):

@@ -12,6 +12,7 @@ from qhfib import (
     DegeneratePairing,
     H2Lattice,
     ManifoldModel,
+    MissingTripleData,
     QHClass,
     QuantumRing,
     TableIncomplete,
@@ -19,7 +20,7 @@ from qhfib import (
     tensor_model,
 )
 from qhfib._linalg import solve
-from qhfib.fixtures import format_qh, from_dict, to_dict
+from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 
 CUTOFF = Fraction(6)
 BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
@@ -87,9 +88,24 @@ def ref_product(r, a, b, cutoff):
             for cls in table.known_key_classes("three_point"):
                 shift = base - cls
                 rhs = ref_rhs(m, va, vb, table.three, cls)
-                if shift.omega >= -cutoff and any(rhs):
+                if (cutoff is None or shift.omega >= -cutoff) and any(rhs):
                     out = out + m.qh({shift: ref_solve_pairing(m, rhs)})
-    return out.truncate(cutoff)
+    return out if cutoff is None else out.truncate(cutoff)
+
+
+def ref_associativity_failures(r, cutoff):
+    """The failure lines of 4 k^3 nested reference products."""
+    m, failures = r.model, []
+    for la in m.labels:
+        for lb in m.labels:
+            for lc in m.labels:
+                a, b, c = m.qh_basis(la), m.qh_basis(lb), m.qh_basis(lc)
+                left = ref_product(r, ref_product(r, a, b, cutoff), c, cutoff)
+                right = ref_product(r, a, ref_product(r, b, c, cutoff), cutoff)
+                if left != right:
+                    failures.append(
+                        f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
+    return failures
 
 
 def ref_horizontal_product(fib, a, b, cutoff, sigma):
@@ -174,6 +190,99 @@ def test_product_and_cap_match_the_reference(name, data):
     assert_same(r.product(a, b, CUTOFF), ref_product(r, a, b, CUTOFF))
     va, vb = a.classical(), b.classical()
     assert m.cap(va, vb) == ref_cap(m, va, vb)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_product_without_a_cutoff_matches_the_reference(name, data):
+    r = ring(name)
+    a, b = draw_class(data, r.model), draw_class(data, r.model)
+    assert_same(r.product(a, b), ref_product(r, a, b, None))
+
+
+def outcome(fn):
+    """The product fn computes, or the TableIncomplete it raises."""
+    try:
+        return fn()
+    except TableIncomplete as exc:
+        return "raised", str(exc), exc.missing
+
+
+@functools.cache
+def ring_with_a_key_above_the_window():
+    """The ruled fiber ring plus three-point entries at a class far above
+    the declared window: e_F * e_T- is complete there, 1 * F lacks only
+    its pt slot, and every other pair lacks its entries."""
+    r = ring("ruled/fiber")
+    m, table = r.model, r.table
+    high = m.h2.gen("F").scale(1000)
+    assert high.omega > table.window("three_point")
+    one, f, t, pt = (m.label_index(x) for x in ("1", "F", "T-", "pt"))
+    entries = {(tuple(sorted((f, t, j))), high): Fraction(j + 1) for j in range(4)}
+    for j in (one, f, t):
+        entries.setdefault((tuple(sorted((one, f, j))), high), Fraction(7))
+    return QuantumRing(m, table.replace("three_point", entries))
+
+
+def sparse_class(data, m):
+    return QHClass(m, {m.h2.zero(): [
+        data.draw(st.sampled_from([0, 0, 0, 1, -1, 2])) for _ in m.basis]})
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_key_above_the_window_raises_where_the_per_term_path_does(data):
+    r = ring_with_a_key_above_the_window()
+    a, b = sparse_class(data, r.model), sparse_class(data, r.model)
+    got = outcome(lambda: r.product(a, b))
+    want = outcome(lambda: ref_product(r, a, b, None))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same(got, want)
+
+
+def test_a_key_above_the_window_raises_the_entry_the_whole_sum_meets_first():
+    # the pair (1, F) comes first and lacks only its last slot; (1, T-) lacks
+    # its first, which the per-term sum, slot by slot, reads first
+    r = ring_with_a_key_above_the_window()
+    m = r.model
+    a, b = parse_qh(m, "1"), parse_qh(m, "F+T-")
+    want = outcome(lambda: ref_product(r, a, b, None))
+    assert want[2][1] == tuple(m.label_index(x) for x in ("1", "1", "T-"))
+    assert outcome(lambda: r.product(a, b)) == want
+    # the complete pair alone multiplies, at the high class too
+    f, t = parse_qh(m, "F"), parse_qh(m, "T-")
+    assert_same(r.product(f, t), ref_product(r, f, t, None))
+    assert any(e.omega < -1000 for e in r.product(f, t).terms)
+
+
+def test_an_undeclared_triple_raises_the_entry_the_whole_sum_meets_first():
+    # the cap part reads slot by slot too: the pair (F, 1) alone meets
+    # (F, 1, F) first, the sum F * (1 + F) meets (F, F, 1) in the first slot
+    d = to_dict(fibration("ruled"))
+    d["fiber"]["triple_complete"] = False
+    r = from_dict(d).fiber_ring
+    with pytest.raises(MissingTripleData, match=r"\(F, F, 1\) undeclared"):
+        r.product(parse_qh(r.model, "F"), parse_qh(r.model, "1+F"), CUTOFF)
+    with pytest.raises(MissingTripleData, match=r"\(F, 1, F\) undeclared"):
+        r.product(parse_qh(r.model, "F"), parse_qh(r.model, "1"), CUTOFF)
+
+
+# one count + 1 in each of these tables breaks associativity
+TAMPERED = [("sphere x sphere", key) for key in ring("sphere x sphere").table.three_point] + [
+    ("ruled/vertical", next(iter(ring("ruled/vertical").table.three_point)))]
+
+
+@pytest.mark.parametrize("name,key", TAMPERED)
+def test_associativity_report_matches_the_nested_products(name, key):
+    r = ring(name)
+    table = r.table.replace("three_point", {key: r.table.three_point[key] + 1})
+    tampered = QuantumRing(r.model, table)
+    want = ref_associativity_failures(tampered, CUTOFF)
+    assert want
+    assert tampered.associativity_report(CUTOFF) == {"status": "fail", "details": want}
 
 
 @pytest.mark.parametrize("name", BUILTINS)
