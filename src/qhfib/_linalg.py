@@ -1,8 +1,12 @@
 """Exact linear algebra over Fraction.
 
-Tiny systems only (matrix sides stay below ~20 in practice), so plain
-Gaussian elimination is fine. Pivoting is deterministic: first row with a
-nonzero entry wins, so repeated runs give identical reduced forms and the
+Matrices come in dense (lists of rows) and go out dense, but elimination
+runs on sparse rows, each a {column: value} dict of its nonzero entries.
+The systems range from 2x2 pairings to the Seidel inverse system, which is
+108x108 and about 1% nonzero at cutoff 24 on the ruled loop; work grows
+with the nonzeros touched, not with the matrix area. Pivoting is
+deterministic: the first row at or below the current one that holds the
+column wins, so repeated runs give identical reduced forms and the
 "first/minimal" tie-breaking rules elsewhere in the package are stable.
 """
 
@@ -25,28 +29,42 @@ def identity(n: int) -> Matrix:
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form plus the pivot column indices."""
-    m = [row[:] for row in a]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+    if not a:
+        return [], []
+    cols = len(a[0])
+    m = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows = len(m)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if c in m[i]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        prow = m[r] = {j: x / inv for j, x in m[r].items()}
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+            row = m[i]
+            if i != r and c in row:
+                f = row[c]
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    out = []
+    for row in m:
+        dense = [zero] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out, pivots
 
 
 def rank(a: Matrix) -> int:
@@ -70,7 +88,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 def invert(a: Matrix) -> Matrix | None:
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    aug = [a[i] + e for i, e in enumerate(identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

@@ -205,25 +205,29 @@ class FibrationModel:
             four_point_chi=vertical.get("four_point_chi"),
             complete_below=vertical.get("complete_below"),
         )
+        # the evaluator closes over sigma_ref, not over self: a table holding
+        # its own model would leave every dropped model for the cycle collector
+        sigma_ref = self.sigma_ref
         self.section_gw = GWTable(
             self.total, "section",
             two_point=section.get("two_point"),
             three_point=section.get("three_point"),
             four_point_chi=section.get("four_point_chi"),
             complete_below=section.get("complete_below"),
-            section_c1=self.section_c1,
+            section_c1=lambda offset: sigma_ref.c1 + offset.c1 + 2,
         )
         self.vertical_ring = QuantumRing(self.total, self.vertical_gw)
         self.base_area = None if base_area is None else Fraction(base_area)
         self.product_structure = bool(product_structure)
         self._loop_tables = {}
+        self._seidel_pairs = {}
 
     # -- degree-2 plumbing --------------------------------------------------
 
     def section_c1(self, offset: H2Class) -> Fraction:
         """First Chern number of the tangent bundle on sigma_ref + offset:
         vertical part plus the base sphere's 2."""
-        return self.sigma_ref.c1 + offset.c1 + 2
+        return self.section_gw.section_c1(offset)
 
     def iota_h2_class(self, b: H2Class) -> H2Class:
         coords = [Fraction(0)] * len(self.total.h2.generators)
@@ -387,19 +391,29 @@ class FibrationModel:
         b = _normalizing_class(self.fiber.h2, self.sigma_ref.omega, self.sigma_ref.c1, self.name)
         return self.sigma_ref + self.iota_h2_class(b)
 
+    def _seidel(self, cutoff) -> tuple[QHClass, QHClass]:
+        """(rho, rho^-1) modulo the cutoff, from one verified inverse solve
+        per cutoff. A failed solve is not cached: it raises every time."""
+        cutoff = Fraction(cutoff)
+        pair = self._seidel_pairs.get(cutoff)
+        if pair is None:
+            q = self.q_class(cutoff, self.sigma_phi())
+            inv = self.fiber_ring.inverse_or_none(q, cutoff)
+            if inv is None:
+                raise NotInvertible(
+                    f"{self.name}: Seidel element {q!r} is not invertible modulo "
+                    f"{format_rational(cutoff)}; section data is wrong or incomplete"
+                )
+            pair = self._seidel_pairs[cutoff] = (q, inv)
+        return pair
+
     def rho(self, cutoff) -> QHClass:
         """Seidel element: image of the fundamental class at the normalized
         section; guaranteed invertible or we refuse."""
-        q = self.q_class(cutoff, self.sigma_phi())
-        if not self.fiber_ring.is_unit(q, cutoff):
-            raise NotInvertible(
-                f"{self.name}: Seidel element {q!r} is not invertible modulo "
-                f"{format_rational(Fraction(cutoff))}; section data is wrong or incomplete"
-            )
-        return q
+        return self._seidel(cutoff)[0]
 
     def rho_inverse(self, cutoff) -> QHClass:
-        return self.fiber_ring.inverse(self.rho(cutoff), cutoff)
+        return self._seidel(cutoff)[1]
 
     def rho_shape(self, cutoff) -> dict:
         """Is the Seidel element a single basis monomial a . e^E?"""

@@ -54,7 +54,7 @@ def _scan_terms(s, names, what):
         m = _COEFF.match(s, i)
         coeff = sign
         if m:
-            coeff = sign * Fraction(m.group(1))
+            coeff = sign * parse_rational(m.group(1))
             i = m.end()
         name = _longest_match(names, s, i)
         if name is None:

@@ -247,17 +247,21 @@ class QHClass:
 
     def __init__(self, model: ManifoldModel, terms):
         self.model = model
-        self.terms: dict[H2Class, tuple[Fraction, ...]] = {}
+        dim = len(model.basis)
+        out: dict[H2Class, tuple[Fraction, ...]] = {}
+        merged = False
         for e, vec in terms.items():
-            vec = tuple(Fraction(x) for x in vec)
-            if len(vec) != len(model.basis):
+            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
+            if len(vec) != dim:
                 raise ValueError("vector length does not match the basis")
             if any(vec):
-                old = self.terms.get(e)
+                old = out.get(e)
                 if old is not None:
                     vec = tuple(a + b for a, b in zip(old, vec))
-                self.terms[e] = vec
-        self.terms = {e: v for e, v in self.terms.items() if any(v)}
+                    merged = True
+                out[e] = vec
+        # a merge can cancel to zero; only then is a second pass needed
+        self.terms = {e: v for e, v in out.items() if any(v)} if merged else out
 
     def __add__(self, other: QHClass) -> QHClass:
         if self.model is not other.model:

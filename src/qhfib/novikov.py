@@ -36,7 +36,10 @@ def parse_rational(text) -> Fraction:
             raise QhfibError(
                 f"not an exact rational: {text!r} (write p/q, not a decimal)"
             )
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise QhfibError(f"zero denominator in {text!r}") from None
     raise TypeError(f"not an exact rational: {text!r}")
 
 

@@ -328,3 +328,31 @@ def test_an_exhausted_inverse_search_is_not_reported_as_math(capsys, monkeypatch
     assert out == ""
     assert "budget of 3 candidate exponents" in err
     assert "not invertible" not in err
+
+
+def _fixture_with_a_zero_denominator(tmp_path):
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["fiber_gw"]["two_point"][0][2] = "1/0"
+    path = tmp_path / "zero-denominator.json"
+    path.write_text(json.dumps(d))
+    return ["verify", "--fixture", str(path), "--cutoff", "6"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["product", "--builtin", "ruled", "--cutoff", "6", "1/0*F", "F"], None),
+    (["rho", "--builtin", "ruled", "--cutoff", "1/0"], None),
+    (["rho", "--builtin", "ruled"], "3/0"),
+    (["rho", "--builtin", "ruled", "--param", "kappa=1/0", "--cutoff", "6"], None),
+    (["psi", "--builtin", "ruled", "--cutoff", "6", "--offset", "1/0*F", "1"], None),
+    (None, None),
+], ids=["class", "cutoff", "environment", "param", "offset", "fixture"])
+def test_a_zero_denominator_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, env):
+    if env is None:
+        monkeypatch.delenv("QHFIB_CUTOFF", raising=False)
+    else:
+        monkeypatch.setenv("QHFIB_CUTOFF", env)
+    argv = argv or _fixture_with_a_zero_denominator(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zero denominator in '") and err.endswith("/0'\n")

@@ -1,5 +1,7 @@
 """Fibrations over the sphere: Seidel elements, module structure, invariants."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -183,3 +185,17 @@ def test_fiber_class_recovery(ruled):
     back = ruled.fiber_class_from_total(total_F)
     assert back == F
     assert ruled.fiber_class_from_total(ruled.sigma_ref) is None
+
+
+def test_a_dropped_model_is_freed_without_the_cycle_collector():
+    """No reference cycle runs through a fibration, so dropping the last
+    reference frees it and its rings, tables and cached Seidel pairs."""
+    fib = catalog.build("ruled")
+    fib.rho(CUTOFF)
+    gone = weakref.ref(fib)
+    gc.disable()
+    try:
+        del fib
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhfib import QhfibError, UnknownBasisLabel, catalog, run_suite
 from qhfib.fixtures import (
@@ -178,3 +180,24 @@ def test_fixture_dicts_are_stable_under_reload(ruled):
     s1 = json.dumps(d1, sort_keys=True)
     d2 = to_dict(from_dict(json.loads(s1)))
     assert json.dumps(d2, sort_keys=True) == s1
+
+
+# the grammar's alphabet: labels, generators, digits and the operators,
+# plus whole coefficients p/q* (q may be 0)
+_QH_TOKENS = st.one_of(
+    st.sampled_from(["1", "F", "T-", "pt", "S", "T", "0", "2", "/", "*", "+", "-",
+                     "@e^{", "}", "{", "@", "^", " ", "x"]),
+    st.builds("{}/{}*".format, st.integers(0, 3), st.integers(0, 2)),
+)
+
+
+@given(st.lists(_QH_TOKENS, max_size=12))
+@settings(max_examples=300)
+def test_parse_qh_and_parse_lin_raise_only_qhfib_errors(ruled, tokens):
+    text = "".join(tokens)
+    for parse, target in ((parse_qh, ruled.fiber), (parse_qh, ruled.total),
+                          (parse_lin, ruled.fiber.h2), (parse_lin, ruled.total.h2)):
+        try:
+            parse(target, text)
+        except QhfibError:
+            pass
