@@ -12,6 +12,7 @@ invertible, 2 usage or data errors, 3 the stored tables cannot answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -230,6 +231,7 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+@functools.cache  # built once: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qhfib",

@@ -69,7 +69,6 @@ class H2Lattice:
             raise ValueError("lattice covector lengths disagree with generators")
         if self.embed is not None and len(self.embed) != k:
             raise ValueError("embed must give one homology vector per generator")
-        object.__setattr__(self, "_zero", H2Class(self, (Fraction(0),) * k))
 
     def cls(self, coords) -> H2Class:
         coords = tuple(Fraction(c) for c in coords)
@@ -78,7 +77,8 @@ class H2Lattice:
         return H2Class(self, coords)
 
     def zero(self) -> H2Class:
-        return self._zero
+        # built on demand: a class kept on the lattice would point back at it, a cycle
+        return H2Class(self, (Fraction(0),) * len(self.generators), Fraction(0), Fraction(0))
 
     def gen(self, label: str) -> H2Class:
         i = self.generators.index(label)
@@ -111,6 +111,7 @@ class H2Class:
             lat = self.lattice
             object.__setattr__(self, "_omega", sum(map(mul, lat.omega, self.coords), Fraction(0)))
             object.__setattr__(self, "_c1", sum(map(mul, lat.c1, self.coords), Fraction(0)))
+        object.__setattr__(self, "_hash", hash((id(self.lattice), self._omega, self._c1)))
 
     @property
     def omega(self) -> Fraction:
@@ -131,7 +132,7 @@ class H2Class:
         )
 
     def __hash__(self):
-        return hash((id(self.lattice), self._omega, self._c1))
+        return self._hash
 
     def __add__(self, other: H2Class) -> H2Class:
         if self.lattice is not other.lattice:

@@ -406,25 +406,47 @@ class QuantumRing:
     # -- structural checks ---------------------------------------------------
 
     def associativity_report(self, cutoff) -> dict:
-        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
-        reusing the k^2 basis products. Raises TableIncomplete when the
-        table does not cover the cutoff."""
+        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff.
+        Only the k^2 basis products P[i][j] are full products: (e_i*e_j)*e_k
+        sums x y e^(E+F) e_s over the terms x e^E e_t of P[i][j] and y e^F e_s
+        of P[t][k], truncated; exact since each exponent of a P is 0 or minus
+        a key class (of positive area). Only a failing triple builds classes.
+        Raises TableIncomplete when the table does not cover the cutoff."""
         m = self.model
+        cutoff = None if cutoff is None else Fraction(cutoff)
         basis = [m.qh_basis(lbl) for lbl in m.labels]
-        products = {}  # made at first use, so a raise comes where the nested products raised
+        products, sparse, exps, sums = {}, {}, {}, {}
 
         def basis_product(i, j):
-            if (i, j) not in products:
-                products[i, j] = self.product(basis[i], basis[j], cutoff)
-            return products[i, j]
+            # made at first use, so a raise comes where the nested products raised
+            if (i, j) not in sparse:
+                products[i, j] = p = self.product(basis[i], basis[j], cutoff)
+                sparse[i, j] = [(exps.setdefault(e, e), t, x)  # interned: sums keys on ids
+                                for e, v in p.terms.items() for t, x in enumerate(v) if x]
+            return sparse[i, j]
+
+        def side(outer, inner):
+            acc = {}
+            for e, t, x in outer:
+                for f, s, y in inner(t):
+                    key = id(e), id(f)
+                    if key not in sums:
+                        g = e + f
+                        sums[key] = g if cutoff is None or g.omega >= -cutoff else None
+                    g = sums[key]
+                    if g is not None:
+                        acc[g, s] = acc.get((g, s), 0) + x * y
+            return {term: v for term, v in acc.items() if v}
 
         failures = []
         for i, la in enumerate(m.labels):
             for j, lb in enumerate(m.labels):
                 for k, lc in enumerate(m.labels):
-                    left = self.product(basis_product(i, j), basis[k], cutoff)
-                    right = self.product(basis[i], basis_product(j, k), cutoff)
+                    left = side(basis_product(i, j), lambda t: basis_product(t, k))
+                    right = side(basis_product(j, k), lambda t: basis_product(i, t))
                     if left != right:
+                        left = self.product(products[i, j], basis[k], cutoff)
+                        right = self.product(basis[i], products[j, k], cutoff)
                         failures.append(
                             f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}"
                         )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qhfib import catalog
+from qhfib import catalog, cli
 from qhfib.cli import main
 from qhfib.fixtures import from_dict, parse_qh, to_dict
 
@@ -294,6 +294,25 @@ def test_a_param_without_a_value_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: --param wants K=V, got 'kappa'\n"
+
+
+def test_main_reuses_one_parser_and_leaks_no_state_between_calls(capsys):
+    # the --param lists of one call must not reach the next, whatever the subcommand
+    first = run(capsys, "rho", "--builtin", "ruled", "--param", "kappa=2", "--cutoff", "6")
+    other = run(capsys, "invariants", "--builtin", "ruled", "--param", "kappa=3/2")
+    plain = run(capsys, "rho", "--builtin", "ruled", "--cutoff", "6")
+    assert plain == run(capsys, "rho", "--builtin", "ruled", "--param", "kappa=1", "--cutoff", "6")
+    assert first != plain and first[0] == other[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["fixture", "ruled"]).param == []
+    # a usage error prints the same lines on every call
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["rho", "--bogus"])
+        errors.append((exc.value.code, capsys.readouterr()))
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert errors[0][1].err.startswith("usage: qhfib [-h]")
 
 
 def test_a_fixture_missing_a_required_key_is_a_data_error(capsys, tmp_path):

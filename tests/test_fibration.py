@@ -189,13 +189,14 @@ def test_fiber_class_recovery(ruled):
 
 def test_a_dropped_model_is_freed_without_the_cycle_collector():
     """No reference cycle runs through a fibration, so dropping the last
-    reference frees it and its rings, tables and cached Seidel pairs."""
+    reference frees it and its rings, tables, cached Seidel pairs and
+    class lattices."""
     fib = catalog.build("ruled")
     fib.rho(CUTOFF)
-    gone = weakref.ref(fib)
+    gone = [weakref.ref(x) for x in (fib, fib.fiber.h2, fib.total.h2)]
     gc.disable()
     try:
         del fib
-        assert gone() is None
+        assert [ref() for ref in gone] == [None, None, None]
     finally:
         gc.enable()

@@ -3,6 +3,7 @@ system anew, term by term, by elimination on the transposed pairing."""
 
 import functools
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qhfib import (
     DegeneratePairing,
+    GWTable,
     H2Lattice,
     ManifoldModel,
     MissingTripleData,
@@ -21,6 +23,7 @@ from qhfib import (
 )
 from qhfib._linalg import solve
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
+from qhfib.quantum import check
 
 CUTOFF = Fraction(6)
 BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
@@ -87,21 +90,30 @@ def ref_product(r, a, b, cutoff):
             out = out + m.qh({base: ref_cap(m, va, vb)})
             for cls in table.known_key_classes("three_point"):
                 shift = base - cls
+                if cutoff is not None and shift.omega < -cutoff:
+                    continue  # outside the window: never read
                 rhs = ref_rhs(m, va, vb, table.three, cls)
-                if (cutoff is None or shift.omega >= -cutoff) and any(rhs):
+                if any(rhs):
                     out = out + m.qh({shift: ref_solve_pairing(m, rhs)})
     return out if cutoff is None else out.truncate(cutoff)
 
 
 def ref_associativity_failures(r, cutoff):
-    """The failure lines of 4 k^3 nested reference products."""
-    m, failures = r.model, []
+    """The failure lines of the nested reference products (a*b)*c and
+    a*(b*c), each distinct product made once, in first-use order."""
+    m, failures, memo = r.model, [], {}
+
+    def mul(a, b):
+        if (a, b) not in memo:
+            memo[a, b] = ref_product(r, a, b, cutoff)
+        return memo[a, b]
+
     for la in m.labels:
         for lb in m.labels:
             for lc in m.labels:
                 a, b, c = m.qh_basis(la), m.qh_basis(lb), m.qh_basis(lc)
-                left = ref_product(r, ref_product(r, a, b, cutoff), c, cutoff)
-                right = ref_product(r, a, ref_product(r, b, c, cutoff), cutoff)
+                left = mul(mul(a, b), c)
+                right = mul(a, mul(b, c))
                 if left != right:
                     failures.append(
                         f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
@@ -277,12 +289,120 @@ TAMPERED = [("sphere x sphere", key) for key in ring("sphere x sphere").table.th
 
 @pytest.mark.parametrize("name,key", TAMPERED)
 def test_associativity_report_matches_the_nested_products(name, key):
-    r = ring(name)
-    table = r.table.replace("three_point", {key: r.table.three_point[key] + 1})
-    tampered = QuantumRing(r.model, table)
-    want = ref_associativity_failures(tampered, CUTOFF)
+    r = tampered(name, key, 1)
+    want = ref_associativity_failures(r, CUTOFF)
     assert want
-    assert tampered.associativity_report(CUTOFF) == {"status": "fail", "details": want}
+    assert r.associativity_report(CUTOFF) == {"status": "fail", "details": want}
+
+
+def tampered(name, key, d):
+    r = ring(name)
+    return QuantumRing(r.model, r.table.replace("three_point", {key: r.table.three_point[key] + d}))
+
+
+def report_or_raise(fn):
+    """The check record fn returns, or the type and text of the data error
+    it raises."""
+    try:
+        return fn()
+    except (TableIncomplete, MissingTripleData) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@pytest.mark.parametrize("cutoff", [None, Fraction(0), Fraction(2), Fraction(6), Fraction(24)])
+def test_associativity_report_matches_the_reference(name, cutoff):
+    r = ring(name)
+    assert cutoff is None or cutoff <= r.table.window("three_point")
+    assert r.associativity_report(cutoff) == check(ref_associativity_failures(r, cutoff))
+
+
+# +1 and -1 on every stored three-point count of every ring, at cutoff 6,
+# and at 2 too where the reference is fast (at most four classes)
+EACH_COUNT = [(name, key, d, cutoff) for name in RINGS for key in ring(name).table.three_point
+              for d in (1, -1) for cutoff in (
+                  [Fraction(2), CUTOFF] if len(ring(name).model.basis) <= 4 else [CUTOFF])]
+
+
+@pytest.mark.parametrize("name,key,d,cutoff", EACH_COUNT)
+def test_associativity_report_matches_the_reference_on_each_changed_count(name, key, d, cutoff):
+    r = tampered(name, key, d)
+    assert r.associativity_report(cutoff) == check(ref_associativity_failures(r, cutoff))
+
+
+@pytest.mark.parametrize("name", RINGS)
+@pytest.mark.parametrize("window", [Fraction(0), Fraction(3)])
+def test_associativity_report_raises_where_the_nested_products_raised(name, window):
+    r = ring(name)
+    m = r.model
+    table = GWTable(m, "fiber", complete_below={"three_point": window}, three_point={
+        idx + (cls,): v for (idx, cls), v in r.table.three_point.items()})
+    short = QuantumRing(m, table)
+    first = m.qh_basis(m.labels[0])
+    for cutoff in (Fraction(2), Fraction(6)):
+        got = report_or_raise(lambda: short.associativity_report(cutoff))
+        if cutoff <= window:
+            assert got == check(ref_associativity_failures(short, cutoff))
+        else:
+            # the first nested product, e_0 * e_0, made the window check
+            assert got == report_or_raise(lambda: short.product(first, first, cutoff)) == (
+                "TableIncomplete", f"{m.name}: product needs three-point data through area {cutoff}")
+
+
+def with_one_undeclared_triple(name, ck):
+    """A fresh copy of the ring whose triple form declares every triple of
+    the right degree, zeros included, except ck."""
+    if "/" in name:
+        fib = from_dict(to_dict(fibration(name.split("/")[0])))
+        r = fib.fiber_ring if name.endswith("/fiber") else fib.vertical_ring
+    else:
+        r = ring.__wrapped__(name)
+    m = r.model
+    for c in combinations_with_replacement(range(len(m.basis)), 3):
+        if sum(m.degrees[t] for t in c) == 4 * m.n:
+            m.triple.setdefault(c, Fraction(0))  # the constructor keeps only nonzero entries
+    del m.triple[ck]
+    m.triple_complete = False
+    return r
+
+
+def degree_triples(name):
+    m = ring(name).model
+    return [(name, c) for c in combinations_with_replacement(range(len(m.basis)), 3)
+            if sum(m.degrees[t] for t in c) == 4 * m.n]
+
+
+# the rings with at most four classes: the reference runs until the raise
+UNDECLARED = [case for name in RINGS if len(ring(name).model.basis) <= 4
+              for case in degree_triples(name)]
+
+
+@pytest.mark.parametrize("name,ck", UNDECLARED)
+def test_associativity_report_names_the_undeclared_triple_the_nested_products_meet(name, ck):
+    r = with_one_undeclared_triple(name, ck)
+    got = report_or_raise(lambda: r.associativity_report(CUTOFF))
+    assert got[0] == "MissingTripleData"
+    assert got == report_or_raise(lambda: ref_associativity_failures(r, CUTOFF))
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_only_the_basis_products_are_full_products(name, monkeypatch):
+    calls = []
+    product = QuantumRing.product
+
+    def counted(self, *args):
+        calls.append(args)
+        return product(self, *args)
+
+    monkeypatch.setattr(QuantumRing, "product", counted)
+    k = len(ring(name).model.basis)
+    assert ring(name).associativity_report(CUTOFF)["status"] == "pass"
+    assert len(calls) == k * k
+    # a failing triple builds its two sides with two more products
+    for key in ring(name).table.three_point:
+        calls.clear()
+        details = tampered(name, key, 1).associativity_report(CUTOFF)["details"]
+        assert len(calls) == k * k + 2 * len(details)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
