@@ -1,13 +1,13 @@
 """Exact linear algebra over Fraction.
 
 Matrices come in dense (lists of rows) and go out dense, but elimination
-runs on sparse rows, each a {column: value} dict of its nonzero entries.
-The systems range from 2x2 pairings to the Seidel inverse system, which is
-108x108 and about 1% nonzero at cutoff 24 on the ruled loop; work grows
-with the nonzeros touched, not with the matrix area. Pivoting is
-deterministic: the first row at or below the current one that holds the
-column wins, so repeated runs give identical reduced forms and the
-"first/minimal" tie-breaking rules elsewhere in the package are stable.
+runs on sparse rows, each a {column: value} dict of its nonzero entries,
+so work grows with the nonzeros touched, not with the matrix area. The
+systems are small: pairings, lattice coordinates and the homology maps of
+a fibration. Pivoting is deterministic: the first row at or below the
+current one that holds the column wins, so repeated runs give identical
+reduced forms and the "first/minimal" tie-breaking rules elsewhere in the
+package are stable.
 """
 
 from fractions import Fraction

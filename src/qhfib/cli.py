@@ -25,6 +25,10 @@ from .splitting import ring_split_check
 from .validator import SUITE_NAMES, run_suite
 
 
+_CLASS_HELP = ("class expression, e.g. 'F@e^{-F}+2*T-'; "
+               "put '--' before one that starts with '-'")
+
+
 def _add_source(p: argparse.ArgumentParser):
     p.add_argument("--fixture", metavar="FILE", help="fixture JSON file")
     p.add_argument("--builtin", metavar="NAME",
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(sp); _add_cutoff(sp)
     sp.add_argument("--space", choices=("fiber", "vertical", "horizontal"),
                     default="fiber")
-    sp.add_argument("a"); sp.add_argument("b")
+    sp.add_argument("a", help=_CLASS_HELP); sp.add_argument("b", help=_CLASS_HELP)
     sp.set_defaults(fn=cmd_product)
 
     sp = sub.add_parser("psi", help="apply the loop operator")
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add a lattice offset to the section class")
     sp.add_argument("--normalized", action="store_true",
                     help="use the normalized section class")
-    sp.add_argument("a")
+    sp.add_argument("a", help=_CLASS_HELP)
     sp.set_defaults(fn=cmd_psi)
 
     sp = sub.add_parser("rho", help="the Seidel element and its inverse")

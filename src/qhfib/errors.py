@@ -10,7 +10,7 @@ class QhfibError(Exception):
 
 
 class NotInvertible(QhfibError):
-    """Element has no inverse detectable from the available data."""
+    """Element is not a unit."""
 
 
 class CutoffTooSmall(QhfibError):

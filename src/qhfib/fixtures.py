@@ -144,14 +144,48 @@ def _lattice_to_dict(lat: H2Lattice) -> dict:
     }
 
 
-def _lattice_from_dict(d: dict) -> H2Lattice:
+def _fail(path, want, got):
+    raise QhfibError(f"{path}: expected {want}, got {json.dumps(got, default=str)}")
+
+
+def _scalar(x, path, kinds, want):
+    """x when it is one of the JSON scalar kinds (never a boolean)."""
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        _fail(path, want, x)
+    return x
+
+
+def _rational(x, path) -> Fraction:
+    return parse_rational(_scalar(x, path, (str, int), 'a rational such as "1/3"'))
+
+
+def _list(x, path, size=None) -> list:
+    if not isinstance(x, list) or size not in (None, len(x)):
+        _fail(path, "a JSON list" + ("" if size is None else f" of {size} items"), x)
+    return x
+
+
+def _rationals(x, path) -> list[Fraction]:
+    return [_rational(v, f"{path}[{i}]") for i, v in enumerate(_list(x, path))]
+
+
+def _matrix(x, path) -> list[list[Fraction]]:
+    return [_rationals(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path))]
+
+
+def _labels(x, path, size=None) -> tuple[str, ...]:
+    return tuple(_scalar(v, f"{path}[{i}]", str, "a label")
+                 for i, v in enumerate(_list(x, path, size)))
+
+
+def _lattice_from_dict(d: dict, path: str) -> H2Lattice:
     return H2Lattice(
-        generators=tuple(d["generators"]),
-        omega=tuple(parse_rational(x) for x in d["omega"]),
-        c1=tuple(parse_rational(x) for x in d["c1"]),
+        generators=_labels(d["generators"], f"{path}.generators"),
+        omega=tuple(_rationals(d["omega"], f"{path}.omega")),
+        c1=tuple(_rationals(d["c1"], f"{path}.c1")),
         spherical=tuple(bool(x) for x in d["spherical"]),
         embed=None if d.get("embed") is None
-        else tuple(tuple(parse_rational(x) for x in row) for row in d["embed"]),
+        else tuple(map(tuple, _matrix(d["embed"], f"{path}.embed"))),
     )
 
 
@@ -170,13 +204,20 @@ def manifold_to_dict(m: ManifoldModel) -> dict:
     }
 
 
-def manifold_from_dict(d: dict) -> ManifoldModel:
+def manifold_from_dict(d: dict, path: str = "model") -> ManifoldModel:
+    """A manifold model; a malformed node is named by its JSON path under path."""
+    basis = [_list(b, f"{path}.basis[{i}]", 2) for i, b in enumerate(d["basis"])]
+    triple = [_list(t, f"{path}.triple[{i}]", 4)
+              for i, t in enumerate(_list(d.get("triple", []), f"{path}.triple"))]
     return ManifoldModel(
         d["name"], d["n"],
-        [(lbl, int(deg)) for lbl, deg in d["basis"]],
-        [[parse_rational(x) for x in row] for row in d["pairing"]],
-        {(a, b, c): parse_rational(v) for a, b, c, v in d.get("triple", [])},
-        _lattice_from_dict(d["h2"]),
+        [(_scalar(lbl, f"{path}.basis[{i}][0]", str, "a label"),
+          _scalar(deg, f"{path}.basis[{i}][1]", (int, str), "an integer degree"))
+         for i, (lbl, deg) in enumerate(basis)],
+        _matrix(d["pairing"], f"{path}.pairing"),
+        {_labels(t[:3], f"{path}.triple[{i}]"): _rational(t[3], f"{path}.triple[{i}][3]")
+         for i, t in enumerate(triple)},
+        _lattice_from_dict(d["h2"], f"{path}.h2"),
         triple_complete=d.get("triple_complete", True),
     )
 
@@ -230,49 +271,35 @@ def _check_required(d: dict, paths) -> None:
                 raise QhfibError(f"fixture is missing the required key {'.'.join(seen)}")
             node = node[key]
         if not isinstance(node, kind):
-            raise QhfibError(f"{path}: expected a JSON {_JSON_TYPES[kind]}, "
-                             f"got {json.dumps(node, default=str)}")
+            _fail(path, f"a JSON {_JSON_TYPES[kind]}", node)
 
 
-def _check_tables(d: dict, keys) -> None:
-    """Each table entry is [[labels], [coords], value]; a malformed one is
-    named by its JSON path."""
-    for key in keys:
-        table = d.get(key, {})
-        if not isinstance(table, dict):
-            raise QhfibError(f"{key}: a table is a JSON object")
-        for arity in ARITIES:
-            entries = table.get(arity, [])
-            if not isinstance(entries, list):
-                raise QhfibError(f"{key}.{arity}: the entries form a JSON list")
-            for n, entry in enumerate(entries):
-                if not (isinstance(entry, list) and len(entry) == 3
-                        and isinstance(entry[0], list) and isinstance(entry[1], list)):
-                    raise QhfibError(
-                        f"{key}.{arity}[{n}]: an entry is [[labels], [coords], value], "
-                        f"got {json.dumps(entry, default=str)}"
-                    )
-
-
-def _entry_dicts(d: dict, lattice: H2Lattice) -> dict:
+def _entry_dicts(d: dict, lattice: H2Lattice, path: str) -> dict:
+    """The entries [[labels], [coords], value] of a table, by arity."""
+    if not isinstance(d, dict):
+        _fail(path, "a JSON object", d)
     tables = {}
     for arity in ARITIES:
         entries = {}
-        for labels, coords, val in d.get(arity, []):
-            cls = lattice.cls([parse_rational(x) for x in coords])
-            key = tuple(labels) + (cls,)
-            entries[key] = parse_rational(val)
+        for n, entry in enumerate(_list(d.get(arity, []), f"{path}.{arity}")):
+            at = f"{path}.{arity}[{n}]"
+            labels, coords, val = _list(entry, at, 3)
+            cls = lattice.cls(_rationals(coords, f"{at}[1]"))
+            entries[_labels(labels, f"{at}[0]") + (cls,)] = _rational(val, f"{at}[2]")
         tables[arity] = entries
     cb = d.get("complete_below", {})
+    if not isinstance(cb, dict):
+        _fail(f"{path}.complete_below", "a JSON object", cb)
     tables["complete_below"] = {
-        arity: (None if cb.get(arity) is None else parse_rational(cb[arity]))
+        arity: (None if cb.get(arity) is None
+                else _rational(cb[arity], f"{path}.complete_below.{arity}"))
         for arity in ARITIES
     }
     return tables
 
 
-def gw_from_dict(d: dict, model: ManifoldModel) -> GWTable:
-    t = _entry_dicts(d, model.h2)
+def gw_from_dict(d: dict, model: ManifoldModel, path: str = "gw") -> GWTable:
+    t = _entry_dicts(d, model.h2, path)
     return GWTable(
         model, d.get("kind", "fiber"),
         two_point=t["two_point"],
@@ -302,22 +329,19 @@ def fibration_to_dict(fib: FibrationModel) -> dict:
 
 
 def fibration_from_dict(d: dict) -> FibrationModel:
-    _check_tables(d, ("fiber_gw", "vertical_gw", "section_gw"))
-    fiber = manifold_from_dict(d["fiber"])
-    fiber_gw = gw_from_dict(d["fiber_gw"], fiber)
-    total = manifold_from_dict(d["total"])
-    vertical = _entry_dicts(d.get("vertical_gw", {}), total.h2)
-    section = _entry_dicts(d.get("section_gw", {}), total.h2)
+    fiber = manifold_from_dict(d["fiber"], "fiber")
+    fiber_gw = gw_from_dict(d["fiber_gw"], fiber, "fiber_gw")
+    total = manifold_from_dict(d["total"], "total")
+    vertical = _entry_dicts(d.get("vertical_gw", {}), total.h2, "vertical_gw")
+    section = _entry_dicts(d.get("section_gw", {}), total.h2, "section_gw")
     return FibrationModel(
         d["name"], fiber, fiber_gw, total,
-        [[parse_rational(x) for x in row] for row in d["iota"]],
-        [[parse_rational(x) for x in row] for row in d["splitting"]],
-        [[parse_rational(x) for x in row] for row in d["iota_h2"]],
-        [parse_rational(x) for x in d["sigma_ref"]],
+        _matrix(d["iota"], "iota"), _matrix(d["splitting"], "splitting"),
+        _matrix(d["iota_h2"], "iota_h2"), _rationals(d["sigma_ref"], "sigma_ref"),
         vertical=vertical,
         section=section,
         base_area=None if d.get("base_area") is None
-        else parse_rational(d["base_area"]),
+        else _rational(d["base_area"], "base_area"),
         product_structure=bool(d.get("product_structure", False)),
     )
 
@@ -335,13 +359,14 @@ def to_dict(obj) -> dict:
 
 
 def from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise QhfibError("a fixture is a JSON object")
     kind = d.get("kind")
     if kind not in ("ring", "fibration"):
         raise QhfibError(f"fixture kind must be 'ring' or 'fibration', got {kind!r}")
     _check_required(d, _REQUIRED[kind])
     if kind == "fibration":
         return fibration_from_dict(d)
-    _check_tables(d, ("gw",))
     model = manifold_from_dict(d["model"])
     return model, gw_from_dict(d["gw"], model)
 

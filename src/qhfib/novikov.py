@@ -21,15 +21,14 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from . import _linalg
 from .errors import CutoffTooSmall, NotInvertible, QhfibError
 
 
 def parse_rational(text) -> Fraction:
-    """Accept Fraction, int, or 'p/q' / 'p' strings. Floats are rejected."""
+    """Accept Fraction, int, or 'p/q' / 'p' strings; reject floats and booleans."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text.strip()):
@@ -40,7 +39,7 @@ def parse_rational(text) -> Fraction:
             return Fraction(text.strip())
         except ZeroDivisionError:
             raise QhfibError(f"zero denominator in {text!r}") from None
-    raise TypeError(f"not an exact rational: {text!r}")
+    raise QhfibError(f"not an exact rational: {text!r}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -137,6 +136,8 @@ class H2Class:
     def __add__(self, other: H2Class) -> H2Class:
         if self.lattice is not other.lattice:
             raise ValueError("classes live on different lattices")
+        if not any(other.coords):  # classes are immutable, so e + 0 can be e
+            return self
         # both covectors are linear, so the sum's values are the operands' sums
         return H2Class(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)),
                        self._omega + other._omega, self._c1 + other._c1)
@@ -189,12 +190,8 @@ class NovikovElement:
 
     def __init__(self, lattice: H2Lattice, terms=None):
         self.lattice = lattice
-        self.terms: dict[H2Class, Fraction] = {}
-        for e, a in (terms or {}).items():
-            a = Fraction(a)
-            if a != 0:
-                self.terms[e] = self.terms.get(e, Fraction(0)) + a
-        self.terms = {e: a for e, a in self.terms.items() if a != 0}
+        exact = ((e, a if type(a) is Fraction else Fraction(a)) for e, a in (terms or {}).items())
+        self.terms: dict[H2Class, Fraction] = {e: a for e, a in exact if a}
 
     @classmethod
     def unit(cls, lattice: H2Lattice) -> NovikovElement:
@@ -218,7 +215,8 @@ class NovikovElement:
     def __add__(self, other: NovikovElement) -> NovikovElement:
         out = dict(self.terms)
         for e, a in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + a
+            b = out.get(e)
+            out[e] = a if b is None else a + b
         return NovikovElement(self.lattice, out)
 
     def __neg__(self) -> NovikovElement:
@@ -236,7 +234,8 @@ class NovikovElement:
         for e1, a1 in self.terms.items():
             for e2, a2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + a1 * a2
+                b = out.get(e)
+                out[e] = a1 * a2 if b is None else a1 * a2 + b
         return NovikovElement(self.lattice, out)
 
     __rmul__ = __mul__
@@ -261,9 +260,10 @@ def nov_truncate(x: NovikovElement, cutoff) -> NovikovElement:
 def nov_invert(x: NovikovElement, cutoff) -> NovikovElement:
     """Inverse modulo the energy cutoff, by geometric series.
 
-    Needs a unique leading term (the single exponent of maximal area value);
-    with several leading exponents the element need not be a unit and we
-    refuse rather than guess.
+    Needs a unique leading term (the single exponent of maximal area value).
+    The refusal of several leading exponents is exact: the area-zero part of
+    the ring is Laurent polynomials over Q, whose only units are monomials,
+    and the leading part of a product is the product of the leading parts.
     """
     cutoff = Fraction(cutoff)
     if x.is_zero():

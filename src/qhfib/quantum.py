@@ -20,14 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DimensionRuleViolation, MissingTripleData, QhfibError, TableIncomplete
+from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
 from .manifold import ManifoldModel, QHClass, koszul_sorted
-from .novikov import H2Class, format_rational
+from .novikov import H2Class, NovikovElement, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
 _SLOTS = {"two_point": 2, "three_point": 3, "four_point_chi": 4}
-# most candidate exponents the inverse search may visit; builtins need < 30
-CANDIDATE_BUDGET = 4096
 
 
 def check(failures, skips=()) -> dict:
@@ -286,105 +284,45 @@ class QuantumRing:
 
     # -- unit detection ----------------------------------------------------
 
-    def _candidate_exponents(self, q: QHClass, cutoff) -> list[H2Class]:
-        cutoff = Fraction(cutoff)
-        keys = self.table.known_key_classes("three_point")
-        bases = [-e for e in q.terms]
-        base_hi = max(b.omega for b in bases)
-        base_lo = min(b.omega for b in bases)
-        # classical leading parts can cancel, pushing inverse exponents
-        # above -E; allow several key-steps of upward slack
-        if keys:
-            min_step = min(k.omega for k in keys)
-            max_step = max(k.omega for k in keys)
-            max_c1 = max(abs(k.c1) for k in keys)
-            slack = int(cutoff / min_step) + 2
-            hi = base_hi + slack * max_step
-        else:
-            max_c1 = Fraction(0)
-            hi = base_hi
-        lo = min(base_lo - cutoff, -cutoff)
-        if keys:
-            depth = int((hi - lo) / min_step) + 1
-        else:
-            depth = 0
-        c1_lo = min(b.c1 for b in bases) - depth * max_c1
-        c1_hi = max(b.c1 for b in bases) + depth * max_c1
-        seen: dict[H2Class, H2Class] = {}
-        frontier = list(bases)
-        for b in bases:
-            seen.setdefault(b, b)
-        while frontier:
-            if len(seen) > CANDIDATE_BUDGET:
-                raise QhfibError(
-                    f"{self.model.name}: the inverse search passed its budget of "
-                    f"{CANDIDATE_BUDGET} candidate exponents; invertibility is undecided"
-                )
-            nxt = []
-            for e in frontier:
-                for k in keys:
-                    for step in (k, -k):
-                        c = e + step
-                        if c.omega < lo or c.omega > hi:
-                            continue
-                        if c.c1 < c1_lo or c.c1 > c1_hi:
-                            continue
-                        if c not in seen:
-                            seen[c] = c
-                            nxt.append(c)
-            frontier = nxt
-        return sorted(seen, key=lambda c: (-c.omega, c.c1, c.coords))
-
     def inverse_or_none(self, q: QHClass, cutoff) -> QHClass | None:
-        """Inverse of q modulo the cutoff, or None if no verified inverse is
-        found over the candidate exponent window."""
-        from ._linalg import solve
+        """Inverse of q modulo the cutoff, or None when q is not a unit.
 
-        cutoff = Fraction(cutoff)
-        m = self.model
-        if q.is_zero():
+        QH is free of rank k over the Novikov ring, so q is a unit exactly
+        when det A is, A the k x k matrix of multiplication by q: nonzero with
+        one term of greatest area (the area-zero part of the ring is Laurent
+        polynomials over Q, whose units are monomials). Faddeev-LeVerrier
+        gives det A and the adjugate, dividing only by integers:
+        M_j = A M_(j-1) + c I, c = -tr(A M_j) / j, and at j = k
+        q^-1 = -M_k e_[X] / c. The terms of area >= -(cutoff + max(0, leading
+        area of q)) are kept, so q q^-1 = 1 modulo the cutoff; they are exact
+        because 1/c is taken on that window widened by the largest area in
+        M_k e_[X]."""
+        m, k = self.model, len(self.model.basis)
+        zero = NovikovElement(m.h2)
+        cols = [self.product(q, m.qh_basis(lbl)).terms for lbl in m.labels]
+        a = [[NovikovElement(m.h2, {e: v[t] for e, v in col.items()}) for col in cols]
+             for t in range(k)]
+        mj = [[NovikovElement.unit(m.h2) if t == u else zero for u in range(k)] for t in range(k)]
+        for j in range(1, k):
+            am = [[sum((a[t][s] * mj[s][u] for s in range(k) if a[t][s].terms and mj[s][u].terms),
+                       zero) for u in range(k)] for t in range(k)]
+            c = sum((am[t][t] for t in range(k)), zero) * Fraction(-1, j)
+            mj = [[x + c if t == u else x for u, x in enumerate(row)] for t, row in enumerate(am)]
+        fx = m.fundamental_index
+        adj_x = [row[fx] for row in mj]
+        # A M_k = -c I (Cayley-Hamilton), so its entry (X, X) is -c
+        minus_c = sum((a[fx][s] * adj_x[s] for s in range(k) if a[fx][s].terms), zero)
+        window = Fraction(cutoff) + max((e.omega for e in q.terms if e.omega > 0), default=0)
+        widen = max((e.omega for p in adj_x for e in p.terms), default=0)
+        try:
+            inv_c = nov_invert(minus_c, window + widen)
+        except NotInvertible:  # det A is 0 or its leading part is not a monomial
             return None
-        dim = len(m.basis)
-        cands = self._candidate_exponents(q, cutoff)
-        if not cands:
-            return None
-        # q * (e_k at exponent 0), computed once per basis direction
-        cols_by_basis = [self.product(q, m.qh_basis(lbl)) for lbl in m.labels]
-        # collect target exponents reachable above the cutoff window
-        targets: dict[H2Class, int] = {}
-        for e in cands:
-            for col in cols_by_basis:
-                for g in col.terms:
-                    t = g + e
-                    if t.omega >= -cutoff and t not in targets:
-                        targets[t] = len(targets)
-        zero = m.h2.zero()
-        if zero not in targets:
-            targets[zero] = len(targets)
-        rows = len(targets) * dim
-        cols = len(cands) * dim
-        a = [[Fraction(0)] * cols for _ in range(rows)]
-        rhs = [Fraction(0)] * rows
-        rhs[targets[zero] * dim + m.fundamental_index] = Fraction(1)
-        for ci, e in enumerate(cands):
-            for k in range(dim):
-                col = ci * dim + k
-                for g, vec in cols_by_basis[k].terms.items():
-                    t = g + e
-                    ti = targets.get(t)
-                    if ti is None:
-                        continue
-                    for comp in range(dim):
-                        if vec[comp]:
-                            a[ti * dim + comp][col] += vec[comp]
-        x = solve(a, rhs)
-        if x is None:
-            return None
-        terms = {}
-        for ci, e in enumerate(cands):
-            vec = x[ci * dim:(ci + 1) * dim]
-            if any(vec):
-                terms[e] = [v for v in vec]
+        terms: dict = {}
+        for t, p in enumerate(adj_x):
+            for e, x in (p * inv_c).terms.items():
+                if e.omega >= -window:
+                    terms.setdefault(e, m.zero_vector())[t] = x
         inv = m.qh(terms)
         if self.product(q, inv).truncate(cutoff) != self.unit().truncate(cutoff):
             return None
@@ -394,8 +332,6 @@ class QuantumRing:
         return self.inverse_or_none(q, cutoff) is not None
 
     def inverse(self, q: QHClass, cutoff) -> QHClass:
-        from .errors import NotInvertible
-
         inv = self.inverse_or_none(q, cutoff)
         if inv is None:
             raise NotInvertible(

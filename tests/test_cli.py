@@ -1,6 +1,7 @@
 """Command line behavior: commands, sources, cutoff resolution, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -232,8 +233,12 @@ def test_console_script_entry_point():
         cmd = [sys.executable, "-m", "qhfib.cli"]
     else:
         cmd = [exe]
+    # the package this process imported, also when only pytest's pythonpath finds it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     res = subprocess.run(cmd + ["invariants", "--builtin", "sphere-rotation"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "Ic = 1 (mod 2)" in res.stdout
 
@@ -338,15 +343,29 @@ def test_a_fixture_key_of_the_wrong_type_is_a_data_error(capsys, tmp_path):
     assert err == "error: iota: expected a JSON list, got 5\n"
 
 
-def test_an_exhausted_inverse_search_is_not_reported_as_math(capsys, monkeypatch):
-    import qhfib.quantum
+def test_a_malformed_fixture_node_is_a_data_error_named_by_its_path(capsys, tmp_path):
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["fiber"]["triple"][0][0] = 99
+    path = tmp_path / "label-99.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", "--fixture", str(path), "--cutoff", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: fiber.triple[0][0]: expected a label, got 99\n"
 
-    monkeypatch.setattr(qhfib.quantum, "CANDIDATE_BUDGET", 3)
-    code, out, err = run(capsys, "rho", "--builtin", "ruled", "--cutoff", "6")
-    assert code == 2
-    assert out == ""
-    assert "budget of 3 candidate exponents" in err
-    assert "not invertible" not in err
+
+def test_a_seidel_element_that_is_not_a_unit_fails_at_every_cutoff(capsys, tmp_path):
+    """Without the section count n(F, M) the Seidel element is -F e^{7/12 F},
+    whose determinant is 0: not a unit, whatever the cutoff."""
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    del d["section_gw"]["two_point"][0]
+    path = tmp_path / "no-FM.json"
+    path.write_text(json.dumps(d))
+    for cutoff in ("0", "6", "48"):
+        code, out, err = run(capsys, "rho", "--fixture", str(path), "--cutoff", cutoff)
+        assert code == 1
+        assert out == ""
+        assert err == (f"failed: ruled-loop: Seidel element QH<ruled-surface: -F@e^H2<7/12*F>> "
+                       f"is not invertible modulo {cutoff}; section data is wrong or incomplete\n")
 
 
 def _fixture_with_a_zero_denominator(tmp_path):

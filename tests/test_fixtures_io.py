@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from qhfib.fixtures import (
 from tests.conftest import CUTOFF
 
 BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -201,3 +203,57 @@ def test_parse_qh_and_parse_lin_raise_only_qhfib_errors(ruled, tokens):
             parse(target, text)
         except QhfibError:
             pass
+
+
+def json_nodes(node, path=()):
+    """(parent, key, path) for every node below the root."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield node, key, path + (key,)
+        yield from json_nodes(child, path + (key,))
+
+
+REPLACEMENTS = (None, True, 99, "x", [], {})
+
+
+@pytest.mark.parametrize("name", ("ruled", "quantum-trivial-product"))
+def test_any_malformed_node_is_a_data_error(name):
+    """Each node replaced by each JSON kind: only QhfibError or ValueError
+    (both exit 2) escapes, never a traceback."""
+    d = json.loads((FIXTURES / f"{name}.json").read_text())
+    for value in REPLACEMENTS:
+        with pytest.raises(QhfibError):
+            from_dict(value)
+    for parent, key, path in list(json_nodes(d)):
+        kept = parent[key]
+        for value in REPLACEMENTS:
+            parent[key] = value
+            try:
+                from_dict(d)
+            except (QhfibError, ValueError):
+                pass
+            except Exception as exc:
+                raise AssertionError(f"{path} = {value!r}: {exc!r}") from exc
+        parent[key] = kept
+    assert from_dict(d)
+
+
+@pytest.mark.parametrize("path, value, want", [
+    (("fiber_gw", "three_point", 0, 2), True, 'fiber_gw.three_point[0][2]: expected a rational such as "1/3", got true'),
+    (("base_area",), [], 'base_area: expected a rational such as "1/3", got []'),
+    (("fiber", "triple", 0, 0), 99, "fiber.triple[0][0]: expected a label, got 99"),
+    (("total", "basis", 2), "x", 'total.basis[2]: expected a JSON list of 2 items, got "x"'),
+    (("vertical_gw", "three_point", 0, 0, 1), [], "vertical_gw.three_point[0][0][1]: expected a label, got []"),
+    (("fiber", "h2", "embed"), {}, "fiber.h2.embed: expected a JSON list, got {}"),
+    (("section_gw", "complete_below"), None, "section_gw.complete_below: expected a JSON object, got null"),
+])
+def test_a_malformed_node_is_named_by_its_json_path(path, value, want):
+    d = json.loads((FIXTURES / "ruled.json").read_text())
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(QhfibError) as err:
+        from_dict(d)
+    assert str(err.value) == want

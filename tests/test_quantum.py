@@ -8,7 +8,6 @@ from qhfib import (
     DimensionRuleViolation,
     GWTable,
     NotInvertible,
-    QhfibError,
     QuantumRing,
     TableIncomplete,
     catalog,
@@ -179,16 +178,13 @@ def test_check_records_decide_fail_then_skip_then_pass():
                    "details": ["first: pass", "second: fail (why)", "third: pass (fine)"]}
 
 
-def test_an_exhausted_inverse_search_raises_a_budget_error(monkeypatch):
-    import qhfib.quantum
-
-    fib = catalog.build("ruled")
-    q = fib.q_class(CUTOFF, fib.sigma_phi())
-    assert fib.fiber_ring.inverse_or_none(q, CUTOFF) is not None
-    monkeypatch.setattr(qhfib.quantum, "CANDIDATE_BUDGET", 3)
-    with pytest.raises(QhfibError, match="budget of 3 candidate exponents") as err:
-        fib.fiber_ring.inverse_or_none(q, CUTOFF)
-    assert not isinstance(err.value, NotInvertible)
-    with pytest.raises(QhfibError, match="budget") as err:
-        fib.rho(CUTOFF)
-    assert not isinstance(err.value, NotInvertible)
+def test_a_unit_is_inverted_however_far_its_inverse_lies(ring):
+    """No window of candidate exponents bounds the answer: (T- e^{-nF})^-1 =
+    (F + T-) e^{(n+1)F} at every n and cutoff."""
+    m = ring.model
+    F = m.h2.gen("F")
+    for n in (0, 1, 5, 20, 60):
+        q = m.qh_basis("T-").shift(F.scale(-n))
+        want = (m.qh_basis("F") + m.qh_basis("T-")).shift(F.scale(n + 1))
+        for cutoff in (0, 2, CUTOFF):
+            assert ring.inverse(q, cutoff) == want
