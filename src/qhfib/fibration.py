@@ -221,6 +221,8 @@ class FibrationModel:
         self.product_structure = bool(product_structure)
         self._loop_tables = {}
         self._seidel_pairs = {}
+        self._mirrors = {}
+        self._restriction = None
 
     # -- degree-2 plumbing --------------------------------------------------
 
@@ -230,12 +232,15 @@ class FibrationModel:
         return self.section_gw.section_c1(offset)
 
     def iota_h2_class(self, b: H2Class) -> H2Class:
+        """The image of a fiber class. Its area and Chern number are b's:
+        the constructor checked that iota_h2 keeps both on every generator,
+        and both are linear."""
         coords = [Fraction(0)] * len(self.total.h2.generators)
         for gi, x in enumerate(b.coords):
             if x:
                 for t, y in enumerate(self.iota_h2[gi]):
                     coords[t] += x * y
-        return self.total.h2.cls(coords)
+        return H2Class(self.total.h2, tuple(coords), b.omega, b.c1)
 
     def fiber_class_from_total(self, c: H2Class) -> H2Class | None:
         """A spherical fiber class mapping to c modulo the identification,
@@ -471,7 +476,14 @@ class FibrationModel:
     def fiber_restriction_matrix(self):
         """Matrix of 'intersect with the fiber' H_*(P) -> H_{*-2}(M), computed
         through the vertical quantum module structure (which degenerates to
-        the classical cap against iota[M] here)."""
+        the classical cap against iota[M] here). It does not depend on the
+        cutoff, so it is built once; each call returns a fresh copy of the
+        rows. A failed build is not kept: it raises every time."""
+        if self._restriction is None:
+            self._restriction = tuple(map(tuple, self._restriction_rows()))
+        return [list(row) for row in self._restriction]
+
+    def _restriction_rows(self):
         m = self.total
         fund = self.fiber.fundamental_index
         iota_cols = [[self.iota[i][t] for i in range(len(self.fiber.basis))]
@@ -506,14 +518,14 @@ class FibrationModel:
                 f"total space has {len(m.basis)} classes, expected twice the "
                 f"fiber's {len(f.basis)}"
             )
-        iota_rank = rank([row[:] for row in self.iota])
+        iota_rank = rank(self.iota)
         if iota_rank != len(f.basis):
             failures.append("iota is not injective")
         try:
             d = self.fiber_restriction_matrix()
         except Inconsistent as exc:
             return check(failures + [str(exc)])
-        d_rank = rank([row[:] for row in d])
+        d_rank = rank(d)
         if d_rank != len(f.basis):
             failures.append("restriction to the fiber is not surjective")
         if iota_rank + d_rank != len(m.basis):
@@ -1001,8 +1013,17 @@ def mirror(fib: FibrationModel, cutoff) -> FibrationModel:
     """The reversed loop: same total-space topology, coupling and vertical
     Chern values flipped in the section direction, two-point section data
     synthesized from the inverse Seidel operator. The synthesized table is
-    complete exactly through the build cutoff."""
+    complete exactly through the build cutoff. The returned fibration is
+    built once per (fibration, cutoff) and shared by every later call; a
+    failed build is not kept, so it raises again on the next call."""
     cutoff = Fraction(cutoff)
+    rev = fib._mirrors.get(cutoff)
+    if rev is None:
+        rev = fib._mirrors[cutoff] = _build_mirror(fib, cutoff)
+    return rev
+
+
+def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     t = fib.total
     lat = t.h2
     fiber_meet = []

@@ -155,6 +155,12 @@ def _scalar(x, path, kinds, want):
     return x
 
 
+def _flag(x, path) -> bool:
+    if not isinstance(x, bool):
+        _fail(path, "a JSON boolean", x)
+    return x
+
+
 def _rational(x, path) -> Fraction:
     return parse_rational(_scalar(x, path, (str, int), 'a rational such as "1/3"'))
 
@@ -183,7 +189,8 @@ def _lattice_from_dict(d: dict, path: str) -> H2Lattice:
         generators=_labels(d["generators"], f"{path}.generators"),
         omega=tuple(_rationals(d["omega"], f"{path}.omega")),
         c1=tuple(_rationals(d["c1"], f"{path}.c1")),
-        spherical=tuple(bool(x) for x in d["spherical"]),
+        spherical=tuple(_flag(x, f"{path}.spherical[{i}]")
+                        for i, x in enumerate(_list(d["spherical"], f"{path}.spherical"))),
         embed=None if d.get("embed") is None
         else tuple(map(tuple, _matrix(d["embed"], f"{path}.embed"))),
     )
@@ -218,7 +225,7 @@ def manifold_from_dict(d: dict, path: str = "model") -> ManifoldModel:
         {_labels(t[:3], f"{path}.triple[{i}]"): _rational(t[3], f"{path}.triple[{i}][3]")
          for i, t in enumerate(triple)},
         _lattice_from_dict(d["h2"], f"{path}.h2"),
-        triple_complete=d.get("triple_complete", True),
+        triple_complete=_flag(d.get("triple_complete", True), f"{path}.triple_complete"),
     )
 
 
@@ -342,7 +349,7 @@ def fibration_from_dict(d: dict) -> FibrationModel:
         section=section,
         base_area=None if d.get("base_area") is None
         else _rational(d["base_area"], "base_area"),
-        product_structure=bool(d.get("product_structure", False)),
+        product_structure=_flag(d.get("product_structure", False), "product_structure"),
     )
 
 

@@ -334,9 +334,7 @@ class QuantumRing:
     def inverse(self, q: QHClass, cutoff) -> QHClass:
         inv = self.inverse_or_none(q, cutoff)
         if inv is None:
-            raise NotInvertible(
-                f"{self.model.name}: no inverse found modulo cutoff {format_rational(Fraction(cutoff))}"
-            )
+            raise NotInvertible(f"{q!r} is not a unit")
         return inv
 
     # -- structural checks ---------------------------------------------------

@@ -353,6 +353,17 @@ def test_a_malformed_fixture_node_is_a_data_error_named_by_its_path(capsys, tmp_
     assert err == "error: fiber.triple[0][0]: expected a label, got 99\n"
 
 
+@pytest.mark.parametrize("value", ("false", "no"))
+def test_a_string_flag_in_a_fixture_is_a_data_error(capsys, tmp_path, value):
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["total"]["h2"]["spherical"][1] = value
+    path = tmp_path / "string-flag.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", "--fixture", str(path), "--cutoff", "6")
+    assert (code, out) == (2, "")
+    assert err == f'error: total.h2.spherical[1]: expected a JSON boolean, got "{value}"\n'
+
+
 def test_a_seidel_element_that_is_not_a_unit_fails_at_every_cutoff(capsys, tmp_path):
     """Without the section count n(F, M) the Seidel element is -F e^{7/12 F},
     whose determinant is 0: not a unit, whatever the cutoff."""

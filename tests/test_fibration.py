@@ -11,6 +11,7 @@ from qhfib import (
     PrimingInvalid,
     TableIncomplete,
     catalog,
+    mirror,
 )
 from qhfib.fixtures import parse_qh
 from qhfib.splitting import dict_from
@@ -189,14 +190,19 @@ def test_fiber_class_recovery(ruled):
 
 def test_a_dropped_model_is_freed_without_the_cycle_collector():
     """No reference cycle runs through a fibration, so dropping the last
-    reference frees it and its rings, tables, cached Seidel pairs and
-    class lattices."""
+    reference frees it and its rings, tables, cached Seidel pairs, kept
+    mirror and restriction rows, and class lattices. The mirror holds no
+    reference to the fibration it came from."""
     fib = catalog.build("ruled")
     fib.rho(CUTOFF)
-    gone = [weakref.ref(x) for x in (fib, fib.fiber.h2, fib.total.h2)]
+    rev = mirror(fib, CUTOFF)
+    rev.rho(CUTOFF)
+    fib.fiber_restriction_matrix()
+    gone = [weakref.ref(x) for x in (fib, rev, fib.fiber.h2, fib.total.h2, rev.total.h2)]
+    del rev
     gc.disable()
     try:
         del fib
-        assert [ref() for ref in gone] == [None, None, None]
+        assert [ref() for ref in gone] == [None] * 5
     finally:
         gc.enable()

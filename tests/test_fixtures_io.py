@@ -257,3 +257,55 @@ def test_a_malformed_node_is_named_by_its_json_path(path, value, want):
     with pytest.raises(QhfibError) as err:
         from_dict(d)
     assert str(err.value) == want
+
+
+NOT_BOOLEANS = ("false", "no", 0, 1, None)
+FLAG_PATHS = {  # the JSON path each error names, with its keys
+    "product_structure": ("product_structure",),
+    "fiber.triple_complete": ("fiber", "triple_complete"),
+    "total.triple_complete": ("total", "triple_complete"),
+    "fiber.h2.spherical[0]": ("fiber", "h2", "spherical", 0),
+    "total.h2.spherical[1]": ("total", "h2", "spherical", 1),
+}
+
+
+@pytest.mark.parametrize("value", NOT_BOOLEANS, ids=json.dumps)
+@pytest.mark.parametrize("where", FLAG_PATHS)
+def test_a_flag_must_be_a_json_boolean(where, value):
+    """A string such as "false" is not read by its truthiness: every flag
+    is a JSON boolean or a data error named by its JSON path."""
+    d = json.loads((FIXTURES / "ruled.json").read_text())
+    *parents, last = FLAG_PATHS[where]
+    node = d
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(QhfibError) as err:
+        from_dict(d)
+    assert str(err.value) == f"{where}: expected a JSON boolean, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("value", NOT_BOOLEANS, ids=json.dumps)
+@pytest.mark.parametrize("key", ("triple_complete", "spherical"))
+def test_a_ring_fixture_flag_must_be_a_json_boolean(key, value):
+    d = to_dict(catalog.ruled_surface_fiber())
+    if key == "spherical":
+        d["model"]["h2"]["spherical"][0] = value
+        where = "model.h2.spherical[0]"
+    else:
+        d["model"]["triple_complete"] = value
+        where = "model.triple_complete"
+    with pytest.raises(QhfibError) as err:
+        from_dict(d)
+    assert str(err.value) == f"{where}: expected a JSON boolean, got {json.dumps(value)}"
+
+
+def test_json_booleans_load_as_themselves():
+    d = json.loads((FIXTURES / "ruled.json").read_text())
+    d["product_structure"] = True
+    d["total"]["triple_complete"] = False
+    fib = from_dict(d)
+    assert fib.product_structure is True
+    assert fib.total.triple_complete is False
+    assert fib.fiber.triple_complete is True
+    assert fib.total.h2.spherical == (True, False, True)

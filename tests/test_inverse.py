@@ -8,6 +8,7 @@ inverse, inverse_or_none must return the same class. The other tests are
 units the search refused and classes that are not units."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -237,5 +238,5 @@ def test_classes_that_are_not_units_have_no_inverse(ring, text):
     for cutoff in map(Fraction, (0, 2, 6, 24)):
         assert ring.inverse_or_none(q, cutoff) is None
         assert not ring.is_unit(q, cutoff)
-        with pytest.raises(NotInvertible, match="no inverse found modulo cutoff"):
+        with pytest.raises(NotInvertible, match=re.escape(f"{q!r} is not a unit")):
             ring.inverse(q, cutoff)
