@@ -183,6 +183,8 @@ class FibrationModel:
                 )
 
         self.sigma_ref = sigma_ref if isinstance(sigma_ref, H2Class) else self.total.h2.cls(sigma_ref)
+        if self.sigma_ref.lattice is not self.total.h2:
+            raise ValueError(f"{name}: sigma_ref {sigma_ref!r} is not on the total lattice")
         if self.total.h2.embed is not None:
             deg2 = self.total.indices_of_degree(2)
             emb = self.sigma_ref.embedded()
@@ -223,6 +225,24 @@ class FibrationModel:
         self._seidel_pairs = {}
         self._mirrors = {}
         self._restriction = None
+
+    def replace(self, **changes) -> FibrationModel:
+        """This fibration with some constructor arguments changed, built by
+        the constructor, so every check runs again. A new total_data must be
+        a ManifoldModel. The reference section and the vertical and section
+        tables carried over are re-keyed by coordinates onto its lattice."""
+        total = changes.get("total_data", self.total)
+        args = dict(
+            name=self.name, fiber=self.fiber, fiber_gw=self.fiber_gw, total_data=total,
+            iota=self.iota, splitting=self.splitting_map, iota_h2=self.iota_h2,
+            sigma_ref=self.sigma_ref.coords, base_area=self.base_area,
+            product_structure=self.product_structure,
+        )
+        for arg, table in (("vertical", self.vertical_gw), ("section", self.section_gw)):
+            if arg not in changes:
+                args[arg] = table.entries(total.h2)
+        args.update(changes)
+        return FibrationModel(**args)
 
     # -- degree-2 plumbing --------------------------------------------------
 
@@ -594,14 +614,14 @@ class FibrationModel:
         cover the cutoff."""
         failures = []
         ring = self.fiber_ring
+        basis = [self.fiber.qh_basis(lbl) for lbl in self.fiber.labels]
+        iotas = [self.iota_class(a) for a in basis]
+        splits = [self.splitting_class(a) for a in basis]
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
-                a, b = self.fiber.qh_basis(la), self.fiber.qh_basis(lb)
-                fiber_prod = ring.product(a, b, cutoff)
-                left = self.vertical_product(self.iota_class(a),
-                                             self.iota_class(b), cutoff)
-                mid = self.vertical_product(self.splitting_class(a),
-                                            self.iota_class(b), cutoff)
+                fiber_prod = ring.product(basis[i], basis[j], cutoff)
+                left = self.vertical_product(iotas[i], iotas[j], cutoff)
+                mid = self.vertical_product(splits[i], iotas[j], cutoff)
                 want = self.iota_class(fiber_prod).truncate(cutoff)
                 if not left.is_zero():
                     failures.append(
@@ -923,6 +943,9 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     the literal convolution against operator composition and for the
     normalization gluing."""
     composable(f, g)
+    if g.fiber is not f.fiber:
+        # the fibers agree structurally: rebuild g on f's, so classes compare
+        g = g.replace(fiber=f.fiber, fiber_gw=f.fiber_gw)
     cutoff = Fraction(cutoff)
     fiber = f.fiber
     dual = fiber.dual_basis()
@@ -950,14 +973,12 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
             f"need {format_rational(cutoff)}"
         )
 
-    # n(i, j; B + B') = sum over t, s of n_f(i, t; B) (f_t)_s n_g(s, j; B'),
-    # g's classes re-express by coordinates, legitimate because composable()
-    # matched the lattices
+    # n(i, j; B + B') = sum over t, s of n_f(i, t; B) (f_t)_s n_g(s, j; B')
     table: dict[tuple, Fraction] = {}
     for (i, t, bf), x in f._loop_table("two_point").items():
         for (s, j, bg), y in g._loop_table("two_point").items():
             if dual[t][s]:
-                key = (i, j, bf + fiber.h2.cls(bg.coords))
+                key = (i, j, bf + bg)
                 table[key] = table.get(key, Fraction(0)) + x * dual[t][s] * y
     table = {kk: v for kk, v in table.items() if v != 0}
 
@@ -970,20 +991,7 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
 
     report = check([])
     op_f = f.psi_operator(cutoff)
-    op_g = g.psi_operator(cutoff)
-    if g.fiber is not fiber:
-        op_g = PsiOperator(
-            fiber,
-            [
-                QHClass(fiber, {
-                    fiber.h2.cls(e.coords): list(vec)
-                    for e, vec in img.terms.items()
-                })
-                for img in op_g.images
-            ],
-            op_g.degree_shift, cutoff,
-        )
-    composed = op_g.compose(op_f)
+    composed = g.psi_operator(cutoff).compose(op_f)
     literal = comp.psi_operator(cutoff)
     step(
         report, "convolution-matches-operator-composition",
@@ -1031,10 +1039,7 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     if lat.embed is None:
         raise QhfibError(f"{fib.name}: mirror needs an embedded total lattice")
     fund = fib.iota[fib.fiber.fundamental_index]
-    for g in range(len(lat.generators)):
-        coords = [Fraction(0)] * len(lat.generators)
-        coords[g] = Fraction(1)
-        emb = lat.cls(coords).embedded()
+    for emb in lat.embed:  # each generator in the degree-2 basis
         vec = t.zero_vector()
         for ti, idx in enumerate(deg2):
             vec[idx] = emb[ti]
@@ -1052,25 +1057,6 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
         [row[:] for row in t.pairing],
         dict(t.triple), new_lat,
     )
-
-    def remap(cls: H2Class) -> H2Class:
-        return new_lat.cls(cls.coords)
-
-    vertical = {
-        "three_point": {
-            idx + (remap(cls),): v
-            for (idx, cls), v in fib.vertical_gw.three_point.items()
-        },
-        "two_point": {
-            idx + (remap(cls),): v
-            for (idx, cls), v in fib.vertical_gw.two_point.items()
-        },
-        "four_point_chi": {
-            idx + (remap(cls),): v
-            for (idx, cls), v in fib.vertical_gw.four_point_chi.items()
-        },
-        "complete_below": dict(fib.vertical_gw.complete_below),
-    }
 
     # Psi of the mirror at its reference section is the inverse operator
     qref = fib.q_class(cutoff)
@@ -1098,15 +1084,8 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
                 if old is not None and old != val:
                     raise Inconsistent(f"{fib.name}: mirror table conflict at {key}")
                 two[key] = val
-    section = {
-        "two_point": {idx + (cls,): v for (idx, cls), v in two.items()},
-        "complete_below": {"two_point": cutoff, "three_point": None,
-                           "four_point_chi": None},
-    }
-    return FibrationModel(
-        fib.name + "~", fib.fiber, fib.fiber_gw, new_total,
-        fib.iota, fib.splitting_map, fib.iota_h2,
-        new_lat.cls(fib.sigma_ref.coords),
-        vertical=vertical, section=section,
-        base_area=fib.base_area, product_structure=False,
+    return fib.replace(
+        name=fib.name + "~", total_data=new_total,
+        section={"two_point": two, "complete_below": {"two_point": cutoff}},
+        product_structure=False,
     )

@@ -112,6 +112,11 @@ class GWTable:
                 self.model.label_index(i) if isinstance(i, str) else int(i)
                 for i in idx
             )
+            if cls.lattice is not self.model.h2:
+                # a class on another lattice never equals a query's: it would read as 0
+                labels = ",".join(self.model.labels[i] for i in idx)
+                raise ValueError(f"{self.model.name} {arity} entry ({labels}; {cls!r}) "
+                                 f"is not on the lattice of {self.model.name}")
             self._check_class(cls, f"{self.model.name} {arity}")
             ck, sign = koszul_sorted(idx, self.model.degrees)
             val = sign * Fraction(val)
@@ -167,6 +172,19 @@ class GWTable:
 
     def four_chi(self, i, j, k, l, cls):
         return self.query("four_point_chi", (i, j, k, l), cls)
+
+    def entries(self, lattice) -> dict:
+        """The stored entries of each arity in constructor form, keyed
+        ((i, j, ...), class) with each class re-keyed onto `lattice` by its
+        coordinates, plus complete_below. A class already on `lattice` is
+        kept as it is (classes are immutable)."""
+        out = {
+            a: {(idx, cls if cls.lattice is lattice else lattice.cls(cls.coords)): v
+                for (idx, cls), v in self._store(a).items()}
+            for a in ARITIES
+        }
+        out["complete_below"] = dict(self.complete_below)
+        return out
 
     def replace(self, arity, updates):
         """New table with some raw entries replaced (for tamper testing)."""

@@ -82,28 +82,7 @@ def corrected_splitting(fib: FibrationModel) -> FibrationModel:
                     for t, y in enumerate(fib.iota[a]):
                         row[t] += lam[i][j] * xa * y
         new_s.append(row)
-    return FibrationModel(
-        fib.name, fib.fiber, fib.fiber_gw, fib.total,
-        fib.iota, new_s, fib.iota_h2, fib.sigma_ref,
-        vertical={
-            "two_point": dict_from(fib.vertical_gw.two_point),
-            "three_point": dict_from(fib.vertical_gw.three_point),
-            "four_point_chi": dict_from(fib.vertical_gw.four_point_chi),
-            "complete_below": dict(fib.vertical_gw.complete_below),
-        },
-        section={
-            "two_point": dict_from(fib.section_gw.two_point),
-            "three_point": dict_from(fib.section_gw.three_point),
-            "four_point_chi": dict_from(fib.section_gw.four_point_chi),
-            "complete_below": dict(fib.section_gw.complete_below),
-        },
-        base_area=fib.base_area, product_structure=fib.product_structure,
-    )
-
-
-def dict_from(store):
-    """Internal table store back to constructor-shaped entries."""
-    return {idx + (cls,): v for (idx, cls), v in store.items()}
+    return fib.replace(splitting=new_s)
 
 
 def ring_split_check(fib: FibrationModel, cutoff) -> dict:

@@ -7,14 +7,12 @@ from fractions import Fraction
 import pytest
 
 from qhfib import (
-    FibrationModel,
     PrimingInvalid,
     TableIncomplete,
     catalog,
     mirror,
 )
 from qhfib.fixtures import parse_qh
-from qhfib.splitting import dict_from
 from tests.conftest import CUTOFF
 
 # normalized section coefficient for each twisting parameter
@@ -162,22 +160,7 @@ def test_priming_is_validated_at_construction(ruled):
     i = ruled.fiber.label_index("F")
     bad[i] = [2 * x for x in bad[i]]
     with pytest.raises(PrimingInvalid):
-        FibrationModel(
-            "bad", ruled.fiber, ruled.fiber_gw, ruled.total,
-            ruled.iota, bad, ruled.iota_h2, ruled.sigma_ref,
-            vertical={
-                "two_point": dict_from(ruled.vertical_gw.two_point),
-                "three_point": dict_from(ruled.vertical_gw.three_point),
-                "four_point_chi": {},
-                "complete_below": dict(ruled.vertical_gw.complete_below),
-            },
-            section={
-                "two_point": dict_from(ruled.section_gw.two_point),
-                "three_point": dict_from(ruled.section_gw.three_point),
-                "four_point_chi": {},
-                "complete_below": dict(ruled.section_gw.complete_below),
-            },
-        )
+        ruled.replace(name="bad", splitting=bad)
 
 
 def test_fiber_class_recovery(ruled):

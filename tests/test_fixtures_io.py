@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhfib import QhfibError, UnknownBasisLabel, catalog, run_suite
+from qhfib.cli import main
 from qhfib.fixtures import (
     format_lin,
     format_qh,
@@ -23,6 +24,15 @@ from tests.conftest import CUTOFF
 
 BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_each_fixture_file_is_what_the_fixture_command_writes(name, tmp_path, capsys):
+    # sphere-rotation is built through the corrected splitting
+    assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(BUILTINS)
+    out = tmp_path / f"{name}.json"
+    assert main(["fixture", name, "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", BUILTINS)

@@ -14,7 +14,7 @@ from qhfib import (
     splitting_correction,
     verify_product_pattern,
 )
-from qhfib.splitting import correction_valid, dict_from
+from qhfib.splitting import correction_valid
 from tests.conftest import CUTOFF, STEP_LINE, offending_lines
 
 
@@ -114,29 +114,12 @@ def test_product_pattern_skips_non_product_fixtures(ruled):
 
 
 def test_product_pattern_flags_a_tampered_section_count(sphere_product):
-    from qhfib import FibrationModel
-
     fib = sphere_product
-    sec2 = dict_from(fib.section_gw.two_point)
+    section = fib.section_gw.entries(fib.total.h2)
+    sec2 = section["two_point"]
     key = next(iter(sec2))
     sec2[key] = sec2[key] + 1
-    tampered = FibrationModel(
-        fib.name, fib.fiber, fib.fiber_gw, fib.total,
-        fib.iota, fib.splitting_map, fib.iota_h2, fib.sigma_ref,
-        vertical={
-            "two_point": dict_from(fib.vertical_gw.two_point),
-            "three_point": dict_from(fib.vertical_gw.three_point),
-            "four_point_chi": dict_from(fib.vertical_gw.four_point_chi),
-            "complete_below": dict(fib.vertical_gw.complete_below),
-        },
-        section={
-            "two_point": sec2,
-            "three_point": dict_from(fib.section_gw.three_point),
-            "four_point_chi": dict_from(fib.section_gw.four_point_chi),
-            "complete_below": dict(fib.section_gw.complete_below),
-        },
-        base_area=fib.base_area, product_structure=True,
-    )
+    tampered = fib.replace(section=section)
     rep = verify_product_pattern(tampered)
     assert rep["status"] == "fail"
     assert rep["details"]
