@@ -22,7 +22,7 @@ from .fibration import FibrationModel, compose, mirror
 from .novikov import format_rational, parse_rational
 from .quantum import QuantumRing
 from .splitting import ring_split_check
-from .validator import SUITE_NAMES, run_suite
+from .validator import NEEDS_CUTOFF, SUITE_NAMES, run_suite
 
 
 _CLASS_HELP = ("class expression, e.g. 'F@e^{-F}+2*T-'; "
@@ -186,7 +186,7 @@ def cmd_nonsqueeze(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = _load(args)
-    cutoff = _cutoff(args, required=args.suite not in ("structure", "wang", "prop-gw"))
+    cutoff = _cutoff(args, required=args.suite in NEEDS_CUTOFF)
     report = run_suite(obj, args.suite, cutoff)
     if args.json:
         print(report.to_json())

@@ -928,10 +928,8 @@ class LoopComposite:
         return _normalizing_class(self.fiber.h2, self.u0, self.c0, self.name)
 
     def rho(self, cutoff) -> QHClass:
-        off = self.normalized_offset()
-        op = self.psi_operator(Fraction(cutoff) + max(Fraction(0), off.omega))
-        # images at the reference, twisted to the normalized section
-        q = op.images[self.fiber.fundamental_index].shift(off).truncate(cutoff)
+        op = self.psi_operator(cutoff, self.normalized_offset())
+        q = op.images[self.fiber.fundamental_index]
         if not self.fiber_ring.is_unit(q, cutoff):
             raise NotInvertible(f"{self.name}: composite Seidel element not invertible")
         return q
@@ -1061,25 +1059,27 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     # Psi of the mirror at its reference section is the inverse operator
     qref = fib.q_class(cutoff)
     qinv = fib.fiber_ring.inverse(qref, cutoff)
+    f = fib.fiber
+    pos = []  # the total basis index of iota(e_i), or None if it is not a basis class
+    for row in fib.iota:
+        hits = [p for p, xp in enumerate(row) if xp]
+        pos.append(hits[0] if len(hits) == 1 and row[hits[0]] == 1 else None)
     two = {}
-    for i in range(len(fib.fiber.basis)):
-        img = fib.fiber_ring.product(qinv, fib.fiber.qh_basis(fib.fiber.labels[i]), cutoff)
+    for i in range(len(f.basis)):
+        img = fib.fiber_ring.product(qinv, f.qh_basis(f.labels[i]), cutoff)
         for e, vec in img.terms.items():
             off_new = new_lat.cls(fib.iota_h2_class(-e).coords)
-            for j in range(len(fib.fiber.basis)):
-                ej = [Fraction(int(s == j)) for s in range(len(fib.fiber.basis))]
-                val = fib.fiber.intersect(vec, ej)
+            for j in range(len(f.basis)):
+                # n(iota_i, iota_j; offset) = (Qinv * e_i)_B . e_j
+                val = sum((x * f.pairing[a][j] for a, x in enumerate(vec) if x), Fraction(0))
                 if val == 0:
                     continue
-                # n(iota_i, iota_j; offset) = (Qinv * e_i)_B . e_j
-                pi = [p for p, xp in enumerate(fib.iota[i]) if xp]
-                pj = [p for p, xp in enumerate(fib.iota[j]) if xp]
-                if len(pi) != 1 or len(pj) != 1 or fib.iota[i][pi[0]] != 1 or fib.iota[j][pj[0]] != 1:
+                if pos[i] is None or pos[j] is None:
                     raise QhfibError(
                         f"{fib.name}: mirror synthesis expects iota to send basis "
                         "classes to basis classes"
                     )
-                key = ((pi[0], pj[0]), off_new)
+                key = ((pos[i], pos[j]), off_new)
                 old = two.get(key)
                 if old is not None and old != val:
                     raise Inconsistent(f"{fib.name}: mirror table conflict at {key}")

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._linalg import invert
 from .errors import QhfibError, TableIncomplete
 from .fibration import FibrationModel
 from .manifold import ManifoldModel
 from .novikov import H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing, check, step
+from .quantum import ARITIES, GWTable, QuantumRing, check, step
 
 
 def splitting_correction(degrees, n, q):
@@ -203,58 +204,52 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
 # -- trivial bundles -------------------------------------------------------
 
 
-def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable):
-    """Expected vertical and section entries for the trivial bundle:
-    vertical entries push the fiber's three-point data through the
-    splitting slots, section entries follow the product formula (the base
-    factor contributes only through full point constraints)."""
+def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable, lift):
+    """The vertical and section tables of the trivial bundle fiber x sphere,
+    in FibrationModel constructor form: {arity: {((i, j, ...), lift(B)): n},
+    "complete_below": ...}, with s(e_i) at total index k + i and the
+    classical entries at lift(fiber.h2.zero()). Vertical entries push the
+    fiber's three-point data through the splitting slots; section entries
+    follow the product formula (the base factor contributes only through
+    full point constraints).
+
+    Every index tuple is emitted sorted: fiber keys are stored sorted, the
+    loops below run in increasing order, and iota slots (< k) come before
+    splitting slots (>= k). So loading the tables into a GWTable keeps every
+    key and value (Koszul sign +1), and they compare directly with a stored
+    table's entries."""
     k = len(fiber.basis)
     ring = QuantumRing(fiber, fiber_gw)
-
-    def s_(i):
-        return k + i
+    zero = fiber.h2.zero()
 
     vertical2 = {}
-    for (idx, cls), val in fiber_gw.two_point.items():
-        x, y = idx
-        vertical2[(x, s_(y), cls)] = val
-        vertical2[(y, s_(x), cls)] = val
+    for ((x, y), cls), val in fiber_gw.two_point.items():
+        vertical2[(x, k + y), lift(cls)] = val
+        vertical2[(y, k + x), lift(cls)] = val
 
     vertical3 = {}
-    for (idx, cls), val in fiber_gw.three_point.items():
-        x, y, z = idx
+    for ((x, y, z), cls), val in fiber_gw.three_point.items():
         # the iota slot can sit on any of the three insertions
         for a, b, c in ((x, y, z), (y, x, z), (z, x, y)):
-            vertical3[(a, s_(b), s_(c), cls)] = val
+            vertical3[(a, k + b, k + c), lift(cls)] = val
 
-    section2 = {}
-    for i in range(k):
-        for j in range(k):
-            v = fiber.pairing[i][j]
-            if v != 0 and i <= j:
-                section2[(i, j, None)] = v
+    section2 = {((i, j), lift(zero)): fiber.pairing[i][j]
+                for i in range(k) for j in range(i, k) if fiber.pairing[i][j] != 0}
 
     section3 = {}
     for i in range(k):
         for j in range(i, k):
             for t in range(j, k):
-                ei = [Fraction(int(x == i)) for x in range(k)]
-                ej = [Fraction(int(x == j)) for x in range(k)]
-                et = [Fraction(int(x == t)) for x in range(k)]
-                v = fiber.triple_form(ei, ej, et)
+                v = fiber.triple_eval(i, j, t)
                 if v != 0:
-                    section3[(i, j, t, None)] = v
+                    section3[(i, j, t), lift(zero)] = v
     for (idx, cls), val in fiber_gw.three_point.items():
-        section3[(idx[0], idx[1], idx[2], cls)] = val
+        section3[idx, lift(cls)] = val
 
     section4 = {}
-    candidates = {c: c for c in fiber_gw.known_key_classes("three_point")}
-    zero = fiber.h2.zero()
-    candidates[zero] = zero
-    chi_classes = [None] + ring._chi_candidate_classes()
-    for cls in chi_classes:
-        c1 = Fraction(0) if cls is None else cls.c1
-        target = 3 * 2 * fiber.n - 2 * c1
+    candidates = dict.fromkeys([*fiber_gw.known_key_classes("three_point"), zero])
+    for cls in [zero, *ring._chi_candidate_classes()]:
+        target = 3 * 2 * fiber.n - 2 * cls.c1
         for i in range(k):
             for j in range(i, k):
                 for t in range(j, k):
@@ -263,27 +258,34 @@ def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable):
                                 + fiber.degrees[t] + fiber.degrees[y])
                         if dims != target:
                             continue
-                        vs = []
-                        for idx in (i, j, t, y):
-                            v = fiber.zero_vector()
-                            v[idx] = Fraction(1)
-                            vs.append(v)
-                        if cls is None:
-                            x12 = fiber.cap(vs[0], vs[1])
-                            x123 = fiber.cap(x12, vs[2])
-                            val = fiber.intersect(x123, vs[3])
+                        vs = [fiber.basis_vector(fiber.labels[x]) for x in (i, j, t, y)]
+                        if cls.is_zero():  # chi candidates all have positive area
+                            val = fiber.intersect(
+                                fiber.cap(fiber.cap(vs[0], vs[1]), vs[2]), vs[3])
                         else:
-                            val = ring._splitting_sum(
-                                vs[0], vs[1], vs[2], vs[3], cls, candidates
-                            )
+                            val = ring._splitting_sum(*vs, cls, candidates)
                             if val is None:
                                 raise TableIncomplete(
                                     f"{fiber.name}: cannot synthesize the "
                                     f"four-point data at {cls!r}"
                                 )
                         if val != 0:
-                            section4[(i, j, t, s_(y), cls)] = val
-    return vertical2, vertical3, section2, section3, section4
+                            section4[(i, j, t, k + y), lift(cls)] = val
+
+    complete = dict.fromkeys(ARITIES, fiber_gw.window("three_point"))
+    vertical = {"two_point": vertical2, "three_point": vertical3, "complete_below": complete}
+    section = {"two_point": section2, "three_point": section3, "four_point_chi": section4,
+               "complete_below": complete}
+    return vertical, section
+
+
+def _product_layout(k):
+    """The standard iota and splitting of a trivial bundle whose total basis
+    is the fiber basis followed by its s(...) copies: e_i -> e_i and
+    s(e_i) -> e_{k+i}."""
+    iota = [[Fraction(int(t == i)) for t in range(2 * k)] for i in range(k)]
+    split = [[Fraction(int(t == k + i)) for t in range(2 * k)] for i in range(k)]
+    return iota, split
 
 
 def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,
@@ -291,10 +293,8 @@ def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,
     """The trivial bundle fiber x sphere with the constant loop."""
     if fiber.h2.embed is None:
         raise ValueError("trivial bundles need an embedded fiber lattice")
-    from ._linalg import invert
-
     emb = [list(r) for r in fiber.h2.embed]
-    if len(emb) != len(emb[0]) or invert([r[:] for r in emb]) is None:
+    if len(emb) != len(emb[0]) or invert(emb) is None:
         raise ValueError("fiber lattice generators must be a degree-2 basis")
     name = name or f"{fiber.name}xS2"
     k = len(fiber.basis)
@@ -310,64 +310,22 @@ def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,
         for a, b, c in ((x, y, z), (y, x, z), (z, x, y)):
             triple[(a, k + b, k + c)] = val
 
-    deg2_f = fiber.indices_of_degree(2)
-    gens = list(fiber.h2.generators) + ["sec"]
-    spt_col = len(deg2_f)  # the s(point) class is the last degree-2 class
-    embed = []
-    for row in fiber.h2.embed:
-        embed.append(tuple(row) + (Fraction(0),))
-    embed.append((Fraction(0),) * len(deg2_f) + (Fraction(1),))
+    # one more generator, the section class s(point), the last degree-2 class
+    g = len(fiber.h2.generators)
     h2 = H2Lattice(
-        generators=tuple(gens),
+        generators=tuple(fiber.h2.generators) + ("sec",),
         omega=tuple(fiber.h2.omega) + (Fraction(0),),
         c1=tuple(fiber.h2.c1) + (Fraction(0),),
         spherical=tuple(fiber.h2.spherical) + (True,),
-        embed=tuple(embed),
+        embed=tuple(tuple(row) + (Fraction(0),) for row in fiber.h2.embed)
+        + ((Fraction(0),) * len(emb[0]) + (Fraction(1),),),
     )
     total = ManifoldModel(name, fiber.n + 1, basis, pairing, triple, h2)
-
-    iota = []
-    split = []
-    for i in range(k):
-        row = [Fraction(0)] * (2 * k)
-        row[i] = Fraction(1)
-        iota.append(row)
-        srow = [Fraction(0)] * (2 * k)
-        srow[k + i] = Fraction(1)
-        split.append(srow)
-    iota_h2 = []
-    for gi in range(len(fiber.h2.generators)):
-        row = [Fraction(0)] * len(gens)
-        row[gi] = Fraction(1)
-        iota_h2.append(row)
-    sigma_ref = [Fraction(0)] * len(gens)
-    sigma_ref[-1] = Fraction(1)
-
-    vertical2, vertical3, section2, section3, section4 = product_section_tables(
-        fiber, fiber_gw
-    )
-    lat = h2
-
-    def lift(cls):
-        if cls is None:
-            return lat.zero()
-        return lat.cls(tuple(cls.coords) + (Fraction(0),))
-
-    w3 = fiber_gw.window("three_point")
-    vertical = {
-        "two_point": {(i, j, lift(c)): v for (i, j, c), v in vertical2.items()},
-        "three_point": {(i, j, t, lift(c)): v for (i, j, t, c), v in vertical3.items()},
-        "complete_below": {"two_point": w3, "three_point": w3,
-                           "four_point_chi": w3},
-    }
-    section = {
-        "two_point": {(i, j, lift(c)): v for (i, j, c), v in section2.items()},
-        "three_point": {(i, j, t, lift(c)): v for (i, j, t, c), v in section3.items()},
-        "four_point_chi": {(i, j, t, y, lift(c)): v
-                           for (i, j, t, y, c), v in section4.items()},
-        "complete_below": {"two_point": w3, "three_point": w3,
-                           "four_point_chi": w3},
-    }
+    iota, split = _product_layout(k)
+    iota_h2 = [[Fraction(int(t == gi)) for t in range(g + 1)] for gi in range(g)]
+    sigma_ref = [Fraction(0)] * g + [Fraction(1)]
+    vertical, section = product_section_tables(
+        fiber, fiber_gw, lambda b: h2.cls(b.coords + (Fraction(0),)))
     return FibrationModel(
         name, fiber, fiber_gw, total, iota, split, iota_h2, sigma_ref,
         vertical=vertical, section=section,
@@ -380,65 +338,24 @@ def verify_product_pattern(fib: FibrationModel) -> dict:
     section tables from fiber data and diff them against what is stored."""
     if not fib.product_structure:
         return check([], ["fibration does not declare a product structure"])
-    failures = []
-    k = len(fib.fiber.basis)
-    std = all(
-        fib.iota[i] == [Fraction(int(t == i)) for t in range(2 * k)]
-        and fib.splitting_map[i] == [Fraction(int(t == k + i)) for t in range(2 * k)]
-        for i in range(k)
-    )
-    if not std:
+    if (fib.iota, fib.splitting_map) != _product_layout(len(fib.fiber.basis)):
         return check([], ["product check needs the standard iota/splitting layout"])
-    vertical2, vertical3, section2, section3, section4 = product_section_tables(
-        fib.fiber, fib.fiber_gw
-    )
-    lat = fib.total.h2
-
-    def lift(cls):
-        if cls is None:
-            return lat.cls([Fraction(0)] * len(lat.generators))
-        return fib.iota_h2_class(cls)
-
-    from .manifold import koszul_sorted
-
-    def canon(idx):
-        return koszul_sorted(idx, fib.total.degrees)[0]
-
-    expected = {
-        "vertical two_point": {
-            (canon((i, j)), lift(c)): v for (i, j, c), v in vertical2.items()
-        },
-        "vertical three_point": {
-            (canon((i, j, t)), lift(c)): v for (i, j, t, c), v in vertical3.items()
-        },
-        "section two_point": {
-            (canon((i, j)), lift(c)): v for (i, j, c), v in section2.items()
-        },
-        "section three_point": {
-            (canon((i, j, t)), lift(c)): v for (i, j, t, c), v in section3.items()
-        },
-        "section four_point_chi": {
-            (canon((i, j, t, y)), lift(c)): v
-            for (i, j, t, y, c), v in section4.items()
-        },
-    }
-    stored = {
-        "vertical two_point": fib.vertical_gw.two_point,
-        "vertical three_point": fib.vertical_gw.three_point,
-        "section two_point": fib.section_gw.two_point,
-        "section three_point": fib.section_gw.three_point,
-        "section four_point_chi": fib.section_gw.four_point_chi,
-    }
-    for tag in expected:
-        want, have = expected[tag], stored[tag]
-        for key in sorted(set(want) | set(have), key=repr):
-            w = want.get(key, Fraction(0))
-            h = have.get(key, Fraction(0))
-            if w != h:
-                idx, cls = key
-                names = ",".join(fib.total.labels[i] for i in idx)
-                failures.append(
-                    f"{tag} ({names}; {cls!r}): stored {format_rational(h)}, "
-                    f"product rule gives {format_rational(w)}"
-                )
+    vertical, section = product_section_tables(fib.fiber, fib.fiber_gw, fib.iota_h2_class)
+    failures = []
+    for label, table, expected in (("vertical", fib.vertical_gw, vertical),
+                                   ("section", fib.section_gw, section)):
+        for arity in ARITIES:
+            if arity not in expected:
+                continue
+            want, have = expected[arity], table._store(arity)
+            for key in sorted(set(want) | set(have), key=repr):
+                w = want.get(key, Fraction(0))
+                h = have.get(key, Fraction(0))
+                if w != h:
+                    idx, cls = key
+                    names = ",".join(fib.total.labels[i] for i in idx)
+                    failures.append(
+                        f"{label} {arity} ({names}; {cls!r}): stored {format_rational(h)}, "
+                        f"product rule gives {format_rational(w)}"
+                    )
     return check(failures)

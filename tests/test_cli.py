@@ -13,6 +13,7 @@ import pytest
 from qhfib import catalog, cli
 from qhfib.cli import main
 from qhfib.fixtures import from_dict, parse_qh, to_dict
+from qhfib.validator import NEEDS_CUTOFF, SUITE_NAMES
 
 RULED_FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "ruled.json")
 
@@ -191,6 +192,35 @@ def test_verify_flags_a_tampered_fixture(capsys, tmp_path):
                        "--suite", "assoc", "--cutoff", "6")
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_needs_a_cutoff_exactly_for_the_multiplying_suites(capsys, monkeypatch):
+    monkeypatch.delenv("QHFIB_CUTOFF", raising=False)
+    for suite in SUITE_NAMES:
+        code, _, err = run(capsys, "verify", "--builtin", "ruled", "--suite", suite)
+        assert (code == 2) == (suite in NEEDS_CUTOFF), (suite, code, err)
+        assert ("an energy cutoff is required" in err) == (suite in NEEDS_CUTOFF)
+
+
+def test_a_singular_pairing_fails_the_structure_suite(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("QHFIB_CUTOFF", raising=False)
+    d = to_dict(catalog.quantum_trivial_fiber())
+    d["model"]["pairing"][1][2] = d["model"]["pairing"][2][1] = "0"
+    d["model"]["triple"] = [t for t in d["model"]["triple"] if t[:3] != ["1", "e1", "e2"]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", "--fixture", str(path), "--suite", "structure")
+    assert code == 1
+    assert out == ("nondegenerate-pairing: fail\n"
+                   "  quantum-trivial: intersection pairing is singular\n"
+                   "suite structure: FAILED\n")
+    assert err == ""
+    # suites that multiply classes still refuse the model as a data error
+    for suite in ("assoc", "all"):
+        code, out, err = run(capsys, "verify", "--fixture", str(path), "--suite", suite,
+                             "--cutoff", "2")
+        assert code == 2
+        assert err == "error: quantum-trivial: intersection pairing is singular\n"
 
 
 def test_compose_mirror_command(capsys):

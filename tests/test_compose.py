@@ -12,6 +12,7 @@ from qhfib import (
     compose,
     mirror,
 )
+from qhfib.fixtures import format_qh
 from tests.conftest import CUTOFF
 
 
@@ -81,3 +82,24 @@ def test_structurally_equal_fixtures_compose_across_instances(ruled, tmp_path):
     same, rep2 = compose(ruled, ruled, CUTOFF)
     assert rep2["status"] == "pass"
     assert comp.rho(CUTOFF) == same.rho(CUTOFF)
+
+
+def test_composite_rho_is_read_at_the_normalized_section():
+    """Reference: the fundamental image of the reference-section operator,
+    built over a window widened by the offset's area, then shifted to the
+    normalized section and cut back to the cutoff."""
+    cases = [catalog.build(name) for name in catalog.BUILTIN_FIBRATIONS]
+    cases += [catalog.build("ruled", kappa=k) for k in ("2", "1/3", "5/4")]
+    shifted = 0
+    for fib in cases:
+        for c in (2, 6, 24):
+            for g in (fib, mirror(fib, c)):
+                comp, _ = compose(fib, g, c)
+                off = comp.normalized_offset()
+                op = comp.psi_operator(Fraction(c) + max(Fraction(0), off.omega))
+                want = op.images[fib.fiber.fundamental_index].shift(off).truncate(c)
+                got = comp.rho(c)
+                assert got == want
+                assert format_qh(got) == format_qh(want)
+                shifted += off.omega != 0
+    assert shifted

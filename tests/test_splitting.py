@@ -8,13 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qhfib import (
+    GWTable,
     catalog,
     corrected_splitting,
+    format_rational,
+    product_fixture,
     ring_split_check,
     splitting_correction,
+    tensor_model,
     verify_product_pattern,
 )
-from qhfib.splitting import correction_valid
+from qhfib.quantum import ARITIES
+from qhfib.splitting import correction_valid, product_section_tables
 from tests.conftest import CUTOFF, STEP_LINE, offending_lines
 
 
@@ -107,6 +112,60 @@ def test_ring_split_reports_an_honest_hypothesis_failure(ruled):
 def test_product_pattern_matches_the_stored_tables(sphere_product, trivial_product):
     assert verify_product_pattern(sphere_product)["status"] == "pass"
     assert verify_product_pattern(trivial_product)["status"] == "pass"
+    two_spheres = product_fixture(*tensor_model(*catalog.sphere(1), *catalog.sphere(2)), 3)
+    assert verify_product_pattern(two_spheres)["status"] == "pass"
+
+
+def test_product_pattern_names_each_tampered_or_deleted_entry(sphere_product, trivial_product):
+    compared = set()
+    for fib in (sphere_product, trivial_product):
+        for label in ("vertical", "section"):
+            table = getattr(fib, f"{label}_gw")
+            for arity in ARITIES:
+                for key, val in table._store(arity).items():
+                    compared.add((label, arity))
+                    idx, cls = key
+                    names = ",".join(fib.total.labels[i] for i in idx)
+                    for stored in (val + 1, None):
+                        entries = table.entries(fib.total.h2)
+                        if stored is None:
+                            del entries[arity][key]
+                        else:
+                            entries[arity][key] = stored
+                        rep = verify_product_pattern(fib.replace(**{label: entries}))
+                        assert rep["status"] == "fail"
+                        assert rep["details"] == [
+                            f"{label} {arity} ({names}; {cls!r}): stored "
+                            f"{format_rational(stored or 0)}, product rule gives "
+                            f"{format_rational(val)}"
+                        ]
+    assert compared == {("vertical", "two_point"), ("vertical", "three_point"),
+                        ("section", "two_point"), ("section", "three_point"),
+                        ("section", "four_point_chi")}
+
+
+@pytest.mark.parametrize("fiber", ["sphere", "quantum-trivial", "sphere x sphere"])
+def test_product_tables_load_through_gwtable_unchanged(fiber):
+    """The builder emits sorted index tuples, so the constructor keeps every
+    key, its class coordinates, its value and the entry order."""
+    model, gw = {
+        "sphere": catalog.sphere,
+        "quantum-trivial": catalog.quantum_trivial_fiber,
+        "sphere x sphere": lambda: tensor_model(*catalog.sphere(1), *catalog.sphere(2)),
+    }[fiber]()
+    fib = product_fixture(model, gw, 3)
+    vertical, section = product_section_tables(model, gw, fib.iota_h2_class)
+    loaded = (
+        (vertical, GWTable(fib.total, "fiber", **vertical)),
+        (section, GWTable(fib.total, "section", **section, section_c1=fib.section_c1)),
+    )
+
+    def items(entries):
+        return [(idx, cls.coords, v) for (idx, cls), v in entries.items()]
+
+    for want, table in loaded:
+        for arity in ARITIES:
+            assert items(table._store(arity)) == items(want.get(arity, {}))
 
 
 def test_product_pattern_skips_non_product_fixtures(ruled):
