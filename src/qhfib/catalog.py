@@ -16,7 +16,9 @@ suspension total space, Seidel element pt e^{A/2} of order two.
 
 Trivial bundles over a sphere of area `base_area` come from
 splitting.product_fixture; the quantum-trivial fiber (a point-count-free
-torus-like model) gives the cleanest ring-splitting example.
+torus-like model) gives the cleanest ring-splitting example. The two-torus
+fiber (a . b = 1, no rational curves) is the odd-degree example: its
+product with a sphere exercises every Koszul sign.
 """
 
 from __future__ import annotations
@@ -262,6 +264,24 @@ def quantum_trivial_fiber():
     return m, gw
 
 
+def torus():
+    h2 = H2Lattice(
+        generators=("T",),
+        omega=(Fraction(1),),
+        c1=(Fraction(0),),
+        spherical=(False,),
+        embed=((Fraction(1),),),  # over the degree-2 basis (1,)
+    )
+    pairing = [
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+        [0, -1, 0, 0],
+        [1, 0, 0, 0],
+    ]
+    m = ManifoldModel("torus", 1, [("1", 2), ("a", 1), ("b", 1), ("pt", 0)], pairing, {}, h2)
+    return m, GWTable(m, "fiber", complete_below=100)
+
+
 def sphere_product(fiber_area=1, base_area=5) -> FibrationModel:
     m, gw = sphere(fiber_area)
     return product_fixture(m, gw, parse_rational(base_area))
@@ -272,6 +292,11 @@ def quantum_trivial_product(base_area=2) -> FibrationModel:
     return product_fixture(m, gw, parse_rational(base_area))
 
 
+def torus_product(base_area=2) -> FibrationModel:
+    m, gw = torus()
+    return product_fixture(m, gw, parse_rational(base_area))
+
+
 BUILTIN_FIBRATIONS = {
     "ruled": (ruled_surface_loop, {"kappa": Fraction(1)}),
     "sphere-rotation": (sphere_rotation, {"area": Fraction(1)}),
@@ -279,6 +304,7 @@ BUILTIN_FIBRATIONS = {
                        {"fiber_area": Fraction(1), "base_area": Fraction(5)}),
     "quantum-trivial-product": (quantum_trivial_product,
                                 {"base_area": Fraction(2)}),
+    "torus-product": (torus_product, {"base_area": Fraction(2)}),
 }
 
 

@@ -49,22 +49,18 @@ class PsiOperator:
     def from_loop_table(cls, model: ManifoldModel, table, offset: H2Class,
                         degree_shift, cutoff) -> PsiOperator:
         """The operator of a fiber-keyed two-point table {(i, j, B): n} at
-        the section shifted by the fiber class `offset`:
-        Psi(e_i) = sum over (i, j, B) of n f_j e^{offset - B}, with f_j the
-        dual basis."""
-        dual = model.dual_basis()
+        the section shifted by the fiber class `offset`: Psi(e_i) is the sum
+        over B of x e^{offset - B}, x the class with x . e_j = n(i, j; B) for
+        every j (model.solve_pairing), the equation the mirror inverts."""
         images = []
         for i in range(len(model.basis)):
             # the section's own class leads: term order decides which
             # coordinates later sums keep for equal classes
-            per_class = {model.h2.zero(): model.zero_vector()}
+            rows = {model.h2.zero(): model.zero_vector()}
             for (a, j, c), val in table.items():
-                if a != i:
-                    continue
-                vec = per_class.setdefault(c - offset, model.zero_vector())
-                for t, y in enumerate(dual[j]):
-                    vec[t] += val * y
-            img = model.qh({-rel: vec for rel, vec in per_class.items()})
+                if a == i:
+                    rows.setdefault(c - offset, model.zero_vector())[j] += val
+            img = model.qh({-rel: model.solve_pairing(row) for rel, row in rows.items()})
             images.append(img.truncate(cutoff))
         return cls(model, images, degree_shift, cutoff)
 
@@ -946,7 +942,6 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
         g = g.replace(fiber=f.fiber, fiber_gw=f.fiber_gw)
     cutoff = Fraction(cutoff)
     fiber = f.fiber
-    dual = fiber.dual_basis()
     name = f"{g.name}*{f.name}"
 
     # table coverage: a composite entry at total offset A splits as B + B'
@@ -971,13 +966,17 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
             f"need {format_rational(cutoff)}"
         )
 
-    # n(i, j; B + B') = sum over t, s of n_f(i, t; B) (f_t)_s n_g(s, j; B')
+    # n(i, j; B + B') = sum over s of x_s n_g(s, j; B'), x . e_t = n_f(i, t; B)
+    rows: dict[tuple, list] = {}
+    for (i, t, bf), n in f._loop_table("two_point").items():
+        rows.setdefault((i, bf), fiber.zero_vector())[t] += n
     table: dict[tuple, Fraction] = {}
-    for (i, t, bf), x in f._loop_table("two_point").items():
+    for (i, bf), row in rows.items():
+        x = fiber.solve_pairing(row)
         for (s, j, bg), y in g._loop_table("two_point").items():
-            if dual[t][s]:
+            if x[s]:
                 key = (i, j, bf + bg)
-                table[key] = table.get(key, Fraction(0)) + x * dual[t][s] * y
+                table[key] = table.get(key, Fraction(0)) + x[s] * y
     table = {kk: v for kk, v in table.items() if v != 0}
 
     comp = LoopComposite(

@@ -1,18 +1,21 @@
 """Closed-manifold models: graded basis, intersection pairing, triple form.
 
 A model carries everything the classical part of quantum homology needs:
-a finite graded basis of the even homology, the intersection pairing,
-the trilinear form t(a,b,c) = (a cap b) . c, and the lattice of degree-2
-classes used for Novikov exponents.
+a finite graded basis of the homology (odd degrees included), the
+intersection pairing, the trilinear form t(a,b,c) = (a cap b) . c, and the
+lattice of degree-2 classes used for Novikov exponents.
 
 Triple keys are stored canonically (indices sorted, Koszul sign applied);
 entries pairing against the fundamental class are forced to agree with the
-intersection pairing and are filled in automatically.
+intersection pairing and are filled in automatically. `kunneth` is the one
+signed cross product behind every product model's pairing, triple and
+invariants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from ._linalg import invert
 from .errors import (
@@ -34,6 +37,38 @@ def koszul_sorted(indices, degrees):
                     sign = -sign
                 idx[j], idx[j + 1] = idx[j + 1], idx[j]
     return tuple(idx), sign
+
+
+def kunneth(first, second, deg1, deg2, at) -> dict:
+    """The cross product of two dicts of canonical slot tuples, one per
+    factor of degrees deg1 and deg2: n1(a_1..a_r) n2(b_1..b_r) at the
+    product slots (at(a_1, b_1), ..., at(a_r, b_r)), for every ordering
+    b of each second-factor key. The sign is the Koszul sign of that
+    ordering times (-1)^(|b_s| |a_t|) for each b_s moved past a later a_t.
+    The product keys are not sorted: the model and table constructors
+    canonicalize them, and their conflict checks confirm the signs."""
+    out = {}
+    for key1, v1 in first.items():
+        for key2, v2 in second.items():
+            for perm in dict.fromkeys(permutations(key2)):
+                _, sign = koszul_sorted(perm, deg2)
+                for s, b in enumerate(perm):
+                    if deg2[b] % 2 and sum(deg1[a] for a in key1[s + 1:]) % 2:
+                        sign = -sign
+                out[tuple(map(at, key1, perm))] = sign * v1 * v2
+    return out
+
+
+def graded_matrix(entries, degrees) -> list[list[Fraction]]:
+    """The pairing matrix of two-slot entries {(p, q): v}, each also written
+    at (q, p) with its graded-symmetry sign (-1)^(|p| |q|)."""
+    out = [[Fraction(0)] * len(degrees) for _ in degrees]
+    for (p, q), v in entries.items():
+        for a, b, x in ((p, q, v), (q, p, (-1) ** (degrees[p] * degrees[q]) * v)):
+            if out[a][b] not in (0, x):
+                raise ValueError(f"conflicting pairing entries at ({a}, {b})")
+            out[a][b] = Fraction(x)
+    return out
 
 
 class ManifoldModel:
@@ -81,7 +116,8 @@ class ManifoldModel:
             old = self.triple.get(ck)
             if old is not None and old != val:
                 raise ValueError(f"{name}: conflicting triple entries at {key}")
-            if val != 0:
+            # an incomplete model keeps declared zeros: they are data, not gaps
+            if val != 0 or not self.triple_complete:
                 self.triple[ck] = val
         # entries against the fundamental class are the pairing itself
         f = self.fundamental_index
@@ -152,6 +188,12 @@ class ManifoldModel:
             Fraction(0),
         )
 
+    def pairing_entries(self) -> dict:
+        """The nonzero pairing entries {(i, j): e_i . e_j} with i <= j; graded
+        symmetry gives the rest."""
+        return {(i, j): x for i, row in enumerate(self.pairing)
+                for j, x in enumerate(row[i:], i) if x}
+
     def _pairing_inverse(self):
         """The inverse transpose of the pairing, computed once. Row j is the
         dual vector f_j; applied to a vector it solves the pairing system."""
@@ -197,8 +239,9 @@ class ManifoldModel:
     def solve_pairing(self, rhs) -> list[Fraction]:
         """The vector x with x . e_j = rhs[j] for every j; a singular
         pairing raises DegeneratePairing."""
+        nonzero = [(j, r) for j, r in enumerate(rhs) if r]
         return [
-            sum((d * r for d, r in zip(row, rhs) if r), Fraction(0))
+            sum((row[j] * r for j, r in nonzero if row[j]), Fraction(0))
             for row in self._pairing_inverse()
         ]
 

@@ -18,10 +18,9 @@ Two table kinds:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
-from .manifold import ManifoldModel, QHClass, koszul_sorted
+from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth
 from .novikov import H2Class, NovikovElement, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
@@ -628,13 +627,22 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
                  name=None):
     """Product manifold with the product three-point table.
 
-    Basis labels are '<a>|<b>'. Lattice generators keep their names with
-    factor suffixes only on collision. Everything assumes even degrees.
+    Basis labels are '<a>|<b>', e_a x e_b at index a k2 + b. The pairing,
+    the triple and the three-point entries in classes (B1, 0), (0, B2) and
+    (B1, B2) are the signed cross products (manifold.kunneth) of the
+    factors' data, the classical side of a class pair being the factor's
+    triple. A factor whose triple is not declared complete is refused: the
+    cross product reads only declared entries. Lattice generators keep
+    their names with factor suffixes only on collision.
     """
     from .novikov import H2Lattice
 
-    if any(d % 2 for d in m1.degrees) or any(d % 2 for d in m2.degrees):
-        raise ValueError("tensor models support even-degree bases only")
+    for m in (m1, m2):
+        if not m.triple_complete:
+            raise MissingTripleData(
+                f"{m.name}: a tensor factor needs a complete triple form "
+                "(triple_complete is false)"
+            )
     name = name or f"{m1.name}x{m2.name}"
     basis = []
     for la, da in m1.basis:
@@ -642,24 +650,11 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
             basis.append((f"{la}|{lb}", da + db))
     k1, k2 = len(m1.basis), len(m2.basis)
 
-    def bi(i, j):
-        return i * k2 + j
+    def cross(first, second):
+        return kunneth(first, second, m1.degrees, m2.degrees, lambda a, b: a * k2 + b)
 
-    pairing = [[Fraction(0)] * (k1 * k2) for _ in range(k1 * k2)]
-    for i in range(k1):
-        for j in range(k2):
-            for a in range(k1):
-                for b in range(k2):
-                    pairing[bi(i, j)][bi(a, b)] = m1.pairing[i][a] * m2.pairing[j][b]
-    # all degrees are even, so every ordering of a factor key carries its
-    # value; the sorted keys of the first factor against every distinct
-    # ordering of the second's reach every product key, and the model
-    # constructor re-canonicalizes the combined keys
-    triple = {}
-    for (i, a, x), v1 in m1.triple.items():
-        for key2, v2 in m2.triple.items():
-            for j, b, y in dict.fromkeys(permutations(key2)):
-                triple[(bi(i, j), bi(a, b), bi(x, y))] = v1 * v2
+    pairing = graded_matrix(cross(m1.pairing_entries(), m2.pairing_entries()),
+                            [d for _, d in basis])
     gens = list(m1.h2.generators)
     gens2 = []
     for g in m2.h2.generators:
@@ -695,59 +690,29 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
         spherical=tuple(m1.h2.spherical) + tuple(m2.h2.spherical),
         embed=tuple(embed),
     )
-    model = ManifoldModel(name, m1.n + m2.n, basis, pairing, triple, h2)
+    model = ManifoldModel(name, m1.n + m2.n, basis, pairing, cross(m1.triple, m2.triple), h2)
 
-    def lift1(cls):
-        return model.h2.cls(tuple(cls.coords) + (Fraction(0),) * len(gens2))
+    def blocks(m, t):
+        """(class, {key: n}) per stored class in key-class order, led by
+        (None, the triple)."""
+        by_class = {}
+        for (idx, cls), v in t.three_point.items():
+            by_class.setdefault(cls, {})[idx] = v
+        return [(None, m.triple)] + [(c, by_class[c]) for c in t.known_key_classes("three_point")]
 
-    def lift2(cls):
-        return model.h2.cls((Fraction(0),) * len(gens) + tuple(cls.coords))
-
-    # classes (B1, 0), (0, B2) and (B1, B2); the purely classical part
-    # lives in the model triple, not in the table
-    classes1 = t1.known_key_classes("three_point")
-    classes2 = t2.known_key_classes("three_point")
-
-    def factor_value(m, t, i, j, k, cls_or_none):
-        if cls_or_none is None:
-            return m.triple_eval(i, j, k)
-        return t.three(i, j, k, cls_or_none)
-
+    zeros1, zeros2 = (Fraction(0),) * len(gens), (Fraction(0),) * len(gens2)
     entries = {}
-    slots1 = range(k1)
-    slots2 = range(k2)
-    for c1 in [None] + classes1:
-        for c2 in [None] + classes2:
+    for c1, block1 in blocks(m1, t1):
+        for c2, block2 in blocks(m2, t2):
             if c1 is None and c2 is None:
-                continue
-            cls = model.h2.zero()
-            if c1 is not None:
-                cls = cls + lift1(c1)
-            if c2 is not None:
-                cls = cls + lift2(c2)
-            for i in slots1:
-                for j in slots2:
-                    for a in slots1:
-                        for b in slots2:
-                            for x in slots1:
-                                for y in slots2:
-                                    ii, jj, kk = bi(i, j), bi(a, b), bi(x, y)
-                                    if not (ii <= jj <= kk):
-                                        continue
-                                    v1 = factor_value(m1, t1, i, a, x, c1)
-                                    if v1 == 0:
-                                        continue
-                                    v2 = factor_value(m2, t2, j, b, y, c2)
-                                    if v2 == 0:
-                                        continue
-                                    old = entries.get(((ii, jj, kk), cls))
-                                    if old is not None and old != v1 * v2:
-                                        raise ValueError("inconsistent tensor entry")
-                                    entries[((ii, jj, kk), cls)] = v1 * v2
+                continue  # the purely classical part lives in the model triple
+            cls = model.h2.cls((zeros1 if c1 is None else c1.coords)
+                               + (zeros2 if c2 is None else c2.coords))
+            # in sorted-key order, as a loop over the product slots would list them
+            for key, v in sorted(cross(block1, block2).items(), key=lambda kv: sorted(kv[0])):
+                entries[key + (cls,)] = v
     w1 = t1.window("three_point")
     w2 = t2.window("three_point")
     w = None if (w1 is None or w2 is None) else min(w1, w2)
-    table = GWTable(model, "fiber",
-                    three_point={k + (c,): v for (k, c), v in entries.items()},
-                    complete_below={"three_point": w})
+    table = GWTable(model, "fiber", three_point=entries, complete_below={"three_point": w})
     return model, table

@@ -20,7 +20,7 @@ from fractions import Fraction
 from ._linalg import invert
 from .errors import QhfibError, TableIncomplete
 from .fibration import FibrationModel
-from .manifold import ManifoldModel
+from .manifold import ManifoldModel, graded_matrix, kunneth
 from .novikov import H2Lattice, format_rational
 from .quantum import ARITIES, GWTable, QuantumRing, check, step
 
@@ -299,16 +299,14 @@ def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,
     name = name or f"{fiber.name}xS2"
     k = len(fiber.basis)
     basis = list(fiber.basis) + [(f"s({lbl})", d + 2) for lbl, d in fiber.basis]
-    pairing = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(k):
-            pairing[i][k + j] = fiber.pairing[i][j]
-            sign = (-1) ** ((fiber.degrees[i] + 2) * fiber.degrees[j])
-            pairing[k + i][j] = sign * fiber.pairing[i][j]
-    triple = {}
-    for (x, y, z), val in fiber.triple.items():
-        for a, b, c in ((x, y, z), (y, x, z), (z, x, y)):
-            triple[(a, k + b, k + c)] = val
+
+    # the cross products with the base sphere's classical data, point first:
+    # pt . [S2] = 1 and t(pt, [S2], [S2]) = 1; e_i x pt -> i, e_i x [S2] -> k + i
+    def cross(first, second):
+        return kunneth(first, second, fiber.degrees, (0, 2), lambda i, s: s * k + i)
+
+    pairing = graded_matrix(cross(fiber.pairing_entries(), {(0, 1): 1}), [d for _, d in basis])
+    triple = cross(fiber.triple, {(0, 1, 1): 1})
 
     # one more generator, the section class s(point), the last degree-2 class
     g = len(fiber.h2.generators)

@@ -17,6 +17,9 @@ settings.load_profile("suite")
 
 CUTOFF = Fraction(6)
 
+# every shipped fibration, in catalog order
+BUILTINS = tuple(catalog.BUILTIN_FIBRATIONS)
+
 # a step line of a check record: "name: pass|fail" with an optional detail
 STEP_LINE = re.compile(r"^[a-z-]+: (pass|fail)( \(|$)")
 

@@ -27,10 +27,9 @@ from qhfib import (
 )
 from qhfib.fixtures import from_dict, parse_qh, to_dict
 from qhfib.splitting import correction_valid
-from tests.conftest import STEP_LINE, offending_lines
+from tests.conftest import BUILTINS, STEP_LINE, offending_lines
 
 CUTOFF = Fraction(6)
-BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
 
 
 @contextmanager

@@ -14,9 +14,8 @@ from qhfib import Inconsistent, NotInvertible, QhfibError, catalog, fibration, m
 from qhfib.fibration import FibrationModel
 from qhfib.fixtures import from_dict, to_dict
 from qhfib.validator import SUITE_NAMES
-from tests.conftest import CUTOFF
+from tests.conftest import BUILTINS, CUTOFF
 
-BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
 RULED_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "ruled.json"
 
 
@@ -55,7 +54,9 @@ MUTATED = dict(mutated_copies())
 
 
 def test_there_are_48_mutated_copies():
-    assert len(MUTATED) == 48
+    # 48 on the four even-degree builtins, 9 more on torus-product
+    assert sum(not site.startswith("torus-product ") for site in MUTATED) == 48
+    assert len(MUTATED) == 57
 
 
 @pytest.mark.parametrize("site", MUTATED)

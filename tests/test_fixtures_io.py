@@ -20,9 +20,8 @@ from qhfib.fixtures import (
     save,
     to_dict,
 )
-from tests.conftest import CUTOFF
+from tests.conftest import BUILTINS, CUTOFF
 
-BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 

@@ -24,9 +24,9 @@ from qhfib import (
 from qhfib._linalg import solve
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from qhfib.quantum import check
+from tests.conftest import BUILTINS
 
 CUTOFF = Fraction(6)
-BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
 
 
 # models are never mutated, so each is built once for the whole module
@@ -140,11 +140,10 @@ def ref_horizontal_product(fib, a, b, cutoff, sigma):
 
 
 def ref_psi_images(fib, cutoff, sigma):
-    """Psi(e_i) from two-point section counts of iota-images, contracted
-    with dual vectors solved from e_i . f_j = delta_ij."""
+    """Psi(e_i) from two-point section counts of iota-images: at each
+    offset, the x with x . e_j = n(iota e_i, iota e_j), solved anew."""
     f, table = fib.fiber, fib.section_gw
     k = len(f.basis)
-    dual = [solve(f.pairing, unit_vector(f, j)) for j in range(k)]
     offset0 = sigma - fib.sigma_ref
     offsets = {offset0: f.h2.zero()}
     for cls in table.known_key_classes("two_point"):
@@ -155,15 +154,13 @@ def ref_psi_images(fib, cutoff, sigma):
     for i in range(k):
         img = f.qh({})
         for cls, b in offsets.items():
-            vec = f.zero_vector()
-            for j in range(k):
-                val = sum(
-                    (xa * xb * table.two(p, q, cls)
+            row = [
+                sum((xa * xb * table.two(p, q, cls)
                      for p, xa in enumerate(fib.iota[i]) if xa
                      for q, xb in enumerate(fib.iota[j]) if xb), Fraction(0))
-                for t, y in enumerate(dual[j]):
-                    vec[t] += val * y
-            img = img + f.qh({-b: vec})
+                for j in range(k)
+            ]
+            img = img + f.qh({-b: ref_solve_pairing(f, row)})
         images.append(img.truncate(cutoff))
     return images
 

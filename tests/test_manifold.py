@@ -12,6 +12,7 @@ from qhfib import (
     UnknownBasisLabel,
     catalog,
 )
+from qhfib.fixtures import manifold_from_dict, manifold_to_dict
 from qhfib.manifold import koszul_sorted
 
 
@@ -137,6 +138,26 @@ def test_partial_triple_data_raises_only_when_queried():
     assert m.triple_form(Zm, M, m.fundamental_vector()) == 0
     with pytest.raises(MissingTripleData):
         m.triple_form(M, Zp, Zp)
+
+
+def test_an_incomplete_model_keeps_its_declared_zero_triples():
+    total = catalog.build("ruled").total
+    declared = {("Zm", "Zm", "M"): Fraction(-1), ("M", "M", "Zp"): Fraction(0)}
+    m = ManifoldModel(total.name, total.n, total.basis, total.pairing, declared, total.h2,
+                      triple_complete=False)
+    M, Zp = m.label_index("M"), m.label_index("Zp")
+    assert m.triple_eval(M, Zp, M) == 0
+    with pytest.raises(MissingTripleData, match=r"\(M, Zp, Zp\) undeclared"):
+        m.triple_eval(M, Zp, Zp)
+    back = manifold_from_dict(manifold_to_dict(m))
+    assert back.triple == m.triple
+    assert back.triple_eval(Zp, M, M) == 0
+    # a complete model answers 0 for every undeclared triple, so it stores no zeros
+    complete = ManifoldModel(total.name, total.n, total.basis, total.pairing, declared, total.h2)
+    nonzero = ManifoldModel(total.name, total.n, total.basis, total.pairing,
+                            {("Zm", "Zm", "M"): Fraction(-1)}, total.h2)
+    assert all(complete.triple.values())
+    assert manifold_to_dict(complete) == manifold_to_dict(nonzero)
 
 
 def test_qh_class_arithmetic(surface):

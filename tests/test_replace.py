@@ -14,9 +14,8 @@ from qhfib.fixtures import load, save, to_dict
 from qhfib.manifold import ManifoldModel
 from qhfib.novikov import H2Lattice
 from qhfib.quantum import ARITIES, GWTable
-from tests.conftest import CUTOFF
+from tests.conftest import BUILTINS, CUTOFF
 
-BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 

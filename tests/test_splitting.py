@@ -144,7 +144,7 @@ def test_product_pattern_names_each_tampered_or_deleted_entry(sphere_product, tr
                         ("section", "four_point_chi")}
 
 
-@pytest.mark.parametrize("fiber", ["sphere", "quantum-trivial", "sphere x sphere"])
+@pytest.mark.parametrize("fiber", ["sphere", "quantum-trivial", "sphere x sphere", "torus"])
 def test_product_tables_load_through_gwtable_unchanged(fiber):
     """The builder emits sorted index tuples, so the constructor keeps every
     key, its class coordinates, its value and the entry order."""
@@ -152,6 +152,7 @@ def test_product_tables_load_through_gwtable_unchanged(fiber):
         "sphere": catalog.sphere,
         "quantum-trivial": catalog.quantum_trivial_fiber,
         "sphere x sphere": lambda: tensor_model(*catalog.sphere(1), *catalog.sphere(2)),
+        "torus": catalog.torus,
     }[fiber]()
     fib = product_fixture(model, gw, 3)
     vertical, section = product_section_tables(model, gw, fib.iota_h2_class)

@@ -15,9 +15,7 @@ from qhfib import (
     run_suite,
 )
 from qhfib.fixtures import from_dict, to_dict
-from tests.conftest import CUTOFF
-
-BUILTINS = ("ruled", "sphere-rotation", "sphere-product", "quantum-trivial-product")
+from tests.conftest import BUILTINS, CUTOFF
 
 
 @pytest.mark.parametrize("name", BUILTINS)
