@@ -32,7 +32,7 @@ from .errors import (
 )
 from .manifold import ManifoldModel, QHClass
 from .novikov import H2Class, H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing, check, contract, step
+from .quantum import GWTable, QuantumRing, accumulate, check, slot_pairs, step
 
 
 class PsiOperator:
@@ -460,12 +460,14 @@ class FibrationModel:
     def horizontal_product(self, a: QHClass, b: QHClass, cutoff,
                            sigma: H2Class | None = None) -> QHClass:
         """Section-class product: three-point section invariants of a and b
-        against the dual basis, weighted by the fiber-class offset."""
+        against the dual basis, weighted by the fiber-class offset. Past the
+        window check every class read lies inside the window, so each class
+        is one solve of its scattered entries."""
         sigma = self.sigma_ref if sigma is None else sigma
         offset0 = sigma - self.sigma_ref
         m = self.total
         w = self.section_gw.window("three_point")
-        out = m.qh({})
+        acc = {}
         cutoff = Fraction(cutoff)
         cands = [offset0] + [
             cls for cls in self.section_gw.known_key_classes("three_point")
@@ -481,11 +483,14 @@ class FibrationModel:
                         f"data through area {format_rational(need)} "
                         f"({'none declared' if w is None else 'have ' + format_rational(w)})"
                     )
-                shifts = {cls: base - (cls - offset0) for cls in cands
-                          if base.omega - cls.omega + offset0.omega >= -cutoff}
-                for cls, vec in contract(m, va, vb, self.section_gw.three, shifts).items():
-                    out = out + m.qh({shifts[cls]: vec})
-        return out.truncate(cutoff)
+                m._pairing_inverse()  # a singular pairing raises even when every sum vanishes
+                pairs = slot_pairs(va, vb)
+                for cls in cands:
+                    if base.omega - cls.omega + offset0.omega >= -cutoff:
+                        x = m.solve_rows(self.section_gw.rows(cls), pairs)
+                        if x:
+                            accumulate(acc, base - (cls - offset0), x, m.zero_vector())
+        return m.qh(acc).truncate(cutoff)
 
     # -- restriction to the fiber ----------------------------------------------
 

@@ -9,7 +9,8 @@ Triple keys are stored canonically (indices sorted, Koszul sign applied);
 entries pairing against the fundamental class are forced to agree with the
 intersection pairing and are filled in automatically. `kunneth` is the one
 signed cross product behind every product model's pairing, triple and
-invariants.
+invariants; `scatter` turns canonical three-slot entries into the
+right-hand sides every product and cap solves.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def kunneth(first, second, deg1, deg2, at) -> dict:
                         sign = -sign
                 out[tuple(map(at, key1, perm))] = sign * v1 * v2
     return out
+
+
+def scatter(entries, degrees) -> dict:
+    """The three-point right-hand sides of canonical entries {ck: n}:
+    rows[i, k][j] = n(i, k, j) for every distinct slot order (i, k, j) of
+    each key, with the Koszul sign a query in that order applies."""
+    rows = {}
+    for ck, n in entries.items():
+        for perm in dict.fromkeys(permutations(ck)):
+            rows.setdefault(perm[:2], {})[perm[2]] = koszul_sorted(perm, degrees)[1] * n
+    return rows
 
 
 def graded_matrix(entries, degrees) -> list[list[Fraction]]:
@@ -145,6 +157,8 @@ class ManifoldModel:
                     )
 
         self._dual = None
+        self._columns = None
+        self._triple_rows = None
 
     def _unique_degree_index(self, d, what) -> int:
         hits = [i for i, deg in enumerate(self.degrees) if deg == d]
@@ -236,22 +250,66 @@ class ManifoldModel:
                         total += ai * bj * ck * self.triple_eval(i, j, k)
         return total
 
+    def triple_rows(self):
+        """The triple form scattered into right-hand sides (see `scatter`),
+        built once; None when the form is not declared complete, so that a
+        read may have to raise MissingTripleData."""
+        if not self.triple_complete:
+            return None
+        if self._triple_rows is None:
+            self._triple_rows = scatter(self.triple, self.degrees)
+        return self._triple_rows
+
+    def solve_rows(self, rows, pairs) -> dict:
+        """The nonzero coordinates {t: x_t}, in index order, of the x with
+        x . e_j = sum c rows[i, k][j] over (i, k, c) in pairs, rows as
+        `scatter` builds them; empty when that sum vanishes. A singular
+        pairing raises even then."""
+        cols = self._pairing_columns()
+        rhs = {}
+        for i, k, c in pairs:
+            for j, v in rows.get((i, k), {}).items():
+                rhs[j] = rhs.get(j, 0) + c * v
+        x = {}
+        for j, r in rhs.items():
+            for t, d in cols[j]:
+                x[t] = x.get(t, 0) + d * r
+        return {t: v for t, v in sorted(x.items()) if v}
+
+    def _pairing_columns(self):
+        """Column j of the pairing system's inverse as its nonzero (t, d):
+        x_t gains d rhs_j. Built once."""
+        if self._columns is None:
+            dual = self._pairing_inverse()
+            self._columns = [[(t, row[j]) for t, row in enumerate(dual) if row[j]]
+                             for j in range(len(dual))]
+        return self._columns
+
     def solve_pairing(self, rhs) -> list[Fraction]:
         """The vector x with x . e_j = rhs[j] for every j; a singular
         pairing raises DegeneratePairing."""
-        nonzero = [(j, r) for j, r in enumerate(rhs) if r]
-        return [
-            sum((row[j] * r for j, r in nonzero if row[j]), Fraction(0))
-            for row in self._pairing_inverse()
-        ]
+        cols = self._pairing_columns()
+        x = self.zero_vector()
+        for j, r in enumerate(rhs):
+            if r:
+                for t, d in cols[j]:
+                    x[t] += d * r
+        return x
 
     def cap(self, a, b) -> list[Fraction]:
         """Classical cap product a cap b: the three-point contraction of
-        a and b against the triple form."""
-        from .quantum import contract
+        a and b against the triple form, read slot by slot when the form is
+        not declared complete, so the first undeclared triple raises."""
+        from .quantum import contract, slot_pairs
 
-        classical = contract(self, a, b, lambda i, k, j, _: self.triple_eval(i, k, j), [None])
-        return classical.get(None, self.zero_vector())
+        rows = self.triple_rows()
+        if rows is None:
+            classical = contract(self, a, b, lambda i, k, j, _: self.triple_eval(i, k, j), [None])
+            return classical.get(None, self.zero_vector())
+        vec = self.zero_vector()
+        for t, x in self.solve_rows(rows, slot_pairs(a, b)).items():
+            vec[t] = x
+        return vec
 
     def fundamental_vector(self) -> list[Fraction]:
         v = self.zero_vector()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
-from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth
+from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter
 from .novikov import H2Class, NovikovElement, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
@@ -70,6 +70,8 @@ class GWTable:
         self.section_c1 = section_c1
         self.complete_below = _normalize_completeness(complete_below)
         self._key_classes = {}  # arity -> sorted key classes, filled on first use
+        self._by_class = {}  # arity -> {class: {ck: n}}, filled on first use
+        self._rows = {}  # class -> its scattered three-point entries, filled on first use
         self.two_point = self._load("two_point", two_point or {})
         self.three_point = self._load("three_point", three_point or {})
         self.four_point_chi = self._load("four_point_chi", four_point_chi or {})
@@ -142,9 +144,27 @@ class GWTable:
 
     def known_key_classes(self, arity) -> list[H2Class]:
         if arity not in self._key_classes:
-            seen = dict.fromkeys(cls for _, cls in self._store(arity))  # first representative
-            self._key_classes[arity] = tuple(sorted(seen, key=lambda c: (c.omega, c.c1, c.coords)))
+            self._key_classes[arity] = tuple(sorted(self.by_class(arity),
+                                                    key=lambda c: (c.omega, c.c1, c.coords)))
         return list(self._key_classes[arity])
+
+    def by_class(self, arity) -> dict:
+        """The stored entries of an arity grouped by class, {class: {ck: n}},
+        in store order; grouped once, as tables never change."""
+        if arity not in self._by_class:
+            groups = self._by_class[arity] = {}
+            for (ck, cls), n in self._store(arity).items():
+                groups.setdefault(cls, {})[ck] = n
+        return self._by_class[arity]
+
+    def rows(self, cls: H2Class) -> dict:
+        """The stored three-point entries of one class scattered into
+        right-hand sides (manifold.scatter), built once per class. They
+        answer what `query` answers inside the declared window only."""
+        if cls not in self._rows:
+            self._rows[cls] = scatter(self.by_class("three_point").get(cls, {}),
+                                      self.model.degrees)
+        return self._rows[cls]
 
     def query(self, arity, indices, cls: H2Class) -> Fraction:
         ck, sign = koszul_sorted(tuple(indices), self.model.degrees)
@@ -186,28 +206,52 @@ class GWTable:
         return out
 
     def replace(self, arity, updates):
-        """New table with some raw entries replaced (for tamper testing)."""
-        raw = {
-            "two_point": dict(self.two_point),
-            "three_point": dict(self.three_point),
-            "four_point_chi": dict(self.four_point_chi),
-        }
-        raw[arity].update(updates)
+        """New table with some entries {(indices, class): n} replaced, a
+        zero deleting one (for tamper testing). Each key is sorted and its
+        Koszul sign folded into n, as the constructor does, so `query`
+        reads it in any slot order; the dimension rule is not checked, so
+        a tamper may store a key it forbids."""
         t = GWTable(self.model, self.kind, complete_below=self.complete_below,
                     section_c1=self.section_c1)
         for a in ARITIES:
-            setattr(t, a, {k: Fraction(v) for k, v in raw[a].items() if v != 0})
+            setattr(t, a, dict(self._store(a)))
+        store = t._store(arity)
+        for (idx, cls), v in updates.items():
+            ck, sign = koszul_sorted(tuple(idx), self.model.degrees)
+            if v:
+                store[ck, cls] = sign * Fraction(v)
+            else:
+                store.pop((ck, cls), None)
         return t
 
 
+def slot_pairs(va, vb) -> list:
+    """(i, k, va_i vb_k) over the nonzero coordinates of two vectors."""
+    return [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
+
+
+def accumulate(acc, e, x, zero):
+    """acc[e] += x for the sparse vector x {t: x_t}, zero the dense zero
+    vector, dropping a term that cancels, as a QHClass sum does."""
+    vec = list(acc.get(e, zero))
+    for t, v in x.items():
+        vec[t] += v
+    if any(vec):
+        acc[e] = vec
+    else:
+        acc.pop(e, None)
+
+
 def contract(model: ManifoldModel, va, vb, three, classes) -> dict:
-    """The contraction behind every product: for each class B in `classes`,
-    the vector x with x . e_j = sum_{i,k} va_i vb_k three(i, k, j, B), that is
-    the three-point numbers of va and vb against the inverse pairing.
-    Classes whose vector vanishes are left out. The classical cap product is
-    the case three = triple form."""
+    """The slot-by-slot contraction: for each class B in `classes`, the
+    vector x with x . e_j = sum_{i,k} va_i vb_k three(i, k, j, B), that is
+    the three-point numbers of va and vb against the inverse pairing,
+    reading one slot at a time, so the first read that raises is the one a
+    whole sum meets. Classes whose vector vanishes are left out. Products
+    solve scattered entries (`ManifoldModel.solve_rows`) instead wherever
+    no read can raise."""
     model._pairing_inverse()  # a singular pairing raises even when every sum vanishes
-    pairs = [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
+    pairs = slot_pairs(va, vb)
     out = {}
     for cls in classes:
         rhs = [
@@ -221,7 +265,9 @@ def contract(model: ManifoldModel, va, vb, three, classes) -> dict:
 
 class QuantumRing:
     """QH(M) with the product induced by a three-point fiber-type table,
-    compiled lazily into structure constants e_i * e_k at each key class.
+    compiled lazily into structure constants e_i * e_k at each key class:
+    a class's stored entries are scattered into right-hand sides once, and
+    each pair a product asks for is solved once, when its row is nonzero.
     Tables never change after construction, so nothing goes stale."""
 
     def __init__(self, model: ManifoldModel, table: GWTable):
@@ -232,39 +278,49 @@ class QuantumRing:
         # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
         self._constants: dict = {}
 
+    def _rows(self, cls):
+        """The scattered entries of a key class (None: the triple form), or
+        None where a read may raise: the class lies above the declared
+        window, no window is declared, or the triple form is incomplete."""
+        if cls is None:
+            return self.model.triple_rows()
+        w = self.table.window("three_point")
+        return None if w is None or cls.omega > w else self.table.rows(cls)
+
     def _gather(self, acc, base, pos, cls, pairs):
         """Add sum c e_i * e_k over (i, k, c) in pairs at key class cls (None:
         the cap) into acc at base - cls, as a repeated QHClass sum would. A
-        missing constant is contracted once, reading the table entries, and
-        raising the TableIncomplete, that contracting the whole sum would."""
+        missing constant is solved from the class's scattered entries, once
+        and only when its row is nonzero. Where a read may raise (see
+        `_rows`) it is contracted slot by slot instead, raising the
+        TableIncomplete or MissingTripleData that contracting the whole sum
+        would."""
         m = self.model
         block = self._constants.setdefault(pos, {})
         todo = [(i, k) for i, k, _ in pairs if (i, k) not in block]
-        three = self.table.three if cls is not None else (
-            lambda i, k, j, _: m.triple_eval(i, k, j))
-        try:
+        rows = self._rows(cls) if todo else None
+        if rows is not None:
             for i, k in todo:
-                vec = contract(m, m.basis_vector(m.labels[i]), m.basis_vector(m.labels[k]),
-                               three, [cls]).get(cls, ())
-                block[i, k] = [(t, x) for t, x in enumerate(vec) if x]
-        except (TableIncomplete, MissingTripleData):
-            for j in range(len(m.basis)):  # the whole sum reads j outermost
+                block[i, k] = list(m.solve_rows(rows, [(i, k, 1)]).items())
+        elif todo:
+            three = self.table.three if cls is not None else (
+                lambda i, k, j, _: m.triple_eval(i, k, j))
+            try:
                 for i, k in todo:
-                    three(i, k, j, cls)
-            raise
-        vec = m.zero_vector()
+                    vec = contract(m, m.basis_vector(m.labels[i]), m.basis_vector(m.labels[k]),
+                                   three, [cls]).get(cls, ())
+                    block[i, k] = [(t, x) for t, x in enumerate(vec) if x]
+            except (TableIncomplete, MissingTripleData):
+                for j in range(len(m.basis)):  # the whole sum reads j outermost
+                    for i, k in todo:
+                        three(i, k, j, cls)
+                raise
+        vec = {}
         for i, k, c in pairs:
             for t, x in block[i, k]:
-                vec[t] += c * x
-        if not any(vec):
-            return
-        e = base if cls is None else base - cls
-        if e in acc:
-            vec = [p + q for p, q in zip(acc[e], vec)]
-        if any(vec):
-            acc[e] = vec
-        else:
-            del acc[e]
+                vec[t] = vec.get(t, 0) + c * x
+        if any(vec.values()):
+            accumulate(acc, base if cls is None else base - cls, vec, m.zero_vector())
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
         """a * b, summed bilinearly from the compiled structure constants.
@@ -287,8 +343,7 @@ class QuantumRing:
                             f"{m.name}: product needs three-point data through "
                             f"area {format_rational(need)}"
                         )
-                pairs = [(i, k, x * y) for i, x in enumerate(va) if x
-                         for k, y in enumerate(vb) if y]
+                pairs = slot_pairs(va, vb)
                 self._gather(acc, base, None, None, pairs)
                 for pos, cls in enumerate(keys):
                     if cutoff is None or base.omega - cls.omega >= -cutoff:
@@ -695,9 +750,7 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
     def blocks(m, t):
         """(class, {key: n}) per stored class in key-class order, led by
         (None, the triple)."""
-        by_class = {}
-        for (idx, cls), v in t.three_point.items():
-            by_class.setdefault(cls, {})[idx] = v
+        by_class = t.by_class("three_point")
         return [(None, m.triple)] + [(c, by_class[c]) for c in t.known_key_classes("three_point")]
 
     zeros1, zeros2 = (Fraction(0),) * len(gens), (Fraction(0),) * len(gens2)

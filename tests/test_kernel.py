@@ -3,7 +3,7 @@ system anew, term by term, by elimination on the transposed pairing."""
 
 import functools
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +22,10 @@ from qhfib import (
     tensor_model,
 )
 from qhfib._linalg import solve
+from qhfib.manifold import koszul_sorted
+from qhfib import quantum
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
-from qhfib.quantum import check
+from qhfib.quantum import check, contract
 from tests.conftest import BUILTINS
 
 CUTOFF = Fraction(6)
@@ -43,12 +45,19 @@ def ring(name):
         return QuantumRing(*tensor_model(*catalog.sphere(1), *catalog.sphere(5)))
     if name == "ruled fiber x sphere":
         return QuantumRing(*tensor_model(*catalog.ruled_surface_fiber(), *catalog.sphere(5)))
+    if name == "ruled fiber x sphere x sphere":
+        return QuantumRing(*tensor_model(*tensor_model(*catalog.ruled_surface_fiber(),
+                                                       *catalog.sphere(2)), *catalog.sphere(3)))
+    if name == "torus x sphere":
+        return QuantumRing(*tensor_model(*catalog.torus(), *catalog.sphere(5)))
     fib, space = fibration(name.split("/")[0]), name.split("/")[1]
     return fib.fiber_ring if space == "fiber" else fib.vertical_ring
 
 
 RINGS = [f"{b}/{s}" for b in BUILTINS for s in ("fiber", "vertical")] + [
     "sphere x sphere", "ruled fiber x sphere"]
+# plus odd-degree three-point entries (torus x sphere) and 16 classes
+SCATTERED = RINGS + ["torus x sphere", "ruled fiber x sphere x sphere"]
 
 
 # -- the reference ------------------------------------------------------------
@@ -462,3 +471,90 @@ def test_singular_pairing_raises_instead_of_choosing_a_solution():
         m.cap(one, a)
     with pytest.raises(DegeneratePairing):
         m.cap(a, b)  # every sum vanishes, and still no unique answer
+
+
+# -- the scattered constants ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SCATTERED)
+def test_scattered_constants_equal_the_slot_by_slot_contraction(name):
+    r = ring.__wrapped__(name)  # fresh: every block below is filled here
+    m = r.model
+    k = len(m.basis)
+    keys = r.table.known_key_classes("three_point")
+    for a in m.labels:
+        for b in m.labels:
+            r.product(m.qh_basis(a), m.qh_basis(b))
+    triple = lambda i, k, j, _: m.triple_eval(i, k, j)  # noqa: E731
+    for pos, cls, three in [(None, None, triple)] + [
+            (pos, cls, r.table.three) for pos, cls in enumerate(keys)]:
+        assert r._rows(cls) is not None  # inside the window: scattered, not read slot by slot
+        for i in range(k):
+            for j in range(k):
+                want = contract(m, unit_vector(m, i), unit_vector(m, j), three, [cls])
+                assert r._constants[pos][i, j] == [
+                    (t, x) for t, x in enumerate(want.get(cls, ())) if x]
+
+
+def test_odd_entries_scatter_with_their_koszul_signs():
+    r = ring("torus x sphere")
+    m = r.model
+    a, b, one = (m.label_index(x) for x in ("a|pt", "b|pt", "1|pt"))
+    rows = r.table.rows(r.table.known_key_classes("three_point")[0])
+    assert rows[a, b][one] == -rows[b, a][one] == 1
+    assert rows[one, a][b] == -rows[one, b][a] == 1
+
+
+@pytest.mark.parametrize("name", [f"{b}/{s}" for b in BUILTINS for s in ("fiber", "vertical")])
+def test_a_fresh_associativity_report_reads_no_slot(name, monkeypatch):
+    fib = catalog.build(name.split("/")[0])
+    r = fib.fiber_ring if name.endswith("/fiber") else fib.vertical_ring
+    assert r.model.triple_complete and r.table.window("three_point") >= CUTOFF
+    fresh = QuantumRing(r.model, GWTable(r.model, "fiber", **r.table.entries(r.model.h2)))
+    reads = []
+    monkeypatch.setattr(GWTable, "query", lambda self, *args: reads.append(args))
+    monkeypatch.setattr(quantum, "contract", lambda *args: reads.append(args))
+    assert fresh.associativity_report(CUTOFF)["status"] == "pass"
+    assert reads == []
+
+
+@pytest.mark.parametrize("name", SCATTERED)
+def test_a_single_product_solves_once_per_key_class_at_most(name, monkeypatch):
+    r = ring(name)
+    m = r.model
+    bound = len(r.table.known_key_classes("three_point")) + 1  # plus the cap
+    solves = []
+    real = ManifoldModel.solve_rows
+    monkeypatch.setattr(ManifoldModel, "solve_rows",
+                        lambda self, *args: solves.append(args) or real(self, *args))
+    for a in m.labels:
+        for b in m.labels:
+            want = r.product(m.qh_basis(a), m.qh_basis(b), CUTOFF)
+            solves.clear()
+            fresh = QuantumRing(m, r.table)
+            assert_same(fresh.product(m.qh_basis(a), m.qh_basis(b), CUTOFF), want)
+            assert len(solves) <= bound
+
+
+@pytest.mark.parametrize("name,key", [
+    ("torus x sphere", key) for key in ring("torus x sphere").table.three_point] + [
+    ("ruled/vertical", key) for key in ring("ruled/vertical").table.three_point])
+def test_a_tamper_in_any_slot_order_is_the_canonical_tamper(name, key):
+    r = ring(name)
+    m = r.model
+    (ck, cls), new = key, r.table.three_point[key] + 1
+    canonical = QuantumRing(m, r.table.replace("three_point", {(ck, cls): new}))
+    products = {(a, b): canonical.product(m.qh_basis(a), m.qh_basis(b), CUTOFF)
+                for a in m.labels for b in m.labels}
+    assert any(p != r.product(m.qh_basis(a), m.qh_basis(b), CUTOFF)
+               for (a, b), p in products.items())
+    for perm in dict.fromkeys(permutations(ck)):
+        sign = koszul_sorted(perm, m.degrees)[1]
+        t = r.table.replace("three_point", {(perm, cls): sign * new})
+        assert t.three_point == canonical.table.three_point
+        tampered_ring = QuantumRing(m, t)
+        for (a, b), p in products.items():
+            assert_same(tampered_ring.product(m.qh_basis(a), m.qh_basis(b), CUTOFF), p)
+    # a zero in any slot order deletes the entry
+    perm = ck[::-1]
+    assert (ck, cls) not in r.table.replace("three_point", {(perm, cls): 0}).three_point

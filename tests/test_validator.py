@@ -12,6 +12,7 @@ from qhfib import (
     TableIncomplete,
     UnknownSuite,
     catalog,
+    fibration,
     run_suite,
 )
 from qhfib.fixtures import from_dict, to_dict
@@ -130,3 +131,37 @@ def test_missing_data_is_a_skip_only_in_run_suite():
     with pytest.raises(TableIncomplete) as err:
         ring.associativity_report(6)
     assert str(err.value) == msg
+
+
+def _transposed_mirror(build):
+    """_build_mirror with every synthesized two-point key given in the other
+    slot order: its odd-odd entries change sign, its even ones do not."""
+
+    def build_transposed(fib, cutoff):
+        rev = build(fib, cutoff)
+        two = {((j, i), cls): v for ((i, j), cls), v in rev.section_gw.two_point.items()}
+        return rev.replace(section={"two_point": two,
+                                    "complete_below": rev.section_gw.complete_below})
+
+    return build_transposed
+
+
+@pytest.mark.parametrize("cutoff", [2, 6, 24])
+def test_a_mirror_wrong_on_odd_classes_fails_mirror_composition(cutoff, monkeypatch):
+    # rho, the image of [M], stays the unit; the composite sends a to -a
+    monkeypatch.setattr(fibration, "_build_mirror", _transposed_mirror(fibration._build_mirror))
+    rep = run_suite(catalog.build("torus-product"), "all", cutoff)
+    assert [k for k, v in rep.checks.items() if v["status"] == "fail"] == ["mirror-composition"]
+    assert rep.checks["mirror-composition"]["details"][-1] == (
+        "loop composed with its reverse sends a to QH<torus: -a>, not to itself")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_passing_mirror_composition_solves_only_the_mirror_inverse(name, monkeypatch):
+    solves = []
+    real = QuantumRing.inverse_or_none
+    monkeypatch.setattr(QuantumRing, "inverse_or_none",
+                        lambda self, q, cutoff: solves.append(q) or real(self, q, cutoff))
+    rep = run_suite(catalog.build(name), "compose", CUTOFF)
+    assert rep.checks["mirror-composition"]["details"][-1] == "reverse loop cancels"
+    assert len(solves) == 1  # the mirror's Seidel inverse; the composite is the identity
