@@ -188,6 +188,7 @@ def cmd_verify(args) -> int:
     obj = _load(args)
     cutoff = _cutoff(args, required=args.suite in NEEDS_CUTOFF)
     report = run_suite(obj, args.suite, cutoff)
+    skipped = [name for name, c in report.checks.items() if c["status"] == "skip"]
     if args.json:
         print(report.to_json())
     else:
@@ -196,7 +197,9 @@ def cmd_verify(args) -> int:
             for line in c["details"]:
                 print(f"  {line}")
         print(f"suite {args.suite}: {'ok' if report.ok else 'FAILED'}")
-    return 0 if report.ok else 1
+        if args.strict and skipped:
+            print(f"strict: skipped {', '.join(skipped)}")
+    return 0 if report.ok and not (args.strict and skipped) else 1
 
 
 def cmd_compose(args) -> int:
@@ -279,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(sp); _add_cutoff(sp)
     sp.add_argument("--suite", choices=SUITE_NAMES, default="all")
     sp.add_argument("--json", action="store_true")
+    sp.add_argument("--strict", action="store_true", help="exit 1 if any check is skipped")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("compose", help="glue two loops")

@@ -30,7 +30,7 @@ from .errors import (
     QhfibError,
     TableIncomplete,
 )
-from .manifold import ManifoldModel, QHClass
+from .manifold import ManifoldModel, QHClass, evaluate
 from .novikov import H2Class, H2Lattice, format_rational
 from .quantum import GWTable, QuantumRing, accumulate, check, slot_pairs, step
 
@@ -182,12 +182,7 @@ class FibrationModel:
         if self.sigma_ref.lattice is not self.total.h2:
             raise ValueError(f"{name}: sigma_ref {sigma_ref!r} is not on the total lattice")
         if self.total.h2.embed is not None:
-            deg2 = self.total.indices_of_degree(2)
-            emb = self.sigma_ref.embedded()
-            vec = self.total.zero_vector()
-            for t, idx in enumerate(deg2):
-                vec[idx] = emb[t]
-            hits = self.total.intersect(vec, self.iota[fiber.fundamental_index])
+            hits = self._fiber_meet(self.sigma_ref.embedded())
             if hits != 1:
                 raise ValueError(
                     f"{name}: reference section meets the fiber {format_rational(hits)} "
@@ -247,6 +242,13 @@ class FibrationModel:
         vertical part plus the base sphere's 2."""
         return self.section_gw.section_c1(offset)
 
+    def _fiber_meet(self, emb) -> Fraction:
+        """The fiber iota[M] . the total class of degree-2 coordinates emb,
+        in either order, as that class has even degree."""
+        cov = self.total.covector(self.iota[self.fiber.fundamental_index])
+        deg2 = self.total.indices_of_degree(2)
+        return sum((cov.get(t, 0) * x for t, x in zip(deg2, emb)), Fraction(0))
+
     def iota_h2_class(self, b: H2Class) -> H2Class:
         """The image of a fiber class. Its area and Chern number are b's:
         the constructor checked that iota_h2 keeps both on every generator,
@@ -301,15 +303,16 @@ class FibrationModel:
 
     def _validate_priming(self):
         m, f = self.total, self.fiber
-        for i in range(len(f.basis)):
+        for i, row in enumerate(self.iota):
+            cov = m.covector(row)
             for j in range(len(f.basis)):
-                ii = m.intersect(self.iota[i], self.iota[j])
+                ii = evaluate(cov, self.iota[j])
                 if ii != 0:
                     raise PrimingInvalid(
                         f"{self.name}: iota({f.labels[i]}) . iota({f.labels[j]}) = "
                         f"{format_rational(ii)}, fiber classes must not meet"
                     )
-                got = m.intersect(self.iota[i], self.splitting_map[j])
+                got = evaluate(cov, self.splitting_map[j])
                 want = f.pairing[i][j]
                 if got != want:
                     raise PrimingInvalid(
@@ -319,12 +322,8 @@ class FibrationModel:
 
     def splitting_pairing(self):
         """q_ij = s(e_i) . s(e_j); zero iff the splitting is corrected."""
-        m = self.total
-        k = len(self.fiber.basis)
-        return [
-            [m.intersect(self.splitting_map[i], self.splitting_map[j]) for j in range(k)]
-            for i in range(k)
-        ]
+        return [[evaluate(cov, b) for b in self.splitting_map]
+                for cov in map(self.total.covector, self.splitting_map)]
 
     def fiber_signature(self):
         # structural, never instance identity: two fixtures loaded from the
@@ -1036,16 +1035,9 @@ def mirror(fib: FibrationModel, cutoff) -> FibrationModel:
 def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     t = fib.total
     lat = t.h2
-    fiber_meet = []
-    deg2 = t.indices_of_degree(2)
     if lat.embed is None:
         raise QhfibError(f"{fib.name}: mirror needs an embedded total lattice")
-    fund = fib.iota[fib.fiber.fundamental_index]
-    for emb in lat.embed:  # each generator in the degree-2 basis
-        vec = t.zero_vector()
-        for ti, idx in enumerate(deg2):
-            vec[idx] = emb[ti]
-        fiber_meet.append(t.intersect(vec, fund))
+    fiber_meet = [fib._fiber_meet(emb) for emb in lat.embed]
     u0, c0 = fib.sigma_ref.omega, fib.sigma_ref.c1
     new_omega = tuple(
         lat.omega[g] - 2 * fiber_meet[g] * u0 for g in range(len(lat.generators))
@@ -1073,9 +1065,10 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
         img = fib.fiber_ring.product(qinv, f.qh_basis(f.labels[i]), cutoff)
         for e, vec in img.terms.items():
             off_new = new_lat.cls(fib.iota_h2_class(-e).coords)
+            cov = f.covector(vec)
             for j in range(len(f.basis)):
                 # n(iota_i, iota_j; offset) = (Qinv * e_i)_B . e_j
-                val = sum((x * f.pairing[a][j] for a, x in enumerate(vec) if x), Fraction(0))
+                val = cov.get(j, 0)
                 if val == 0:
                     continue
                 if pos[i] is None or pos[j] is None:

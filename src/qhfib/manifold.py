@@ -71,6 +71,11 @@ def scatter(entries, degrees) -> dict:
     return rows
 
 
+def evaluate(covector, b) -> Fraction:
+    """A covector {j: a . e_j} (ManifoldModel.covector) applied to a vector b."""
+    return sum((x * b[j] for j, x in covector.items() if b[j]), Fraction(0))
+
+
 def graded_matrix(entries, degrees) -> list[list[Fraction]]:
     """The pairing matrix of two-slot entries {(p, q): v}, each also written
     at (q, p) with its graded-symmetry sign (-1)^(|p| |q|)."""
@@ -100,16 +105,20 @@ class ManifoldModel:
         k = len(self.basis)
         if len(self.pairing) != k or any(len(r) != k for r in self.pairing):
             raise ValueError(f"{name}: pairing must be {k}x{k}")
-        for i in range(k):
-            for j in range(k):
-                if self.pairing[i][j] != 0 and self.degrees[i] + self.degrees[j] != 2 * self.n:
-                    raise ValueError(
-                        f"{name}: pairing nonzero off complementary degrees "
-                        f"({self.labels[i]}, {self.labels[j]})"
-                    )
-                sym = (-1) ** (self.degrees[i] * self.degrees[j])
-                if self.pairing[i][j] != sym * self.pairing[j][i]:
-                    raise ValueError(f"{name}: pairing not graded-symmetric")
+        # the nonzero entries, row by row: every check and intersection reads
+        # them; a cell fails only where it or its transpose is nonzero, so
+        # those cells in row-major order meet the first failure first
+        self._rows = [{j: x for j, x in enumerate(row) if x} for row in self.pairing]
+        cells = {(i, j) for i, row in enumerate(self._rows) for j in row}
+        for i, j in sorted(cells | {(j, i) for i, j in cells}):
+            x = self._rows[i].get(j, 0)
+            if x and self.degrees[i] + self.degrees[j] != 2 * self.n:
+                raise ValueError(
+                    f"{name}: pairing nonzero off complementary degrees "
+                    f"({self.labels[i]}, {self.labels[j]})"
+                )
+            if x != (-1) ** (self.degrees[i] * self.degrees[j]) * self._rows[j].get(i, 0):
+                raise ValueError(f"{name}: pairing not graded-symmetric")
 
         self.fundamental_index = self._unique_degree_index(2 * self.n, "fundamental")
         self.point_index = self._unique_degree_index(0, "point")
@@ -131,21 +140,25 @@ class ManifoldModel:
             # an incomplete model keeps declared zeros: they are data, not gaps
             if val != 0 or not self.triple_complete:
                 self.triple[ck] = val
-        # entries against the fundamental class are the pairing itself
+        # entries against the fundamental class are the pairing itself, read
+        # at the nonzero cells and at the cells of declared entries (at every
+        # complementary cell on an incomplete model, which keeps the zeros)
         f = self.fundamental_index
-        for i in range(k):
-            for j in range(k):
-                if self.degrees[i] + self.degrees[j] == 2 * self.n:
-                    ck, sign = koszul_sorted((i, f, j), self.degrees)
-                    forced = sign * self.pairing[i][j]
-                    old = self.triple.get(ck)
-                    if old is not None and old != forced:
-                        raise ValueError(
-                            f"{name}: triple at ({self.labels[i]}, fundamental, "
-                            f"{self.labels[j]}) disagrees with pairing"
-                        )
-                    if forced != 0:
-                        self.triple[ck] = forced
+        cells.update(ck[:ck.index(f)] + ck[ck.index(f) + 1:] for ck in self.triple if f in ck)
+        if not self.triple_complete:
+            cells.update((i, j) for i in range(k)
+                         for j in self.indices_of_degree(2 * self.n - self.degrees[i]))
+        for i, j in sorted(cells):
+            ck, sign = koszul_sorted((i, f, j), self.degrees)
+            forced = sign * self._rows[i].get(j, Fraction(0))
+            old = self.triple.get(ck)
+            if old is not None and old != forced:
+                raise ValueError(
+                    f"{name}: triple at ({self.labels[i]}, fundamental, "
+                    f"{self.labels[j]}) disagrees with pairing"
+                )
+            if forced != 0 or not self.triple_complete:
+                self.triple[ck] = forced
 
         if self.h2.embed is not None:
             want = len(self.indices_of_degree(2))
@@ -193,20 +206,25 @@ class ManifoldModel:
 
     # -- classical structure ----------------------------------------------
 
+    def covector(self, a) -> dict:
+        """The values {j: a . e_j} of a homology vector on the columns its
+        nonzero pairing rows reach; every other value is 0."""
+        out = {}
+        for i, ai in enumerate(a):
+            if ai:
+                for j, x in self._rows[i].items():
+                    out[j] = out.get(j, 0) + ai * x
+        return out
+
     def intersect(self, a, b) -> Fraction:
         """Intersection number a . b of two homology vectors."""
-        return sum(
-            (ai * self.pairing[i][j] * bj
-             for i, ai in enumerate(a) if ai
-             for j, bj in enumerate(b) if bj),
-            Fraction(0),
-        )
+        return evaluate(self.covector(a), b)
 
     def pairing_entries(self) -> dict:
         """The nonzero pairing entries {(i, j): e_i . e_j} with i <= j; graded
         symmetry gives the rest."""
-        return {(i, j): x for i, row in enumerate(self.pairing)
-                for j, x in enumerate(row[i:], i) if x}
+        return {(i, j): x for i, row in enumerate(self._rows)
+                for j, x in row.items() if j >= i}
 
     def _pairing_inverse(self):
         """The inverse transpose of the pairing, computed once. Row j is the

@@ -103,6 +103,9 @@ class GWTable:
 
     def _load(self, arity, entries):
         store: dict[tuple, Fraction] = {}
+        # each key class is checked once, keyed by coordinates: classes compare
+        # by area and Chern number, so an unusable class can equal a checked one
+        wants = {}
         for key, val in entries.items():
             idx, cls = key[:-1], key[-1]
             if len(idx) == 1 and isinstance(idx[0], (tuple, list)):
@@ -118,11 +121,13 @@ class GWTable:
                 labels = ",".join(self.model.labels[i] for i in idx)
                 raise ValueError(f"{self.model.name} {arity} entry ({labels}; {cls!r}) "
                                  f"is not on the lattice of {self.model.name}")
-            self._check_class(cls, f"{self.model.name} {arity}")
+            want = wants.get(cls.coords)
+            if want is None:
+                self._check_class(cls, f"{self.model.name} {arity}")
+                want = wants[cls.coords] = self._dim_target(arity, self._key_c1(cls))
             ck, sign = koszul_sorted(idx, self.model.degrees)
             val = sign * Fraction(val)
             total = sum(self.model.degrees[i] for i in ck)
-            want = self._dim_target(arity, self._key_c1(cls))
             if total != want:
                 labels = ",".join(self.model.labels[i] for i in ck)
                 raise DimensionRuleViolation(

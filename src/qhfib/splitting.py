@@ -233,8 +233,7 @@ def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable, lift):
         for a, b, c in ((x, y, z), (y, x, z), (z, x, y)):
             vertical3[(a, k + b, k + c), lift(cls)] = val
 
-    section2 = {((i, j), lift(zero)): fiber.pairing[i][j]
-                for i in range(k) for j in range(i, k) if fiber.pairing[i][j] != 0}
+    section2 = {(ij, lift(zero)): x for ij, x in fiber.pairing_entries().items()}
 
     section3 = {}
     for i in range(k):

@@ -194,6 +194,31 @@ def test_verify_flags_a_tampered_fixture(capsys, tmp_path):
     assert "fail" in out
 
 
+def test_strict_verify_fails_on_a_skipped_check(capsys, tmp_path):
+    # without section counts the section-based checks skip, and the suite
+    # still reads ok; --strict turns any skip into exit 1
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    del d["section_gw"]
+    path = tmp_path / "no-section-gw.json"
+    path.write_text(json.dumps(d))
+    args = ["verify", "--fixture", str(path), "--suite", "all", "--cutoff", "6"]
+    code, out, err = run(capsys, *args)
+    assert code == 0 and out.endswith("suite all: ok\n")
+    code, strict_out, strict_err = run(capsys, *args, "--strict")
+    assert code == 1 and strict_err == err
+    skipped = [line.split(":")[0] for line in out.splitlines() if line.endswith(": skip")]
+    assert "seidel-invertible" in skipped and "mirror-composition" in skipped
+    assert strict_out == out + f"strict: skipped {', '.join(skipped)}\n"
+    code, json_out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    assert run(capsys, *args, "--json", "--strict") == (1, json_out, "")
+    # a suite that skips nothing passes under --strict with unchanged output
+    structure = ["verify", "--fixture", str(path), "--suite", "structure"]
+    code, out, err = run(capsys, *structure)
+    assert code == 0 and ": skip" not in out
+    assert run(capsys, *structure, "--strict") == (0, out, err)
+
+
 def test_verify_needs_a_cutoff_exactly_for_the_multiplying_suites(capsys, monkeypatch):
     monkeypatch.delenv("QHFIB_CUTOFF", raising=False)
     for suite in SUITE_NAMES:

@@ -277,15 +277,17 @@ def test_a_key_above_the_window_raises_the_entry_the_whole_sum_meets_first():
 
 
 def test_an_undeclared_triple_raises_the_entry_the_whole_sum_meets_first():
-    # the cap part reads slot by slot too: the pair (F, 1) alone meets
-    # (F, 1, F) first, the sum F * (1 + F) meets (F, F, 1) in the first slot
+    # the cap part reads slot by slot too: the pair (Zm, Zm) alone meets
+    # (Zm, Zm, Zp) first, the sum Zm * (M + Zm) meets (Zm, M, M) in the M
+    # slot; triples through the fundamental class are the pairing, so only
+    # the degree-4 triples of the total space can be undeclared
     d = to_dict(fibration("ruled"))
-    d["fiber"]["triple_complete"] = False
-    r = from_dict(d).fiber_ring
-    with pytest.raises(MissingTripleData, match=r"\(F, F, 1\) undeclared"):
-        r.product(parse_qh(r.model, "F"), parse_qh(r.model, "1+F"), CUTOFF)
-    with pytest.raises(MissingTripleData, match=r"\(F, 1, F\) undeclared"):
-        r.product(parse_qh(r.model, "F"), parse_qh(r.model, "1"), CUTOFF)
+    d["total"]["triple_complete"] = False
+    r = from_dict(d).vertical_ring
+    with pytest.raises(MissingTripleData, match=r"\(Zm, M, M\) undeclared"):
+        r.product(parse_qh(r.model, "Zm"), parse_qh(r.model, "M+Zm"), CUTOFF)
+    with pytest.raises(MissingTripleData, match=r"\(Zm, Zm, Zp\) undeclared"):
+        r.product(parse_qh(r.model, "Zm"), parse_qh(r.model, "Zm"), CUTOFF)
 
 
 # one count + 1 in each of these tables breaks associativity

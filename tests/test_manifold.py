@@ -1,5 +1,6 @@
 """Classical layer: basis bookkeeping, pairing, triple form, cap products."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qhfib import (
 )
 from qhfib.fixtures import manifold_from_dict, manifold_to_dict
 from qhfib.manifold import koszul_sorted
+from qhfib.quantum import tensor_model
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,24 @@ def test_an_incomplete_model_keeps_its_declared_zero_triples():
     assert manifold_to_dict(complete) == manifold_to_dict(nonzero)
 
 
+def test_an_incomplete_model_keeps_the_triples_the_pairing_forces():
+    # a triple through the fundamental class is a pairing value, zeros
+    # included, so it is never undeclared
+    total = catalog.build("ruled").total
+    m = ManifoldModel(total.name, total.n, total.basis, total.pairing, {}, total.h2,
+                      triple_complete=False)
+    F, P, M = (m.label_index(x) for x in ("F", "P", "M"))
+    assert m.triple_eval(F, P, M) == 0
+    for i in range(len(m.basis)):
+        for j in range(len(m.basis)):
+            for t in (m.triple_eval(i, P, j), m.triple_eval(P, i, j), m.triple_eval(i, j, P)):
+                assert t == total.intersect(m.basis_vector(m.labels[i]),
+                                            m.basis_vector(m.labels[j]))
+    with pytest.raises(MissingTripleData, match=r"\(M, M, M\) undeclared"):
+        m.triple_eval(M, M, M)
+    assert manifold_from_dict(manifold_to_dict(m)).triple == m.triple
+
+
 def test_qh_class_arithmetic(surface):
     T = surface.qh_basis("T-")
     F = surface.qh_basis("F")
@@ -192,3 +212,41 @@ def test_qh_pairing_collects_novikov_output(surface):
     assert dict(val.terms) == {-e: Fraction(1)}
     trip = T.triple(T, surface.qh_unit())
     assert dict(trip.terms) == {surface.h2.zero(): Fraction(-1)}
+
+
+def _sparse_models():
+    models = {}
+    for name in catalog.BUILTIN_FIBRATIONS:
+        fib = catalog.build(name)
+        models[f"{name}/fiber"], models[f"{name}/total"] = fib.fiber, fib.total
+    ruled_x_sphere = tensor_model(*catalog.ruled_surface_fiber(), *catalog.sphere(2))
+    models["ruled fiber x sphere"] = ruled_x_sphere[0]
+    models["ruled fiber x sphere x sphere"] = tensor_model(*ruled_x_sphere, *catalog.sphere(3))[0]
+    models["torus x torus"] = tensor_model(*catalog.torus(), *catalog.torus())[0]
+    return models
+
+
+SPARSE_MODELS = _sparse_models()
+
+
+@pytest.mark.parametrize("name", SPARSE_MODELS)
+def test_sparse_pairing_reads_equal_the_dense_matrix(name):
+    m = SPARSE_MODELS[name]
+    k = len(m.basis)
+    rng = random.Random(f"sparse {name}")
+
+    def vector():
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+                for _ in range(k)]
+
+    for _ in range(25):
+        a, b = vector(), vector()
+        dense = sum((a[i] * m.pairing[i][j] * b[j] for i in range(k) for j in range(k)),
+                    Fraction(0))
+        assert m.intersect(a, b) == dense
+    for i in range(k):
+        e_i = m.basis_vector(m.labels[i])
+        assert [m.intersect(e_i, m.basis_vector(lbl)) for lbl in m.labels] == m.pairing[i]
+    dense_entries = {(i, j): x for i, row in enumerate(m.pairing)
+                     for j, x in enumerate(row[i:], i) if x}
+    assert list(m.pairing_entries().items()) == list(dense_entries.items())
