@@ -30,9 +30,9 @@ from .errors import (
     QhfibError,
     TableIncomplete,
 )
-from .manifold import ManifoldModel, QHClass, evaluate
+from .manifold import ManifoldModel, QHClass, evaluate, slot_pairs
 from .novikov import H2Class, H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing, accumulate, check, slot_pairs, step
+from .quantum import GWTable, QuantumRing, accumulate, check, step
 
 
 class PsiOperator:

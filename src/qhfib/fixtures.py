@@ -282,17 +282,22 @@ def _check_required(d: dict, paths) -> None:
 
 
 def _entry_dicts(d: dict, lattice: H2Lattice, path: str) -> dict:
-    """The entries [[labels], [coords], value] of a table, by arity."""
+    """The entries [[labels], [coords], value] of a table, by arity; an
+    entry repeating an earlier one's labels and class (classes compare by
+    area and Chern number) is refused, where a dict would keep the last."""
     if not isinstance(d, dict):
         _fail(path, "a JSON object", d)
     tables = {}
     for arity in ARITIES:
-        entries = {}
+        entries, first = {}, {}
         for n, entry in enumerate(_list(d.get(arity, []), f"{path}.{arity}")):
             at = f"{path}.{arity}[{n}]"
             labels, coords, val = _list(entry, at, 3)
             cls = lattice.cls(_rationals(coords, f"{at}[1]"))
-            entries[_labels(labels, f"{at}[0]") + (cls,)] = _rational(val, f"{at}[2]")
+            key = _labels(labels, f"{at}[0]") + (cls,)
+            if first.setdefault(key, n) != n:
+                raise QhfibError(f"{at}: repeats the entry at {path}.{arity}[{first[key]}]")
+            entries[key] = _rational(val, f"{at}[2]")
         tables[arity] = entries
     cb = d.get("complete_below", {})
     if not isinstance(cb, dict):

@@ -9,8 +9,9 @@ Triple keys are stored canonically (indices sorted, Koszul sign applied);
 entries pairing against the fundamental class are forced to agree with the
 intersection pairing and are filled in automatically. `kunneth` is the one
 signed cross product behind every product model's pairing, triple and
-invariants; `scatter` turns canonical three-slot entries into the
-right-hand sides every product and cap solves.
+invariants. `scatter` turns canonical three-slot entries into right-hand
+sides; `ManifoldModel.solve_rows` is the one contraction that solves them,
+for every product and cap, after `read_slots` where a read can raise.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def scatter(entries, degrees) -> dict:
         for perm in dict.fromkeys(permutations(ck)):
             rows.setdefault(perm[:2], {})[perm[2]] = koszul_sorted(perm, degrees)[1] * n
     return rows
+
+
+def slot_pairs(va, vb) -> list:
+    """(i, k, va_i vb_k) over the nonzero coordinates of two vectors."""
+    return [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
 
 
 def evaluate(covector, b) -> Fraction:
@@ -268,15 +274,24 @@ class ManifoldModel:
                         total += ai * bj * ck * self.triple_eval(i, j, k)
         return total
 
-    def triple_rows(self):
+    def triple_rows(self, pairs):
         """The triple form scattered into right-hand sides (see `scatter`),
-        built once; None when the form is not declared complete, so that a
-        read may have to raise MissingTripleData."""
+        built once, declared zeros included. A form not declared complete
+        first reads the slots of the sum over `pairs` (`read_slots`)."""
         if not self.triple_complete:
-            return None
+            self.read_slots(self.triple_eval, pairs)
         if self._triple_rows is None:
             self._triple_rows = scatter(self.triple, self.degrees)
         return self._triple_rows
+
+    def read_slots(self, read, pairs):
+        """Read each slot read(i, k, j) of the sum over (i, k, c) in pairs in
+        the sum's order, j outermost, so its first raising read raises here;
+        a singular pairing raises before any read."""
+        self._pairing_columns()
+        for j in range(len(self.basis)):
+            for i, k, _ in pairs:
+                read(i, k, j)
 
     def solve_rows(self, rows, pairs) -> dict:
         """The nonzero coordinates {t: x_t}, in index order, of the x with
@@ -315,17 +330,11 @@ class ManifoldModel:
         return x
 
     def cap(self, a, b) -> list[Fraction]:
-        """Classical cap product a cap b: the three-point contraction of
-        a and b against the triple form, read slot by slot when the form is
-        not declared complete, so the first undeclared triple raises."""
-        from .quantum import contract, slot_pairs
-
-        rows = self.triple_rows()
-        if rows is None:
-            classical = contract(self, a, b, lambda i, k, j, _: self.triple_eval(i, k, j), [None])
-            return classical.get(None, self.zero_vector())
+        """Classical cap product a cap b: the three-point contraction of a
+        and b against the triple form, solved from its scattered rows."""
+        pairs = slot_pairs(a, b)
         vec = self.zero_vector()
-        for t, x in self.solve_rows(rows, slot_pairs(a, b)).items():
+        for t, x in self.solve_rows(self.triple_rows(pairs), pairs).items():
             vec[t] = x
         return vec
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
-from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter
+from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs
 from .novikov import H2Class, NovikovElement, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
@@ -162,10 +162,14 @@ class GWTable:
                 groups.setdefault(cls, {})[ck] = n
         return self._by_class[arity]
 
-    def rows(self, cls: H2Class) -> dict:
+    def rows(self, cls: H2Class, pairs=()) -> dict:
         """The stored three-point entries of one class scattered into
-        right-hand sides (manifold.scatter), built once per class. They
-        answer what `query` answers inside the declared window only."""
+        right-hand sides (manifold.scatter), built once per class. Above the
+        declared window, or without one, the slots of the sum over `pairs`
+        are read first (`ManifoldModel.read_slots`), as `query` may raise."""
+        w = self.complete_below["three_point"]
+        if w is None or cls.omega > w:
+            self.model.read_slots(lambda i, k, j: self.three(i, k, j, cls), pairs)
         if cls not in self._rows:
             self._rows[cls] = scatter(self.by_class("three_point").get(cls, {}),
                                       self.model.degrees)
@@ -230,11 +234,6 @@ class GWTable:
         return t
 
 
-def slot_pairs(va, vb) -> list:
-    """(i, k, va_i vb_k) over the nonzero coordinates of two vectors."""
-    return [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
-
-
 def accumulate(acc, e, x, zero):
     """acc[e] += x for the sparse vector x {t: x_t}, zero the dense zero
     vector, dropping a term that cancels, as a QHClass sum does."""
@@ -247,32 +246,11 @@ def accumulate(acc, e, x, zero):
         acc.pop(e, None)
 
 
-def contract(model: ManifoldModel, va, vb, three, classes) -> dict:
-    """The slot-by-slot contraction: for each class B in `classes`, the
-    vector x with x . e_j = sum_{i,k} va_i vb_k three(i, k, j, B), that is
-    the three-point numbers of va and vb against the inverse pairing,
-    reading one slot at a time, so the first read that raises is the one a
-    whole sum meets. Classes whose vector vanishes are left out. Products
-    solve scattered entries (`ManifoldModel.solve_rows`) instead wherever
-    no read can raise."""
-    model._pairing_inverse()  # a singular pairing raises even when every sum vanishes
-    pairs = slot_pairs(va, vb)
-    out = {}
-    for cls in classes:
-        rhs = [
-            sum((c * three(i, k, j, cls) for i, k, c in pairs), Fraction(0))
-            for j in range(len(model.basis))
-        ]
-        if any(rhs):
-            out[cls] = model.solve_pairing(rhs)
-    return out
-
-
 class QuantumRing:
     """QH(M) with the product induced by a three-point fiber-type table,
-    compiled lazily into structure constants e_i * e_k at each key class:
-    a class's stored entries are scattered into right-hand sides once, and
-    each pair a product asks for is solved once, when its row is nonzero.
+    compiled lazily into structure constants e_i * e_k at each key class
+    and for the cap: the stored entries are scattered into right-hand sides
+    once, and each pair a product asks for is solved once by solve_rows.
     Tables never change after construction, so nothing goes stale."""
 
     def __init__(self, model: ManifoldModel, table: GWTable):
@@ -283,43 +261,18 @@ class QuantumRing:
         # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
         self._constants: dict = {}
 
-    def _rows(self, cls):
-        """The scattered entries of a key class (None: the triple form), or
-        None where a read may raise: the class lies above the declared
-        window, no window is declared, or the triple form is incomplete."""
-        if cls is None:
-            return self.model.triple_rows()
-        w = self.table.window("three_point")
-        return None if w is None or cls.omega > w else self.table.rows(cls)
-
     def _gather(self, acc, base, pos, cls, pairs):
         """Add sum c e_i * e_k over (i, k, c) in pairs at key class cls (None:
         the cap) into acc at base - cls, as a repeated QHClass sum would. A
-        missing constant is solved from the class's scattered entries, once
-        and only when its row is nonzero. Where a read may raise (see
-        `_rows`) it is contracted slot by slot instead, raising the
-        TableIncomplete or MissingTripleData that contracting the whole sum
-        would."""
+        missing constant is solved from the rows of the triple form or the
+        class, once, after those rows read its slots where a read can raise."""
         m = self.model
         block = self._constants.setdefault(pos, {})
-        todo = [(i, k) for i, k, _ in pairs if (i, k) not in block]
-        rows = self._rows(cls) if todo else None
-        if rows is not None:
-            for i, k in todo:
+        todo = [p for p in pairs if p[:2] not in block]
+        if todo:
+            rows = m.triple_rows(todo) if cls is None else self.table.rows(cls, todo)
+            for i, k, _ in todo:
                 block[i, k] = list(m.solve_rows(rows, [(i, k, 1)]).items())
-        elif todo:
-            three = self.table.three if cls is not None else (
-                lambda i, k, j, _: m.triple_eval(i, k, j))
-            try:
-                for i, k in todo:
-                    vec = contract(m, m.basis_vector(m.labels[i]), m.basis_vector(m.labels[k]),
-                                   three, [cls]).get(cls, ())
-                    block[i, k] = [(t, x) for t, x in enumerate(vec) if x]
-            except (TableIncomplete, MissingTripleData):
-                for j in range(len(m.basis)):  # the whole sum reads j outermost
-                    for i, k in todo:
-                        three(i, k, j, cls)
-                raise
         vec = {}
         for i, k, c in pairs:
             for t, x in block[i, k]:

@@ -408,6 +408,19 @@ def test_a_malformed_fixture_node_is_a_data_error_named_by_its_path(capsys, tmp_
     assert err == "error: fiber.triple[0][0]: expected a label, got 99\n"
 
 
+@pytest.mark.parametrize("coords", (["1", "0", "0"], ["14", "2", "24"]))
+def test_a_repeated_fixture_entry_is_a_data_error(capsys, tmp_path, coords):
+    # the first vertical two-point entry again, at its class or at a
+    # non-spherical class of equal area and Chern number
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["vertical_gw"]["two_point"].append([["T", "S"], coords, "5"])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", "--fixture", str(path), "--cutoff", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: vertical_gw.two_point[3]: repeats the entry at vertical_gw.two_point[0]\n"
+
+
 @pytest.mark.parametrize("value", ("false", "no"))
 def test_a_string_flag_in_a_fixture_is_a_data_error(capsys, tmp_path, value):
     d = json.loads(Path(RULED_FIXTURE).read_text())

@@ -1,6 +1,7 @@
 """Fixture files and the class-expression grammar."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from qhfib.fixtures import (
     save,
     to_dict,
 )
+from qhfib.quantum import ARITIES
 from tests.conftest import BUILTINS, CUTOFF
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -318,3 +320,42 @@ def test_json_booleans_load_as_themselves():
     assert fib.total.triple_complete is False
     assert fib.fiber.triple_complete is True
     assert fib.total.h2.spherical == (True, False, True)
+
+
+# an entry with the labels of the first vertical two-point entry and a class
+# equal to its class: the class itself, and a non-spherical class of the same
+# area and Chern number
+REPEATS = ([["T", "S"], ["1", "0", "0"], "5"], [["T", "S"], ["14", "2", "24"], "7"])
+
+
+@pytest.mark.parametrize("entry", REPEATS, ids=["same class", "equal class"])
+def test_a_repeated_table_entry_is_refused_naming_both_entries(entry):
+    d = json.loads((FIXTURES / "ruled.json").read_text())
+    assert d["vertical_gw"]["two_point"][0] == [["T", "S"], ["1", "0", "0"], "1"]
+    d["vertical_gw"]["two_point"].append(entry)
+    with pytest.raises(QhfibError) as err:
+        from_dict(d)
+    assert str(err.value) == "vertical_gw.two_point[3]: repeats the entry at vertical_gw.two_point[0]"
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_shuffled_table_entries_give_the_same_check_statuses(name):
+    """Every table's entries in a seeded random order, the labels inside
+    each entry kept in place (odd labels carry a Koszul sign): the suite
+    reaches the same verdicts. Statuses, not details, are compared: the
+    ring-splitting lines follow table order."""
+    d = json.loads((FIXTURES / f"{name}.json").read_text())
+    rng = random.Random(f"shuffle {name}")
+    lists = [d[part]["triple"] for part in ("fiber", "total")] + [
+        d[table][arity] for table in ("fiber_gw", "vertical_gw", "section_gw") for arity in ARITIES]
+    before = json.dumps(lists)
+    for entries in lists:
+        kept = list(entries)
+        while len(entries) > 1 and entries == kept:  # each order really changes
+            rng.shuffle(entries)
+    assert json.dumps(lists) != before
+
+    def statuses(fib):
+        return {check: c["status"] for check, c in run_suite(fib, "all", CUTOFF).checks.items()}
+
+    assert statuses(from_dict(d)) == statuses(catalog.build(name))

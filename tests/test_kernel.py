@@ -23,9 +23,8 @@ from qhfib import (
 )
 from qhfib._linalg import solve
 from qhfib.manifold import koszul_sorted
-from qhfib import quantum
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
-from qhfib.quantum import check, contract
+from qhfib.quantum import check
 from tests.conftest import BUILTINS
 
 CUTOFF = Fraction(6)
@@ -393,6 +392,50 @@ def test_associativity_report_names_the_undeclared_triple_the_nested_products_me
     assert got == report_or_raise(lambda: ref_associativity_failures(r, CUTOFF))
 
 
+# -- the cap on a triple form not declared complete -----------------------------
+
+
+@pytest.mark.parametrize("name,ck", UNDECLARED)
+def test_cap_on_an_incomplete_form_is_the_reference_or_its_first_raise(name, ck):
+    # ref_cap reads t(a, b, e_j) j outermost, the order of the whole sum
+    m = with_one_undeclared_triple(name, ck).model
+    vectors = [unit_vector(m, i) for i in range(len(m.basis))] + [[Fraction(1)] * len(m.basis)]
+    outcomes = [(report_or_raise(lambda: m.cap(va, vb)), report_or_raise(lambda: ref_cap(m, va, vb)))
+                for va in vectors for vb in vectors]
+    assert all(got == want for got, want in outcomes)
+    assert {type(got) for got, _ in outcomes} == {list, tuple}  # both cases met
+
+
+def test_cap_on_an_incomplete_form_names_the_first_undeclared_slot_j_outermost():
+    # Zm cap (Zm + Zp) reads (Zm, Zm, j) and (Zm, Zp, j) for each j in turn:
+    # (Zm, Zp, M) comes before (Zm, Zm, Zp), which the pair (Zm, Zm) alone meets
+    d = to_dict(fibration("ruled"))
+    d["total"]["triple_complete"] = False
+    m = from_dict(d).total
+    with pytest.raises(MissingTripleData, match=r"\(Zm, Zp, M\) undeclared"):
+        m.cap(m.basis_vector("Zm"), parse_qh(m, "Zm+Zp").classical())
+    with pytest.raises(MissingTripleData, match=r"\(Zm, Zm, Zp\) undeclared"):
+        m.cap(m.basis_vector("Zm"), m.basis_vector("Zm"))
+    assert m.cap(m.basis_vector("F"), m.basis_vector("M")) == ref_cap(
+        m, m.basis_vector("F"), m.basis_vector("M"))
+
+
+def test_cap_on_a_singular_incomplete_form_raises_degenerate_pairing_first():
+    # c pairs with nothing, and (a, a, a) is undeclared: the pairing is
+    # refused before any slot is read
+    lat = H2Lattice(("A",), (Fraction(1),), (Fraction(2),), (True,))
+    m = ManifoldModel(
+        "singular", 3, [("1", 6), ("a", 4), ("b", 2), ("c", 2), ("pt", 0)],
+        [[0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]],
+        {}, lat, triple_complete=False,
+    )
+    a = m.basis_vector("a")
+    with pytest.raises(MissingTripleData):
+        m.triple_eval(1, 1, 1)
+    with pytest.raises(DegeneratePairing):
+        m.cap(a, a)
+
+
 @pytest.mark.parametrize("name", RINGS)
 def test_only_the_basis_products_are_full_products(name, monkeypatch):
     calls = []
@@ -490,12 +533,11 @@ def test_scattered_constants_equal_the_slot_by_slot_contraction(name):
     triple = lambda i, k, j, _: m.triple_eval(i, k, j)  # noqa: E731
     for pos, cls, three in [(None, None, triple)] + [
             (pos, cls, r.table.three) for pos, cls in enumerate(keys)]:
-        assert r._rows(cls) is not None  # inside the window: scattered, not read slot by slot
         for i in range(k):
             for j in range(k):
-                want = contract(m, unit_vector(m, i), unit_vector(m, j), three, [cls])
-                assert r._constants[pos][i, j] == [
-                    (t, x) for t, x in enumerate(want.get(cls, ())) if x]
+                rhs = ref_rhs(m, unit_vector(m, i), unit_vector(m, j), three, cls)
+                want = ref_solve_pairing(m, rhs) if any(rhs) else ()
+                assert r._constants[pos][i, j] == [(t, x) for t, x in enumerate(want) if x]
 
 
 def test_odd_entries_scatter_with_their_koszul_signs():
@@ -515,7 +557,7 @@ def test_a_fresh_associativity_report_reads_no_slot(name, monkeypatch):
     fresh = QuantumRing(r.model, GWTable(r.model, "fiber", **r.table.entries(r.model.h2)))
     reads = []
     monkeypatch.setattr(GWTable, "query", lambda self, *args: reads.append(args))
-    monkeypatch.setattr(quantum, "contract", lambda *args: reads.append(args))
+    monkeypatch.setattr(ManifoldModel, "triple_eval", lambda self, *args: reads.append(args))
     assert fresh.associativity_report(CUTOFF)["status"] == "pass"
     assert reads == []
 
