@@ -149,9 +149,9 @@ class FibrationModel:
         if self.total.n != fiber.n + 1:
             raise ValueError(f"{name}: total space must have dimension dim(fiber)+2")
 
-        self.iota = [[Fraction(x) for x in row] for row in iota]
-        self.splitting_map = [[Fraction(x) for x in row] for row in splitting]
-        self.iota_h2 = [[Fraction(x) for x in row] for row in iota_h2]
+        self.iota, self.splitting_map, self.iota_h2 = (
+            [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+            for rows in (iota, splitting, iota_h2))
         if len(self.iota) != len(fiber.basis) or len(self.splitting_map) != len(fiber.basis):
             raise ValueError(f"{name}: iota/splitting need one image per fiber class")
         if len(self.iota_h2) != len(fiber.h2.generators):

@@ -211,6 +211,17 @@ def manifold_to_dict(m: ManifoldModel) -> dict:
     }
 
 
+def _triple_form(triple, path) -> dict:
+    """Triple entries keyed by their labels as written; a repeat is refused."""
+    out, first = {}, {}
+    for n, t in enumerate(triple):
+        key = _labels(t[:3], f"{path}.triple[{n}]")
+        out[key] = _rational(t[3], f"{path}.triple[{n}][3]")
+        if first.setdefault(key, n) != n:
+            raise QhfibError(f"{path}.triple[{n}]: repeats the entry at {path}.triple[{first[key]}]")
+    return out
+
+
 def manifold_from_dict(d: dict, path: str = "model") -> ManifoldModel:
     """A manifold model; a malformed node is named by its JSON path under path."""
     basis = [_list(b, f"{path}.basis[{i}]", 2) for i, b in enumerate(d["basis"])]
@@ -222,8 +233,7 @@ def manifold_from_dict(d: dict, path: str = "model") -> ManifoldModel:
           _scalar(deg, f"{path}.basis[{i}][1]", (int, str), "an integer degree"))
          for i, (lbl, deg) in enumerate(basis)],
         _matrix(d["pairing"], f"{path}.pairing"),
-        {_labels(t[:3], f"{path}.triple[{i}]"): _rational(t[3], f"{path}.triple[{i}][3]")
-         for i, t in enumerate(triple)},
+        _triple_form(triple, path),
         _lattice_from_dict(d["h2"], f"{path}.h2"),
         triple_complete=_flag(d.get("triple_complete", True), f"{path}.triple_complete"),
     )

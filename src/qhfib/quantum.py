@@ -17,7 +17,9 @@ Two table kinds:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
 from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs
@@ -261,11 +263,10 @@ class QuantumRing:
         # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
         self._constants: dict = {}
 
-    def _gather(self, acc, base, pos, cls, pairs):
-        """Add sum c e_i * e_k over (i, k, c) in pairs at key class cls (None:
-        the cap) into acc at base - cls, as a repeated QHClass sum would. A
-        missing constant is solved from the rows of the triple form or the
-        class, once, after those rows read its slots where a read can raise."""
+    def _block(self, pos, cls, pairs) -> dict:
+        """The constants {(i, k): nonzero (t, x) entries of e_i * e_k} at key
+        class cls in position pos (None, None: the cap), each pair of `pairs`
+        it lacks solved once, after its rows read its slots where one can raise."""
         m = self.model
         block = self._constants.setdefault(pos, {})
         todo = [p for p in pairs if p[:2] not in block]
@@ -273,12 +274,24 @@ class QuantumRing:
             rows = m.triple_rows(todo) if cls is None else self.table.rows(cls, todo)
             for i, k, _ in todo:
                 block[i, k] = list(m.solve_rows(rows, [(i, k, 1)]).items())
+        return block
+
+    def _gather(self, acc, base, pos, cls, pairs):
+        """acc[base - cls] (cls None: acc[base]) += sum c e_i * e_k over (i, k, c) in pairs."""
+        block = self._block(pos, cls, pairs)
         vec = {}
         for i, k, c in pairs:
             for t, x in block[i, k]:
                 vec[t] = vec.get(t, 0) + c * x
         if any(vec.values()):
-            accumulate(acc, base if cls is None else base - cls, vec, m.zero_vector())
+            accumulate(acc, base if cls is None else base - cls, vec, self.model.zero_vector())
+
+    def _cover(self, need):
+        """Raise TableIncomplete unless the declared window reaches area need."""
+        w = self.table.window("three_point")
+        if w is None or need > w:
+            raise TableIncomplete(f"{self.model.name}: product needs three-point data "
+                                  f"through area {format_rational(need)}")
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
         """a * b, summed bilinearly from the compiled structure constants.
@@ -288,19 +301,13 @@ class QuantumRing:
         counts as zero, whatever window the table declares."""
         m = self.model
         keys = self.table.known_key_classes("three_point")
-        w = self.table.window("three_point")
         cutoff = None if cutoff is None else Fraction(cutoff)
         acc: dict[H2Class, list] = {}
         for ea, va in a.terms.items():
             for eb, vb in b.terms.items():
                 base = ea + eb
                 if cutoff is not None:
-                    need = base.omega + cutoff
-                    if w is None or need > w:
-                        raise TableIncomplete(
-                            f"{m.name}: product needs three-point data through "
-                            f"area {format_rational(need)}"
-                        )
+                    self._cover(base.omega + cutoff)
                 pairs = slot_pairs(va, vb)
                 self._gather(acc, base, None, None, pairs)
                 for pos, cls in enumerate(keys):
@@ -370,50 +377,63 @@ class QuantumRing:
     # -- structural checks ---------------------------------------------------
 
     def associativity_report(self, cutoff) -> dict:
-        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff.
-        Only the k^2 basis products P[i][j] are full products: (e_i*e_j)*e_k
-        sums x y e^(E+F) e_s over the terms x e^E e_t of P[i][j] and y e^F e_s
-        of P[t][k], truncated; exact since each exponent of a P is 0 or minus
-        a key class (of positive area). Only a failing triple builds classes.
-        Raises TableIncomplete when the table does not cover the cutoff."""
-        m = self.model
+        """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
+        with no product while it passes. P[i][j] = e_i*e_j is read from the
+        compiled blocks, filled in the order the nested products first needed
+        them, so a raise has the same text; both sides are summed in integers,
+        every coefficient scaled by the lcm of their denominators. A failing
+        triple builds its two sides by one product each."""
+        m, size = self.model, len(self.model.basis)
         cutoff = None if cutoff is None else Fraction(cutoff)
-        basis = [m.qh_basis(lbl) for lbl in m.labels]
-        products, sparse, exps, sums = {}, {}, {}, {}
+        if cutoff is not None:
+            self._cover(cutoff)  # as the first basis product checked it
+        blocks = [(None, None)] + [(pos, cls) for pos, cls in enumerate(
+            self.table.known_key_classes("three_point")) if cutoff is None or cls.omega <= cutoff]
+        exps = [m.h2.zero()] + [-cls for _, cls in blocks[1:]]
+        products = {}  # (i, j) -> nonzero (exponent position, t, x) of P[i][j]
 
         def basis_product(i, j):
-            # made at first use, so a raise comes where the nested products raised
-            if (i, j) not in sparse:
-                products[i, j] = p = self.product(basis[i], basis[j], cutoff)
-                sparse[i, j] = [(exps.setdefault(e, e), t, x)  # interned: sums keys on ids
-                                for e, v in p.terms.items() for t, x in enumerate(v) if x]
-            return sparse[i, j]
+            if (i, j) not in products:
+                products[i, j] = [(e, t, x) for e, (pos, cls) in enumerate(blocks)
+                                  for t, x in self._block(pos, cls, [(i, j, 1)])[i, j]]
+            return products[i, j]
 
-        def side(outer, inner):
+        for j in range(size):  # the nested products' first uses; all come while i is 0
+            for k in range(size):
+                for _, t, _ in basis_product(0, j):
+                    basis_product(t, k)
+                for _, t, _ in basis_product(j, k):
+                    basis_product(0, t)
+        d = lcm(*(x.denominator for p in products.values() for _, _, x in p))
+        scaled = {ij: [(e, t, x.numerator * (d // x.denominator)) for e, t, x in p]
+                  for ij, p in products.items()}
+        ids = {}  # a sum of two exponents -> where its coefficients start in acc
+        sums = [[None if cutoff is not None and (e + f).omega < -cutoff
+                 else size * ids.setdefault(e + f, len(ids)) for f in exps] for e in exps]
+        cols = [[scaled[t, k] for t in range(size)] for k in range(size)]
+        rows = [[scaled[i, t] for t in range(size)] for i in range(size)]
+
+        def as_class(i, j):  # P[i][j] as its basis product sums it
             acc = {}
-            for e, t, x in outer:
-                for f, s, y in inner(t):
-                    key = id(e), id(f)
-                    if key not in sums:
-                        g = e + f
-                        sums[key] = g if cutoff is None or g.omega >= -cutoff else None
-                    g = sums[key]
-                    if g is not None:
-                        acc[g, s] = acc.get((g, s), 0) + x * y
-            return {term: v for term, v in acc.items() if v}
+            for pos, cls in blocks:
+                self._gather(acc, exps[0], pos, cls, [(i, j, 1)])
+            return m.qh(acc)
 
         failures = []
-        for i, la in enumerate(m.labels):
-            for j, lb in enumerate(m.labels):
-                for k, lc in enumerate(m.labels):
-                    left = side(basis_product(i, j), lambda t: basis_product(t, k))
-                    right = side(basis_product(j, k), lambda t: basis_product(i, t))
-                    if left != right:
-                        left = self.product(products[i, j], basis[k], cutoff)
-                        right = self.product(basis[i], products[j, k], cutoff)
-                        failures.append(
-                            f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}"
-                        )
+        for i, j, k in itertools.product(range(size), repeat=3):
+            acc = {}  # (e_i*e_j)*e_k - e_i*(e_j*e_k)
+            for sign, outer, inner in ((1, scaled[i, j], cols[k]), (-1, scaled[j, k], rows[i])):
+                for e, t, x in outer:
+                    row, x = sums[e], sign * x
+                    for f, s, y in inner[t]:
+                        g = row[f]
+                        if g is not None:
+                            acc[g + s] = acc.get(g + s, 0) + x * y
+            if any(acc.values()):
+                la, lb, lc = m.labels[i], m.labels[j], m.labels[k]
+                left = self.product(as_class(i, j), m.qh_basis(lc), cutoff)
+                right = self.product(m.qh_basis(la), as_class(j, k), cutoff)
+                failures.append(f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
         return check(failures)
 
     def _splitting_sum(self, v1, v2, v3, v4, cls, candidates) -> Fraction | None:

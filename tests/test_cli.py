@@ -421,6 +421,16 @@ def test_a_repeated_fixture_entry_is_a_data_error(capsys, tmp_path, coords):
     assert err == "error: vertical_gw.two_point[3]: repeats the entry at vertical_gw.two_point[0]\n"
 
 
+def test_a_repeated_triple_entry_is_a_data_error(capsys, tmp_path):
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["total"]["triple"].append(["M", "Zm", "Zm", "5"])
+    path = tmp_path / "repeated-triple.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "verify", "--fixture", str(path), "--cutoff", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: total.triple[10]: repeats the entry at total.triple[2]\n"
+
+
 @pytest.mark.parametrize("value", ("false", "no"))
 def test_a_string_flag_in_a_fixture_is_a_data_error(capsys, tmp_path, value):
     d = json.loads(Path(RULED_FIXTURE).read_text())

@@ -338,6 +338,15 @@ def test_a_repeated_table_entry_is_refused_naming_both_entries(entry):
     assert str(err.value) == "vertical_gw.two_point[3]: repeats the entry at vertical_gw.two_point[0]"
 
 
+def test_a_repeated_triple_entry_is_refused_naming_both_entries():
+    d = json.loads((FIXTURES / "ruled.json").read_text())
+    assert d["total"]["triple"][2] == ["M", "Zm", "Zm", "-1"]
+    d["total"]["triple"].append(["M", "Zm", "Zm", "5"])
+    with pytest.raises(QhfibError) as err:
+        from_dict(d)
+    assert str(err.value) == "total.triple[10]: repeats the entry at total.triple[2]"
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_shuffled_table_entries_give_the_same_check_statuses(name):
     """Every table's entries in a seeded random order, the labels inside
