@@ -143,9 +143,7 @@ class ManifoldModel:
             old = self.triple.get(ck)
             if old is not None and old != val:
                 raise ValueError(f"{name}: conflicting triple entries at {key}")
-            # an incomplete model keeps declared zeros: they are data, not gaps
-            if val != 0 or not self.triple_complete:
-                self.triple[ck] = val
+            self.triple[ck] = val  # a declared zero is checked too
         # entries against the fundamental class are the pairing itself, read
         # at the nonzero cells and at the cells of declared entries (at every
         # complementary cell on an incomplete model, which keeps the zeros)
@@ -165,6 +163,9 @@ class ManifoldModel:
                 )
             if forced != 0 or not self.triple_complete:
                 self.triple[ck] = forced
+        # zeros are dropped only now; an incomplete model keeps them as data, not gaps
+        if self.triple_complete:
+            self.triple = {ck: v for ck, v in self.triple.items() if v}
 
         if self.h2.embed is not None:
             want = len(self.indices_of_degree(2))
@@ -205,10 +206,15 @@ class ManifoldModel:
     def zero_vector(self) -> list[Fraction]:
         return [Fraction(0)] * len(self.basis)
 
-    def basis_vector(self, label: str) -> list[Fraction]:
+    def vector(self, entries=()) -> list[Fraction]:
+        """The vector with coordinate x at t for each (t, x) of entries."""
         v = self.zero_vector()
-        v[self.label_index(label)] = Fraction(1)
+        for t, x in entries:
+            v[t] = x
         return v
+
+    def basis_vector(self, label: str) -> list[Fraction]:
+        return self.vector([(self.label_index(label), Fraction(1))])
 
     # -- classical structure ----------------------------------------------
 
@@ -333,20 +339,13 @@ class ManifoldModel:
         """Classical cap product a cap b: the three-point contraction of a
         and b against the triple form, solved from its scattered rows."""
         pairs = slot_pairs(a, b)
-        vec = self.zero_vector()
-        for t, x in self.solve_rows(self.triple_rows(pairs), pairs).items():
-            vec[t] = x
-        return vec
+        return self.vector(self.solve_rows(self.triple_rows(pairs), pairs).items())
 
     def fundamental_vector(self) -> list[Fraction]:
-        v = self.zero_vector()
-        v[self.fundamental_index] = Fraction(1)
-        return v
+        return self.vector([(self.fundamental_index, Fraction(1))])
 
     def point_vector(self) -> list[Fraction]:
-        v = self.zero_vector()
-        v[self.point_index] = Fraction(1)
-        return v
+        return self.vector([(self.point_index, Fraction(1))])
 
     def vector_degree(self, v) -> int | None:
         """Degree of a homogeneous vector, None for 0 or mixed."""

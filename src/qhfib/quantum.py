@@ -139,9 +139,8 @@ class GWTable:
             old = store.get((ck, cls))
             if old is not None and old != val:
                 raise ValueError(f"{self.model.name} {arity}: conflicting entries at {key}")
-            if val != 0:
-                store[(ck, cls)] = val
-        return store
+            store[(ck, cls)] = val  # a declared zero is checked too, then dropped
+        return {key: v for key, v in store.items() if v}
 
     def _store(self, arity):
         return getattr(self, arity)
@@ -436,43 +435,25 @@ class QuantumRing:
                 failures.append(f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
         return check(failures)
 
-    def _splitting_sum(self, v1, v2, v3, v4, cls, candidates) -> Fraction | None:
-        """sum over A1+A2=cls of n(v1,v2,e;A1) n(e^,v3,v4;A2), classical
-        parts included; None when some needed invariant is unavailable."""
+    def _split_four(self, i, j, k, l, cls) -> Fraction:
+        """The sum over A1 + A2 = cls of (e_k*e_l)_A2 . (e_i*e_j)_A1, the
+        three-point splitting of the fixed-cross-ratio invariant
+        n(e_i, e_j, e_k, e_l; cls); A1 and A2 are zero (the cap) or key
+        classes. Both factors are read from the compiled blocks, A1 in
+        key-class order and zero last, so a block's rows raise where a slot
+        they read is unavailable."""
         m = self.model
-        dual = m.dual_basis()
+        blocks = {c: (pos, c) for pos, c in enumerate(self.table.known_key_classes("three_point"))}
+        blocks[m.h2.zero()] = (None, None)
         total = Fraction(0)
-        for a1 in candidates:
-            a2 = cls - a1
-            if a2 not in candidates and not a2.is_zero():
+        for a1, first in blocks.items():
+            second = blocks.get(cls - a1)
+            if second is None:
                 continue
-            for al in range(len(m.basis)):
-                e = m.zero_vector()
-                e[al] = Fraction(1)
-                try:
-                    if a1.is_zero():
-                        first = m.triple_form(v1, v2, e)
-                    else:
-                        first = sum(
-                            v1[i] * v2[j] * self.table.three(i, j, al, a1)
-                            for i in range(len(v1)) if v1[i]
-                            for j in range(len(v2)) if v2[j]
-                        )
-                    if first == 0:
-                        continue
-                    f = dual[al]
-                    if a2.is_zero():
-                        second = m.triple_form(f, v3, v4)
-                    else:
-                        second = sum(
-                            f[i] * v3[j] * v4[k] * self.table.three(i, j, k, a2)
-                            for i in range(len(f)) if f[i]
-                            for j in range(len(v3)) if v3[j]
-                            for k in range(len(v4)) if v4[k]
-                        )
-                except TableIncomplete:
-                    return None
-                total += first * second
+            x = self._block(*first, [(i, j, 1)])[i, j]
+            if x:
+                y = self._block(*second, [(k, l, 1)])[k, l]
+                total += m.intersect(m.vector(y), m.vector(x))
         return total
 
     def _chi_candidate_classes(self) -> list[H2Class]:
@@ -494,36 +475,28 @@ class QuantumRing:
         zero by completeness) against its splitting into 3-point data."""
         m = self.model
         failures, skips = [], []
-        split_cands = {c: c for c in self.table.known_key_classes("three_point")}
-        zero = m.h2.zero()
-        split_cands[zero] = zero
         for cls in self._chi_candidate_classes():
-            for i in range(len(m.basis)):
-                for j in range(i, len(m.basis)):
-                    for k in range(j, len(m.basis)):
-                        for l in range(k, len(m.basis)):
-                            dims = sum(m.degrees[t] for t in (i, j, k, l))
-                            if dims != self.table._dim_target("four_point_chi", self.table._key_c1(cls)):
-                                continue
-                            try:
-                                stored = self.table.four_chi(i, j, k, l, cls)
-                            except TableIncomplete as exc:
-                                skips.append(str(exc))
-                                continue
-                            vs = [m.basis_vector(m.labels[t]) for t in (i, j, k, l)]
-                            derived = self._splitting_sum(vs[0], vs[1], vs[2], vs[3], cls, split_cands)
-                            if derived is None:
-                                skips.append(
-                                    f"splitting data incomplete for class {cls!r}"
-                                )
-                                continue
-                            if derived != stored:
-                                labels = ",".join(m.labels[t] for t in (i, j, k, l))
-                                failures.append(
-                                    f"chi-invariant ({labels}; {cls!r}) = "
-                                    f"{format_rational(stored)} but 3-point splitting "
-                                    f"gives {format_rational(derived)}"
-                                )
+            target = self.table._dim_target("four_point_chi", self.table._key_c1(cls))
+            for idx in itertools.combinations_with_replacement(range(len(m.basis)), 4):
+                if sum(m.degrees[t] for t in idx) != target:
+                    continue
+                try:
+                    stored = self.table.four_chi(*idx, cls)
+                except TableIncomplete as exc:
+                    skips.append(str(exc))
+                    continue
+                try:
+                    derived = self._split_four(*idx, cls)
+                except TableIncomplete:
+                    skips.append(f"splitting data incomplete for class {cls!r}")
+                    continue
+                if derived != stored:
+                    labels = ",".join(m.labels[t] for t in idx)
+                    failures.append(
+                        f"chi-invariant ({labels}; {cls!r}) = "
+                        f"{format_rational(stored)} but 3-point splitting "
+                        f"gives {format_rational(derived)}"
+                    )
         return check(failures, skips)
 
     def axioms_report(self) -> dict:

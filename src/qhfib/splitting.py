@@ -16,6 +16,7 @@ section map built from the Seidel element.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from ._linalg import invert
 from .errors import QhfibError, TableIncomplete
@@ -236,40 +237,31 @@ def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable, lift):
     section2 = {(ij, lift(zero)): x for ij, x in fiber.pairing_entries().items()}
 
     section3 = {}
-    for i in range(k):
-        for j in range(i, k):
-            for t in range(j, k):
-                v = fiber.triple_eval(i, j, t)
-                if v != 0:
-                    section3[(i, j, t), lift(zero)] = v
+    for i, j, t in combinations_with_replacement(range(k), 3):
+        v = fiber.triple_eval(i, j, t)
+        if v != 0:
+            section3[(i, j, t), lift(zero)] = v
     for (idx, cls), val in fiber_gw.three_point.items():
         section3[idx, lift(cls)] = val
 
     section4 = {}
-    candidates = dict.fromkeys([*fiber_gw.known_key_classes("three_point"), zero])
     for cls in [zero, *ring._chi_candidate_classes()]:
         target = 3 * 2 * fiber.n - 2 * cls.c1
-        for i in range(k):
-            for j in range(i, k):
-                for t in range(j, k):
-                    for y in range(k):
-                        dims = (fiber.degrees[i] + fiber.degrees[j]
-                                + fiber.degrees[t] + fiber.degrees[y])
-                        if dims != target:
-                            continue
-                        vs = [fiber.basis_vector(fiber.labels[x]) for x in (i, j, t, y)]
-                        if cls.is_zero():  # chi candidates all have positive area
-                            val = fiber.intersect(
-                                fiber.cap(fiber.cap(vs[0], vs[1]), vs[2]), vs[3])
-                        else:
-                            val = ring._splitting_sum(*vs, cls, candidates)
-                            if val is None:
-                                raise TableIncomplete(
-                                    f"{fiber.name}: cannot synthesize the "
-                                    f"four-point data at {cls!r}"
-                                )
-                        if val != 0:
-                            section4[(i, j, t, k + y), lift(cls)] = val
+        for i, j, t in combinations_with_replacement(range(k), 3):
+            for y in range(k):
+                if sum(fiber.degrees[x] for x in (i, j, t, y)) != target:
+                    continue
+                if cls.is_zero():  # chi candidates all have positive area
+                    vs = [fiber.basis_vector(fiber.labels[x]) for x in (i, j, t, y)]
+                    val = fiber.intersect(fiber.cap(fiber.cap(vs[0], vs[1]), vs[2]), vs[3])
+                else:
+                    try:
+                        val = ring._split_four(i, j, t, y, cls)
+                    except TableIncomplete:
+                        raise TableIncomplete(f"{fiber.name}: cannot synthesize the "
+                                              f"four-point data at {cls!r}") from None
+                if val != 0:
+                    section4[(i, j, t, k + y), lift(cls)] = val
 
     complete = dict.fromkeys(ARITIES, fiber_gw.window("three_point"))
     vertical = {"two_point": vertical2, "three_point": vertical3, "complete_below": complete}

@@ -176,7 +176,10 @@ def _suite_compose(obj, cutoff):
     _need_fibration(obj, "compose")
 
     def body():
-        rev = mirror(obj, cutoff)
+        try:
+            rev = mirror(obj, cutoff)
+        except NotInvertible as exc:
+            return check([str(exc)])
         comp, rep = compose(obj, rev, cutoff)
         if rep["status"] == "fail":
             return rep

@@ -483,3 +483,60 @@ def test_a_zero_denominator_is_a_usage_error(capsys, monkeypatch, tmp_path, argv
     assert code == 2
     assert out == ""
     assert err.startswith("error: zero denominator in '") and err.endswith("/0'\n")
+
+
+def test_a_mirror_that_is_not_a_unit_still_gives_a_report(capsys, tmp_path):
+    # without n(F, M) the reference-section class is -F, not a unit, so the
+    # mirror cannot be built; mirror-composition fails and every check reports
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    del d["section_gw"]["two_point"][0]
+    path = tmp_path / "no-FM.json"
+    path.write_text(json.dumps(d))
+    args = ["verify", "--fixture", str(path), "--suite", "all", "--cutoff", "6"]
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (1, "")
+    _, full, _ = run(capsys, "verify", "--builtin", "ruled", "--suite", "all", "--cutoff", "6")
+    names = [line.split(":")[0] for line in full.splitlines() if not line.startswith(" ")]
+    assert [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")] == names
+    assert "mirror-composition: fail\n  QH<ruled-surface: -F> is not a unit\n" in out
+    assert out.endswith("suite all: FAILED\n")
+    code, out, err = run(capsys, *args, "--json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["checks"]["mirror-composition"] == {
+        "status": "fail", "details": ["QH<ruled-surface: -F> is not a unit"]}
+
+
+def mutations(d):
+    """(what, mutated copy): each fiber and total triple entry +1 and
+    negated, and each stored count deleted."""
+    for space in ("fiber", "total"):
+        for pos, entry in enumerate(d[space]["triple"]):
+            for how, value in (("+1", Fraction(entry[3]) + 1), ("negated", -Fraction(entry[3]))):
+                copy = json.loads(json.dumps(d))
+                copy[space]["triple"][pos][3] = str(value)
+                yield f"{space}.triple[{pos}] {how}", copy
+    for tk in ("fiber_gw", "vertical_gw", "section_gw"):
+        for part in ("two_point", "three_point", "four_point_chi"):
+            for pos in range(len(d[tk].get(part, ()))):
+                copy = json.loads(json.dumps(d))
+                del copy[tk][part][pos]
+                yield f"{tk}.{part}[{pos}] deleted", copy
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_FIBRATIONS)
+def test_every_single_entry_mutation_is_refused_or_fails_a_check(capsys, tmp_path, name):
+    path = tmp_path / "mutated.json"
+    missed, aborted = [], []
+    for what, d in mutations(to_dict(catalog.build(name))):
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "verify", "--fixture", str(path), "--suite", "all",
+                             "--cutoff", "6", "--json")
+        if code == 2 and out == "" and err.startswith("error: "):
+            continue  # refused at load
+        if code != 1 or err:
+            aborted.append((what, code, err))
+        elif not any(c["status"] == "fail" for c in json.loads(out)["checks"].values()):
+            missed.append(what)
+    assert (missed, aborted) == ([], [])

@@ -181,3 +181,54 @@ def test_fibration_refusals(ruled):
     ]
     for changes, exc, text in cases:
         assert refusal(lambda: ruled.replace(**changes), exc) == text
+
+
+# -- a declared zero is data -------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [("1", "T-", "T-"), ("T-", "1", "T-")])
+@pytest.mark.parametrize("first", [True, False])
+def test_a_declared_zero_against_the_fundamental_class_is_checked(key, first):
+    # t(1, T-, T-) is the pairing T- . T- = -1: a declared 0 is refused, as 5 is
+    rest = {k: v for k, v in TRIPLE.items() if k != ("1", "T-", "T-")}
+    triple = {key: 0, **rest} if first else {**rest, key: 0}
+    assert refusal(lambda: model(triple=triple)) == (
+        "m: triple at (T-, fundamental, T-) disagrees with pairing")
+    assert refusal(lambda: model(triple={**rest, key: 5})) == (
+        "m: triple at (T-, fundamental, T-) disagrees with pairing")
+
+
+def labelled(m, store):
+    return {tuple(m.labels[i] for i in ck): v for ck, v in store.items()}
+
+
+def test_a_declared_zero_conflicts_in_either_entry_order(ruled):
+    m = ruled.total
+    triple = labelled(m, m.triple)
+    assert triple[("M", "Zm", "Zm")] == -1
+    for entries, at in (({("Zm", "M", "Zm"): 0, **triple}, "('M', 'Zm', 'Zm')"),
+                        ({**triple, ("Zm", "M", "Zm"): 0}, "('Zm', 'M', 'Zm')")):
+        assert refusal(lambda: ManifoldModel(m.name, m.n, m.basis, m.pairing, entries, m.h2)) == (
+            f"ruled-total: conflicting triple entries at {at}")
+    # the same in a table: n(T, S, Zm; F) = 1 is stored
+    table = ruled.vertical_gw
+    three = {labels + (cls,): v for (ck, cls), v in table.three_point.items()
+             for labels in [tuple(m.labels[i] for i in ck)]}
+    F = next(cls for (_, cls) in table.three_point)
+    assert three[("T", "S", "Zm", F)] == 1
+    zero = ("S", "T", "Zm", F)
+    for entries, at in (({zero: 0, **three}, "('T', 'S', 'Zm', H2<1*F>)"),
+                        ({**three, zero: 0}, "('S', 'T', 'Zm', H2<1*F>)")):
+        assert refusal(lambda: GWTable(m, three_point=entries)) == (
+            f"ruled-total three_point: conflicting entries at {at}")
+
+
+def test_a_declared_zero_that_agrees_is_dropped(ruled):
+    m = ruled.total
+    triple = labelled(m, m.triple)
+    again = ManifoldModel(m.name, m.n, m.basis, m.pairing,
+                          {("Zm", "Zp", "Zp"): 0, **triple, ("F", "M", "P"): 0}, m.h2)
+    assert again.triple == m.triple and list(again.triple) == list(m.triple)
+    F = next(cls for (_, cls) in ruled.vertical_gw.three_point)
+    table = GWTable(m, three_point={("S", "S", "Zm", F): 0})
+    assert table.three_point == {} and table.known_key_classes("three_point") == []

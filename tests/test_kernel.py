@@ -3,7 +3,7 @@ system anew, term by term, by elimination on the transposed pairing."""
 
 import functools
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from qhfib import (
     QuantumRing,
     TableIncomplete,
     catalog,
+    format_rational,
     tensor_model,
 )
 from qhfib._linalg import solve
@@ -171,6 +172,77 @@ def ref_psi_images(fib, cutoff, sigma):
             img = img + f.qh({-b: ref_solve_pairing(f, row)})
         images.append(img.truncate(cutoff))
     return images
+
+
+def ref_splitting_sum(r, v1, v2, v3, v4, cls, candidates):
+    """sum over A1+A2=cls of n(v1,v2,e;A1) n(e^,v3,v4;A2), classical parts
+    included, slot by slot through the dual basis; None when some needed
+    invariant is unavailable."""
+    m = r.model
+    dual = m.dual_basis()
+    total = Fraction(0)
+    for a1 in candidates:
+        a2 = cls - a1
+        if a2 not in candidates and not a2.is_zero():
+            continue
+        for al in range(len(m.basis)):
+            e = unit_vector(m, al)
+            try:
+                if a1.is_zero():
+                    first = m.triple_form(v1, v2, e)
+                else:
+                    first = sum(
+                        v1[i] * v2[j] * r.table.three(i, j, al, a1)
+                        for i in range(len(v1)) if v1[i]
+                        for j in range(len(v2)) if v2[j]
+                    )
+                if first == 0:
+                    continue
+                f = dual[al]
+                if a2.is_zero():
+                    second = m.triple_form(f, v3, v4)
+                else:
+                    second = sum(
+                        f[i] * v3[j] * v4[k] * r.table.three(i, j, k, a2)
+                        for i in range(len(f)) if f[i]
+                        for j in range(len(v3)) if v3[j]
+                        for k in range(len(v4)) if v4[k]
+                    )
+            except TableIncomplete:
+                return None
+            total += first * second
+    return total
+
+
+def ref_split_candidates(r):
+    """The classes A1 and A2 range over: the three-point key classes, then zero."""
+    return dict.fromkeys([*r.table.known_key_classes("three_point"), r.model.h2.zero()])
+
+
+def ref_assoc1_report(r):
+    """Every sorted quadruple of the dimension rule at every chi candidate
+    class, its stored value against ref_splitting_sum."""
+    m, table = r.model, r.table
+    failures, skips = [], []
+    cands = ref_split_candidates(r)
+    for cls in r._chi_candidate_classes():
+        for idx in combinations_with_replacement(range(len(m.basis)), 4):
+            if sum(m.degrees[t] for t in idx) != table._dim_target(
+                    "four_point_chi", table._key_c1(cls)):
+                continue
+            try:
+                stored = table.four_chi(*idx, cls)
+            except TableIncomplete as exc:
+                skips.append(str(exc))
+                continue
+            derived = ref_splitting_sum(r, *(unit_vector(m, t) for t in idx), cls, cands)
+            if derived is None:
+                skips.append(f"splitting data incomplete for class {cls!r}")
+            elif derived != stored:
+                labels = ",".join(m.labels[t] for t in idx)
+                failures.append(f"chi-invariant ({labels}; {cls!r}) = {format_rational(stored)} "
+                                f"but 3-point splitting gives {format_rational(derived)}")
+    return check(failures, skips)
 
 
 # -- random classes -------------------------------------------------------------
@@ -609,3 +681,126 @@ def test_a_tamper_in_any_slot_order_is_the_canonical_tamper(name, key):
     # a zero in any slot order deletes the entry
     perm = ck[::-1]
     assert (ck, cls) not in r.table.replace("three_point", {(perm, cls): 0}).three_point
+
+
+# -- the four-point splitting -----------------------------------------------------
+
+
+def split_quadruples(name, cls):
+    """Every ordered quadruple; sorted ones on the 16-class ring, and on it and
+    the 8-class ruled tensor ring only those of the dimension rule at cls
+    (off it the reference takes minutes and no caller reads the sum)."""
+    r = ring(name)
+    m = r.model
+    k = len(m.basis)
+    quads = product(range(k), repeat=4) if k <= 8 else combinations_with_replacement(range(k), 4)
+    if name not in ("ruled fiber x sphere", "ruled fiber x sphere x sphere"):
+        return quads
+    target = r.table._dim_target("four_point_chi", r.table._key_c1(cls))
+    return [q for q in quads if sum(m.degrees[t] for t in q) == target]
+
+
+@pytest.mark.parametrize("name", SCATTERED)
+def test_four_point_splitting_equals_the_dual_basis_sum(name):
+    r = ring(name)
+    m = r.model
+    cands = ref_split_candidates(r)
+    nonzero = 0
+    for cls in r._chi_candidate_classes():
+        for q in split_quadruples(name, cls):
+            want = ref_splitting_sum(r, *(unit_vector(m, t) for t in q), cls, cands)
+            assert r._split_four(*q, cls) == want, (q, cls)
+            nonzero += want != 0
+    assert nonzero or not r.table.three_point
+
+
+def with_changed_count(name, arity, key, d):
+    r = ring(name)
+    store = r.table._store(arity)
+    return QuantumRing(r.model, r.table.replace(arity, {key: store[key] + d}))
+
+
+# +1 and -1 on every stored three-point and four-point count of the rings of
+# at most eight classes
+EACH_SPLIT_COUNT = [(name, arity, key, d) for name in RINGS + ["torus x sphere"]
+                    for arity in ("three_point", "four_point_chi")
+                    for key in ring(name).table._store(arity) for d in (1, -1)]
+
+
+@pytest.mark.parametrize("name,arity,key,d", EACH_SPLIT_COUNT)
+def test_four_point_report_matches_the_reference_on_each_changed_count(name, arity, key, d):
+    r = with_changed_count(name, arity, key, d)
+    assert r.assoc1_report() == ref_assoc1_report(r)
+
+
+@pytest.mark.parametrize("name", SCATTERED)
+@pytest.mark.parametrize("window", [None, Fraction(0), Fraction(1, 2), Fraction(3)])
+def test_four_point_report_matches_the_reference_on_each_window(name, window):
+    m = ring(name).model
+    entries = ring(name).table.entries(m.h2)
+    entries["complete_below"]["three_point"] = window
+    short = QuantumRing(m, GWTable(m, "fiber", **entries))
+    assert short.assoc1_report() == ref_assoc1_report(short)
+
+
+def test_zero_and_positive_classes_split_with_different_signs():
+    # the trivial bundle's classical section entries read t(v1 cap v2, v3, v4);
+    # the positive classes read (v3*v4) . (v1*v2); the two differ by
+    # (-1)^|v1*v2|, and only an odd v1 cap v2 tells them apart
+    fib = fibration("torus-product")
+    f, k = fib.fiber, len(fib.fiber.basis)
+    signs = []
+    for (idx, cls), val in fib.section_gw.four_point_chi.items():
+        assert cls.is_zero()
+        v1, v2, v3, v4 = (unit_vector(f, i % k) for i in idx)
+        x = f.cap(v1, v2)
+        assert val == f.triple_form(x, v3, v4)
+        sign = (-1) ** (f.vector_degree(x) % 2)
+        assert val == sign * f.intersect(f.cap(v3, v4), x)
+        signs.append(sign)
+    assert sorted(signs) == [-1, 1, 1, 1, 1]
+    # on torus x sphere each term (v3*v4)_A2 . (v1*v2)_A1 is (-1)^|x| times
+    # n(x, v3, v4; A2), x = (v1*v2)_A1 in the first slot, and an odd x meets a
+    # nonzero value
+    r = ring("torus x sphere")
+    m = r.model
+    size, keys = len(m.basis), r.table.known_key_classes("three_point")
+    basis = {(i, j): r.product(m.qh_basis(a), m.qh_basis(b))
+             for i, a in enumerate(m.labels) for j, b in enumerate(m.labels)}
+    odd = 0
+    for cls in r._chi_candidate_classes():
+        for i, j, k, l in product(range(size), repeat=4):
+            v3, v4 = unit_vector(m, k), unit_vector(m, l)
+            want = Fraction(0)
+            for a1 in [*keys, m.h2.zero()]:
+                a2 = cls - a1
+                x = basis[i, j].coefficient(-a1)
+                if not any(x) or (a2 not in keys and not a2.is_zero()):
+                    continue
+                n = (m.triple_form(x, v3, v4) if a2.is_zero() else
+                     sum(xt * r.table.three(t, k, l, a2) for t, xt in enumerate(x) if xt))
+                sign = (-1) ** (m.vector_degree(x) % 2)
+                want += sign * n
+                odd += sign < 0 and n != 0
+            assert r._split_four(i, j, k, l, cls) == want, (i, j, k, l, cls)
+    assert odd
+
+
+def undeclared_slots(outcome):
+    """The labels of the triple a MissingTripleData outcome names, as a multiset."""
+    kind, text = outcome
+    assert kind == "MissingTripleData"
+    return sorted(text.split("triple intersection (")[1].split(") undeclared")[0].split(", "))
+
+
+@pytest.mark.parametrize("name,ck", UNDECLARED)
+def test_four_point_report_names_the_undeclared_triple_the_reference_meets(name, ck):
+    # the reference reads t(f, v3, v4) with the dual vector first, the cap
+    # block t(v3, v4, e_j): the same undeclared triple, its slots maybe reordered
+    r = with_one_undeclared_triple(name, ck)
+    got = report_or_raise(r.assoc1_report)
+    want = report_or_raise(lambda: ref_assoc1_report(r))
+    if isinstance(want, dict):
+        assert got == want
+    else:
+        assert undeclared_slots(got) == undeclared_slots(want)
