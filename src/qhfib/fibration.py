@@ -39,15 +39,14 @@ class PsiOperator:
     """Module endomorphism of the fiber's quantum homology, stored by its
     images on the classical basis, valid modulo the cutoff."""
 
-    def __init__(self, model: ManifoldModel, images, degree_shift, cutoff):
+    def __init__(self, model: ManifoldModel, images, cutoff):
         self.model = model
         self.images = list(images)
-        self.degree_shift = degree_shift
         self.cutoff = Fraction(cutoff)
 
     @classmethod
     def from_loop_table(cls, model: ManifoldModel, table, offset: H2Class,
-                        degree_shift, cutoff) -> PsiOperator:
+                        cutoff) -> PsiOperator:
         """The operator of a fiber-keyed two-point table {(i, j, B): n} at
         the section shifted by the fiber class `offset`: Psi(e_i) is the sum
         over B of x e^{offset - B}, x the class with x . e_j = n(i, j; B) for
@@ -62,7 +61,7 @@ class PsiOperator:
                     rows.setdefault(c - offset, model.zero_vector())[j] += val
             img = model.qh({-rel: model.solve_pairing(row) for rel, row in rows.items()})
             images.append(img.truncate(cutoff))
-        return cls(model, images, degree_shift, cutoff)
+        return cls(model, images, cutoff)
 
     def apply(self, a: QHClass) -> QHClass:
         if a.model is not self.model:
@@ -78,7 +77,7 @@ class PsiOperator:
         """self after inner, valid modulo the smaller window."""
         cutoff = min(self.cutoff, inner.cutoff)
         images = [self.apply(img).truncate(cutoff) for img in inner.images]
-        return PsiOperator(self.model, images, self.degree_shift + inner.degree_shift, cutoff)
+        return PsiOperator(self.model, images, cutoff)
 
     def equal_mod(self, other: PsiOperator, cutoff) -> bool:
         return all(
@@ -388,8 +387,7 @@ class FibrationModel:
             w = self.section_gw.window(arity)
             if w is not None and need <= w:
                 return PsiOperator.from_loop_table(
-                    self.fiber, self._loop_table(arity), b0,
-                    2 * (self.sigma_ref.c1 + offset0.c1), cutoff)
+                    self.fiber, self._loop_table(arity), b0, cutoff)
         w = self.section_gw.window("two_point")
         raise TableIncomplete(
             f"{self.name}: two_point section data must be complete through "
@@ -921,8 +919,7 @@ class LoopComposite:
                 f"{format_rational(self.window)}, need "
                 f"{format_rational(offset.omega + cutoff)}"
             )
-        return PsiOperator.from_loop_table(
-            self.fiber, self.table, offset, 2 * (self.c0 + offset.c1), cutoff)
+        return PsiOperator.from_loop_table(self.fiber, self.table, offset, cutoff)
 
     def normalized_offset(self) -> H2Class:
         return _normalizing_class(self.fiber.h2, self.u0, self.c0, self.name)
@@ -1049,7 +1046,7 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     new_total = ManifoldModel(
         t.name + "~", t.n, t.basis,
         [row[:] for row in t.pairing],
-        dict(t.triple), new_lat,
+        dict(t.triple), new_lat, t.triple_complete,
     )
 
     # Psi of the mirror at its reference section is the inverse operator

@@ -257,6 +257,8 @@ class QuantumRing:
     def __init__(self, model: ManifoldModel, table: GWTable):
         if table.model is not model:
             raise ValueError("table is attached to a different model")
+        if table.kind != "fiber":
+            raise ValueError(f"a quantum ring needs a fiber table, not a {table.kind} one")
         self.model = model
         self.table = table
         # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
@@ -504,35 +506,14 @@ class QuantumRing:
         m = self.model
         failures, skips = [], []
         fund = m.fundamental_index
-        plain = self.table.kind == "fiber"
-        if plain:
-            # fundamental class: plain invariants with an [X] slot vanish
-            for arity in ("two_point", "three_point"):
-                for (idx, cls), val in self.table._store(arity).items():
-                    if fund in idx and val != 0:
-                        labels = ",".join(m.labels[i] for i in idx)
-                        failures.append(
-                            f"{arity} ({labels}; {cls!r}) = {format_rational(val)}, "
-                            "must vanish (fundamental-class insertion)"
-                        )
-        else:
-            # section counts are parametrized: an [X] slot is a vacuous
-            # constraint, so a 3-point entry must equal the 2-point one
-            for (idx, cls), val in self.table.three_point.items():
-                if fund not in idx:
-                    continue
-                rest = list(idx)
-                rest.remove(fund)
-                try:
-                    expect = self.table.two(rest[0], rest[1], cls)
-                except TableIncomplete as exc:
-                    skips.append(str(exc))
-                    continue
-                if val != expect:
+        # fundamental class: plain invariants with an [X] slot vanish
+        for arity in ("two_point", "three_point"):
+            for (idx, cls), val in self.table._store(arity).items():
+                if fund in idx and val != 0:
                     labels = ",".join(m.labels[i] for i in idx)
                     failures.append(
-                        f"three_point ({labels}; {cls!r}) = {format_rational(val)} "
-                        f"but dropping the fundamental slot gives {format_rational(expect)}"
+                        f"{arity} ({labels}; {cls!r}) = {format_rational(val)}, "
+                        "must vanish (fundamental-class insertion)"
                     )
         # fixed-cross-ratio 4-point with an [X] slot reduces to 3-point
         for (idx, cls), val in self.table.four_point_chi.items():
@@ -551,13 +532,10 @@ class QuantumRing:
                     f"chi 4-point ({labels}; {cls!r}) = {format_rational(val)} "
                     f"but removing the fundamental slot gives {format_rational(expect)}"
                 )
-        # divisor axiom both ways across stored 2/3-point entries; for
-        # section tables the class pairing against a divisor involves the
-        # reference section, which the table does not know, so that check
-        # lives with the fibration
-        if plain and m.h2.embed is None:
+        # divisor axiom both ways across stored 2/3-point entries
+        if m.h2.embed is None:
             skips.append("no degree-2 embedding on the lattice: divisor axiom unchecked")
-        elif plain:
+        else:
             deg2 = m.indices_of_degree(2 * m.n - 2)
             checked = set()
             for (idx, cls), val in self.table.three_point.items():

@@ -1,16 +1,19 @@
 """Verification suites.
 
-A suite runs a family of structural checks against a fibration (or, for the
-purely ring-level suites, a bare manifold model with its invariant table)
-and stores each check as the record {"status": pass|fail|skip, "details"}
-that every report returns. Skips flag data the tables genuinely cannot
-answer; they are never failures. A report method raises TableIncomplete
-when a whole check lacks data, and _guard records that as a skip. Reports
-serialize to stable JSON so runs can be diffed.
+One ordered table, _CHECKS, names every suite's checks and the body behind
+each. One loop, _run_checks, runs a suite's checks in table order against a
+fibration or a bare (manifold model, invariant table) pair; a pair gets only
+the checks that need no fibration. Each check is stored as the record
+{"status": pass|fail|skip, "details"} that every report returns. Skips flag
+data the tables genuinely cannot answer; they are never failures. A report
+method raises TableIncomplete when a whole check lacks data, and the loop
+records that as a skip. Reports serialize to stable JSON so runs can be
+diffed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,171 +59,132 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _guard(fn):
-    """Run a check body, translating incomplete data into a skip."""
+def _nondegenerate_pairing(obj, cutoff):
+    fibration = isinstance(obj, FibrationModel)
     try:
-        return fn()
-    except TableIncomplete as exc:
-        return check([], [str(exc)])
+        (obj.fiber if fibration else obj[0]).dual_basis()
+        if fibration:
+            obj.total.dual_basis()
+    except DegeneratePairing as exc:
+        return check([str(exc)])
+    return check([])
 
 
-def _ring_of(obj):
-    if isinstance(obj, FibrationModel):
-        return obj.fiber_ring
-    model, table = obj
-    return QuantumRing(model, table)
+def _seidel_invertible(fib, cutoff):
+    try:
+        fib.rho(cutoff)
+    except (NotInvertible, Inconsistent) as exc:
+        return check([str(exc)])
+    return check([])
 
 
-def _suite_structure(obj, cutoff):
-    checks = {}
-    if isinstance(obj, FibrationModel):
-        checks["fibration-structure"] = obj.structure_report()
-        model, table = obj.fiber, obj.fiber_gw
-    else:
-        model, table = obj
-
-    def body():
-        try:
-            model.dual_basis()
-            if isinstance(obj, FibrationModel):
-                obj.total.dual_basis()
-        except DegeneratePairing as exc:
-            return check([str(exc)])
-        return check([])
-
-    checks["nondegenerate-pairing"] = _guard(body)
-    return checks
+def _ring_splitting(fib, cutoff):
+    rep = ring_split_check(fib, cutoff)
+    if rep["status"] == "skip":
+        return check([], ["splitting hypothesis fails honestly: "
+                          + "; ".join(rep["details"])])
+    return rep
 
 
-def _suite_assoc(obj, cutoff):
-    ring = _ring_of(obj)
-    checks = {
-        "fiber-associativity": _guard(lambda: ring.associativity_report(cutoff)),
-        "fiber-four-point-splitting": _guard(ring.assoc1_report),
-    }
-    if isinstance(obj, FibrationModel):
-        vring = obj.vertical_ring
-        checks["vertical-associativity"] = _guard(
-            lambda: vring.associativity_report(cutoff)
-        )
-    return checks
-
-
-def _suite_gw_axioms(obj, cutoff):
-    ring = _ring_of(obj)
-    checks = {
-        "fiber-axioms": _guard(ring.axioms_report),
-        "fiber-energy-positive-closure": _guard(
-            lambda: ring.qh_plus_closure_report(cutoff)
-        ),
-    }
-    if isinstance(obj, FibrationModel):
-        vring = obj.vertical_ring
-        checks["vertical-axioms"] = _guard(vring.axioms_report)
-        checks["section-divisor"] = _guard(obj.section_divisor_report)
-    return checks
-
-
-def _need_fibration(obj, suite):
-    if not isinstance(obj, FibrationModel):
-        raise QhfibError(f"suite {suite!r} needs a fibration, not a bare ring")
-
-
-def _suite_vertical(obj, cutoff):
-    _need_fibration(obj, "vertical")
-    return {"vertical-products": _guard(lambda: obj.vertical_report(cutoff))}
-
-
-def _suite_prop_gw(obj, cutoff):
-    _need_fibration(obj, "prop-gw")
-    checks = {"vertical-entries": _guard(obj.vertical_table_report)}
-    if obj.product_structure:
-        checks["product-pattern"] = _guard(lambda: verify_product_pattern(obj))
-    return checks
-
-
-def _suite_module(obj, cutoff):
-    _need_fibration(obj, "module")
-    checks = {"module-identities": _guard(lambda: obj.module_report(cutoff))}
-
-    def invertible():
-        try:
-            obj.rho(cutoff)
-        except (NotInvertible, Inconsistent) as exc:
-            return check([str(exc)])
-        return check([])
-
-    checks["seidel-invertible"] = _guard(invertible)
-    return checks
-
-
-def _suite_wang(obj, cutoff):
-    _need_fibration(obj, "wang")
-    return {"wang-sequence": _guard(obj.wang_report)}
-
-
-def _suite_split(obj, cutoff):
-    _need_fibration(obj, "split")
-
-    def body():
-        rep = ring_split_check(obj, cutoff)
-        if rep["status"] == "skip":
-            return check([], ["splitting hypothesis fails honestly: "
-                              + "; ".join(rep["details"])])
+def _mirror_composition(fib, cutoff):
+    try:
+        rev = mirror(fib, cutoff)
+    except NotInvertible as exc:
+        return check([str(exc)])
+    comp, rep = compose(fib, rev, cutoff)
+    if rep["status"] == "fail":
         return rep
-
-    return {"ring-splitting": _guard(body)}
-
-
-def _suite_compose(obj, cutoff):
-    _need_fibration(obj, "compose")
-
-    def body():
+    # the whole operator, not only rho: a mirror wrong on classes other
+    # than [M] (odd ones, say) leaves rho the unit
+    op = comp.psi_operator(cutoff, comp.normalized_offset())
+    if not op.is_identity():
         try:
-            rev = mirror(obj, cutoff)
+            rho = comp.rho(cutoff)
         except NotInvertible as exc:
-            return check([str(exc)])
-        comp, rep = compose(obj, rev, cutoff)
-        if rep["status"] == "fail":
-            return rep
-        # the whole operator, not only rho: a mirror wrong on classes other
-        # than [M] (odd ones, say) leaves rho the unit
-        op = comp.psi_operator(cutoff, comp.normalized_offset())
-        if not op.is_identity():
-            try:
-                rho = comp.rho(cutoff)
-            except NotInvertible as exc:
-                return check(rep["details"] + [str(exc)])
-            if rho.truncate(cutoff) != _ring_of(obj).unit().truncate(cutoff):
-                return check(rep["details"] + [
-                    f"loop composed with its reverse acts by {rho!r}, not the unit"
-                ])
-            m, c = op.model, op.cutoff
-            i = next(i for i, img in enumerate(op.images)
-                     if img.truncate(c) != m.qh_basis(m.labels[i]).truncate(c))
+            return check(rep["details"] + [str(exc)])
+        if rho.truncate(cutoff) != fib.fiber_ring.unit().truncate(cutoff):
             return check(rep["details"] + [
-                f"loop composed with its reverse sends {m.labels[i]} to "
-                f"{op.images[i]!r}, not to itself"
+                f"loop composed with its reverse acts by {rho!r}, not the unit"
             ])
-        rep["details"].append("reverse loop cancels")
-        return rep
+        m, c = op.model, op.cutoff
+        i = next(i for i, img in enumerate(op.images)
+                 if img.truncate(c) != m.qh_basis(m.labels[i]).truncate(c))
+        return check(rep["details"] + [
+            f"loop composed with its reverse sends {m.labels[i]} to "
+            f"{op.images[i]!r}, not to itself"
+        ])
+    rep["details"].append("reverse loop cancels")
+    return rep
 
-    return {"mirror-composition": _guard(body)}
 
-
-_SUITES = {
-    "structure": _suite_structure,
-    "assoc": _suite_assoc,
-    "gw-axioms": _suite_gw_axioms,
-    "vertical": _suite_vertical,
-    "prop-gw": _suite_prop_gw,
-    "module": _suite_module,
-    "wang": _suite_wang,
-    "split": _suite_split,
-    "compose": _suite_compose,
+# suite -> ((check, what its body takes, body(that, cutoff)), ...), run in
+# order. A body takes the fiber ring of either target ("ring"), the target
+# itself, a fibration or a (model, table) pair ("target"), or a fibration
+# only ("fibration"); a pair leaves the last out. Bodies look methods and
+# public functions up when called, so the wrappers bench/tracer.py installs
+# see every call. A body returning None does not apply.
+_CHECKS = {
+    "structure": (
+        ("fibration-structure", "fibration", lambda fib, c: fib.structure_report()),
+        ("nondegenerate-pairing", "target", _nondegenerate_pairing),
+    ),
+    "assoc": (
+        ("fiber-associativity", "ring", lambda ring, c: ring.associativity_report(c)),
+        ("fiber-four-point-splitting", "ring", lambda ring, c: ring.assoc1_report()),
+        ("vertical-associativity", "fibration",
+         lambda fib, c: fib.vertical_ring.associativity_report(c)),
+    ),
+    "gw-axioms": (
+        ("fiber-axioms", "ring", lambda ring, c: ring.axioms_report()),
+        ("fiber-energy-positive-closure", "ring",
+         lambda ring, c: ring.qh_plus_closure_report(c)),
+        ("vertical-axioms", "fibration", lambda fib, c: fib.vertical_ring.axioms_report()),
+        ("section-divisor", "fibration", lambda fib, c: fib.section_divisor_report()),
+    ),
+    "vertical": (
+        ("vertical-products", "fibration", lambda fib, c: fib.vertical_report(c)),
+    ),
+    "prop-gw": (
+        ("vertical-entries", "fibration", lambda fib, c: fib.vertical_table_report()),
+        ("product-pattern", "fibration",
+         lambda fib, c: verify_product_pattern(fib) if fib.product_structure else None),
+    ),
+    "module": (
+        ("module-identities", "fibration", lambda fib, c: fib.module_report(c)),
+        ("seidel-invertible", "fibration", _seidel_invertible),
+    ),
+    "wang": (("wang-sequence", "fibration", lambda fib, c: fib.wang_report()),),
+    "split": (("ring-splitting", "fibration", _ring_splitting),),
+    "compose": (("mirror-composition", "fibration", _mirror_composition),),
 }
 
-RING_SUITES = ("structure", "assoc", "gw-axioms")
+
+def _run_checks(suite, obj, cutoff) -> dict:
+    """One suite's records in table order; a check whose data the tables
+    lack (TableIncomplete) is recorded as a skip."""
+    fibration = isinstance(obj, FibrationModel)
+    rows = [row for row in _CHECKS[suite] if fibration or row[1] != "fibration"]
+    if not rows:
+        raise QhfibError(f"suite {suite!r} needs a fibration, not a bare ring")
+    checks, ring = {}, None
+    for name, takes, body in rows:
+        if takes == "ring" and ring is None:
+            ring = obj.fiber_ring if fibration else QuantumRing(*obj)
+        try:
+            result = body(ring if takes == "ring" else obj, cutoff)
+        except TableIncomplete as exc:
+            result = check([], [str(exc)])
+        if result is not None:
+            checks[name] = result
+    return checks
+
+
+# suite -> callable (target, cutoff) -> {check: record}. run_suite calls
+# through this dict, and bench/tracer.py wraps its entries to time each
+# suite as validator.<suite>.
+_SUITES = {suite: functools.partial(_run_checks, suite) for suite in _CHECKS}
+
+RING_SUITES = tuple(s for s, rows in _CHECKS.items() if any(r[1] != "fibration" for r in rows))
 NEEDS_CUTOFF = ("assoc", "gw-axioms", "vertical", "module", "split", "compose", "all")
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
@@ -234,16 +198,13 @@ def run_suite(obj, suite: str, cutoff) -> VerificationReport:
     if cutoff is None and suite in NEEDS_CUTOFF:
         raise QhfibError(f"suite {suite!r} multiplies classes and needs a cutoff")
     cutoff = None if cutoff is None else Fraction(cutoff)
-    if isinstance(obj, FibrationModel):
-        target = obj.name
-    else:
-        target = obj[0].name
+    fibration = isinstance(obj, FibrationModel)
+    target = obj.name if fibration else obj[0].name
     report = VerificationReport(target=target, suite=suite, cutoff=cutoff)
-    names = list(_SUITES) if suite == "all" else [suite]
+    if suite != "all":
+        names = [suite]
+    else:
+        names = list(_SUITES) if fibration else RING_SUITES
     for name in names:
-        if suite == "all" and not isinstance(obj, FibrationModel) \
-                and name not in RING_SUITES:
-            continue
-        for check, result in _SUITES[name](obj, cutoff).items():
-            report.checks[check] = result
+        report.checks.update(_SUITES[name](obj, cutoff))
     return report

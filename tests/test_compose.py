@@ -12,7 +12,7 @@ from qhfib import (
     compose,
     mirror,
 )
-from qhfib.fixtures import format_qh
+from qhfib.fixtures import format_qh, from_dict, to_dict
 from tests.conftest import CUTOFF
 
 
@@ -20,6 +20,18 @@ def test_mirror_inverts_the_seidel_element(ruled, rotation):
     for fib in (ruled, rotation):
         rev = mirror(fib, CUTOFF)
         assert rev.rho(CUTOFF) == fib.rho_inverse(CUTOFF)
+
+
+def test_the_mirror_keeps_an_incomplete_total_triple(rotation):
+    # an incomplete model keeps its declared zeros as data; the mirror's
+    # total space shares the triple form, so it keeps them too
+    d = to_dict(rotation)
+    d["total"]["triple_complete"] = False
+    fib = from_dict(d)
+    assert 0 in fib.total.triple.values()
+    rev = mirror(fib, CUTOFF).total
+    assert rev.triple_complete is False
+    assert rev.triple == fib.total.triple
 
 
 def test_mirror_swaps_the_loop_direction_twice(ruled):

@@ -23,6 +23,14 @@ def ring():
     return QuantumRing(model, table)
 
 
+def test_a_ring_needs_a_fiber_table():
+    # section counts are parametrized and have no product of their own
+    fib = catalog.build("sphere-product")
+    with pytest.raises(ValueError) as err:
+        QuantumRing(fib.total, fib.section_gw)
+    assert str(err.value) == "a quantum ring needs a fiber table, not a section one"
+
+
 def test_unit_is_the_fundamental_class(ring):
     m = ring.model
     for lbl, _ in m.basis:

@@ -7,6 +7,7 @@ import pytest
 
 from qhfib import (
     QhfibError,
+    validator,
     QuantumRing,
     SUITE_NAMES,
     TableIncomplete,
@@ -57,6 +58,61 @@ def test_ring_pairs_get_the_ring_suites_only():
     assert "module-identities" not in rep.checks
     with pytest.raises(QhfibError):
         run_suite(pair, "module", CUTOFF)
+
+
+# each suite's checks in the order its report lists them, on a fibration
+SUITE_CHECKS = {
+    "structure": ["fibration-structure", "nondegenerate-pairing"],
+    "assoc": ["fiber-associativity", "fiber-four-point-splitting", "vertical-associativity"],
+    "gw-axioms": ["fiber-axioms", "fiber-energy-positive-closure", "vertical-axioms",
+                  "section-divisor"],
+    "vertical": ["vertical-products"],
+    "prop-gw": ["vertical-entries"],
+    "module": ["module-identities", "seidel-invertible"],
+    "wang": ["wang-sequence"],
+    "split": ["ring-splitting"],
+    "compose": ["mirror-composition"],
+}
+PRODUCT_SUITE_CHECKS = dict(SUITE_CHECKS, **{"prop-gw": ["vertical-entries", "product-pattern"]})
+RING_SUITE_CHECKS = {
+    "structure": ["nondegenerate-pairing"],
+    "assoc": ["fiber-associativity", "fiber-four-point-splitting"],
+    "gw-axioms": ["fiber-axioms", "fiber-energy-positive-closure"],
+}
+
+
+@pytest.mark.parametrize("name, order", [("ruled", SUITE_CHECKS),
+                                         ("sphere-product", PRODUCT_SUITE_CHECKS)])
+def test_fibration_reports_list_checks_in_suite_order(name, order):
+    fib = catalog.build(name)
+    for suite, checks in order.items():
+        assert list(run_suite(fib, suite, CUTOFF).checks) == checks, suite
+    assert list(run_suite(fib, "all", CUTOFF).checks) == sum(order.values(), [])
+
+
+def test_ring_pair_reports_list_checks_in_suite_order():
+    pair = catalog.ruled_surface_fiber()
+    for suite, checks in RING_SUITE_CHECKS.items():
+        assert list(run_suite(pair, suite, CUTOFF).checks) == checks, suite
+    assert list(run_suite(pair, "all", CUTOFF).checks) == sum(RING_SUITE_CHECKS.values(), [])
+    for suite in set(SUITE_CHECKS) - set(RING_SUITE_CHECKS):
+        with pytest.raises(QhfibError) as err:
+            run_suite(pair, suite, CUTOFF)
+        assert str(err.value) == f"suite {suite!r} needs a fibration, not a bare ring"
+
+
+def test_run_suite_calls_through_the_suite_registry(ruled, monkeypatch):
+    # per-suite timing wraps these entries, so every suite but "all" needs
+    # one and run_suite must call the entry it finds there
+    assert list(validator._SUITES) == [s for s in SUITE_NAMES if s != "all"]
+    assert all(callable(fn) for fn in validator._SUITES.values())
+    calls = []
+    real = validator._SUITES["wang"]
+    monkeypatch.setitem(validator._SUITES, "wang",
+                        lambda obj, cutoff: calls.append(cutoff) or real(obj, cutoff))
+    assert list(run_suite(ruled, "wang", CUTOFF).checks) == ["wang-sequence"]
+    assert list(run_suite(ruled, "all", CUTOFF).checks) == sum(SUITE_CHECKS.values(), [])
+    assert calls == [CUTOFF, CUTOFF]
 
 
 def test_cutoff_is_demanded_where_products_appear(ruled):
