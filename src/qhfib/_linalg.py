@@ -11,6 +11,8 @@ package are stable.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -25,6 +27,28 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
+
+
+def apply(v, rows, width) -> Vector:
+    """The row vector v times the matrix rows (one row of the given width
+    per coordinate of v): sum of x rows[i] over the nonzero x = v[i]."""
+    out = [Fraction(0)] * width
+    for x, row in zip(v, rows):
+        if x:
+            for t, y in enumerate(row):
+                out[t] += x * y
+    return out
+
+
+def multilinear(read, *vectors) -> Fraction:
+    """Sum of x_1 x_2 ... read(t_1, t_2, ...) over the nonzero coordinates
+    x_s = vectors[s][t_s], slots read in order with the first vector
+    outermost, so the first raising read raises first."""
+    supports = [[(t, x) for t, x in enumerate(v) if x] for v in vectors]
+    total = Fraction(0)
+    for combo in product(*supports):
+        total += prod([x for _, x in combo], start=read(*[t for t, _ in combo]))
+    return total
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

@@ -16,12 +16,10 @@ once).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
-from ._linalg import invert, rank, solve
+from ._linalg import apply, identity, invert, multilinear, rank, solve
 from .errors import (
     FiberMismatch,
     Inconsistent,
@@ -124,9 +122,14 @@ def _normalizing_class(lattice: H2Lattice, u0, c0, name) -> H2Class:
     x = solve(rows, rhs) if rows else [Fraction(0)] * len(sph)
     if x is None:
         raise Inconsistent(f"{name}: section normalization system unsolvable")
+    return _spherical_class(lattice, x)
+
+
+def _spherical_class(lattice: H2Lattice, x) -> H2Class:
+    """The class with coordinates x on the spherical generators, 0 elsewhere."""
     coords = [Fraction(0)] * len(lattice.generators)
-    for t, i in enumerate(sph):
-        coords[i] = x[t]
+    for i, xi in zip(lattice.spherical_indices(), x):
+        coords[i] = xi
     return lattice.cls(coords)
 
 
@@ -181,33 +184,19 @@ class FibrationModel:
         if self.sigma_ref.lattice is not self.total.h2:
             raise ValueError(f"{name}: sigma_ref {sigma_ref!r} is not on the total lattice")
         if self.total.h2.embed is not None:
-            hits = self._fiber_meet(self.sigma_ref.embedded())
+            hits = self.total.meet_class(self.iota[fiber.fundamental_index], self.sigma_ref)
             if hits != 1:
                 raise ValueError(
                     f"{name}: reference section meets the fiber {format_rational(hits)} "
                     "times, expected exactly once"
                 )
 
-        vertical = vertical or {}
-        section = section or {}
-        self.vertical_gw = GWTable(
-            self.total, "fiber",
-            two_point=vertical.get("two_point"),
-            three_point=vertical.get("three_point"),
-            four_point_chi=vertical.get("four_point_chi"),
-            complete_below=vertical.get("complete_below"),
-        )
+        self.vertical_gw = GWTable(self.total, "fiber", **(vertical or {}))
         # the evaluator closes over sigma_ref, not over self: a table holding
         # its own model would leave every dropped model for the cycle collector
         sigma_ref = self.sigma_ref
-        self.section_gw = GWTable(
-            self.total, "section",
-            two_point=section.get("two_point"),
-            three_point=section.get("three_point"),
-            four_point_chi=section.get("four_point_chi"),
-            complete_below=section.get("complete_below"),
-            section_c1=lambda offset: sigma_ref.c1 + offset.c1 + 2,
-        )
+        self.section_gw = GWTable(self.total, "section", **(section or {}),
+                                  section_c1=lambda offset: sigma_ref.c1 + offset.c1 + 2)
         self.vertical_ring = QuantumRing(self.total, self.vertical_gw)
         self.base_area = None if base_area is None else Fraction(base_area)
         self.product_structure = bool(product_structure)
@@ -241,22 +230,11 @@ class FibrationModel:
         vertical part plus the base sphere's 2."""
         return self.section_gw.section_c1(offset)
 
-    def _fiber_meet(self, emb) -> Fraction:
-        """The fiber iota[M] . the total class of degree-2 coordinates emb,
-        in either order, as that class has even degree."""
-        cov = self.total.covector(self.iota[self.fiber.fundamental_index])
-        deg2 = self.total.indices_of_degree(2)
-        return sum((cov.get(t, 0) * x for t, x in zip(deg2, emb)), Fraction(0))
-
     def iota_h2_class(self, b: H2Class) -> H2Class:
         """The image of a fiber class. Its area and Chern number are b's:
         the constructor checked that iota_h2 keeps both on every generator,
         and both are linear."""
-        coords = [Fraction(0)] * len(self.total.h2.generators)
-        for gi, x in enumerate(b.coords):
-            if x:
-                for t, y in enumerate(self.iota_h2[gi]):
-                    coords[t] += x * y
+        coords = apply(b.coords, self.iota_h2, len(self.total.h2.generators))
         return H2Class(self.total.h2, tuple(coords), b.omega, b.c1)
 
     def fiber_class_from_total(self, c: H2Class) -> H2Class | None:
@@ -271,12 +249,7 @@ class FibrationModel:
             [lat.c1[i] for i in sph],
         ]
         x = solve(a, [c.omega, c.c1])
-        if x is None:
-            return None
-        coords = [Fraction(0)] * len(lat.generators)
-        for t, i in enumerate(sph):
-            coords[i] = x[t]
-        return lat.cls(coords)
+        return None if x is None else _spherical_class(lat, x)
 
     def push_forward(self, a: QHClass, matrix) -> QHClass:
         """A fiber quantum class in the total space: each basis class e_i
@@ -284,15 +257,9 @@ class FibrationModel:
         iota_h2."""
         if a.model is not self.fiber:
             raise ValueError("push-forward acts on fiber classes")
-        terms = {}
-        for e, vec in a.terms.items():
-            out = self.total.zero_vector()
-            for i, x in enumerate(vec):
-                if x:
-                    for t, y in enumerate(matrix[i]):
-                        out[t] += x * y
-            terms[self.iota_h2_class(e)] = out
-        return self.total.qh(terms)
+        width = len(self.total.basis)
+        return self.total.qh({self.iota_h2_class(e): apply(vec, matrix, width)
+                              for e, vec in a.terms.items()})
 
     def iota_class(self, a: QHClass) -> QHClass:
         return self.push_forward(a, self.iota)
@@ -352,20 +319,18 @@ class FibrationModel:
             return table
         table = self._loop_tables[arity] = {}
         w = self.section_gw.window(arity)
-        support = [[(t, x) for t, x in enumerate(row) if x] for row in self.iota]
-        extra = [support[self.fiber.fundamental_index]] if arity == "three_point" else []
+        extra = [self.iota[self.fiber.fundamental_index]] if arity == "three_point" else []
         for key in self.section_gw.known_key_classes(arity):
             b = self.fiber_class_from_total(key)
             if b is None or w is None or key.omega > w:
                 continue
-            for i, si in enumerate(support):
-                for j, sj in enumerate(support):
-                    val = sum(
-                        (prod(x for _, x in combo) * self.section_gw.query(
-                            arity, tuple(t for t, _ in combo), key)
-                         for combo in itertools.product(si, sj, *extra)),
-                        Fraction(0),
-                    )
+
+            def read(*slots):
+                return self.section_gw.query(arity, slots, key)
+
+            for i, vi in enumerate(self.iota):
+                for j, vj in enumerate(self.iota):
+                    val = multilinear(read, vi, vj, *extra)
                     if val:
                         table[(i, j, b)] = val
         return table
@@ -501,28 +466,25 @@ class FibrationModel:
             self._restriction = tuple(map(tuple, self._restriction_rows()))
         return [list(row) for row in self._restriction]
 
+    def _iota_preimage(self, vec):
+        """The fiber vector x with iota(x) = vec, or None."""
+        return solve([list(col) for col in zip(*self.iota)], vec)
+
     def _restriction_rows(self):
         m = self.total
         fund = self.fiber.fundamental_index
-        iota_cols = [[self.iota[i][t] for i in range(len(self.fiber.basis))]
-                     for t in range(len(m.basis))]
         rows = []
-        for v in range(len(m.basis)):
-            vec = m.zero_vector()
-            vec[v] = Fraction(1)
-            prod = self.vertical_product(m.qh_from_vector(vec),
-                                         m.qh_from_vector(self.iota[fund]))
-            cls = prod.classical()
-            extra = {e: x for e, x in prod.terms.items() if not e.is_zero()}
-            if extra:
+        for lbl in m.labels:
+            image = self.vertical_product(m.qh_basis(lbl), m.qh_from_vector(self.iota[fund]))
+            if any(not e.is_zero() for e in image.terms):
                 raise Inconsistent(
-                    f"{self.name}: fiber restriction of {m.labels[v]} has quantum "
+                    f"{self.name}: fiber restriction of {lbl} has quantum "
                     "corrections; the vertical table breaks the divisor axiom"
                 )
-            x = solve(iota_cols, cls)
+            x = self._iota_preimage(image.classical())
             if x is None:
                 raise Inconsistent(
-                    f"{self.name}: {m.labels[v]} . [fiber] is not a fiber class"
+                    f"{self.name}: {lbl} . [fiber] is not a fiber class"
                 )
             rows.append(x)
         return rows
@@ -551,11 +513,8 @@ class FibrationModel:
                 f"rank(iota) + rank(restriction) = {iota_rank}+{d_rank} != "
                 f"{len(m.basis)} = dim H(P): sequence not exact"
             )
-        for i in range(len(f.basis)):
-            img = self.iota[i]
-            comp = [sum(img[t] * d[t][j] for t in range(len(m.basis)))
-                    for j in range(len(f.basis))]
-            if any(comp):
+        for i, img in enumerate(self.iota):
+            if any(apply(img, d, len(f.basis))):
                 failures.append(
                     f"restriction of iota({f.labels[i]}) to the fiber is nonzero"
                 )
@@ -565,8 +524,9 @@ class FibrationModel:
 
     def module_report(self, cutoff, sigma: H2Class | None = None) -> dict:
         """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis.
-        Raises TableIncomplete when the tables do not cover the cutoff."""
-        failures = []
+        Raises TableIncomplete when the tables do not cover the cutoff; a
+        shifted section they do not reach is a skip, kept under any failure."""
+        failures, skips = [], []
         op = self.psi_operator(cutoff, sigma)
         ring = self.fiber_ring
         qcls = op.apply(self.fiber.qh_unit())
@@ -595,7 +555,11 @@ class FibrationModel:
             sub = Fraction(cutoff) - abs(b.omega)
             if sub <= 0:
                 continue
-            op2 = self.psi_operator(cutoff, self.sigma_ref + self.iota_h2_class(b))
+            try:
+                op2 = self.psi_operator(cutoff, self.sigma_ref + self.iota_h2_class(b))
+            except TableIncomplete as exc:
+                skips.append(str(exc))
+                break
             for i, lbl in enumerate(self.fiber.labels):
                 lhs = op2.images[i].truncate(sub)
                 rhs = op.images[i].shift(b).truncate(sub)
@@ -604,7 +568,7 @@ class FibrationModel:
                         f"Psi at shifted section != e^B twist on {lbl} (B = {b!r})"
                     )
             break
-        return check(failures)
+        return check(failures, skips)
 
     def vertical_report(self, cutoff) -> dict:
         """iota is a ring map and the splitting is a module map for the
@@ -636,28 +600,28 @@ class FibrationModel:
         """Entry-level check of the vertical table against fiber data:
         any entry with an iota-type slot is the fiber invariant of the
         restricted insertions."""
-        m, f = self.total, self.fiber
+        m = self.total
         failures, skips = [], []
         try:
             d = self.fiber_restriction_matrix()
         except Inconsistent as exc:
             return check([str(exc)])
-        iota_cols = [[self.iota[i][t] for i in range(len(f.basis))]
-                     for t in range(len(m.basis))]
-
-        def iota_preimage(v):
-            vec = m.zero_vector()
-            vec[v] = Fraction(1)
-            return solve(iota_cols, vec)
-
         classes = self.vertical_gw.known_key_classes("three_point")
         for cls in classes:
             b = self.fiber_class_from_total(cls)
             if b is None:
                 failures.append(f"vertical key {cls!r} is not a fiber class")
                 continue
+
+            def read(*slots):  # a slot the fiber table lacks goes to `missing`, read as 0
+                try:
+                    return self.fiber_gw.three(*slots, b)
+                except TableIncomplete as exc:
+                    missing.append(str(exc))
+                    return 0
+
             for i in range(len(m.basis)):
-                pre = iota_preimage(i)
+                pre = self._iota_preimage(m.vector([(i, Fraction(1))]))
                 if pre is None:
                     continue
                 for j in range(len(m.basis)):
@@ -667,23 +631,10 @@ class FibrationModel:
                         except TableIncomplete as exc:
                             skips.append(str(exc))
                             continue
-                        want = Fraction(0)
-                        partial = False
-                        for a, xa in enumerate(pre):
-                            if not xa:
-                                continue
-                            for bb, xb in enumerate(d[j]):
-                                if not xb:
-                                    continue
-                                for cc, xc in enumerate(d[k]):
-                                    if not xc:
-                                        continue
-                                    try:
-                                        want += xa * xb * xc * self.fiber_gw.three(a, bb, cc, b)
-                                    except TableIncomplete as exc:
-                                        skips.append(str(exc))
-                                        partial = True
-                        if partial:
+                        missing = []
+                        want = multilinear(read, pre, d[j], d[k])
+                        if missing:
+                            skips.extend(missing)
                             continue
                         if want != got:
                             failures.append(
@@ -704,12 +655,10 @@ class FibrationModel:
             return check([], ["no degree-2 embedding on the total lattice"])
         codim2 = 2 * m.n - 2
         divisors = m.indices_of_degree(codim2)
-        deg2 = m.indices_of_degree(2)
         failures, skips = [], []
 
         def meets(w, off):
-            coords = (self.sigma_ref + off).embedded()
-            return sum(coords[q] * m.pairing[w][d] for q, d in enumerate(deg2))
+            return m.meet_class(m.vector([(w, Fraction(1))]), self.sigma_ref + off)
 
         groups = set()
         for (idx, off) in self.section_gw._store("two_point"):
@@ -780,11 +729,7 @@ class FibrationModel:
 
     def _pd_of_covector(self, cov_deg2):
         m = self.total
-        deg2 = m.indices_of_degree(2)
-        rhs = m.zero_vector()
-        for t, idx in enumerate(deg2):
-            rhs[idx] = cov_deg2[t]
-        return m.solve_pairing(rhs)
+        return m.solve_pairing(m.vector(zip(m.indices_of_degree(2), cov_deg2)))
 
     def _power_cap(self, factors):
         """Iterated cap of Poincare duals of degree-2 covectors."""
@@ -1034,7 +979,8 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     lat = t.h2
     if lat.embed is None:
         raise QhfibError(f"{fib.name}: mirror needs an embedded total lattice")
-    fiber_meet = [fib._fiber_meet(emb) for emb in lat.embed]
+    fund = fib.iota[fib.fiber.fundamental_index]
+    fiber_meet = [t.meet_class(fund, lat.cls(e)) for e in identity(len(lat.generators))]
     u0, c0 = fib.sigma_ref.omega, fib.sigma_ref.c1
     new_omega = tuple(
         lat.omega[g] - 2 * fiber_meet[g] * u0 for g in range(len(lat.generators))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from ._linalg import invert
+from ._linalg import invert, multilinear
 from .errors import (
     DegeneratePairing,
     MissingTripleData,
@@ -232,6 +232,11 @@ class ManifoldModel:
         """Intersection number a . b of two homology vectors."""
         return evaluate(self.covector(a), b)
 
+    def meet_class(self, a, cls) -> Fraction:
+        """a . the degree-2 class of the lattice class cls (its embedding),
+        in either order, as that class has even degree."""
+        return self.intersect(a, self.vector(zip(self.indices_of_degree(2), cls.embedded())))
+
     def pairing_entries(self) -> dict:
         """The nonzero pairing entries {(i, j): e_i . e_j} with i <= j; graded
         symmetry gives the rest."""
@@ -268,17 +273,7 @@ class ManifoldModel:
 
     def triple_form(self, a, b, c) -> Fraction:
         """t(a,b,c) = (a cap b) . c on homology vectors."""
-        total = Fraction(0)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                for k, ck in enumerate(c):
-                    if ck:
-                        total += ai * bj * ck * self.triple_eval(i, j, k)
-        return total
+        return multilinear(self.triple_eval, a, b, c)
 
     def triple_rows(self, pairs):
         """The triple form scattered into right-hand sides (see `scatter`),

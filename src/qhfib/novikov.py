@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
+from ._linalg import apply
 from .errors import CutoffTooSmall, NotInvertible, QhfibError
 
 
@@ -167,12 +168,8 @@ class H2Class:
         """Coordinates in the ambient degree-2 homology basis."""
         if self.lattice.embed is None:
             raise ValueError("lattice has no homology embedding")
-        cols = len(self.lattice.embed[0]) if self.lattice.embed else 0
-        out = [Fraction(0)] * cols
-        for c, row in zip(self.coords, self.lattice.embed):
-            for j, x in enumerate(row):
-                out[j] += c * x
-        return out
+        return apply(self.coords, self.lattice.embed,
+                     len(self.lattice.embed[0]) if self.lattice.embed else 0)
 
     def __repr__(self):
         parts = [

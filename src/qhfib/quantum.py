@@ -334,7 +334,8 @@ class QuantumRing:
         q^-1 = -M_k e_[X] / c. The terms of area >= -(cutoff + max(0, leading
         area of q)) are kept, so q q^-1 = 1 modulo the cutoff; they are exact
         because 1/c is taken on that window widened by the largest area in
-        M_k e_[X]."""
+        M_k e_[X]. The final check multiplies q q^-1 through the cutoff, so
+        it reads only classes the table declares complete, or raises."""
         m, k = self.model, len(self.model.basis)
         zero = NovikovElement(m.h2)
         cols = [self.product(q, m.qh_basis(lbl)).terms for lbl in m.labels]
@@ -362,7 +363,7 @@ class QuantumRing:
                 if e.omega >= -window:
                     terms.setdefault(e, m.zero_vector())[t] = x
         inv = m.qh(terms)
-        if self.product(q, inv).truncate(cutoff) != self.unit().truncate(cutoff):
+        if self.product(q, inv, cutoff) != self.unit().truncate(cutoff):
             return None
         return inv
 
@@ -553,13 +554,8 @@ class QuantumRing:
                 except TableIncomplete as exc:
                     skips.append(str(exc))
                     continue
-                bcoords = cls.embedded()
                 for w in deg2:
-                    wb = sum(
-                        bcoords[t] * m.pairing[w][d2]
-                        for t, d2 in enumerate(m.indices_of_degree(2))
-                    )
-                    # w . B through the degree-2 coordinates of the class
+                    wb = m.meet_class(m.vector([(w, Fraction(1))]), cls)
                     try:
                         lhs = self.table.three(pair[0], pair[1], w, cls)
                     except TableIncomplete as exc:
@@ -650,23 +646,13 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
                 deg2.append((i, j))
     if m1.h2.embed is None or m2.h2.embed is None:
         raise ValueError("tensor models need embedded lattices on both factors")
+    # a factor's degree-2 class times the other factor's point
     embed = []
-    for gi, row in enumerate(m1.h2.embed):
-        e = []
-        for (i, j) in deg2:
-            if m2.degrees[j] == 0 and j == m2.point_index:
-                e.append(row[m1.indices_of_degree(2).index(i)])
-            else:
-                e.append(Fraction(0))
-        embed.append(tuple(e))
-    for gi, row in enumerate(m2.h2.embed):
-        e = []
-        for (i, j) in deg2:
-            if m1.degrees[i] == 0 and i == m1.point_index:
-                e.append(row[m2.indices_of_degree(2).index(j)])
-            else:
-                e.append(Fraction(0))
-        embed.append(tuple(e))
+    for s, m, other in ((0, m1, m2), (1, m2, m1)):
+        own = m.indices_of_degree(2)
+        for row in m.h2.embed:
+            embed.append(tuple(row[own.index(ij[s])] if ij[1 - s] == other.point_index
+                               else Fraction(0) for ij in deg2))
     h2 = H2Lattice(
         generators=tuple(gens + gens2),
         omega=tuple(m1.h2.omega) + tuple(m2.h2.omega),

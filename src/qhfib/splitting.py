@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from ._linalg import invert
+from ._linalg import apply, invert
 from .errors import QhfibError, TableIncomplete
 from .fibration import FibrationModel
 from .manifold import ManifoldModel, graded_matrix, kunneth
@@ -74,16 +74,9 @@ def corrected_splitting(fib: FibrationModel) -> FibrationModel:
     lam = splitting_correction(f.degrees, f.n, q)
     dual = f.dual_basis()
     new_s = []
-    for i in range(len(f.basis)):
-        row = [x for x in fib.splitting_map[i]]
-        for j in range(len(f.basis)):
-            if lam[i][j] == 0:
-                continue
-            for a, xa in enumerate(dual[j]):
-                if xa:
-                    for t, y in enumerate(fib.iota[a]):
-                        row[t] += lam[i][j] * xa * y
-        new_s.append(row)
+    for lam_i, row in zip(lam, fib.splitting_map):
+        fix = apply(apply(lam_i, dual, len(f.basis)), fib.iota, len(fib.total.basis))
+        new_s.append([x + y for x, y in zip(row, fix)])
     return fib.replace(splitting=new_s)
 
 
@@ -152,11 +145,7 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
     step(report, "section-map", True, "s(x) classical for every basis class")
 
     for i, lbl in enumerate(f.labels):
-        vec = images[i].classical()
-        restr = [
-            sum(vec[t] * d[t][j] for t in range(len(m.basis)))
-            for j in range(len(f.basis))
-        ]
+        restr = apply(images[i].classical(), d, len(f.basis))
         want = [Fraction(int(j == i)) for j in range(len(f.basis))]
         if restr != want:
             step(
@@ -264,7 +253,9 @@ def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable, lift):
                     section4[(i, j, t, k + y), lift(cls)] = val
 
     complete = dict.fromkeys(ARITIES, fiber_gw.window("three_point"))
-    vertical = {"two_point": vertical2, "three_point": vertical3, "complete_below": complete}
+    # no vertical four-point entries are synthesized, so none are declared complete
+    vertical = {"two_point": vertical2, "three_point": vertical3,
+                "complete_below": {**complete, "four_point_chi": None}}
     section = {"two_point": section2, "three_point": section3, "four_point_chi": section4,
                "complete_below": complete}
     return vertical, section

@@ -457,6 +457,65 @@ def test_a_seidel_element_that_is_not_a_unit_fails_at_every_cutoff(capsys, tmp_p
                        f"is not invertible modulo {cutoff}; section data is wrong or incomplete\n")
 
 
+def test_module_identities_keep_their_failures_when_the_shifted_section_lacks_data(
+        capsys, tmp_path):
+    """With n(F, M; 0) = 3 the module identities fail. The shifted-section
+    twist needs two-point data through area 8, and a window of 7 turns only
+    that block into a skip reason: the failures still fail the check. The
+    unedited window-7 copy still skips with the same text."""
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["section_gw"]["complete_below"]["two_point"] = "7"
+    clean = tmp_path / "window-7.json"
+    clean.write_text(json.dumps(d))
+    entry = next(e for e in d["section_gw"]["two_point"] if e[:2] == [["F", "M"], ["0", "0", "0"]])
+    entry[2] = "3"
+    bad = tmp_path / "window-7-FM-3.json"
+    bad.write_text(json.dumps(d))
+    d["section_gw"]["complete_below"]["two_point"] = "100"
+    wide = tmp_path / "window-100-FM-3.json"
+    wide.write_text(json.dumps(d))
+
+    def module(path):
+        return run(capsys, "verify", "--fixture", str(path), "--suite", "module", "--cutoff", "6")
+
+    code, out, err = module(bad)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "module-identities: fail"
+    psi = [line for line in lines if line.startswith("  Psi(")]
+    assert len(psi) == 8 and lines[1:9] == psi
+    assert lines[9:] == [
+        "seidel-invertible: skip",
+        "  ruled-loop: two_point section data must be complete through area 43/6 (have 7)",
+        "suite module: FAILED",
+    ]
+    code, wide_out, _ = module(wide)
+    assert code == 1
+    assert wide_out.splitlines()[:9] == lines[:9]
+    assert module(clean) == (0, (
+        "module-identities: skip\n"
+        "  ruled-loop: two_point section data must be complete through area 8 (have 7)\n"
+        "seidel-invertible: skip\n"
+        "  ruled-loop: two_point section data must be complete through area 43/6 (have 7)\n"
+        "suite module: ok\n"), "")
+
+
+def test_rho_verifies_its_inverse_only_through_the_declared_window(capsys, tmp_path):
+    """A fiber table complete only through area 3 cannot confirm
+    rho * rho^-1 = 1 modulo 6, which needs area 8: rho exits 3, as the
+    product does, instead of reading the undeclared classes as 0. At
+    cutoff 1 the window covers the check and rho is unchanged."""
+    d = json.loads(Path(RULED_FIXTURE).read_text())
+    d["fiber_gw"]["complete_below"]["three_point"] = "3"
+    path = tmp_path / "fiber-window-3.json"
+    path.write_text(json.dumps(d))
+    assert run(capsys, "rho", "--fixture", str(path), "--cutoff", "6") == (
+        3, "", "incomplete data: ruled-surface: product needs three-point data through area 8\n")
+    assert run(capsys, "product", "--fixture", str(path), "--cutoff", "6", "T-", "T-")[0] == 3
+    assert run(capsys, "rho", "--fixture", str(path), "--cutoff", "1") == \
+        run(capsys, "rho", "--fixture", RULED_FIXTURE, "--cutoff", "1")
+
+
 def _fixture_with_a_zero_denominator(tmp_path):
     d = json.loads(Path(RULED_FIXTURE).read_text())
     d["fiber_gw"]["two_point"][0][2] = "1/0"

@@ -103,13 +103,14 @@ def ref_inverse_or_none(ring, q, cutoff):
 
 
 def two_generator_sphere():
-    """A sphere-like ring with an empty table over a lattice whose
-    generators A and B both have area 1, with Chern numbers 0 and 2."""
+    """A sphere-like ring with an empty table, declared complete through
+    area 100, over a lattice whose generators A and B both have area 1,
+    with Chern numbers 0 and 2."""
     lat = H2Lattice(generators=("A", "B"), omega=(Fraction(1), Fraction(1)),
                     c1=(Fraction(0), Fraction(2)), spherical=(True, True))
     m = ManifoldModel("two-generator sphere", 1, [("1", 2), ("pt", 0)],
                       [[0, 1], [1, 0]], {("1", "1", "pt"): 1}, lat)
-    return QuantumRing(m, GWTable(m, "fiber"))
+    return QuantumRing(m, GWTable(m, "fiber", complete_below=100))
 
 
 def assert_inverse(ring, q, inv, cutoff):

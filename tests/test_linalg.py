@@ -2,14 +2,16 @@
 
 The reduced row echelon form is unique, so rref, rank, solve and invert
 must give exactly the reference's answers on every matrix, singular or not.
+The vector-times-matrix and slot-sum helpers are checked against dense sums.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from qhfib._linalg import invert, rank, rref, solve
+from qhfib._linalg import apply, invert, multilinear, rank, rref, solve
 
 
 def ref_rref(a):
@@ -162,3 +164,58 @@ def test_edge_shapes():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     assert rref(zero) == ref_rref(zero)
     assert solve(zero, [Fraction(0), Fraction(1)]) is None
+
+
+def test_apply_is_the_dense_row_vector_times_matrix_product():
+    rng = random.Random(18)
+    shapes = [(0, 0), (0, 3), (1, 0), (1, 1), (1, 4), (3, 1), (5, 5), (4, 7)]
+    for density in DENSITIES:
+        for rows, cols in shapes:
+            a = random_matrix(rng, rows, cols, density)
+            v = [random_entry(rng, density) for _ in range(rows)]
+            want = [sum((v[i] * a[i][t] for i in range(rows)), Fraction(0))
+                    for t in range(cols)]
+            got = apply(v, a, cols)
+            assert got == want
+            assert all(type(x) is Fraction for x in got)
+
+
+def test_multilinear_is_the_dense_slot_sum_read_in_order():
+    rng = random.Random(19)
+    for density in DENSITIES:
+        for lengths in [(), (0,), (3,), (1, 1), (2, 0, 3), (3, 4), (2, 3, 2), (1, 2, 2, 1)]:
+            table = {}
+
+            def read(*slots):
+                seen.append(slots)
+                return table.setdefault(slots, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+            vectors = [[random_entry(rng, density) for _ in range(n)] for n in lengths]
+            seen = []
+            got = multilinear(read, *vectors)
+            # the dense sum over every slot, zeros included, first vector outermost
+            want, order = Fraction(0), []
+            for slots in itertools.product(*(range(n) for n in lengths)):
+                coeff = Fraction(1)
+                for v, t in zip(vectors, slots):
+                    coeff *= v[t]
+                if coeff:
+                    order.append(slots)
+                    want += coeff * table[slots]
+            assert got == want and type(got) is Fraction
+            assert seen == order
+
+
+def test_multilinear_raises_at_the_first_raising_slot():
+    reads = []
+
+    def read(i, j):
+        reads.append((i, j))
+        if (i, j) == (1, 0):
+            raise KeyError((i, j))
+        return Fraction(1)
+
+    one = Fraction(1)
+    with pytest.raises(KeyError):
+        multilinear(read, [one, one, one], [one, 0, one])
+    assert reads == [(0, 0), (0, 2), (1, 0)]

@@ -13,6 +13,7 @@ from qhfib import (
     UnknownBasisLabel,
     catalog,
 )
+from qhfib.fibration import mirror
 from qhfib.fixtures import manifold_from_dict, manifold_to_dict
 from qhfib.manifold import koszul_sorted
 from qhfib.quantum import tensor_model
@@ -250,3 +251,35 @@ def test_sparse_pairing_reads_equal_the_dense_matrix(name):
     dense_entries = {(i, j): x for i, row in enumerate(m.pairing)
                      for j, x in enumerate(row[i:], i) if x}
     assert list(m.pairing_entries().items()) == list(dense_entries.items())
+
+
+def _meet_models():
+    """Every model of SPARSE_MODELS plus each builtin's mirror total space,
+    whose lattice has the flipped area and Chern covectors."""
+    models = dict(SPARSE_MODELS)
+    for name in catalog.BUILTIN_FIBRATIONS:
+        models[f"{name}/mirror total"] = mirror(catalog.build(name), 6).total
+    return models
+
+
+MEET_MODELS = _meet_models()
+
+
+@pytest.mark.parametrize("name", MEET_MODELS)
+def test_meet_class_is_the_pairing_against_the_embedded_coordinates(name):
+    m = MEET_MODELS[name]
+    assert m.h2.embed is not None
+    deg2 = m.indices_of_degree(2)
+    rng = random.Random(f"meet {name}")
+    classes = [m.h2.gen(g) for g in m.h2.generators]
+    classes += [m.h2.cls([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m.h2.generators])
+                for _ in range(5)]
+    vectors = [m.basis_vector(lbl) for lbl in m.labels]
+    vectors += [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in m.labels]
+                for _ in range(5)]
+    for cls in classes:
+        emb = cls.embedded()
+        for a in vectors:
+            dense = sum((a[w] * m.pairing[w][d] * emb[q]
+                         for w in range(len(m.basis)) for q, d in enumerate(deg2)), Fraction(0))
+            assert m.meet_class(a, cls) == dense

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,8 @@ from qhfib import (
     tensor_model,
     verify_product_pattern,
 )
-from qhfib.quantum import ARITIES
+from qhfib import fixtures
+from qhfib.quantum import ARITIES, QuantumRing
 from qhfib.splitting import correction_valid, product_section_tables
 from tests.conftest import CUTOFF, STEP_LINE, offending_lines
 
@@ -167,6 +169,26 @@ def test_product_tables_load_through_gwtable_unchanged(fiber):
     for want, table in loaded:
         for arity in ARITIES:
             assert items(table._store(arity)) == items(want.get(arity, {}))
+
+
+@pytest.mark.parametrize("name", ["sphere-product", "quantum-trivial-product", "torus-product"])
+def test_product_builtins_declare_no_vertical_four_point_window(name):
+    """No vertical four-point entries are synthesized, so none are declared
+    complete: on sphere-product the vertical four-point splitting check is
+    a skip, where a declared window made it fail on two silent zeros."""
+    root = Path(__file__).resolve().parent.parent
+    for fib in (catalog.build(name), fixtures.load(root / "fixtures" / f"{name}.json")):
+        cb = fib.vertical_gw.complete_below
+        assert cb["four_point_chi"] is None
+        assert cb["two_point"] == cb["three_point"] == fib.fiber_gw.window("three_point")
+        assert not fib.vertical_gw.four_point_chi
+        report = QuantumRing(fib.total, fib.vertical_gw).assoc1_report()
+        if name == "sphere-product":
+            assert report["status"] == "skip"
+            assert all("four_point_chi invariant" in line and "(none declared)" in line
+                       for line in report["details"])
+        else:  # the fiber stores no three-point class, so nothing splits
+            assert report == {"status": "pass", "details": []}
 
 
 def test_product_pattern_skips_non_product_fixtures(ruled):
