@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from ._linalg import apply, identity, invert, multilinear, rank, solve
 from .errors import (
@@ -42,24 +43,11 @@ class PsiOperator:
         self.images = list(images)
         self.cutoff = Fraction(cutoff)
 
-    @classmethod
-    def from_loop_table(cls, model: ManifoldModel, table, offset: H2Class,
-                        cutoff) -> PsiOperator:
-        """The operator of a fiber-keyed two-point table {(i, j, B): n} at
-        the section shifted by the fiber class `offset`: Psi(e_i) is the sum
-        over B of x e^{offset - B}, x the class with x . e_j = n(i, j; B) for
-        every j (model.solve_pairing), the equation the mirror inverts."""
-        images = []
-        for i in range(len(model.basis)):
-            # the section's own class leads: term order decides which
-            # coordinates later sums keep for equal classes
-            rows = {model.h2.zero(): model.zero_vector()}
-            for (a, j, c), val in table.items():
-                if a == i:
-                    rows.setdefault(c - offset, model.zero_vector())[j] += val
-            img = model.qh({-rel: model.solve_pairing(row) for rel, row in rows.items()})
-            images.append(img.truncate(cutoff))
-        return cls(model, images, cutoff)
+    def shifted(self, offset: H2Class, cutoff) -> PsiOperator:
+        """This operator at the section moved by the fiber class `offset`:
+        every image times e^offset, valid modulo the cutoff."""
+        return PsiOperator(
+            self.model, [img.shift(offset).truncate(cutoff) for img in self.images], cutoff)
 
     def apply(self, a: QHClass) -> QHClass:
         if a.model is not self.model:
@@ -76,12 +64,6 @@ class PsiOperator:
         cutoff = min(self.cutoff, inner.cutoff)
         images = [self.apply(img).truncate(cutoff) for img in inner.images]
         return PsiOperator(self.model, images, cutoff)
-
-    def equal_mod(self, other: PsiOperator, cutoff) -> bool:
-        return all(
-            a.truncate(cutoff) == b.truncate(cutoff)
-            for a, b in zip(self.images, other.images)
-        )
 
     def is_identity(self, cutoff=None) -> bool:
         cutoff = self.cutoff if cutoff is None else Fraction(cutoff)
@@ -200,7 +182,7 @@ class FibrationModel:
         self.vertical_ring = QuantumRing(self.total, self.vertical_gw)
         self.base_area = None if base_area is None else Fraction(base_area)
         self.product_structure = bool(product_structure)
-        self._loop_tables = {}
+        self._loops = {}
         self._seidel_pairs = {}
         self._mirrors = {}
         self._restriction = None
@@ -308,21 +290,26 @@ class FibrationModel:
 
     # -- Seidel operator ------------------------------------------------------
 
-    def _loop_table(self, arity) -> dict:
-        """Section data as a fiber-keyed two-point table
-        {(i, j, B): n(iota e_i, iota e_j; sigma_ref + B)}, over the fiber
-        classes B of the stored keys inside the declared window. The
+    def _loop(self, arity) -> PsiOperator:
+        """Psi at the reference section from the section data of one arity,
+        valid through its declared window: Psi(e_i) is the sum over the
+        fiber classes B of the stored keys of x e^{-B}, x the class with
+        x . e_j = n(iota e_i, iota e_j; sigma_ref + B) for every j
+        (fiber.solve_pairing), the equation the mirror inverts. The
         "three_point" route inserts the fiber's fundamental class in the
         third slot; it meets every section once. Built once per arity."""
-        table = self._loop_tables.get(arity)
-        if table is not None:
-            return table
-        table = self._loop_tables[arity] = {}
+        loop = self._loops.get(arity)
+        if loop is not None:
+            return loop
+        f = self.fiber
         w = self.section_gw.window(arity)
-        extra = [self.iota[self.fiber.fundamental_index]] if arity == "three_point" else []
+        extra = [self.iota[f.fundamental_index]] if arity == "three_point" else []
+        # the section's own class leads: term order decides which
+        # coordinates later sums keep for equal classes
+        rows = [{f.h2.zero(): f.zero_vector()} for _ in f.basis]
         for key in self.section_gw.known_key_classes(arity):
             b = self.fiber_class_from_total(key)
-            if b is None or w is None or key.omega > w:
+            if b is None or key.omega > w:
                 continue
 
             def read(*slots):
@@ -332,8 +319,10 @@ class FibrationModel:
                 for j, vj in enumerate(self.iota):
                     val = multilinear(read, vi, vj, *extra)
                     if val:
-                        table[(i, j, b)] = val
-        return table
+                        rows[i].setdefault(b, f.zero_vector())[j] += val
+        images = [f.qh({-b: f.solve_pairing(row) for b, row in r.items()}) for r in rows]
+        loop = self._loops[arity] = PsiOperator(f, images, w)
+        return loop
 
     def psi_operator(self, cutoff, sigma: H2Class | None = None) -> PsiOperator:
         """Seidel operator at the section sigma (default: the reference),
@@ -351,8 +340,7 @@ class FibrationModel:
         for arity in ("two_point", "three_point"):
             w = self.section_gw.window(arity)
             if w is not None and need <= w:
-                return PsiOperator.from_loop_table(
-                    self.fiber, self._loop_table(arity), b0, cutoff)
+                return self._loop(arity).shifted(b0, cutoff)
         w = self.section_gw.window("two_point")
         raise TableIncomplete(
             f"{self.name}: two_point section data must be complete through "
@@ -360,11 +348,8 @@ class FibrationModel:
             f"({'none declared' if w is None else 'have ' + format_rational(w)})"
         )
 
-    def psi(self, a: QHClass, cutoff, sigma: H2Class | None = None) -> QHClass:
-        return self.psi_operator(cutoff, sigma).apply(a)
-
     def q_class(self, cutoff, sigma: H2Class | None = None) -> QHClass:
-        return self.psi(self.fiber.qh_unit(), cutoff, sigma)
+        return self.psi_operator(cutoff, sigma).images[self.fiber.fundamental_index]
 
     # -- normalized section ---------------------------------------------------
 
@@ -529,19 +514,18 @@ class FibrationModel:
         failures, skips = [], []
         op = self.psi_operator(cutoff, sigma)
         ring = self.fiber_ring
-        qcls = op.apply(self.fiber.qh_unit())
+        qcls = op.images[self.fiber.fundamental_index]
         for i, lbl in enumerate(self.fiber.labels):
-            a = self.fiber.qh_basis(lbl)
-            want = ring.product(qcls, a, cutoff)
-            if op.apply(a) != want:
+            want = ring.product(qcls, self.fiber.qh_basis(lbl), cutoff)
+            if op.images[i] != want:
                 failures.append(
-                    f"Psi({lbl}) = {op.apply(a)!r} but Q*{lbl} = {want!r}"
+                    f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}"
                 )
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
                 a, b = self.fiber.qh_basis(la), self.fiber.qh_basis(lb)
                 left = op.apply(ring.product(a, b, cutoff))
-                right = ring.product(op.apply(a), b, cutoff)
+                right = ring.product(op.images[i], b, cutoff)
                 if left != right:
                     failures.append(
                         f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}"
@@ -708,24 +692,22 @@ class FibrationModel:
 
     # -- loop invariants --------------------------------------------------------
 
-    def _lattice_embed_matrix(self):
+    def _lattice_embed_inverse(self):
+        """The inverse of the lattice embedding (rows: generators, columns:
+        degree-2 basis classes)."""
         emb = self.total.h2.embed
         if emb is None:
             raise QhfibError(f"{self.name}: total lattice has no degree-2 embedding")
-        e = [list(row) for row in emb]
-        if len(e) != len(e[0]) or invert([r[:] for r in e]) is None:
+        inv = invert([list(row) for row in emb]) if len(emb) == len(emb[0]) else None
+        if inv is None:
             raise QhfibError(
                 f"{self.name}: lattice generators must form a basis of degree-2 homology"
             )
-        return e
+        return inv
 
     def _covector_on_deg2(self, values):
-        """Solve for the covector on the degree-2 basis from generator values."""
-        e = self._lattice_embed_matrix()
-        u = solve(e, list(values))
-        if u is None:
-            raise Inconsistent(f"{self.name}: covector values incompatible with embedding")
-        return u
+        """The covector on the degree-2 basis with the given generator values."""
+        return [sum(map(mul, row, values)) for row in self._lattice_embed_inverse()]
 
     def _pd_of_covector(self, cov_deg2):
         m = self.total
@@ -756,13 +738,8 @@ class FibrationModel:
         n = self.fiber.n
         x = self._power_cap([u] * n)
         deg2 = self.total.indices_of_degree(2)
-        coords_deg2 = [x[idx] for idx in deg2]
-        e = self._lattice_embed_matrix()
-        et = [[e[g][t] for g in range(len(e))] for t in range(len(e))]
-        y = solve(et, coords_deg2)
-        if y is None:
-            raise Inconsistent(f"{self.name}: dual class leaves the lattice span")
         lat = self.total.h2
+        y = apply([x[idx] for idx in deg2], self._lattice_embed_inverse(), len(lat.generators))
         return {
             lat.generators[g]: y[g]
             for g in range(len(lat.generators))
@@ -843,14 +820,14 @@ def composable(f: FibrationModel, g: FibrationModel):
 
 
 class LoopComposite:
-    """Glued loop data: the shared fiber plus a convolved two-point section
-    table keyed by fiber classes, valid modulo the build cutoff."""
+    """Glued loop: the shared fiber plus the composite operator at the glued
+    reference section, valid modulo the composite window."""
 
-    def __init__(self, name, fiber, fiber_ring, table, u0, c0, window):
+    def __init__(self, name, fiber, fiber_ring, loop, u0, c0, window):
         self.name = name
         self.fiber = fiber
         self.fiber_ring = fiber_ring
-        self.table = table  # dict[(i, j, fiber H2Class)] -> Fraction
+        self.loop = loop  # PsiOperator: Psi_g after Psi_f
         self.u0 = u0
         self.c0 = c0
         self.window = window
@@ -864,7 +841,7 @@ class LoopComposite:
                 f"{format_rational(self.window)}, need "
                 f"{format_rational(offset.omega + cutoff)}"
             )
-        return PsiOperator.from_loop_table(self.fiber, self.table, offset, cutoff)
+        return self.loop.shifted(offset, cutoff)
 
     def normalized_offset(self) -> H2Class:
         return _normalizing_class(self.fiber.h2, self.u0, self.c0, self.name)
@@ -879,9 +856,9 @@ class LoopComposite:
 
 def compose(f: FibrationModel, g: FibrationModel, cutoff):
     """Glue g after f at their reference sections. Returns the composite
-    loop data plus a check record whose details are one step line each for
-    the literal convolution against operator composition and for the
-    normalization gluing."""
+    loop plus a check record whose details are one step line each for the
+    composite loop, truncated once, against Psi_g after Psi_f at the cutoff
+    and for the normalization gluing."""
     composable(f, g)
     if g.fiber is not f.fiber:
         # the fibers agree structurally: rebuild g on f's, so classes compare
@@ -912,21 +889,10 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
             f"need {format_rational(cutoff)}"
         )
 
-    # n(i, j; B + B') = sum over s of x_s n_g(s, j; B'), x . e_t = n_f(i, t; B)
-    rows: dict[tuple, list] = {}
-    for (i, t, bf), n in f._loop_table("two_point").items():
-        rows.setdefault((i, bf), fiber.zero_vector())[t] += n
-    table: dict[tuple, Fraction] = {}
-    for (i, bf), row in rows.items():
-        x = fiber.solve_pairing(row)
-        for (s, j, bg), y in g._loop_table("two_point").items():
-            if x[s]:
-                key = (i, j, bf + bg)
-                table[key] = table.get(key, Fraction(0)) + x[s] * y
-    table = {kk: v for kk, v in table.items() if v != 0}
-
+    # each loop is valid through its own window, which contains the
+    # composite window: m_f, m_g <= 0
     comp = LoopComposite(
-        name, fiber, f.fiber_ring, table,
+        name, fiber, f.fiber_ring, g._loop("two_point").compose(f._loop("two_point")),
         u0=f.sigma_ref.omega + g.sigma_ref.omega,
         c0=f.sigma_ref.c1 + g.sigma_ref.c1,
         window=window,
@@ -935,10 +901,9 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     report = check([])
     op_f = f.psi_operator(cutoff)
     composed = g.psi_operator(cutoff).compose(op_f)
-    literal = comp.psi_operator(cutoff)
     step(
         report, "convolution-matches-operator-composition",
-        literal.equal_mod(composed, cutoff),
+        comp.psi_operator(cutoff).images == composed.images,
         "two-point convolution against Psi_g after Psi_f",
     )
     try:

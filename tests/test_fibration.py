@@ -7,12 +7,16 @@ from fractions import Fraction
 import pytest
 
 from qhfib import (
+    ManifoldModel,
     PrimingInvalid,
+    QhfibError,
     TableIncomplete,
     catalog,
     mirror,
+    run_suite,
 )
-from qhfib.fixtures import parse_qh
+from qhfib.cli import main
+from qhfib.fixtures import from_dict, parse_qh, to_dict
 from tests.conftest import CUTOFF
 
 # normalized section coefficient for each twisting parameter
@@ -142,6 +146,51 @@ def test_rotation_invariants(rotation):
     summary = rotation.invariants_summary()
     assert summary["Ic"] == (1, 2)
     assert len(summary["Ik"]) == rotation.fiber.n + 2
+
+
+@pytest.mark.parametrize("embed,text", [
+    (None, "ruled-loop: total lattice has no degree-2 embedding"),
+    # T embeds as F: three generators, but not a basis
+    ([["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+     "ruled-loop: lattice generators must form a basis of degree-2 homology"),
+])
+def test_invariants_refuse_a_lattice_that_is_no_degree_2_basis(ruled, embed, text):
+    d = to_dict(ruled)
+    d["total"]["h2"]["embed"] = embed
+    fib = from_dict(d)
+    for invariant in (fib.invariant_Iu, lambda: fib.invariant_Ik(0)):
+        with pytest.raises(QhfibError) as exc:
+            invariant()
+        assert str(exc.value) == text
+
+
+def counted_solves(monkeypatch):
+    """The list that gets one item per ManifoldModel.solve_pairing call."""
+    calls, solve = [], ManifoldModel.solve_pairing
+
+    def counted(self, rhs):
+        calls.append(self.name)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(ManifoldModel, "solve_pairing", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ruled", "sphere-rotation", "sphere-product"])
+def test_a_warm_suite_solves_no_loop_again(name, monkeypatch):
+    fib = catalog.build(name)
+    run_suite(fib, "all", CUTOFF)
+    calls = counted_solves(monkeypatch)
+    run_suite(fib, "all", CUTOFF)
+    assert calls == []
+
+
+def test_compose_with_the_mirror_solves_each_loop_once(monkeypatch, capsys):
+    # ruled and its mirror: one solve per (basis class, fiber class) row,
+    # six rows each; the composite only multiplies the two loops
+    calls = counted_solves(monkeypatch)
+    assert main(["compose", "--mirror", "--builtin", "ruled", "--cutoff", "6"]) == 0
+    assert len(calls) == 12
 
 
 def test_nonsqueezing_needs_a_declared_window(ruled):

@@ -23,6 +23,7 @@ from qhfib import (
     tensor_model,
 )
 from qhfib._linalg import solve
+from qhfib.fibration import compose, mirror
 from qhfib.manifold import koszul_sorted
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from qhfib.quantum import check
@@ -170,6 +171,54 @@ def ref_psi_images(fib, cutoff, sigma):
                 for j in range(k)
             ]
             img = img + f.qh({-b: ref_solve_pairing(f, row)})
+        images.append(img.truncate(cutoff))
+    return images
+
+
+def ref_loop_table(fib):
+    """The fiber-keyed two-point table {(i, j, B): n(iota e_i, iota e_j;
+    sigma_ref + B)} over the stored keys inside the two-point window."""
+    table, w = {}, fib.section_gw.window("two_point")
+    for key in fib.section_gw.known_key_classes("two_point"):
+        b = fib.fiber_class_from_total(key)
+        if b is None or key.omega > w:
+            continue
+        for i, vi in enumerate(fib.iota):
+            for j, vj in enumerate(fib.iota):
+                val = sum((xa * xb * fib.section_gw.two(p, q, key)
+                           for p, xa in enumerate(vi) if xa
+                           for q, xb in enumerate(vj) if xb), Fraction(0))
+                if val:
+                    table[(i, j, b)] = val
+    return table
+
+
+def ref_composite_images(f, g, cutoff, offset):
+    """Psi of g glued after f at the section moved by the fiber class
+    `offset`, through the convolved two-point tables: n(i, j; B + B') is the
+    sum over s of x_s n_g(s, j; B'), x . e_t = n_f(i, t; B); then Psi(e_i)
+    is the sum over A of y e^{offset - A}, y . e_j = n(i, j; A)."""
+    fiber = f.fiber
+    if g.fiber is not fiber:
+        g = g.replace(fiber=fiber, fiber_gw=f.fiber_gw)
+    rows = {}
+    for (i, t, bf), n in ref_loop_table(f).items():
+        rows.setdefault((i, bf), fiber.zero_vector())[t] += n
+    g_table, table = ref_loop_table(g), {}
+    for (i, bf), row in rows.items():
+        x = ref_solve_pairing(fiber, row)
+        for (s, j, bg), y in g_table.items():
+            if x[s]:
+                key = (i, j, bf + bg)
+                table[key] = table.get(key, Fraction(0)) + x[s] * y
+    images = []
+    for i in range(len(fiber.basis)):
+        # the section's own class leads, as in the operator
+        rows_i = {fiber.h2.zero(): fiber.zero_vector()}
+        for (a, j, c), val in table.items():
+            if a == i and val:
+                rows_i.setdefault(c - offset, fiber.zero_vector())[j] += val
+        img = fiber.qh({-rel: ref_solve_pairing(fiber, row) for rel, row in rows_i.items()})
         images.append(img.truncate(cutoff))
     return images
 
@@ -562,6 +611,35 @@ def test_psi_operator_matches_the_reference(name, cutoff):
     for sigma in sigmas:
         got = fib.psi_operator(cutoff, sigma).images
         want = ref_psi_images(fib, cutoff, sigma)
+        for g_img, w_img in zip(got, want):
+            assert_same(g_img, w_img)
+
+
+COMPOSITES = [(name, "mirror") for name in BUILTINS] + [
+    ("ruled", "kappa=1/2"), ("ruled", "kappa=3/2"), ("sphere-rotation", "sphere-rotation")]
+
+
+@pytest.mark.parametrize("first,second", COMPOSITES)
+@pytest.mark.parametrize("cutoff", [Fraction(2), Fraction(6), Fraction(24)])
+def test_composite_operator_matches_the_table_convolution(first, second, cutoff):
+    f = fibration(first)
+    if second == "mirror":
+        g = mirror(f, cutoff)
+    elif second.startswith("kappa="):
+        g = catalog.build(first, kappa=second.removeprefix("kappa="))
+    else:
+        g = fibration(second)
+    comp = compose(f, g, cutoff)[0]
+    lat = f.fiber.h2
+    # the reference section, the normalized one, and one moved by a generator
+    for offset in (lat.zero(), comp.normalized_offset(), lat.gen(lat.generators[0])):
+        if comp.window < offset.omega + cutoff:
+            with pytest.raises(TableIncomplete, match="composite table complete through"):
+                comp.psi_operator(cutoff, offset)
+            continue
+        got = comp.psi_operator(cutoff, offset).images
+        want = ref_composite_images(f, g, cutoff, offset)
+        assert len(got) == len(want)
         for g_img, w_img in zip(got, want):
             assert_same(g_img, w_img)
 

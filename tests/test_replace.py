@@ -77,8 +77,8 @@ def test_composing_with_a_reloaded_copy_matches_composing_with_itself(name, tmp_
     comp, rep = compose(fib, other, CUTOFF)
     same, rep2 = compose(fib, fib, CUTOFF)
     assert rep == rep2 and rep["status"] == "pass"
-    assert comp.table == same.table
-    assert all(b.lattice is fib.fiber.h2 for _, _, b in comp.table)
+    assert comp.loop.images == same.loop.images
+    assert all(b.lattice is fib.fiber.h2 for img in comp.loop.images for b in img.terms)
     assert (comp.u0, comp.c0, comp.window) == (same.u0, same.c0, same.window)
     assert comp.rho(CUTOFF) == same.rho(CUTOFF)
 
