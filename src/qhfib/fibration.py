@@ -50,14 +50,17 @@ class PsiOperator:
             self.model, [img.shift(offset).truncate(cutoff) for img in self.images], cutoff)
 
     def apply(self, a: QHClass) -> QHClass:
+        """Psi(a) modulo the cutoff, summed in one dict in the order of a chain
+        of QHClass sums: the same terms cancel, equal exponents keep their coordinates."""
         if a.model is not self.model:
             raise ValueError("operator acts on a different model")
-        out = self.model.qh({})
+        acc, zero = {}, self.model.zero_vector()
         for e, vec in a.terms.items():
             for i, x in enumerate(vec):
                 if x != 0:
-                    out = out + self.images[i].scale(x).shift(e)
-        return out.truncate(self.cutoff)
+                    for k, v in self.images[i].terms.items():
+                        accumulate(acc, k + e, {t: x * y for t, y in enumerate(v) if y}, zero)
+        return self.model.qh(acc).truncate(self.cutoff)
 
     def compose(self, inner: PsiOperator) -> PsiOperator:
         """self after inner, valid modulo the smaller window."""
@@ -185,6 +188,7 @@ class FibrationModel:
         self._loops = {}
         self._seidel_pairs = {}
         self._mirrors = {}
+        self._mirror_checks = {}  # cutoff -> a passing mirror-composition record's details
         self._restriction = None
 
     def replace(self, **changes) -> FibrationModel:
@@ -512,6 +516,7 @@ class FibrationModel:
         Raises TableIncomplete when the tables do not cover the cutoff; a
         shifted section they do not reach is a skip, kept under any failure."""
         failures, skips = [], []
+        sigma = self.sigma_ref if sigma is None else sigma
         op = self.psi_operator(cutoff, sigma)
         ring = self.fiber_ring
         qcls = op.images[self.fiber.fundamental_index]
@@ -523,9 +528,8 @@ class FibrationModel:
                 )
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
-                a, b = self.fiber.qh_basis(la), self.fiber.qh_basis(lb)
-                left = op.apply(ring.product(a, b, cutoff))
-                right = ring.product(op.images[i], b, cutoff)
+                left = op.apply(ring.basis_product(i, j, cutoff))
+                right = ring.product(op.images[i], self.fiber.qh_basis(lb), cutoff)
                 if left != right:
                     failures.append(
                         f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}"
@@ -540,7 +544,7 @@ class FibrationModel:
             if sub <= 0:
                 continue
             try:
-                op2 = self.psi_operator(cutoff, self.sigma_ref + self.iota_h2_class(b))
+                op2 = self.psi_operator(cutoff, sigma + self.iota_h2_class(b))
             except TableIncomplete as exc:
                 skips.append(str(exc))
                 break
@@ -565,7 +569,7 @@ class FibrationModel:
         splits = [self.splitting_class(a) for a in basis]
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
-                fiber_prod = ring.product(basis[i], basis[j], cutoff)
+                fiber_prod = ring.basis_product(i, j, cutoff)
                 left = self.vertical_product(iotas[i], iotas[j], cutoff)
                 mid = self.vertical_product(splits[i], iotas[j], cutoff)
                 want = self.iota_class(fiber_prod).truncate(cutoff)

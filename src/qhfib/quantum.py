@@ -263,6 +263,7 @@ class QuantumRing:
         self.table = table
         # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
         self._constants: dict = {}
+        self._basis_products: dict = {}  # (i, j, cutoff) -> e_i * e_j
 
     def _block(self, pos, cls, pairs) -> dict:
         """The constants {(i, k): nonzero (t, x) entries of e_i * e_k} at key
@@ -316,6 +317,14 @@ class QuantumRing:
                         self._gather(acc, base, pos, cls, pairs)
         out = m.qh(acc)
         return out if cutoff is None else out.truncate(cutoff)
+
+    def basis_product(self, i, j, cutoff) -> QHClass:
+        """e_i * e_j modulo the cutoff, kept once the product returns (a raise is not kept)."""
+        key, m = (i, j, cutoff), self.model
+        if key not in self._basis_products:
+            self._basis_products[key] = self.product(
+                m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]), cutoff)
+        return self._basis_products[key]
 
     def unit(self) -> QHClass:
         return self.model.qh_unit()

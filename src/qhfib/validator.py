@@ -87,6 +87,10 @@ def _ring_splitting(fib, cutoff):
 
 
 def _mirror_composition(fib, cutoff):
+    # fixed per (fibration, cutoff) as the mirror is, so a passing record is kept
+    kept = fib._mirror_checks.get(cutoff)
+    if kept is not None:
+        return {"status": "pass", "details": list(kept)}
     try:
         rev = mirror(fib, cutoff)
     except NotInvertible as exc:
@@ -114,6 +118,7 @@ def _mirror_composition(fib, cutoff):
             f"{op.images[i]!r}, not to itself"
         ])
     rep["details"].append("reverse loop cancels")
+    fib._mirror_checks[cutoff] = tuple(rep["details"])
     return rep
 
 

@@ -298,6 +298,18 @@ def test_console_script_entry_point():
     assert "Ic = 1 (mod 2)" in res.stdout
 
 
+def test_python_dash_m_runs_the_command_line(capsys):
+    argv = ["rho", "--builtin", "ruled", "--cutoff", "6"]
+    code, out, err = run(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    res = subprocess.run([sys.executable, "-m", "qhfib"] + argv,
+                         capture_output=True, text=True, env=env)
+    assert code == 0 and out.startswith("rho = ")
+    assert (res.returncode, res.stdout, res.stderr) == (code, out, err)
+
+
 SPLIT_QTP = """\
 hypothesis: pass (all listed fiber and vertical invariants vanish)
 seidel-element: pass (rho = QH<quantum-trivial: 1>)

@@ -1,7 +1,8 @@
-"""Data a fibration derives once and keeps: the mirror per cutoff, the
-fiber-restriction matrix, and pushed-forward classes that carry their area
-and Chern number over from the fiber class. Kept data must never change an
-answer, and a failed build is never kept."""
+"""Data a fibration derives once and keeps: the mirror and the passing
+mirror-composition record per cutoff, the fiber-restriction matrix, and
+pushed-forward classes that carry their area and Chern number over from the
+fiber class. Kept data must never change an answer, and a failed build is
+never kept."""
 
 import json
 import random
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from qhfib import Inconsistent, NotInvertible, QhfibError, catalog, fibration, mirror, run_suite
+from qhfib import (
+    Inconsistent, NotInvertible, QhfibError, catalog, fibration, mirror, run_suite, validator)
 from qhfib.fibration import FibrationModel
 from qhfib.fixtures import from_dict, to_dict
 from qhfib.validator import SUITE_NAMES
 from tests.conftest import BUILTINS, CUTOFF
+from tests.test_validator import _transposed_mirror
 
 RULED_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "ruled.json"
 
@@ -125,6 +128,54 @@ def test_a_failed_mirror_build_is_not_kept(builds):
     assert len(builds["mirror"]) == 3
     assert len({outcome(fib, "compose", CUTOFF) for _ in range(3)}) == 1
     assert len(builds["mirror"]) == 6
+
+
+@pytest.fixture
+def composes(monkeypatch):
+    """A list that grows by the (f, g) names of each compose the verify
+    suites make."""
+    made = []
+    real = fibration.compose
+
+    def counted(f, g, cutoff):
+        made.append((f.name, g.name))
+        return real(f, g, cutoff)
+
+    monkeypatch.setattr(validator, "compose", counted)
+    return made
+
+
+def test_repeated_verifies_compose_with_the_mirror_once_per_cutoff(composes):
+    fib = catalog.build("ruled")
+    reports = [run_suite(fib, "all", c).to_json() for c in (6, 6, Fraction(4), 4, Fraction(12, 2))]
+    assert composes == [("ruled-loop", "ruled-loop~")] * 2
+    assert reports[0] == reports[1] == reports[4] == outcome(catalog.build("ruled"), "all", 6)
+    assert reports[2] == reports[3] == outcome(catalog.build("ruled"), "all", 4)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_the_kept_composition_record_cannot_be_corrupted_by_a_caller(name, composes):
+    fib = catalog.build(name)
+    want = outcome(catalog.build(name), "compose", CUTOFF)
+    composes.clear()
+    rec = validator._mirror_composition(fib, CUTOFF)
+    assert rec["status"] == "pass" and rec["details"][-1] == "reverse loop cancels"
+    rec["details"].append("edited")
+    rec["status"] = "fail"
+    run_suite(fib, "compose", CUTOFF).checks["mirror-composition"]["details"].clear()
+    assert outcome(fib, "compose", CUTOFF) == want
+    assert len(composes) == 1
+
+
+def test_a_failing_composition_record_is_computed_again(monkeypatch, composes, builds):
+    monkeypatch.setattr(fibration, "_build_mirror", _transposed_mirror(fibration._build_mirror))
+    fib = catalog.build("torus-product")
+    got = {outcome(fib, "compose", CUTOFF) for _ in range(3)}
+    assert len(got) == 1
+    assert json.loads(got.pop())["checks"]["mirror-composition"]["status"] == "fail"
+    assert len(composes) == 3
+    assert builds["mirror"] == [(fib.name, CUTOFF)]  # the mirror itself is kept
+    assert fib._mirror_checks == {}
 
 
 def test_a_raising_mirror_build_raises_again(monkeypatch):

@@ -17,7 +17,7 @@ from qhfib import (
 )
 from qhfib.cli import main
 from qhfib.fixtures import from_dict, parse_qh, to_dict
-from tests.conftest import CUTOFF
+from tests.conftest import BUILTINS, CUTOFF
 
 # normalized section coefficient for each twisting parameter
 RULED_DELTA = {
@@ -92,6 +92,17 @@ def test_module_and_wang_reports(ruled, rotation):
         assert fib.vertical_table_report()["status"] == "pass"
         assert fib.section_divisor_report()["status"] == "pass"
         assert fib.structure_report()["status"] == "pass"
+
+
+@pytest.mark.parametrize("cutoff", [2, 6, 24])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_module_identities_hold_at_the_normalized_section(name, cutoff):
+    """The shifted-section twist compares Psi at sigma + B with Psi at sigma
+    times e^B for the section asked about, not for the reference one."""
+    fib = catalog.build(name)
+    passed = {"status": "pass", "details": []}
+    assert fib.module_report(cutoff, fib.sigma_phi()) == passed
+    assert fib.module_report(cutoff) == fib.module_report(cutoff, fib.sigma_ref) == passed
 
 
 def test_vertical_product_identities(ruled):

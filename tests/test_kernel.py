@@ -2,6 +2,7 @@
 system anew, term by term, by elimination on the transposed pairing."""
 
 import functools
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -23,7 +24,7 @@ from qhfib import (
     tensor_model,
 )
 from qhfib._linalg import solve
-from qhfib.fibration import compose, mirror
+from qhfib.fibration import PsiOperator, compose, mirror
 from qhfib.manifold import koszul_sorted
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from qhfib.quantum import check
@@ -221,6 +222,19 @@ def ref_composite_images(f, g, cutoff, offset):
         img = fiber.qh({-rel: ref_solve_pairing(fiber, row) for rel, row in rows_i.items()})
         images.append(img.truncate(cutoff))
     return images
+
+
+def ref_apply(op, a):
+    """Psi(a) as a chain of QHClass sums: each image scaled, shifted and
+    added in turn, then truncated at the operator's cutoff."""
+    if a.model is not op.model:
+        raise ValueError("operator acts on a different model")
+    out = op.model.qh({})
+    for e, vec in a.terms.items():
+        for i, x in enumerate(vec):
+            if x != 0:
+                out = out + op.images[i].scale(x).shift(e)
+    return out.truncate(op.cutoff)
 
 
 def ref_splitting_sum(r, v1, v2, v3, v4, cls, candidates):
@@ -642,6 +656,115 @@ def test_composite_operator_matches_the_table_convolution(first, second, cutoff)
         assert len(got) == len(want)
         for g_img, w_img in zip(got, want):
             assert_same(g_img, w_img)
+
+
+def random_class(rng, m, exps):
+    """Up to three monomials +-e_t e^E, E drawn from exps, so that sums of
+    images often cancel."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        terms.setdefault(rng.choice(exps), m.zero_vector())[rng.randrange(len(m.basis))] += \
+            rng.choice((-1, 1))
+    return m.qh(terms)
+
+
+def sum_shape(op, a):
+    """(a term of Psi(a) cancels, two terms meet at equal classes with
+    different coordinates), read from the image terms the sum adds."""
+    met = {}
+    for e, vec in a.terms.items():
+        for i, x in enumerate(vec):
+            if x:
+                for k, v in op.images[i].terms.items():
+                    coords, total = met.setdefault(k + e, (set(), [0] * len(v)))
+                    coords.add((k + e).coords)
+                    total[:] = [s + x * y for s, y in zip(total, v)]
+    return (any(not any(total) for _, total in met.values()),
+            any(len(coords) > 1 for coords, _ in met.values()))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_psi_apply_is_the_chain_of_class_sums(name):
+    """Equal terms with the same coordinates kept, on the loop's operators
+    and on random ones; quantum-trivial-product's two fiber generators have
+    equal area and Chern number, so only there do coordinates differ."""
+    fib = fibration(name)
+    m, lat = fib.fiber, fib.fiber.h2
+    rng = random.Random(name)
+    exps = [lat.cls(c) for c in product((-1, 0, 1), repeat=len(lat.generators))]
+    ops = [fib.psi_operator(CUTOFF), fib.psi_operator(CUTOFF, fib.sigma_phi())]
+    ops += [PsiOperator(m, [random_class(rng, m, exps) for _ in m.basis], c)
+            for c in rng.choices((0, 1, 2, 100), k=300)]
+    shapes = set()
+    for op in ops:
+        a = random_class(rng, m, exps)
+        got, want = op.apply(a), ref_apply(op, a)
+        assert got == want
+        assert [(e.coords, v) for e, v in got.terms.items()] == [
+            (e.coords, v) for e, v in want.terms.items()]
+        shapes.add(sum_shape(op, a))
+    assert any(cancels for cancels, _ in shapes)
+    assert any(differ for _, differ in shapes) == (name == "quantum-trivial-product")
+
+
+BASIS_RINGS = [f"{b}/fiber" for b in BUILTINS] + [
+    "sphere x sphere", "ruled fiber x sphere", "torus x sphere", "ruled fiber x sphere x sphere"]
+
+
+@pytest.mark.parametrize("name", BASIS_RINGS)
+def test_a_kept_basis_product_is_the_product(name):
+    r = ring(name)
+    m = r.model
+    kept = QuantumRing(m, r.table)
+    for cutoff in (Fraction(2), Fraction(6), Fraction(24)):
+        for i, j in product(range(len(m.basis)), repeat=2):
+            a, b = m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j])
+            want = report_or_raise(lambda: r.product(a, b, cutoff))
+            got = report_or_raise(lambda: kept.basis_product(i, j, cutoff))
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert_same(got, want)
+            assert kept.basis_product(i, j, cutoff) is got
+
+
+def test_a_basis_product_outside_the_window_raises_every_time_and_is_not_kept():
+    d = to_dict(fibration("ruled"))
+    d["fiber_gw"]["complete_below"]["three_point"] = "3"
+    r = from_dict(d).fiber_ring
+    texts = set()
+    for _ in range(3):
+        with pytest.raises(TableIncomplete) as err:
+            r.basis_product(0, 0, CUTOFF)
+        texts.add(str(err.value))
+    assert texts == {"ruled-surface: product needs three-point data through area 6"}
+    assert r._basis_products == {}
+    assert_same(r.basis_product(0, 0, 2), r.product(r.unit(), r.unit(), 2))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_warm_module_and_vertical_reports_multiply_no_basis_pair(name, monkeypatch):
+    """Cold, the module report makes k products Q*e_i, k^2 basis products
+    e_i*e_j and k^2 products Psi(e_i)*e_j; the vertical report then finds
+    every basis product kept, and so does a second module report. (Psi(e_i)
+    and Q can be basis classes themselves: Psi(1) = pt on sphere-rotation.)"""
+    fib = catalog.build(name)
+    r, k = fib.fiber_ring, len(fib.fiber.basis)
+    basis = [fib.fiber.qh_basis(lbl) for lbl in fib.fiber.labels]
+    calls = []
+    real = QuantumRing.product
+    monkeypatch.setattr(QuantumRing, "product", lambda self, a, b, cutoff=None: (
+        self is r and calls.append((a, b))) or real(self, a, b, cutoff))
+    made = []
+    for report in (fib.module_report, fib.vertical_report) * 2:
+        calls.clear()
+        assert report(CUTOFF)["status"] == "pass"
+        made.append(list(calls))
+    assert [len(c) for c in made] == [k + 2 * k * k, 0, k + k * k, 0]
+    # the warm module report's products are the module identities' right sides
+    images = fib.psi_operator(CUTOFF).images
+    q = images[fib.fiber.fundamental_index]
+    assert made[2] == [(q, b) for b in basis] + [(img, b) for img in images for b in basis]
 
 
 @pytest.mark.parametrize("name", ["sphere-product", "quantum-trivial-product"])
