@@ -21,6 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from ._linalg import apply, identity, invert, multilinear, rank, solve
+from ._memo import kept
 from .errors import (
     FiberMismatch,
     Inconsistent,
@@ -185,11 +186,7 @@ class FibrationModel:
         self.vertical_ring = QuantumRing(self.total, self.vertical_gw)
         self.base_area = None if base_area is None else Fraction(base_area)
         self.product_structure = bool(product_structure)
-        self._loops = {}
-        self._seidel_pairs = {}
-        self._mirrors = {}
-        self._mirror_checks = {}  # cutoff -> a passing mirror-composition record's details
-        self._restriction = None
+        self._kept = {}
 
     def replace(self, **changes) -> FibrationModel:
         """This fibration with some constructor arguments changed, built by
@@ -294,6 +291,7 @@ class FibrationModel:
 
     # -- Seidel operator ------------------------------------------------------
 
+    @kept
     def _loop(self, arity) -> PsiOperator:
         """Psi at the reference section from the section data of one arity,
         valid through its declared window: Psi(e_i) is the sum over the
@@ -301,10 +299,7 @@ class FibrationModel:
         x . e_j = n(iota e_i, iota e_j; sigma_ref + B) for every j
         (fiber.solve_pairing), the equation the mirror inverts. The
         "three_point" route inserts the fiber's fundamental class in the
-        third slot; it meets every section once. Built once per arity."""
-        loop = self._loops.get(arity)
-        if loop is not None:
-            return loop
+        third slot; it meets every section once. Kept per arity."""
         f = self.fiber
         w = self.section_gw.window(arity)
         extra = [self.iota[f.fundamental_index]] if arity == "three_point" else []
@@ -325,8 +320,7 @@ class FibrationModel:
                     if val:
                         rows[i].setdefault(b, f.zero_vector())[j] += val
         images = [f.qh({-b: f.solve_pairing(row) for b, row in r.items()}) for r in rows]
-        loop = self._loops[arity] = PsiOperator(f, images, w)
-        return loop
+        return PsiOperator(f, images, w)
 
     def psi_operator(self, cutoff, sigma: H2Class | None = None) -> PsiOperator:
         """Seidel operator at the section sigma (default: the reference),
@@ -363,21 +357,18 @@ class FibrationModel:
         b = _normalizing_class(self.fiber.h2, self.sigma_ref.omega, self.sigma_ref.c1, self.name)
         return self.sigma_ref + self.iota_h2_class(b)
 
+    @kept(convert=Fraction)
     def _seidel(self, cutoff) -> tuple[QHClass, QHClass]:
-        """(rho, rho^-1) modulo the cutoff, from one verified inverse solve
-        per cutoff. A failed solve is not cached: it raises every time."""
-        cutoff = Fraction(cutoff)
-        pair = self._seidel_pairs.get(cutoff)
-        if pair is None:
-            q = self.q_class(cutoff, self.sigma_phi())
-            inv = self.fiber_ring.inverse_or_none(q, cutoff)
-            if inv is None:
-                raise NotInvertible(
-                    f"{self.name}: Seidel element {q!r} is not invertible modulo "
-                    f"{format_rational(cutoff)}; section data is wrong or incomplete"
-                )
-            pair = self._seidel_pairs[cutoff] = (q, inv)
-        return pair
+        """(rho, rho^-1) modulo the cutoff, from one verified inverse solve,
+        kept per cutoff."""
+        q = self.q_class(cutoff, self.sigma_phi())
+        inv = self.fiber_ring.inverse_or_none(q, cutoff)
+        if inv is None:
+            raise NotInvertible(
+                f"{self.name}: Seidel element {q!r} is not invertible modulo "
+                f"{format_rational(cutoff)}; section data is wrong or incomplete"
+            )
+        return q, inv
 
     def rho(self, cutoff) -> QHClass:
         """Seidel element: image of the fundamental class at the normalized
@@ -434,7 +425,7 @@ class FibrationModel:
                         f"data through area {format_rational(need)} "
                         f"({'none declared' if w is None else 'have ' + format_rational(w)})"
                     )
-                m._pairing_inverse()  # a singular pairing raises even when every sum vanishes
+                m._pairing_columns()  # a singular pairing raises even when every sum vanishes
                 pairs = slot_pairs(va, vb)
                 for cls in cands:
                     if base.omega - cls.omega + offset0.omega >= -cutoff:
@@ -445,15 +436,13 @@ class FibrationModel:
 
     # -- restriction to the fiber ----------------------------------------------
 
+    @kept(copy=lambda rows: [list(row) for row in rows])
     def fiber_restriction_matrix(self):
         """Matrix of 'intersect with the fiber' H_*(P) -> H_{*-2}(M), computed
         through the vertical quantum module structure (which degenerates to
         the classical cap against iota[M] here). It does not depend on the
-        cutoff, so it is built once; each call returns a fresh copy of the
-        rows. A failed build is not kept: it raises every time."""
-        if self._restriction is None:
-            self._restriction = tuple(map(tuple, self._restriction_rows()))
-        return [list(row) for row in self._restriction]
+        cutoff, so it is kept; each call returns a fresh copy of the rows."""
+        return tuple(map(tuple, self._restriction_rows()))
 
     def _iota_preimage(self, vec):
         """The fiber vector x with iota(x) = vec, or None."""
@@ -929,18 +918,14 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     return comp, report
 
 
+@kept(convert=Fraction)
 def mirror(fib: FibrationModel, cutoff) -> FibrationModel:
     """The reversed loop: same total-space topology, coupling and vertical
     Chern values flipped in the section direction, two-point section data
     synthesized from the inverse Seidel operator. The synthesized table is
     complete exactly through the build cutoff. The returned fibration is
-    built once per (fibration, cutoff) and shared by every later call; a
-    failed build is not kept, so it raises again on the next call."""
-    cutoff = Fraction(cutoff)
-    rev = fib._mirrors.get(cutoff)
-    if rev is None:
-        rev = fib._mirrors[cutoff] = _build_mirror(fib, cutoff)
-    return rev
+    kept per (fibration, cutoff) and shared by every later call."""
+    return _build_mirror(fib, cutoff)
 
 
 def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from ._linalg import invert, multilinear
+from ._memo import kept
 from .errors import (
     DegeneratePairing,
     MissingTripleData,
@@ -114,16 +115,16 @@ class ManifoldModel:
         # the nonzero entries, row by row: every check and intersection reads
         # them; a cell fails only where it or its transpose is nonzero, so
         # those cells in row-major order meet the first failure first
-        self._rows = [{j: x for j, x in enumerate(row) if x} for row in self.pairing]
-        cells = {(i, j) for i, row in enumerate(self._rows) for j in row}
+        self._pairing_rows = [{j: x for j, x in enumerate(row) if x} for row in self.pairing]
+        cells = {(i, j) for i, row in enumerate(self._pairing_rows) for j in row}
         for i, j in sorted(cells | {(j, i) for i, j in cells}):
-            x = self._rows[i].get(j, 0)
+            x = self._pairing_rows[i].get(j, 0)
             if x and self.degrees[i] + self.degrees[j] != 2 * self.n:
                 raise ValueError(
                     f"{name}: pairing nonzero off complementary degrees "
                     f"({self.labels[i]}, {self.labels[j]})"
                 )
-            if x != (-1) ** (self.degrees[i] * self.degrees[j]) * self._rows[j].get(i, 0):
+            if x != (-1) ** (self.degrees[i] * self.degrees[j]) * self._pairing_rows[j].get(i, 0):
                 raise ValueError(f"{name}: pairing not graded-symmetric")
 
         self.fundamental_index = self._unique_degree_index(2 * self.n, "fundamental")
@@ -154,7 +155,7 @@ class ManifoldModel:
                          for j in self.indices_of_degree(2 * self.n - self.degrees[i]))
         for i, j in sorted(cells):
             ck, sign = koszul_sorted((i, f, j), self.degrees)
-            forced = sign * self._rows[i].get(j, Fraction(0))
+            forced = sign * self._pairing_rows[i].get(j, Fraction(0))
             old = self.triple.get(ck)
             if old is not None and old != forced:
                 raise ValueError(
@@ -176,9 +177,7 @@ class ManifoldModel:
                         f"{want} entries (one per degree-2 basis class)"
                     )
 
-        self._dual = None
-        self._columns = None
-        self._triple_rows = None
+        self._kept = {}
 
     def _unique_degree_index(self, d, what) -> int:
         hits = [i for i, deg in enumerate(self.degrees) if deg == d]
@@ -224,7 +223,7 @@ class ManifoldModel:
         out = {}
         for i, ai in enumerate(a):
             if ai:
-                for j, x in self._rows[i].items():
+                for j, x in self._pairing_rows[i].items():
                     out[j] = out.get(j, 0) + ai * x
         return out
 
@@ -240,23 +239,18 @@ class ManifoldModel:
     def pairing_entries(self) -> dict:
         """The nonzero pairing entries {(i, j): e_i . e_j} with i <= j; graded
         symmetry gives the rest."""
-        return {(i, j): x for i, row in enumerate(self._rows)
+        return {(i, j): x for i, row in enumerate(self._pairing_rows)
                 for j, x in row.items() if j >= i}
 
-    def _pairing_inverse(self):
-        """The inverse transpose of the pairing, computed once. Row j is the
-        dual vector f_j; applied to a vector it solves the pairing system."""
-        if self._dual is None:
-            inv = invert([row[:] for row in self.pairing])
-            if inv is None:
-                raise DegeneratePairing(f"{self.name}: intersection pairing is singular")
-            # e_i . f_j = sum_k inv[j][k] P_ik = (P inv^T)_ij = delta required
-            self._dual = [list(col) for col in zip(*inv)]
-        return self._dual
-
+    @kept(copy=lambda rows: [row[:] for row in rows])
     def dual_basis(self):
-        """Vectors f_j with e_i . f_j = delta_ij."""
-        return [row[:] for row in self._pairing_inverse()]
+        """Vectors f_j with e_i . f_j = delta_ij: the rows of the inverse
+        transpose of the pairing, kept; each call gets a fresh copy."""
+        inv = invert([row[:] for row in self.pairing])
+        if inv is None:
+            raise DegeneratePairing(f"{self.name}: intersection pairing is singular")
+        # e_i . f_j = sum_k inv[j][k] P_ik = (P inv^T)_ij = delta required
+        return [list(col) for col in zip(*inv)]
 
     def triple_eval(self, i: int, j: int, k: int) -> Fraction:
         ck, sign = koszul_sorted((i, j, k), self.degrees)
@@ -277,13 +271,15 @@ class ManifoldModel:
 
     def triple_rows(self, pairs):
         """The triple form scattered into right-hand sides (see `scatter`),
-        built once, declared zeros included. A form not declared complete
-        first reads the slots of the sum over `pairs` (`read_slots`)."""
+        kept, declared zeros included. A form not declared complete first
+        reads the slots of the sum over `pairs` (`read_slots`)."""
         if not self.triple_complete:
             self.read_slots(self.triple_eval, pairs)
-        if self._triple_rows is None:
-            self._triple_rows = scatter(self.triple, self.degrees)
-        return self._triple_rows
+        return self._scattered_triple()
+
+    @kept
+    def _scattered_triple(self):
+        return scatter(self.triple, self.degrees)
 
     def read_slots(self, read, pairs):
         """Read each slot read(i, k, j) of the sum over (i, k, c) in pairs in
@@ -310,14 +306,12 @@ class ManifoldModel:
                 x[t] = x.get(t, 0) + d * r
         return {t: v for t, v in sorted(x.items()) if v}
 
+    @kept
     def _pairing_columns(self):
         """Column j of the pairing system's inverse as its nonzero (t, d):
-        x_t gains d rhs_j. Built once."""
-        if self._columns is None:
-            dual = self._pairing_inverse()
-            self._columns = [[(t, row[j]) for t, row in enumerate(dual) if row[j]]
-                             for j in range(len(dual))]
-        return self._columns
+        x_t gains d rhs_j. Kept."""
+        dual = self.dual_basis()
+        return [[(t, row[j]) for t, row in enumerate(dual) if row[j]] for j in range(len(dual))]
 
     def solve_pairing(self, rhs) -> list[Fraction]:
         """The vector x with x . e_j = rhs[j] for every j; a singular

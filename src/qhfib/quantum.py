@@ -21,6 +21,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from ._memo import kept
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
 from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs
 from .novikov import H2Class, NovikovElement, format_rational, nov_invert
@@ -71,9 +72,7 @@ class GWTable:
         self.kind = kind
         self.section_c1 = section_c1
         self.complete_below = _normalize_completeness(complete_below)
-        self._key_classes = {}  # arity -> sorted key classes, filled on first use
-        self._by_class = {}  # arity -> {class: {ck: n}}, filled on first use
-        self._rows = {}  # class -> its scattered three-point entries, filled on first use
+        self._kept = {}
         self.two_point = self._load("two_point", two_point or {})
         self.three_point = self._load("three_point", three_point or {})
         self.four_point_chi = self._load("four_point_chi", four_point_chi or {})
@@ -148,33 +147,32 @@ class GWTable:
     def window(self, arity):
         return self.complete_below[arity]
 
+    @kept(copy=list)
     def known_key_classes(self, arity) -> list[H2Class]:
-        if arity not in self._key_classes:
-            self._key_classes[arity] = tuple(sorted(self.by_class(arity),
-                                                    key=lambda c: (c.omega, c.c1, c.coords)))
-        return list(self._key_classes[arity])
+        return tuple(sorted(self.by_class(arity), key=lambda c: (c.omega, c.c1, c.coords)))
 
+    @kept
     def by_class(self, arity) -> dict:
         """The stored entries of an arity grouped by class, {class: {ck: n}},
-        in store order; grouped once, as tables never change."""
-        if arity not in self._by_class:
-            groups = self._by_class[arity] = {}
-            for (ck, cls), n in self._store(arity).items():
-                groups.setdefault(cls, {})[ck] = n
-        return self._by_class[arity]
+        in store order; kept, as tables never change."""
+        groups = {}
+        for (ck, cls), n in self._store(arity).items():
+            groups.setdefault(cls, {})[ck] = n
+        return groups
 
     def rows(self, cls: H2Class, pairs=()) -> dict:
         """The stored three-point entries of one class scattered into
-        right-hand sides (manifold.scatter), built once per class. Above the
+        right-hand sides (manifold.scatter), kept per class. Above the
         declared window, or without one, the slots of the sum over `pairs`
         are read first (`ManifoldModel.read_slots`), as `query` may raise."""
         w = self.complete_below["three_point"]
         if w is None or cls.omega > w:
             self.model.read_slots(lambda i, k, j: self.three(i, k, j, cls), pairs)
-        if cls not in self._rows:
-            self._rows[cls] = scatter(self.by_class("three_point").get(cls, {}),
-                                      self.model.degrees)
-        return self._rows[cls]
+        return self._scattered(cls)
+
+    @kept
+    def _scattered(self, cls: H2Class) -> dict:
+        return scatter(self.by_class("three_point").get(cls, {}), self.model.degrees)
 
     def query(self, arity, indices, cls: H2Class) -> Fraction:
         ck, sign = koszul_sorted(tuple(indices), self.model.degrees)
@@ -263,7 +261,7 @@ class QuantumRing:
         self.table = table
         # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
         self._constants: dict = {}
-        self._basis_products: dict = {}  # (i, j, cutoff) -> e_i * e_j
+        self._kept = {}
 
     def _block(self, pos, cls, pairs) -> dict:
         """The constants {(i, k): nonzero (t, x) entries of e_i * e_k} at key
@@ -318,13 +316,11 @@ class QuantumRing:
         out = m.qh(acc)
         return out if cutoff is None else out.truncate(cutoff)
 
+    @kept
     def basis_product(self, i, j, cutoff) -> QHClass:
-        """e_i * e_j modulo the cutoff, kept once the product returns (a raise is not kept)."""
-        key, m = (i, j, cutoff), self.model
-        if key not in self._basis_products:
-            self._basis_products[key] = self.product(
-                m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]), cutoff)
-        return self._basis_products[key]
+        """e_i * e_j modulo the cutoff, kept once the product returns."""
+        m = self.model
+        return self.product(m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]), cutoff)
 
     def unit(self) -> QHClass:
         return self.model.qh_unit()

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._memo import kept
 from .errors import (
     DegeneratePairing,
     Inconsistent,
@@ -86,11 +87,11 @@ def _ring_splitting(fib, cutoff):
     return rep
 
 
+# fixed per (fibration, cutoff) as the mirror is, so a passing record is
+# kept, and each caller gets its own copy; a failing one is computed again
+@kept(keep=lambda rep: rep["status"] == "pass",
+      copy=lambda rep: {"status": rep["status"], "details": list(rep["details"])})
 def _mirror_composition(fib, cutoff):
-    # fixed per (fibration, cutoff) as the mirror is, so a passing record is kept
-    kept = fib._mirror_checks.get(cutoff)
-    if kept is not None:
-        return {"status": "pass", "details": list(kept)}
     try:
         rev = mirror(fib, cutoff)
     except NotInvertible as exc:
@@ -118,7 +119,6 @@ def _mirror_composition(fib, cutoff):
             f"{op.images[i]!r}, not to itself"
         ])
     rep["details"].append("reverse loop cancels")
-    fib._mirror_checks[cutoff] = tuple(rep["details"])
     return rep
 
 

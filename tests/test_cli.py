@@ -156,6 +156,20 @@ def test_split_command_exit_codes(capsys):
     assert "hypothesis fails" in out
 
 
+def test_split_and_verify_on_missing_fiber_data(capsys, tmp_path):
+    # the Seidel element needs fiber three-point data through area 6
+    d = to_dict(catalog.build("quantum-trivial-product"))
+    d["fiber_gw"]["complete_below"]["three_point"] = "3"
+    path = tmp_path / "qtp.json"
+    path.write_text(json.dumps(d))
+    text = "quantum-trivial: product needs three-point data through area 6"
+    code, out, _ = run(capsys, "verify", "--fixture", str(path), "--suite", "all", "--cutoff", "6")
+    assert code == 0
+    assert f"ring-splitting: skip\n  {text}\n" in out and out.endswith("suite all: ok\n")
+    assert run(capsys, "split", "--fixture", str(path), "--cutoff", "6") == (
+        3, "", f"incomplete data: {text}\n")
+
+
 def test_nonsqueeze_command(capsys):
     code, out, _ = run(capsys, "nonsqueeze", "--builtin", "quantum-trivial-product")
     assert code == 0

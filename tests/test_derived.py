@@ -175,7 +175,7 @@ def test_a_failing_composition_record_is_computed_again(monkeypatch, composes, b
     assert json.loads(got.pop())["checks"]["mirror-composition"]["status"] == "fail"
     assert len(composes) == 3
     assert builds["mirror"] == [(fib.name, CUTOFF)]  # the mirror itself is kept
-    assert fib._mirror_checks == {}
+    assert [args for name, args in fib._kept if name == "_mirror_composition"] == []
 
 
 def test_a_raising_mirror_build_raises_again(monkeypatch):

@@ -738,7 +738,7 @@ def test_a_basis_product_outside_the_window_raises_every_time_and_is_not_kept():
             r.basis_product(0, 0, CUTOFF)
         texts.add(str(err.value))
     assert texts == {"ruled-surface: product needs three-point data through area 6"}
-    assert r._basis_products == {}
+    assert [args for name, args in r._kept if name == "QuantumRing.basis_product"] == []
     assert_same(r.basis_product(0, 0, 2), r.product(r.unit(), r.unit(), 2))
 
 

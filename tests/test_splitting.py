@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from qhfib import (
     GWTable,
+    TableIncomplete,
     catalog,
     corrected_splitting,
     format_rational,
     product_fixture,
     ring_split_check,
+    run_suite,
     splitting_correction,
     tensor_model,
     verify_product_pattern,
@@ -219,3 +221,21 @@ def test_programming_errors_are_not_recorded_as_failures(monkeypatch):
     monkeypatch.setattr(fib.total, "dual_basis", boom)
     with pytest.raises(RuntimeError):
         fib.structure_report()
+
+
+@pytest.mark.parametrize("table, arity, text", [
+    ("fiber_gw", "three_point", "quantum-trivial: product needs three-point data through area 6"),
+    ("section_gw", "three_point", "quantum-trivialxS2: horizontal product needs three-point "
+                                  "section data through area 6 (none declared)"),
+])
+def test_missing_data_skips_the_split_check_as_it_skips_every_check(table, arity, text):
+    """The Seidel element (first case) or the section map (second) lacks
+    data: the check raises, and the suite records a skip, not a failure."""
+    d = fixtures.to_dict(catalog.build("quantum-trivial-product"))
+    d[table]["complete_below"][arity] = "3" if table == "fiber_gw" else None
+    fib = fixtures.from_dict(d)
+    with pytest.raises(TableIncomplete) as err:
+        ring_split_check(fib, CUTOFF)
+    assert str(err.value) == text
+    rep = run_suite(fib, "split", CUTOFF)
+    assert rep.checks == {"ring-splitting": {"status": "skip", "details": [text]}} and rep.ok
