@@ -69,13 +69,16 @@ class PsiOperator:
         images = [self.apply(img).truncate(cutoff) for img in inner.images]
         return PsiOperator(self.model, images, cutoff)
 
-    def is_identity(self, cutoff=None) -> bool:
+    def moved(self, cutoff=None) -> int | None:
+        """The first basis index whose image is not its own class modulo the
+        cutoff, or None."""
         cutoff = self.cutoff if cutoff is None else Fraction(cutoff)
-        for i, img in enumerate(self.images):
-            want = self.model.qh_basis(self.model.labels[i])
-            if img.truncate(cutoff) != want.truncate(cutoff):
-                return False
-        return True
+        m = self.model
+        return next((i for i, img in enumerate(self.images)
+                     if img.truncate(cutoff) != m.qh_basis(m.labels[i]).truncate(cutoff)), None)
+
+    def is_identity(self, cutoff=None) -> bool:
+        return self.moved(cutoff) is None
 
 
 @dataclass
@@ -502,10 +505,8 @@ class FibrationModel:
 
     def module_report(self, cutoff, sigma: H2Class | None = None) -> dict:
         """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis.
-        Raises TableIncomplete when the tables do not cover the cutoff; a
-        shifted section they do not reach is a skip, kept under any failure."""
-        failures, skips = [], []
-        sigma = self.sigma_ref if sigma is None else sigma
+        Raises TableIncomplete when the tables do not cover the cutoff."""
+        failures = []
         op = self.psi_operator(cutoff, sigma)
         ring = self.fiber_ring
         qcls = op.images[self.fiber.fundamental_index]
@@ -523,29 +524,7 @@ class FibrationModel:
                     failures.append(
                         f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}"
                     )
-        # shifting the section by a fiber class twists by its exponential
-        keys = self.section_gw.known_key_classes("two_point")
-        for cls in keys:
-            b = self.fiber_class_from_total(cls)
-            if b is None or b.is_zero():
-                continue
-            sub = Fraction(cutoff) - abs(b.omega)
-            if sub <= 0:
-                continue
-            try:
-                op2 = self.psi_operator(cutoff, sigma + self.iota_h2_class(b))
-            except TableIncomplete as exc:
-                skips.append(str(exc))
-                break
-            for i, lbl in enumerate(self.fiber.labels):
-                lhs = op2.images[i].truncate(sub)
-                rhs = op.images[i].shift(b).truncate(sub)
-                if lhs != rhs:
-                    failures.append(
-                        f"Psi at shifted section != e^B twist on {lbl} (B = {b!r})"
-                    )
-            break
-        return check(failures, skips)
+        return check(failures)
 
     def vertical_report(self, cutoff) -> dict:
         """iota is a ring map and the splitting is a module map for the
@@ -664,9 +643,9 @@ class FibrationModel:
                             f"{m.labels[w2]}.sigma = {format_rational(meets(w2, off))}"
                         )
         for (idx, off), val in self.section_gw._store("three_point").items():
-            for pos in range(3):
-                w = idx[pos]
-                if m.degrees[w] != codim2:
+            for pos, w in enumerate(idx):
+                # a divisor in two slots is one check: both reductions agree
+                if m.degrees[w] != codim2 or w in idx[:pos]:
                     continue
                 rest = tuple(x for q, x in enumerate(idx) if q != pos)
                 try:
@@ -860,21 +839,18 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     fiber = f.fiber
     name = f"{g.name}*{f.name}"
 
-    # table coverage: a composite entry at total offset A splits as B + B'
-    # over the two factors; each factor must answer through its share
-    def min_key_area(fib):
-        return min(
-            (cls.omega for cls in fib.section_gw.known_key_classes("two_point")
-             if fib.fiber_class_from_total(cls) is not None),
-            default=Fraction(0),
-        )
-
     w_f = f.section_gw.window("two_point")
     w_g = g.section_gw.window("two_point")
     if w_f is None or w_g is None:
         raise TableIncomplete("composition needs declared-complete two-point tables")
-    m_f = min(min_key_area(f), Fraction(0))
-    m_g = min(min_key_area(g), Fraction(0))
+    loop_f, loop_g = f._loop("two_point"), g._loop("two_point")
+
+    # a term e^E of one factor with omega(E) > 0 meets the other's terms
+    # down to area -cutoff - omega(E): m is minus the largest such area, or 0
+    def reach(loop):
+        return -max([Fraction(0)] + [e.omega for img in loop.images for e in img.terms])
+
+    m_f, m_g = reach(loop_f), reach(loop_g)
     window = min(w_f + m_g, w_g + m_f)
     if window < cutoff:
         raise TableIncomplete(
@@ -885,18 +861,17 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     # each loop is valid through its own window, which contains the
     # composite window: m_f, m_g <= 0
     comp = LoopComposite(
-        name, fiber, f.fiber_ring, g._loop("two_point").compose(f._loop("two_point")),
+        name, fiber, f.fiber_ring, loop_g.compose(loop_f),
         u0=f.sigma_ref.omega + g.sigma_ref.omega,
         c0=f.sigma_ref.c1 + g.sigma_ref.c1,
         window=window,
     )
 
     report = check([])
-    op_f = f.psi_operator(cutoff)
-    composed = g.psi_operator(cutoff).compose(op_f)
+    composed = g.psi_operator(cutoff - m_f).compose(f.psi_operator(cutoff - m_g))
     step(
         report, "convolution-matches-operator-composition",
-        comp.psi_operator(cutoff).images == composed.images,
+        comp.psi_operator(cutoff).images == [img.truncate(cutoff) for img in composed.images],
         "two-point convolution against Psi_g after Psi_f",
     )
     try:

@@ -102,20 +102,10 @@ def _mirror_composition(fib, cutoff):
     # the whole operator, not only rho: a mirror wrong on classes other
     # than [M] (odd ones, say) leaves rho the unit
     op = comp.psi_operator(cutoff, comp.normalized_offset())
-    if not op.is_identity():
-        try:
-            rho = comp.rho(cutoff)
-        except NotInvertible as exc:
-            return check(rep["details"] + [str(exc)])
-        if rho.truncate(cutoff) != fib.fiber_ring.unit().truncate(cutoff):
-            return check(rep["details"] + [
-                f"loop composed with its reverse acts by {rho!r}, not the unit"
-            ])
-        m, c = op.model, op.cutoff
-        i = next(i for i, img in enumerate(op.images)
-                 if img.truncate(c) != m.qh_basis(m.labels[i]).truncate(c))
+    i = op.moved()
+    if i is not None:
         return check(rep["details"] + [
-            f"loop composed with its reverse sends {m.labels[i]} to "
+            f"loop composed with its reverse sends {op.model.labels[i]} to "
             f"{op.images[i]!r}, not to itself"
         ])
     rep["details"].append("reverse loop cancels")

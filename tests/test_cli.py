@@ -485,10 +485,9 @@ def test_a_seidel_element_that_is_not_a_unit_fails_at_every_cutoff(capsys, tmp_p
 
 def test_module_identities_keep_their_failures_when_the_shifted_section_lacks_data(
         capsys, tmp_path):
-    """With n(F, M; 0) = 3 the module identities fail. The shifted-section
-    twist needs two-point data through area 8, and a window of 7 turns only
-    that block into a skip reason: the failures still fail the check. The
-    unedited window-7 copy still skips with the same text."""
+    """With n(F, M; 0) = 3 the module identities fail, at a window of 7 as
+    at 100. The module identities read the section data through the cutoff
+    only, so the unedited window-7 copy passes them."""
     d = json.loads(Path(RULED_FIXTURE).read_text())
     d["section_gw"]["complete_below"]["two_point"] = "7"
     clean = tmp_path / "window-7.json"
@@ -519,11 +518,31 @@ def test_module_identities_keep_their_failures_when_the_shifted_section_lacks_da
     assert code == 1
     assert wide_out.splitlines()[:9] == lines[:9]
     assert module(clean) == (0, (
-        "module-identities: skip\n"
-        "  ruled-loop: two_point section data must be complete through area 8 (have 7)\n"
+        "module-identities: pass\n"
         "seidel-invertible: skip\n"
         "  ruled-loop: two_point section data must be complete through area 43/6 (have 7)\n"
         "suite module: ok\n"), "")
+
+
+@pytest.mark.parametrize("name,cutoff", [("ruled", c) for c in ("0", "1/4", "1/2", "1", "3/2")]
+                         + [("sphere-rotation", c) for c in ("0", "1/4", "1/2")])
+def test_sound_loops_verify_below_their_largest_exponent_area(capsys, name, cutoff):
+    """compose reads each factor past the cutoff by the other's largest
+    positive exponent area, so a positive-area term of one loop meets every
+    term of the other it reaches at the cutoff."""
+    code, out, err = run(capsys, "verify", "--builtin", name, "--suite", "all", "--cutoff", cutoff)
+    assert (code, err) == (0, "")
+    assert "mirror-composition: pass" in out.splitlines()
+    code, out, _ = run(capsys, "compose", "--mirror", "--builtin", name, "--cutoff", cutoff)
+    assert (code, out.splitlines()[-1]) == (0, "rho(composite) = 1")
+
+
+@pytest.mark.parametrize("cutoff", ["99", "100"])
+def test_module_identities_pass_up_to_the_section_window(capsys, cutoff):
+    code, out, _ = run(capsys, "verify", "--builtin", "ruled", "--suite", "module",
+                       "--cutoff", cutoff)
+    assert code == 0
+    assert out.splitlines()[0] == "module-identities: pass"
 
 
 def test_rho_verifies_its_inverse_only_through_the_declared_window(capsys, tmp_path):

@@ -1,8 +1,10 @@
 """Fibrations over the sphere: Seidel elements, module structure, invariants."""
 
 import gc
+import json
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from qhfib import (
 from qhfib.cli import main
 from qhfib.fixtures import from_dict, parse_qh, to_dict
 from tests.conftest import BUILTINS, CUTOFF
+
+SPHERE_PRODUCT_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sphere-product.json"
 
 # normalized section coefficient for each twisting parameter
 RULED_DELTA = {
@@ -103,6 +107,17 @@ def test_module_identities_hold_at_the_normalized_section(name, cutoff):
     passed = {"status": "pass", "details": []}
     assert fib.module_report(cutoff, fib.sigma_phi()) == passed
     assert fib.module_report(cutoff) == fib.module_report(cutoff, fib.sigma_ref) == passed
+
+
+def test_a_divisor_in_two_slots_is_reported_once():
+    """(1,1,pt) holds the divisor 1 in two slots; both reduce to the same
+    two-point entry, so a wrong value is one failure."""
+    d = json.loads(SPHERE_PRODUCT_FIXTURE.read_text())
+    d["product_structure"] = False
+    entry = next(e for e in d["section_gw"]["three_point"] if e[0] == ["1", "1", "pt"])
+    entry[2] = "2"
+    assert from_dict(d).section_divisor_report() == {"status": "fail", "details": [
+        "3-point (1,1,pt; H2<0>) = 2 but the divisor slot 1 forces 1"]}
 
 
 def test_vertical_product_identities(ruled):

@@ -28,6 +28,19 @@ def test_every_builtin_passes_the_full_suite(name):
     assert failed == []
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_sound_data_fails_no_check_at_any_cutoff(name):
+    """Small cutoffs below the loops' exponent areas, the usual ones, and
+    the two-point section window w and w - 1: skips are allowed, failures
+    are not."""
+    fib = catalog.build(name)
+    w = fib.section_gw.window("two_point")
+    cutoffs = [Fraction(c) for c in ("0", "1/4", "1/2", "1", "3/2", "2", "6", "24")] + [w - 1, w]
+    for cutoff in cutoffs:
+        rep = run_suite(fib, "all", cutoff)
+        assert [k for k, v in rep.checks.items() if v["status"] == "fail"] == [], cutoff
+
+
 def test_skips_are_not_failures(ruled):
     rep = run_suite(ruled, "all", CUTOFF)
     assert rep.checks["ring-splitting"]["status"] == "skip"
