@@ -31,12 +31,13 @@ def identity(n: int) -> Matrix:
 
 def apply(v, rows, width) -> Vector:
     """The row vector v times the matrix rows (one row of the given width
-    per coordinate of v): sum of x rows[i] over the nonzero x = v[i]."""
+    per coordinate of v): sum of x rows[i] over the nonzero x = v[i], zeros skipped."""
     out = [Fraction(0)] * width
     for x, row in zip(v, rows):
         if x:
             for t, y in enumerate(row):
-                out[t] += x * y
+                if y:
+                    out[t] += x * y
     return out
 
 

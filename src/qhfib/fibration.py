@@ -30,7 +30,7 @@ from .errors import (
     QhfibError,
     TableIncomplete,
 )
-from .manifold import ManifoldModel, QHClass, evaluate, slot_pairs
+from .manifold import ManifoldModel, QHClass, evaluate, orderings, slot_pairs
 from .novikov import H2Class, H2Lattice, format_rational
 from .quantum import GWTable, QuantumRing, accumulate, check, step
 
@@ -302,26 +302,31 @@ class FibrationModel:
         x . e_j = n(iota e_i, iota e_j; sigma_ref + B) for every j
         (fiber.solve_pairing), the equation the mirror inverts. The
         "three_point" route inserts the fiber's fundamental class in the
-        third slot; it meets every section once. Kept per arity."""
-        f = self.fiber
-        w = self.section_gw.window(arity)
-        extra = [self.iota[f.fundamental_index]] if arity == "three_point" else []
+        third slot; it meets every section once. The counts are contracted
+        from the stored entries: each in every signed slot order
+        (manifold.orderings), pushed through iota transposed. Kept per arity."""
+        f, table = self.fiber, self.section_gw
+        w = table.window(arity)
+        fund = self.iota[f.fundamental_index]
+        # iota transposed: back[p] holds the nonzero (i, iota(e_i)_p)
+        back = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*self.iota)]
         # the section's own class leads: term order decides which
         # coordinates later sums keep for equal classes
         rows = [{f.h2.zero(): f.zero_vector()} for _ in f.basis]
-        for key in self.section_gw.known_key_classes(arity):
+        groups = table.by_class(arity)
+        for key in table.known_key_classes(arity):
             b = self.fiber_class_from_total(key)
             if b is None or key.omega > w:
                 continue
-
-            def read(*slots):
-                return self.section_gw.query(arity, slots, key)
-
-            for i, vi in enumerate(self.iota):
-                for j, vj in enumerate(self.iota):
-                    val = multilinear(read, vi, vj, *extra)
-                    if val:
-                        rows[i].setdefault(b, f.zero_vector())[j] += val
+            for ck, n in groups[key].items():
+                for (p, q, *r), sign in orderings(ck, self.total.degrees):
+                    c = sign * n * (fund[r[0]] if r else 1)
+                    if not c:
+                        continue
+                    for i, x in back[p]:
+                        row = rows[i].setdefault(b, f.zero_vector())
+                        for j, y in back[q]:
+                            row[j] += c * x * y
         images = [f.qh({-b: f.solve_pairing(row) for b, row in r.items()}) for r in rows]
         return PsiOperator(f, images, w)
 
@@ -563,6 +568,8 @@ class FibrationModel:
         except Inconsistent as exc:
             return check([str(exc)])
         classes = self.vertical_gw.known_key_classes("three_point")
+        # the iota-preimage of each basis class (None off iota's image), solved once
+        pres = [self._iota_preimage(m.basis_vector(lbl)) for lbl in m.labels] if classes else []
         for cls in classes:
             b = self.fiber_class_from_total(cls)
             if b is None:
@@ -576,8 +583,7 @@ class FibrationModel:
                     missing.append(str(exc))
                     return 0
 
-            for i in range(len(m.basis)):
-                pre = self._iota_preimage(m.vector([(i, Fraction(1))]))
+            for i, pre in enumerate(pres):
                 if pre is None:
                     continue
                 for j in range(len(m.basis)):

@@ -53,8 +53,7 @@ def kunneth(first, second, deg1, deg2, at) -> dict:
     out = {}
     for key1, v1 in first.items():
         for key2, v2 in second.items():
-            for perm in dict.fromkeys(permutations(key2)):
-                _, sign = koszul_sorted(perm, deg2)
+            for perm, sign in orderings(key2, deg2):
                 for s, b in enumerate(perm):
                     if deg2[b] % 2 and sum(deg1[a] for a in key1[s + 1:]) % 2:
                         sign = -sign
@@ -62,14 +61,20 @@ def kunneth(first, second, deg1, deg2, at) -> dict:
     return out
 
 
+def orderings(ck, degrees) -> list:
+    """(slots, sign) for every distinct slot order of the canonical key ck,
+    sign the Koszul sign a query in that order applies to the stored count."""
+    return [(perm, koszul_sorted(perm, degrees)[1]) for perm in dict.fromkeys(permutations(ck))]
+
+
 def scatter(entries, degrees) -> dict:
     """The three-point right-hand sides of canonical entries {ck: n}:
-    rows[i, k][j] = n(i, k, j) for every distinct slot order (i, k, j) of
-    each key, with the Koszul sign a query in that order applies."""
+    rows[i, k][j] = n(i, k, j) for every slot order (i, k, j) of each key
+    (`orderings`), signed as a query in that order reads it."""
     rows = {}
     for ck, n in entries.items():
-        for perm in dict.fromkeys(permutations(ck)):
-            rows.setdefault(perm[:2], {})[perm[2]] = koszul_sorted(perm, degrees)[1] * n
+        for perm, sign in orderings(ck, degrees):
+            rows.setdefault(perm[:2], {})[perm[2]] = sign * n
     return rows
 
 

@@ -19,10 +19,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from ._linalg import apply
 from .errors import CutoffTooSmall, NotInvertible, QhfibError
+
+
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text) -> Fraction:
@@ -32,12 +34,13 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
-        if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text.strip()):
+        match = _RATIONAL.fullmatch(text.strip())
+        if not match:
             raise QhfibError(
                 f"not an exact rational: {text!r} (write p/q, not a decimal)"
             )
         try:
-            return Fraction(text.strip())
+            return Fraction(int(match[1]), int(match[2] or 1))
         except ZeroDivisionError:
             raise QhfibError(f"zero denominator in {text!r}") from None
     raise QhfibError(f"not an exact rational: {text!r}")
@@ -107,11 +110,16 @@ class H2Class:
     _c1: Fraction = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._omega is None:
-            lat = self.lattice
-            object.__setattr__(self, "_omega", sum(map(mul, lat.omega, self.coords), Fraction(0)))
-            object.__setattr__(self, "_c1", sum(map(mul, lat.c1, self.coords), Fraction(0)))
-        object.__setattr__(self, "_hash", hash((id(self.lattice), self._omega, self._c1)))
+        if self._omega is None:  # both covectors, summed over the nonzero coordinates
+            omega = c1 = Fraction(0)
+            for w, c, x in zip(self.lattice.omega, self.lattice.c1, self.coords):
+                if x:
+                    omega, c1 = omega + w * x, c1 + c * x
+            object.__setattr__(self, "_omega", omega)
+            object.__setattr__(self, "_c1", c1)
+        omega, c1 = self._omega, self._c1  # in lowest terms: equal classes hash alike
+        object.__setattr__(self, "_hash", hash((id(self.lattice), omega.numerator, omega.denominator,
+                                                c1.numerator, c1.denominator)))
 
     @property
     def omega(self) -> Fraction:

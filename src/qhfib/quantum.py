@@ -335,7 +335,8 @@ class QuantumRing:
         one term of greatest area (the area-zero part of the ring is Laurent
         polynomials over Q, whose units are monomials). Faddeev-LeVerrier
         gives det A and the adjugate, dividing only by integers:
-        M_j = A M_(j-1) + c I, c = -tr(A M_j) / j, and at j = k
+        M_j = A M_(j-1) + c I, c = -tr(A M_j) / j, each entry of A M_(j-1)
+        summed over the nonzero entries of A's row only, and at j = k
         q^-1 = -M_k e_[X] / c. The terms of area >= -(cutoff + max(0, leading
         area of q)) are kept, so q q^-1 = 1 modulo the cutoff; they are exact
         because 1/c is taken on that window widened by the largest area in
@@ -344,18 +345,24 @@ class QuantumRing:
         m, k = self.model, len(self.model.basis)
         zero = NovikovElement(m.h2)
         cols = [self.product(q, m.qh_basis(lbl)).terms for lbl in m.labels]
-        a = [[NovikovElement(m.h2, {e: v[t] for e, v in col.items()}) for col in cols]
+        # row t of A as its nonzero entries (s, A_ts), s ascending
+        a = [[(s, x) for s, col in enumerate(cols)
+              if (x := NovikovElement(m.h2, {e: v[t] for e, v in col.items()})).terms]
              for t in range(k)]
         mj = [[NovikovElement.unit(m.h2) if t == u else zero for u in range(k)] for t in range(k)]
+
+        def times(row, u):  # (A M_j)_tu: the nonzero products summed in turn, s ascending
+            prods = [x * mj[s][u] for s, x in row if mj[s][u].terms]
+            return sum(prods[1:], prods[0]) if prods else zero
+
         for j in range(1, k):
-            am = [[sum((a[t][s] * mj[s][u] for s in range(k) if a[t][s].terms and mj[s][u].terms),
-                       zero) for u in range(k)] for t in range(k)]
+            am = [[times(row, u) for u in range(k)] for row in a]
             c = sum((am[t][t] for t in range(k)), zero) * Fraction(-1, j)
             mj = [[x + c if t == u else x for u, x in enumerate(row)] for t, row in enumerate(am)]
         fx = m.fundamental_index
         adj_x = [row[fx] for row in mj]
         # A M_k = -c I (Cayley-Hamilton), so its entry (X, X) is -c
-        minus_c = sum((a[fx][s] * adj_x[s] for s in range(k) if a[fx][s].terms), zero)
+        minus_c = times(a[fx], fx)
         window = Fraction(cutoff) + max((e.omega for e in q.terms if e.omega > 0), default=0)
         widen = max((e.omega for p in adj_x for e in p.terms), default=0)
         try:

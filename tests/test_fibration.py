@@ -101,8 +101,8 @@ def test_module_and_wang_reports(ruled, rotation):
 @pytest.mark.parametrize("cutoff", [2, 6, 24])
 @pytest.mark.parametrize("name", BUILTINS)
 def test_module_identities_hold_at_the_normalized_section(name, cutoff):
-    """The shifted-section twist compares Psi at sigma + B with Psi at sigma
-    times e^B for the section asked about, not for the reference one."""
+    """Psi(a) = Q*a and Psi(a*b) = Psi(a)*b hold at the normalized section
+    as at the reference one, whose report the default section reads."""
     fib = catalog.build(name)
     passed = {"status": "pass", "details": []}
     assert fib.module_report(cutoff, fib.sigma_phi()) == passed

@@ -14,9 +14,13 @@ from itertools import permutations
 
 import pytest
 
-from qhfib import GWTable, H2Lattice, ManifoldModel, NotInvertible, NovikovElement, QuantumRing, catalog
+from qhfib import (
+    GWTable, H2Lattice, ManifoldModel, NotInvertible, NovikovElement, QuantumRing, catalog,
+    tensor_model)
 from qhfib._linalg import solve
 from qhfib.fixtures import parse_qh
+from qhfib.novikov import nov_invert
+from tests.test_kernel import assert_same
 
 KAPPAS = ("1", "2", "3", "1/2", "1/3", "2/3", "3/2", "5/4")
 FIBRATIONS = [("ruled", k) for k in KAPPAS] + [
@@ -100,6 +104,58 @@ def ref_inverse_or_none(ring, q, cutoff):
     if ring.product(q, inv).truncate(cutoff) != ring.unit().truncate(cutoff):
         return None
     return inv
+
+
+def ref_fl_inverse(ring, q, cutoff):
+    """The Faddeev-LeVerrier loop over the dense multiplication matrix: every
+    entry of A M_j a sum over all s, started at zero, then the same window,
+    unit decision and final check as inverse_or_none."""
+    m, k = ring.model, len(ring.model.basis)
+    zero = NovikovElement(m.h2)
+    cols = [ring.product(q, m.qh_basis(lbl)).terms for lbl in m.labels]
+    a = [[NovikovElement(m.h2, {e: v[t] for e, v in col.items()}) for col in cols]
+         for t in range(k)]
+    mj = [[NovikovElement.unit(m.h2) if t == u else zero for u in range(k)] for t in range(k)]
+    for j in range(1, k):
+        am = [[sum((a[t][s] * mj[s][u] for s in range(k) if a[t][s].terms and mj[s][u].terms),
+                   zero) for u in range(k)] for t in range(k)]
+        c = sum((am[t][t] for t in range(k)), zero) * Fraction(-1, j)
+        mj = [[x + c if t == u else x for u, x in enumerate(row)] for t, row in enumerate(am)]
+    fx = m.fundamental_index
+    adj_x = [row[fx] for row in mj]
+    minus_c = sum((a[fx][s] * adj_x[s] for s in range(k) if a[fx][s].terms), zero)
+    window = Fraction(cutoff) + max((e.omega for e in q.terms if e.omega > 0), default=0)
+    widen = max((e.omega for p in adj_x for e in p.terms), default=0)
+    try:
+        inv_c = nov_invert(minus_c, window + widen)
+    except NotInvertible:
+        return None
+    terms: dict = {}
+    for t, p in enumerate(adj_x):
+        for e, x in (p * inv_c).terms.items():
+            if e.omega >= -window:
+                terms.setdefault(e, m.zero_vector())[t] = x
+    inv = m.qh(terms)
+    if ring.product(q, inv, cutoff) != ring.unit().truncate(cutoff):
+        return None
+    return inv
+
+
+def assert_same_inverse(ring, q, cutoff):
+    """inverse_or_none gives what the dense loop gives, with the same
+    coordinates printed, or raises the same way."""
+    try:
+        want = ref_fl_inverse(ring, q, cutoff)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            ring.inverse_or_none(q, cutoff)
+        return
+    got = ring.inverse_or_none(q, cutoff)
+    if want is None:
+        assert got is None, (q, cutoff)
+    else:
+        assert_same(got, want)
+    return want is not None
 
 
 def two_generator_sphere():
@@ -241,3 +297,34 @@ def test_classes_that_are_not_units_have_no_inverse(ring, text):
         assert not ring.is_unit(q, cutoff)
         with pytest.raises(NotInvertible, match=re.escape(f"{q!r} is not a unit")):
             ring.inverse(q, cutoff)
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_FIBRATIONS)
+def test_the_seidel_element_inverts_as_the_dense_loop_does(name):
+    fib = catalog.build(name)
+    for cutoff in map(Fraction, (0, 2, 6, 24)):
+        assert assert_same_inverse(fib.fiber_ring, fib.q_class(cutoff, fib.sigma_phi()), cutoff)
+
+
+@pytest.mark.parametrize("name", ("ruled", "sphere-rotation", "sphere-product",
+                                  "quantum-trivial-product", "two-generator", "equal-areas"))
+def test_the_drawn_classes_invert_as_the_dense_loop_does(name):
+    """The classes the two random tests above draw, at their cutoffs. On
+    S^2(1) x S^2(1) ("equal-areas") A and A' are one class, so equal
+    exponents with different coordinates meet in the sums of A M_j, and the
+    order of the sums decides which coordinates are printed."""
+    if name == "equal-areas":
+        ring = QuantumRing(*tensor_model(*catalog.sphere(1), *catalog.sphere(1)))
+    else:
+        ring = fiber_ring(name)
+    decided = []
+    rnd = random.Random(f"inverse-{name}")
+    for _ in range(150):
+        q = random_class(rnd, ring.model)
+        decided.append(assert_same_inverse(ring, q, Fraction(rnd.choice((0, 1, 2, 6)))))
+    if name not in ("sphere-product", "equal-areas"):
+        rnd = random.Random(f"determinant-{name}")
+        for _ in range(60):
+            decided.append(assert_same_inverse(ring, random_class(rnd, ring.model), Fraction(2)))
+    assert True in decided
+    assert False in decided or name in ("sphere-rotation", "sphere-product", "equal-areas")

@@ -23,7 +23,7 @@ from qhfib import (
     format_rational,
     tensor_model,
 )
-from qhfib._linalg import solve
+from qhfib._linalg import multilinear, solve
 from qhfib.fibration import PsiOperator, compose, mirror
 from qhfib.manifold import koszul_sorted
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
@@ -192,6 +192,31 @@ def ref_loop_table(fib):
                 if val:
                     table[(i, j, b)] = val
     return table
+
+
+def ref_loop_images(fib, arity):
+    """Psi's images at the reference section read slot by slot: for every
+    stored key inside the window and every pair (i, j), the count
+    n(iota e_i, iota e_j[, iota e_X]; key) summed from table queries over
+    the nonzero coordinates, then each row solved against the pairing."""
+    f = fib.fiber
+    w = fib.section_gw.window(arity)
+    extra = [fib.iota[f.fundamental_index]] if arity == "three_point" else []
+    rows = [{f.h2.zero(): f.zero_vector()} for _ in f.basis]
+    for key in fib.section_gw.known_key_classes(arity):
+        b = fib.fiber_class_from_total(key)
+        if b is None or key.omega > w:
+            continue
+
+        def read(*slots):
+            return fib.section_gw.query(arity, slots, key)
+
+        for i, vi in enumerate(fib.iota):
+            for j, vj in enumerate(fib.iota):
+                val = multilinear(read, vi, vj, *extra)
+                if val:
+                    rows[i].setdefault(b, f.zero_vector())[j] += val
+    return [f.qh({-b: f.solve_pairing(row) for b, row in r.items()}) for r in rows]
 
 
 def ref_composite_images(f, g, cutoff, offset):
@@ -780,6 +805,53 @@ def test_psi_operator_falls_back_to_the_three_point_route(name):
     d["section_gw"]["complete_below"]["three_point"] = None
     with pytest.raises(TableIncomplete, match="two_point section data"):
         from_dict(d).psi_operator(CUTOFF)
+
+
+def assert_loops_match_the_reference(fib):
+    arities = [a for a in ("two_point", "three_point") if fib.section_gw.window(a) is not None]
+    assert arities
+    for arity in arities:
+        for got, want in zip(fib._loop(arity).images, ref_loop_images(fib, arity), strict=True):
+            assert_same(got, want)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_loop_operator_matches_the_slot_by_slot_reference(name):
+    assert_loops_match_the_reference(fibration(name))
+
+
+def changed_section_copies():
+    """(site, name, arity, key, count) for each stored section two- and
+    three-point count +1, negated and deleted (count 0)."""
+    for name in BUILTINS:
+        table = fibration(name).section_gw
+        for arity in ("two_point", "three_point"):
+            for key, n in table._store(arity).items():
+                for how, count in (("+1", n + 1), ("negated", -n), ("deleted", 0)):
+                    yield f"{name} {arity} {key[0]} {key[1]!r} {how}", name, arity, key, count
+
+
+SECTION_COPIES = {site: rest for site, *rest in changed_section_copies()}
+
+
+@pytest.mark.parametrize("site", SECTION_COPIES)
+def test_loop_operator_matches_the_reference_on_each_changed_section_count(site):
+    name, arity, key, count = SECTION_COPIES[site]
+    fib = fibration(name)
+    entries = fib.section_gw.entries(fib.total.h2)
+    entries[arity][key] = count
+    assert_loops_match_the_reference(fib.replace(section=entries))
+
+
+@pytest.mark.parametrize("name", ["sphere-product", "quantum-trivial-product", "torus-product"])
+def test_three_point_route_matches_the_reference_without_a_two_point_window(name):
+    d = to_dict(fibration(name))
+    d["section_gw"]["complete_below"]["two_point"] = None
+    fib = from_dict(d)
+    assert_loops_match_the_reference(fib)
+    want = [img.truncate(CUTOFF) for img in ref_loop_images(fib, "three_point")]
+    for got, w in zip(fib.psi_operator(CUTOFF).images, want, strict=True):
+        assert_same(got, w)
 
 
 def test_singular_pairing_raises_instead_of_choosing_a_solution():

@@ -1,5 +1,6 @@
 """Novikov ring arithmetic: group-ring axioms, truncation, inversion."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from qhfib import (
     parse_rational,
     format_rational,
 )
-from qhfib.novikov import nov_truncate
+from qhfib.novikov import _RATIONAL, nov_truncate
 
 LAT = H2Lattice(
     generators=("A", "B"),
@@ -180,6 +181,72 @@ def test_rational_parsing_round_trips():
         parse_rational("0.5")
     with pytest.raises(QhfibError):
         parse_rational("1e3")
+
+
+def ref_parse_rational(text):
+    """The string branch of parse_rational as it was: a format check, then Fraction(str)."""
+    if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text.strip()):
+        raise QhfibError(f"not an exact rational: {text!r} (write p/q, not a decimal)")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise QhfibError(f"zero denominator in {text!r}") from None
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except QhfibError as exc:
+        return str(exc)
+
+
+padding = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
+
+
+@given(pre=padding, body=st.from_regex(_RATIONAL, fullmatch=True), post=padding)
+def test_every_accepted_string_parses_as_fraction_does(pre, body, post):
+    text = pre + body + post
+    try:
+        want = Fraction(text.strip())
+    except ZeroDivisionError:
+        with pytest.raises(QhfibError, match=re.escape(f"zero denominator in {text!r}")):
+            parse_rational(text)
+        return
+    assert parse_rational(text) == want
+    assert parsed(parse_rational, text) == parsed(ref_parse_rational, text)
+
+
+@given(text=st.text(alphabet=st.sampled_from("0123456789+-/_. e\t٣"), max_size=8) | st.text(max_size=6))
+def test_any_string_parses_or_fails_as_before(text):
+    assert parsed(parse_rational, text) == parsed(ref_parse_rational, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator in '1/0'"),
+    (" -3/00 ", "zero denominator in ' -3/00 '"),
+    ("1.5", "not an exact rational: '1.5' (write p/q, not a decimal)"),
+    ("1_000", "not an exact rational: '1_000' (write p/q, not a decimal)"),
+    ("1/-2", "not an exact rational: '1/-2' (write p/q, not a decimal)"),
+])
+def test_refused_strings_keep_their_messages(text, message):
+    with pytest.raises(QhfibError, match=f"^{re.escape(message)}$"):
+        parse_rational(text)
+
+
+# area 1 and Chern number 2 on both A and C: 2A = 2C, and A + B = C + B
+TIED = H2Lattice(generators=("A", "B", "C"), omega=(Fraction(1), Fraction(1, 2), Fraction(1)),
+                 c1=(Fraction(2), Fraction(0), Fraction(2)), spherical=(True, True, True))
+
+
+@given(a=st.integers(-3, 3), b=st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+       c=st.integers(-3, 3), shift=st.integers(-3, 3))
+def test_equal_classes_with_different_coordinates_hash_alike(a, b, c, shift):
+    x = TIED.cls((a, b, c))
+    y = TIED.cls((a + shift, b, c - shift))  # A - C has area 0 and Chern number 0
+    assert x == y and hash(x) == hash(y)
+    assert x.coords != y.coords or shift == 0
+    assert (x + y) == x.scale(2) and hash(x + y) == hash(x.scale(2))
+    assert hash(-x) == hash(TIED.zero() - y)
 
 
 def test_lattice_shape_validation():
