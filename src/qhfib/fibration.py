@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import apply, identity, invert, multilinear, rank, solve
+from ._linalg import apply, identity, invert, rank, solve
 from ._memo import kept
 from .errors import (
     FiberMismatch,
@@ -30,7 +30,7 @@ from .errors import (
     QhfibError,
     TableIncomplete,
 )
-from .manifold import ManifoldModel, QHClass, evaluate, orderings, slot_pairs
+from .manifold import ManifoldModel, QHClass, evaluate, orderings, row_sum, slot_pairs
 from .novikov import H2Class, H2Lattice, format_rational
 from .quantum import GWTable, QuantumRing, accumulate, check, step
 
@@ -124,19 +124,18 @@ def _spherical_class(lattice: H2Lattice, x) -> H2Class:
 
 class FibrationModel:
     def __init__(self, name, fiber: ManifoldModel, fiber_gw: GWTable,
-                 total_data, iota, splitting, iota_h2, sigma_ref,
+                 total_data: ManifoldModel, iota, splitting, iota_h2, sigma_ref,
                  vertical=None, section=None, base_area=None,
                  product_structure=False):
-        """total_data is either a ready ManifoldModel or the tuple of
-        constructor arguments for one; vertical/section are dicts with
-        per-arity entry dicts plus a 'complete_below' item."""
+        """total_data is the total space's ManifoldModel; vertical/section
+        are dicts with per-arity entry dicts plus a 'complete_below' item."""
         self.name = name
         self.fiber = fiber
         if fiber_gw.model is not fiber:
             raise ValueError("fiber table attached to a different model")
         self.fiber_gw = fiber_gw
         self.fiber_ring = QuantumRing(fiber, fiber_gw)
-        self.total = total_data if isinstance(total_data, ManifoldModel) else ManifoldModel(*total_data)
+        self.total = total_data
         if self.total.n != fiber.n + 1:
             raise ValueError(f"{name}: total space must have dimension dim(fiber)+2")
 
@@ -193,9 +192,9 @@ class FibrationModel:
 
     def replace(self, **changes) -> FibrationModel:
         """This fibration with some constructor arguments changed, built by
-        the constructor, so every check runs again. A new total_data must be
-        a ManifoldModel. The reference section and the vertical and section
-        tables carried over are re-keyed by coordinates onto its lattice."""
+        the constructor, so every check runs again. The reference section
+        and the vertical and section tables carried over are re-keyed by
+        coordinates onto the lattice of a new total_data."""
         total = changes.get("total_data", self.total)
         args = dict(
             name=self.name, fiber=self.fiber, fiber_gw=self.fiber_gw, total_data=total,
@@ -576,28 +575,27 @@ class FibrationModel:
                 failures.append(f"vertical key {cls!r} is not a fiber class")
                 continue
 
-            def read(*slots):  # a slot the fiber table lacks goes to `missing`, read as 0
-                try:
-                    return self.fiber_gw.three(*slots, b)
-                except TableIncomplete as exc:
-                    missing.append(str(exc))
-                    return 0
-
             for i, pre in enumerate(pres):
                 if pre is None:
                     continue
                 for j in range(len(m.basis)):
+                    # the fiber covector n(pre, d[j], -; b); a slot the fiber
+                    # table lacks skips every entry that needs it
+                    pairs = slot_pairs(pre, d[j])
+                    try:
+                        rhs, missing = row_sum(self.fiber_gw.rows(b, pairs), pairs), None
+                    except TableIncomplete as exc:
+                        missing = str(exc)
                     for k in range(j, len(m.basis)):
                         try:
                             got = self.vertical_gw.three(i, j, k, cls)
                         except TableIncomplete as exc:
                             skips.append(str(exc))
                             continue
-                        missing = []
-                        want = multilinear(read, pre, d[j], d[k])
                         if missing:
-                            skips.extend(missing)
+                            skips.append(missing)
                             continue
+                        want = evaluate(rhs, d[k])
                         if want != got:
                             failures.append(
                                 f"vertical ({m.labels[i]},{m.labels[j]},{m.labels[k]}; "

@@ -129,19 +129,25 @@ def format_qh(q: QHClass) -> str:
 # -- JSON ---------------------------------------------------------------------
 
 
-def _rat(x) -> str:
-    return format_rational(Fraction(x))
-
-
 def _lattice_to_dict(lat: H2Lattice) -> dict:
     return {
         "generators": list(lat.generators),
-        "omega": [_rat(x) for x in lat.omega],
-        "c1": [_rat(x) for x in lat.c1],
+        "omega": [format_rational(x) for x in lat.omega],
+        "c1": [format_rational(x) for x in lat.c1],
         "spherical": list(lat.spherical),
         "embed": None if lat.embed is None
-        else [[_rat(x) for x in row] for row in lat.embed],
+        else [[format_rational(x) for x in row] for row in lat.embed],
     }
+
+
+def _required(d, path, key):
+    """(value, JSON path) of a required key of the JSON object d at path."""
+    if not isinstance(d, dict):
+        raise QhfibError(f"{path}: expected a JSON object")
+    at = f"{path}.{key}" if path else key
+    if key not in d:
+        raise QhfibError(f"fixture is missing the required key {at}")
+    return d[key], at
 
 
 def _fail(path, want, got):
@@ -186,11 +192,11 @@ def _labels(x, path, size=None) -> tuple[str, ...]:
 
 def _lattice_from_dict(d: dict, path: str) -> H2Lattice:
     return H2Lattice(
-        generators=_labels(d["generators"], f"{path}.generators"),
-        omega=tuple(_rationals(d["omega"], f"{path}.omega")),
-        c1=tuple(_rationals(d["c1"], f"{path}.c1")),
+        generators=_labels(*_required(d, path, "generators")),
+        omega=tuple(_rationals(*_required(d, path, "omega"))),
+        c1=tuple(_rationals(*_required(d, path, "c1"))),
         spherical=tuple(_flag(x, f"{path}.spherical[{i}]")
-                        for i, x in enumerate(_list(d["spherical"], f"{path}.spherical"))),
+                        for i, x in enumerate(_list(*_required(d, path, "spherical")))),
         embed=None if d.get("embed") is None
         else tuple(map(tuple, _matrix(d["embed"], f"{path}.embed"))),
     )
@@ -201,9 +207,9 @@ def manifold_to_dict(m: ManifoldModel) -> dict:
         "name": m.name,
         "n": m.n,
         "basis": [[lbl, d] for lbl, d in m.basis],
-        "pairing": [[_rat(x) for x in row] for row in m.pairing],
+        "pairing": [[format_rational(x) for x in row] for row in m.pairing],
         "triple": sorted(
-            [m.labels[i], m.labels[j], m.labels[k], _rat(v)]
+            [m.labels[i], m.labels[j], m.labels[k], format_rational(v)]
             for (i, j, k), v in m.triple.items()
         ),
         "triple_complete": m.triple_complete,
@@ -224,17 +230,19 @@ def _triple_form(triple, path) -> dict:
 
 def manifold_from_dict(d: dict, path: str = "model") -> ManifoldModel:
     """A manifold model; a malformed node is named by its JSON path under path."""
-    basis = [_list(b, f"{path}.basis[{i}]", 2) for i, b in enumerate(d["basis"])]
+    basis = [_list(b, f"{path}.basis[{i}]", 2)
+             for i, b in enumerate(_list(*_required(d, path, "basis")))]
     triple = [_list(t, f"{path}.triple[{i}]", 4)
               for i, t in enumerate(_list(d.get("triple", []), f"{path}.triple"))]
     return ManifoldModel(
-        d["name"], d["n"],
+        _scalar(*_required(d, path, "name"), str, "a JSON string"),
+        _scalar(*_required(d, path, "n"), (int, str), "a JSON integer or string"),
         [(_scalar(lbl, f"{path}.basis[{i}][0]", str, "a label"),
           _scalar(deg, f"{path}.basis[{i}][1]", (int, str), "an integer degree"))
          for i, (lbl, deg) in enumerate(basis)],
-        _matrix(d["pairing"], f"{path}.pairing"),
+        _matrix(*_required(d, path, "pairing")),
         _triple_form(triple, path),
-        _lattice_from_dict(d["h2"], f"{path}.h2"),
+        _lattice_from_dict(*_required(d, path, "h2")),
         triple_complete=_flag(d.get("triple_complete", True), f"{path}.triple_complete"),
     )
 
@@ -244,8 +252,8 @@ def _entries_to_list(model: ManifoldModel, table: GWTable, arity: str) -> list:
     for (idx, cls), val in table._store(arity).items():
         out.append([
             [model.labels[i] for i in idx],
-            [_rat(x) for x in cls.coords],
-            _rat(val),
+            [format_rational(x) for x in cls.coords],
+            format_rational(val),
         ])
     out.sort()
     return out
@@ -256,39 +264,10 @@ def gw_to_dict(model: ManifoldModel, table: GWTable) -> dict:
         "kind": table.kind,
         **{arity: _entries_to_list(model, table, arity) for arity in ARITIES},
         "complete_below": {
-            arity: (None if table.window(arity) is None else _rat(table.window(arity)))
+            arity: (None if table.window(arity) is None else format_rational(table.window(arity)))
             for arity in ARITIES
         },
     }
-
-
-# the keys each fixture kind must carry, as JSON paths with their types; the rest are optional
-_MANIFOLD_KEYS = (("name", str), ("n", (int, str)), ("basis", list), ("pairing", list),
-                  ("h2.generators", list), ("h2.omega", list), ("h2.c1", list),
-                  ("h2.spherical", list))
-_REQUIRED = {
-    "fibration": (("name", str), ("iota", list), ("splitting", list), ("iota_h2", list),
-                  ("sigma_ref", list), ("fiber_gw", dict))
-    + tuple((f"{part}.{key}", kind) for part in ("fiber", "total") for key, kind in _MANIFOLD_KEYS),
-    "ring": (("gw", dict),) + tuple((f"model.{key}", kind) for key, kind in _MANIFOLD_KEYS),
-}
-_JSON_TYPES = {dict: "object", list: "list", str: "string", (int, str): "integer or string"}
-
-
-def _check_required(d: dict, paths) -> None:
-    """Every required key is present with its JSON type; the first missing
-    or mistyped one is named by its JSON path."""
-    for path, kind in paths:
-        node, seen = d, []
-        for key in path.split("."):
-            if not isinstance(node, dict):
-                raise QhfibError(f"{'.'.join(seen)}: expected a JSON object")
-            seen.append(key)
-            if key not in node:
-                raise QhfibError(f"fixture is missing the required key {'.'.join(seen)}")
-            node = node[key]
-        if not isinstance(node, kind):
-            _fail(path, f"a JSON {_JSON_TYPES[kind]}", node)
 
 
 def _entry_dicts(d: dict, lattice: H2Lattice, path: str) -> dict:
@@ -339,27 +318,27 @@ def fibration_to_dict(fib: FibrationModel) -> dict:
         "fiber": manifold_to_dict(fib.fiber),
         "fiber_gw": gw_to_dict(fib.fiber, fib.fiber_gw),
         "total": manifold_to_dict(fib.total),
-        "iota": [[_rat(x) for x in row] for row in fib.iota],
-        "splitting": [[_rat(x) for x in row] for row in fib.splitting_map],
-        "iota_h2": [[_rat(x) for x in row] for row in fib.iota_h2],
-        "sigma_ref": [_rat(x) for x in fib.sigma_ref.coords],
+        "iota": [[format_rational(x) for x in row] for row in fib.iota],
+        "splitting": [[format_rational(x) for x in row] for row in fib.splitting_map],
+        "iota_h2": [[format_rational(x) for x in row] for row in fib.iota_h2],
+        "sigma_ref": [format_rational(x) for x in fib.sigma_ref.coords],
         "vertical_gw": gw_to_dict(fib.total, fib.vertical_gw),
         "section_gw": gw_to_dict(fib.total, fib.section_gw),
-        "base_area": None if fib.base_area is None else _rat(fib.base_area),
+        "base_area": None if fib.base_area is None else format_rational(fib.base_area),
         "product_structure": fib.product_structure,
     }
 
 
 def fibration_from_dict(d: dict) -> FibrationModel:
-    fiber = manifold_from_dict(d["fiber"], "fiber")
-    fiber_gw = gw_from_dict(d["fiber_gw"], fiber, "fiber_gw")
-    total = manifold_from_dict(d["total"], "total")
+    fiber = manifold_from_dict(*_required(d, "", "fiber"))
+    fiber_gw = gw_from_dict(_required(d, "", "fiber_gw")[0], fiber, "fiber_gw")
+    total = manifold_from_dict(*_required(d, "", "total"))
     vertical = _entry_dicts(d.get("vertical_gw", {}), total.h2, "vertical_gw")
     section = _entry_dicts(d.get("section_gw", {}), total.h2, "section_gw")
     return FibrationModel(
-        d["name"], fiber, fiber_gw, total,
-        _matrix(d["iota"], "iota"), _matrix(d["splitting"], "splitting"),
-        _matrix(d["iota_h2"], "iota_h2"), _rationals(d["sigma_ref"], "sigma_ref"),
+        _scalar(*_required(d, "", "name"), str, "a JSON string"), fiber, fiber_gw, total,
+        _matrix(*_required(d, "", "iota")), _matrix(*_required(d, "", "splitting")),
+        _matrix(*_required(d, "", "iota_h2")), _rationals(*_required(d, "", "sigma_ref")),
         vertical=vertical,
         section=section,
         base_area=None if d.get("base_area") is None
@@ -386,11 +365,10 @@ def from_dict(d: dict):
     kind = d.get("kind")
     if kind not in ("ring", "fibration"):
         raise QhfibError(f"fixture kind must be 'ring' or 'fibration', got {kind!r}")
-    _check_required(d, _REQUIRED[kind])
     if kind == "fibration":
         return fibration_from_dict(d)
-    model = manifold_from_dict(d["model"])
-    return model, gw_from_dict(d["gw"], model)
+    model = manifold_from_dict(*_required(d, "", "model"))
+    return model, gw_from_dict(_required(d, "", "gw")[0], model)
 
 
 def save(obj, path: str) -> None:

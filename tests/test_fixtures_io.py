@@ -228,11 +228,19 @@ def json_nodes(node, path=()):
 REPLACEMENTS = (None, True, 99, "x", [], {})
 
 
-@pytest.mark.parametrize("name", ("ruled", "quantum-trivial-product"))
+def fixture_dict(name):
+    """A shipped fixture file as a dict; "ring" is the ruled surface's fiber
+    ring written as a ring fixture."""
+    if name == "ring":
+        return to_dict(catalog.ruled_surface_fiber())
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", ("ruled", "quantum-trivial-product", "ring"))
 def test_any_malformed_node_is_a_data_error(name):
     """Each node replaced by each JSON kind: only QhfibError or ValueError
     (both exit 2) escapes, never a traceback."""
-    d = json.loads((FIXTURES / f"{name}.json").read_text())
+    d = fixture_dict(name)
     for value in REPLACEMENTS:
         with pytest.raises(QhfibError):
             from_dict(value)
@@ -268,6 +276,60 @@ def test_a_malformed_node_is_named_by_its_json_path(path, value, want):
     with pytest.raises(QhfibError) as err:
         from_dict(d)
     assert str(err.value) == want
+
+
+# the keys each fixture kind must carry, as JSON paths with their JSON types
+MANIFOLD_KEYS = {"name": "string", "n": "integer or string", "basis": "list",
+                 "pairing": "list", "h2.generators": "list", "h2.omega": "list",
+                 "h2.c1": "list", "h2.spherical": "list"}
+REQUIRED = {
+    "ring": {"gw": "object", **{f"model.{key}": t for key, t in MANIFOLD_KEYS.items()}},
+    "fibration": {"name": "string", "iota": "list", "splitting": "list", "iota_h2": "list",
+                  "sigma_ref": "list", "fiber_gw": "object",
+                  **{f"{part}.{key}": t for part in ("fiber", "total")
+                     for key, t in MANIFOLD_KEYS.items()}},
+}
+# values of the wrong JSON type for each required type
+WRONG_TYPES = {"string": (None, 5, True, [], {}), "integer or string": (None, [2], {}),
+               "list": (None, 5, "x", {}), "object": (None, 5, "x", [])}
+DELETED = object()
+
+
+def required_node_error(kind, keys, value):
+    """The error text of a fixture of `kind` with the node at `keys` set to
+    value, or removed when value is DELETED."""
+    d = fixture_dict("ring" if kind == "ring" else "ruled")
+    *parents, last = keys
+    node = d
+    for key in parents:
+        node = node[key]
+    if value is DELETED:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(QhfibError) as err:
+        from_dict(d)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("kind, path", [(kind, path) for kind, paths in REQUIRED.items()
+                                        for path in paths])
+def test_each_required_node_is_named_by_its_json_path(kind, path):
+    """A required key deleted, of a wrong JSON type, or under a parent that
+    is not a JSON object: each is a QhfibError naming its JSON path."""
+    keys = path.split(".")
+    assert required_node_error(kind, keys, DELETED) == f"fixture is missing the required key {path}"
+    for value in WRONG_TYPES[REQUIRED[kind][path]]:
+        assert required_node_error(kind, keys, value) == (
+            f"{path}: expected a JSON {REQUIRED[kind][path]}, got {json.dumps(value)}")
+    parent = ".".join(keys[:-1])
+    for value in (None, 5, "x", [], [{}]):
+        if parent:
+            assert required_node_error(kind, keys[:-1], value) == f"{parent}: expected a JSON object"
+        else:
+            with pytest.raises(QhfibError) as err:
+                from_dict(value)
+            assert str(err.value) == "a fixture is a JSON object"
 
 
 NOT_BOOLEANS = ("false", "no", 0, 1, None)
