@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import apply, identity, invert, rank, solve
+from ._linalg import apply, identity, invert, multilinear, rank, solve
 from ._memo import kept
 from .errors import (
     FiberMismatch,
@@ -30,7 +30,7 @@ from .errors import (
     QhfibError,
     TableIncomplete,
 )
-from .manifold import ManifoldModel, QHClass, evaluate, orderings, row_sum, slot_pairs
+from .manifold import ManifoldModel, QHClass, evaluate, orderings, slot_pairs
 from .novikov import H2Class, H2Lattice, format_rational
 from .quantum import GWTable, QuantumRing, accumulate, check, step
 
@@ -575,27 +575,28 @@ class FibrationModel:
                 failures.append(f"vertical key {cls!r} is not a fiber class")
                 continue
 
+            def read(*slots):  # a slot the fiber table lacks goes to `missing`, read as 0
+                try:
+                    return self.fiber_gw.three(*slots, b)
+                except TableIncomplete as exc:
+                    missing.append(str(exc))
+                    return 0
+
             for i, pre in enumerate(pres):
                 if pre is None:
                     continue
                 for j in range(len(m.basis)):
-                    # the fiber covector n(pre, d[j], -; b); a slot the fiber
-                    # table lacks skips every entry that needs it
-                    pairs = slot_pairs(pre, d[j])
-                    try:
-                        rhs, missing = row_sum(self.fiber_gw.rows(b, pairs), pairs), None
-                    except TableIncomplete as exc:
-                        missing = str(exc)
                     for k in range(j, len(m.basis)):
                         try:
                             got = self.vertical_gw.three(i, j, k, cls)
                         except TableIncomplete as exc:
                             skips.append(str(exc))
                             continue
+                        missing = []
+                        want = multilinear(read, pre, d[j], d[k])
                         if missing:
-                            skips.append(missing)
+                            skips.extend(missing)
                             continue
-                        want = evaluate(rhs, d[k])
                         if want != got:
                             failures.append(
                                 f"vertical ({m.labels[i]},{m.labels[j]},{m.labels[k]}; "

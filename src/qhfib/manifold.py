@@ -83,16 +83,6 @@ def slot_pairs(va, vb) -> list:
     return [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
 
 
-def row_sum(rows, pairs) -> dict:
-    """The right-hand side {j: sum c rows[i, k][j]} over (i, k, c) in pairs,
-    rows as `scatter` builds them."""
-    rhs = {}
-    for i, k, c in pairs:
-        for j, v in rows.get((i, k), {}).items():
-            rhs[j] = rhs.get(j, 0) + c * v
-    return rhs
-
-
 def evaluate(covector, b) -> Fraction:
     """A covector {j: a . e_j} (ManifoldModel.covector) applied to a vector b."""
     return sum((x * b[j] for j, x in covector.items() if b[j]), Fraction(0))
@@ -311,8 +301,12 @@ class ManifoldModel:
         `scatter` builds them; empty when that sum vanishes. A singular
         pairing raises even then."""
         cols = self._pairing_columns()
+        rhs = {}
+        for i, k, c in pairs:
+            for j, v in rows.get((i, k), {}).items():
+                rhs[j] = rhs.get(j, 0) + c * v
         x = {}
-        for j, r in row_sum(rows, pairs).items():
+        for j, r in rhs.items():
             for t, d in cols[j]:
                 x[t] = x.get(t, 0) + d * r
         return {t: v for t, v in sorted(x.items()) if v}

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from qhfib import (
+    DegeneratePairing,
+    GWTable,
     ManifoldModel,
     PrimingInvalid,
     QhfibError,
@@ -96,6 +98,44 @@ def test_module_and_wang_reports(ruled, rotation):
         assert fib.vertical_table_report()["status"] == "pass"
         assert fib.section_divisor_report()["status"] == "pass"
         assert fib.structure_report()["status"] == "pass"
+
+
+def ruled_below_the_fiber_window():
+    """The ruled surface with its fiber three-point window at area 0, below
+    the vertical key class F."""
+    fib = catalog.build("ruled")
+    entries = fib.fiber_gw.entries(fib.fiber.h2)
+    entries["complete_below"]["three_point"] = 0
+    return fib.replace(fiber_gw=GWTable(fib.fiber, "fiber", **entries))
+
+
+@pytest.mark.parametrize("labels", [("pt", "Zm", "Zm"), ("T", "S", "Zm")])
+def test_a_wrong_vertical_count_fails_below_the_fiber_window(labels):
+    """An entry whose fiber sum reads only stored fiber slots is still
+    compared, and fails, where other entries of its row lack fiber data."""
+    fib = ruled_below_the_fiber_window()
+    assert fib.vertical_table_report()["status"] == "skip"
+    entries = fib.vertical_gw.entries(fib.total.h2)
+    slots = tuple(fib.total.labels.index(lbl) for lbl in labels)
+    (key,) = [key for key in entries["three_point"] if key[0] == slots]
+    entries["three_point"][key] += 1
+    assert fib.replace(vertical=entries).vertical_table_report() == {
+        "status": "fail",
+        "details": [f"vertical ({','.join(labels)}; {key[1]!r}) = 2, fiber data forces 1"],
+    }
+
+
+def test_the_vertical_entries_check_needs_no_fiber_pairing(monkeypatch):
+    """Below the fiber window the check reads fiber slots one at a time and
+    solves no fiber pairing, so a singular one cannot stop it."""
+    want = ruled_below_the_fiber_window().vertical_table_report()
+    fib = ruled_below_the_fiber_window()
+
+    def singular():
+        raise DegeneratePairing("ruled-surface: intersection pairing is singular")
+
+    monkeypatch.setattr(fib.fiber, "_pairing_columns", singular)
+    assert fib.vertical_table_report() == want
 
 
 @pytest.mark.parametrize("cutoff", [2, 6, 24])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qhfib import (
     DegeneratePairing,
     GWTable,
-    Inconsistent,
     H2Lattice,
     ManifoldModel,
     MissingTripleData,
@@ -218,55 +217,6 @@ def ref_loop_images(fib, arity):
                 if val:
                     rows[i].setdefault(b, f.zero_vector())[j] += val
     return [f.qh({-b: f.solve_pairing(row) for b, row in r.items()}) for r in rows]
-
-
-def ref_vertical_table_report(fib):
-    """The vertical-entries check read slot by slot: each vertical entry
-    n(e_i, e_j, e_k; A), j <= k, with e_i = iota(pre), against the fiber sum
-    of n(pre, d[j], d[k]; b) from table queries over the nonzero
-    coordinates, d the fiber restriction and b the fiber class of A; every
-    fiber slot the table lacks is listed as a skip."""
-    m = fib.total
-    failures, skips = [], []
-    try:
-        d = fib.fiber_restriction_matrix()
-    except Inconsistent as exc:
-        return check([str(exc)])
-    for cls in fib.vertical_gw.known_key_classes("three_point"):
-        b = fib.fiber_class_from_total(cls)
-        if b is None:
-            failures.append(f"vertical key {cls!r} is not a fiber class")
-            continue
-
-        def read(*slots):
-            try:
-                return fib.fiber_gw.three(*slots, b)
-            except TableIncomplete as exc:
-                missing.append(str(exc))
-                return 0
-
-        for i, lbl in enumerate(m.labels):
-            pre = fib._iota_preimage(m.basis_vector(lbl))
-            if pre is None:
-                continue
-            for j in range(len(m.basis)):
-                for k in range(j, len(m.basis)):
-                    try:
-                        got = fib.vertical_gw.three(i, j, k, cls)
-                    except TableIncomplete as exc:
-                        skips.append(str(exc))
-                        continue
-                    missing = []
-                    want = multilinear(read, pre, d[j], d[k])
-                    if missing:
-                        skips.extend(missing)
-                    elif want != got:
-                        failures.append(
-                            f"vertical ({m.labels[i]},{m.labels[j]},{m.labels[k]}; "
-                            f"{cls!r}) = {format_rational(got)}, fiber data forces "
-                            f"{format_rational(want)}"
-                        )
-    return check(failures, skips)
 
 
 def ref_composite_images(f, g, cutoff, offset):
@@ -902,60 +852,6 @@ def test_three_point_route_matches_the_reference_without_a_two_point_window(name
     want = [img.truncate(CUTOFF) for img in ref_loop_images(fib, "three_point")]
     for got, w in zip(fib.psi_operator(CUTOFF).images, want, strict=True):
         assert_same(got, w)
-
-
-@pytest.mark.parametrize("name", BUILTINS)
-def test_vertical_entries_check_matches_the_slot_by_slot_reference(name):
-    assert fibration(name).vertical_table_report() == ref_vertical_table_report(fibration(name))
-
-
-def changed_fiber_and_vertical_copies():
-    """(site, name, table, arity, key, count) for each stored fiber and
-    vertical two- and three-point count +1, negated and deleted (count 0)."""
-    for name in BUILTINS:
-        fib = fibration(name)
-        for table, gw in (("fiber", fib.fiber_gw), ("vertical", fib.vertical_gw)):
-            for arity in ("two_point", "three_point"):
-                for key, n in gw._store(arity).items():
-                    for how, count in (("+1", n + 1), ("negated", -n), ("deleted", 0)):
-                        yield (f"{name} {table} {arity} {key[0]} {key[1]!r} {how}",
-                               name, table, arity, key, count)
-
-
-TABLE_COPIES = {site: rest for site, *rest in changed_fiber_and_vertical_copies()}
-
-
-@pytest.mark.parametrize("site", TABLE_COPIES)
-def test_vertical_entries_check_matches_the_reference_on_each_changed_count(site):
-    name, table, arity, key, count = TABLE_COPIES[site]
-    fib = fibration(name)
-    if table == "fiber":
-        fib = fib.replace(fiber_gw=fib.fiber_gw.replace(arity, {key: count}))
-    else:
-        entries = fib.vertical_gw.entries(fib.total.h2)
-        entries[arity][key] = count
-        fib = fib.replace(vertical=entries)
-    assert fib.vertical_table_report() == ref_vertical_table_report(fib)
-
-
-@pytest.mark.parametrize("window", [None, 0, 1, 3], ids=str)
-@pytest.mark.parametrize("name", BUILTINS)
-def test_vertical_entries_check_skips_as_the_reference_below_the_fiber_window(name, window):
-    """With the fiber three-point window below a vertical key class the
-    check skips as the reference does, naming the first missing fiber slot
-    of each row where the reference names every one."""
-    fib = fibration(name)
-    entries = fib.fiber_gw.entries(fib.fiber.h2)
-    entries["complete_below"]["three_point"] = window
-    fib = fib.replace(fiber_gw=GWTable(fib.fiber, "fiber", **entries))
-    got, want = fib.vertical_table_report(), ref_vertical_table_report(fib)
-    below = [cls for cls in fib.vertical_gw.known_key_classes("three_point")
-             if window is None or fib.fiber_class_from_total(cls).omega > window]
-    if not below:
-        assert got == want
-    else:
-        assert got["status"] == want["status"] == "skip"
-        assert set(got["details"]) <= set(want["details"])
 
 
 def test_singular_pairing_raises_instead_of_choosing_a_solution():
