@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -95,9 +96,7 @@ def cmd_product(args) -> int:
         elif args.space == "vertical":
             model, mul = fib.total, fib.vertical_product
         else:
-            model = fib.total
-            def mul(a, b, cutoff):
-                return fib.horizontal_product(a, b, cutoff)
+            model, mul = fib.total, fib.horizontal_product
     else:
         model, table = obj
         if args.space != "fiber":
@@ -152,8 +151,10 @@ def cmd_invariants(args) -> int:
         print(f"Iu = {{{inner}}}")
     else:
         print("Iu = {} (every generator is spherical)")
-    for k, val in enumerate(fib.invariants_summary()["Ik"]):
-        print(f"I_{k} = {format_rational(val)}")
+    # each invariant printed as it is computed: one that raises leaves the
+    # lines before it on stdout
+    for k in range(fib.fiber.n + 2):
+        print(f"I_{k} = {format_rational(fib.invariant_Ik(k))}")
     return 0
 
 
@@ -227,14 +228,12 @@ def cmd_compose(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    import json as _json
-
     obj = _build(args.name, args.param)
     if args.out:
         fixtures.save(obj, args.out)
         print(f"wrote {args.out}")
     else:
-        print(_json.dumps(fixtures.to_dict(obj), indent=2, sort_keys=True))
+        print(json.dumps(fixtures.to_dict(obj), indent=2, sort_keys=True))
     return 0
 
 
@@ -311,10 +310,7 @@ def main(argv=None) -> int:
     except NotInvertible as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except QhfibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (QhfibError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

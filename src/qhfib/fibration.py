@@ -311,7 +311,7 @@ class FibrationModel:
         back = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*self.iota)]
         # the section's own class leads: term order decides which
         # coordinates later sums keep for equal classes
-        rows = [{f.h2.zero(): f.zero_vector()} for _ in f.basis]
+        rows = [{f.h2.zero(): {}} for _ in f.basis]
         groups = table.by_class(arity)
         for key in table.known_key_classes(arity):
             b = self.fiber_class_from_total(key)
@@ -323,10 +323,11 @@ class FibrationModel:
                     if not c:
                         continue
                     for i, x in back[p]:
-                        row = rows[i].setdefault(b, f.zero_vector())
+                        row = rows[i].setdefault(b, {})
                         for j, y in back[q]:
-                            row[j] += c * x * y
-        images = [f.qh({-b: f.solve_pairing(row) for b, row in r.items()}) for r in rows]
+                            row[j] = row.get(j, 0) + c * x * y
+        images = [f.qh({-b: f.vector(f.solve_pairing(row).items()) for b, row in r.items()})
+                  for r in rows]
         return PsiOperator(f, images, w)
 
     def psi_operator(self, cutoff, sigma: H2Class | None = None) -> PsiOperator:
@@ -688,7 +689,7 @@ class FibrationModel:
 
     def _pd_of_covector(self, cov_deg2):
         m = self.total
-        return m.solve_pairing(m.vector(zip(m.indices_of_degree(2), cov_deg2)))
+        return m.vector(m.solve_pairing(dict(zip(m.indices_of_degree(2), cov_deg2))).items())
 
     def _power_cap(self, factors):
         """Iterated cap of Poincare duals of degree-2 covectors."""

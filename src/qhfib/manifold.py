@@ -10,8 +10,10 @@ entries pairing against the fundamental class are forced to agree with the
 intersection pairing and are filled in automatically. `kunneth` is the one
 signed cross product behind every product model's pairing, triple and
 invariants. `scatter` turns canonical three-slot entries into right-hand
-sides; `ManifoldModel.solve_rows` is the one contraction that solves them,
-for every product and cap, after `read_slots` where a read can raise.
+sides. `ManifoldModel.solve_pairing` is the one pairing solve, sparse in
+and out: `solve_rows` sums scattered rows into its right-hand side for
+every product and cap (after `read_slots` where a read can raise), and the
+loop operator and the Poincare duals of the invariants call it directly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     MissingTripleData,
     UnknownBasisLabel,
 )
-from .novikov import H2Class, H2Lattice, NovikovElement, format_rational
+from .novikov import H2Class, H2Lattice, format_rational
 
 
 def koszul_sorted(indices, degrees):
@@ -296,20 +298,13 @@ class ManifoldModel:
                 read(i, k, j)
 
     def solve_rows(self, rows, pairs) -> dict:
-        """The nonzero coordinates {t: x_t}, in index order, of the x with
-        x . e_j = sum c rows[i, k][j] over (i, k, c) in pairs, rows as
-        `scatter` builds them; empty when that sum vanishes. A singular
-        pairing raises even then."""
-        cols = self._pairing_columns()
+        """`solve_pairing` of the right-hand side sum c rows[i, k] over
+        (i, k, c) in pairs, rows as `scatter` builds them."""
         rhs = {}
         for i, k, c in pairs:
             for j, v in rows.get((i, k), {}).items():
                 rhs[j] = rhs.get(j, 0) + c * v
-        x = {}
-        for j, r in rhs.items():
-            for t, d in cols[j]:
-                x[t] = x.get(t, 0) + d * r
-        return {t: v for t, v in sorted(x.items()) if v}
+        return self.solve_pairing(rhs)
 
     @kept
     def _pairing_columns(self):
@@ -318,16 +313,17 @@ class ManifoldModel:
         dual = self.dual_basis()
         return [[(t, row[j]) for t, row in enumerate(dual) if row[j]] for j in range(len(dual))]
 
-    def solve_pairing(self, rhs) -> list[Fraction]:
-        """The vector x with x . e_j = rhs[j] for every j; a singular
-        pairing raises DegeneratePairing."""
+    def solve_pairing(self, rhs) -> dict:
+        """The nonzero coordinates {t: x_t}, in index order, of the x with
+        x . e_j = rhs[j] for each j of the sparse right-hand side {j: r}
+        (0 elsewhere); empty when x = 0. A singular pairing raises
+        DegeneratePairing even then."""
         cols = self._pairing_columns()
-        x = self.zero_vector()
-        for j, r in enumerate(rhs):
-            if r:
-                for t, d in cols[j]:
-                    x[t] += d * r
-        return x
+        x = {}
+        for j, r in rhs.items():
+            for t, d in cols[j]:
+                x[t] = x.get(t, 0) + d * r
+        return {t: v for t, v in sorted(x.items()) if v}
 
     def cap(self, a, b) -> list[Fraction]:
         """Classical cap product a cap b: the three-point contraction of a
@@ -445,31 +441,6 @@ class QHClass:
             return None
         d = degs.pop()
         return int(d) if Fraction(d).denominator == 1 else None
-
-    def pair(self, other: QHClass) -> NovikovElement:
-        """Intersection pairing, extended bilinearly over exponentials."""
-        if self.model is not other.model:
-            raise ValueError("classes belong to different models")
-        out: dict[H2Class, Fraction] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                val = self.model.intersect(v1, v2)
-                if val != 0:
-                    key = e1 + e2
-                    out[key] = out.get(key, Fraction(0)) + val
-        return NovikovElement(self.model.h2, out)
-
-    def triple(self, other: QHClass, third: QHClass) -> NovikovElement:
-        """Classical triple form, extended over exponentials."""
-        out: dict[H2Class, Fraction] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                for e3, v3 in third.terms.items():
-                    val = self.model.triple_form(v1, v2, v3)
-                    if val != 0:
-                        key = e1 + e2 + e3
-                        out[key] = out.get(key, Fraction(0)) + val
-        return NovikovElement(self.model.h2, out)
 
     def __repr__(self):
         if not self.terms:

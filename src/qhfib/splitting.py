@@ -141,8 +141,9 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
         return report
     step(report, "section-map", True, "s(x) classical for every basis class")
 
-    for i, lbl in enumerate(f.labels):
-        restr = apply(images[i].classical(), d, len(f.basis))
+    basis = [(lbl, img.classical()) for lbl, img in zip(f.labels, images)]
+    for i, (lbl, x) in enumerate(basis):
+        restr = apply(x, d, len(f.basis))
         want = [Fraction(int(j == i)) for j in range(len(f.basis))]
         if restr != want:
             step(
@@ -154,13 +155,12 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
         step(report, "restricts-to-identity", True, "")
 
     # the first pair (triple) of basis images that meet, if any
-    basis = list(zip(f.labels, images))
     meet = next((f"s({la}) . s({lb}) != 0" for la, x in basis for lb, y in basis
-                 if not x.pair(y).is_zero()), "")
+                 if m.intersect(x, y)), "")
     step(report, "pairing-isotropic", not meet, meet)
     meet = next((f"t(s({la}), s({lb}), s({lc})) != 0"
                  for la, x in basis for lb, y in basis for lc, z in basis
-                 if not x.triple(y, z).is_zero()), "")
+                 if m.triple_form(x, y, z)), "")
     step(report, "triple-isotropic", not meet, meet)
 
     mm = fib.horizontal_product(
@@ -182,22 +182,23 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
 # -- trivial bundles -------------------------------------------------------
 
 
-def product_section_tables(fiber: ManifoldModel, fiber_gw: GWTable, lift):
+def product_section_tables(ring: QuantumRing, lift):
     """The vertical and section tables of the trivial bundle fiber x sphere,
-    in FibrationModel constructor form: {arity: {((i, j, ...), lift(B)): n},
-    "complete_below": ...}, with s(e_i) at total index k + i and the
-    classical entries at lift(fiber.h2.zero()). Vertical entries push the
-    fiber's three-point data through the splitting slots; section entries
-    follow the product formula (the base factor contributes only through
-    full point constraints).
+    for the fiber and fiber table of `ring`, in FibrationModel constructor
+    form: {arity: {((i, j, ...), lift(B)): n}, "complete_below": ...}, with
+    s(e_i) at total index k + i and the classical entries at
+    lift(fiber.h2.zero()). Vertical entries push the fiber's three-point
+    data through the splitting slots; section entries follow the product
+    formula (the base factor contributes only through full point
+    constraints).
 
     Every index tuple is emitted sorted: fiber keys are stored sorted, the
     loops below run in increasing order, and iota slots (< k) come before
     splitting slots (>= k). So loading the tables into a GWTable keeps every
     key and value (Koszul sign +1), and they compare directly with a stored
     table's entries."""
+    fiber, fiber_gw = ring.model, ring.table
     k = len(fiber.basis)
-    ring = QuantumRing(fiber, fiber_gw)
     zero = fiber.h2.zero()
 
     vertical2 = {}
@@ -293,7 +294,7 @@ def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,
     iota_h2 = [[Fraction(int(t == gi)) for t in range(g + 1)] for gi in range(g)]
     sigma_ref = [Fraction(0)] * g + [Fraction(1)]
     vertical, section = product_section_tables(
-        fiber, fiber_gw, lambda b: h2.cls(b.coords + (Fraction(0),)))
+        QuantumRing(fiber, fiber_gw), lambda b: h2.cls(b.coords + (Fraction(0),)))
     return FibrationModel(
         name, fiber, fiber_gw, total, iota, split, iota_h2, sigma_ref,
         vertical=vertical, section=section,
@@ -308,7 +309,7 @@ def verify_product_pattern(fib: FibrationModel) -> dict:
         return check([], ["fibration does not declare a product structure"])
     if (fib.iota, fib.splitting_map) != _product_layout(len(fib.fiber.basis)):
         return check([], ["product check needs the standard iota/splitting layout"])
-    vertical, section = product_section_tables(fib.fiber, fib.fiber_gw, fib.iota_h2_class)
+    vertical, section = product_section_tables(fib.fiber_ring, fib.iota_h2_class)
     failures = []
     for label, table, expected in (("vertical", fib.vertical_gw, vertical),
                                    ("section", fib.section_gw, section)):

@@ -10,8 +10,8 @@ import pytest
 
 from qhfib import (
     DegeneratePairing,
+    FibrationModel,
     GWTable,
-    ManifoldModel,
     PrimingInvalid,
     QhfibError,
     TableIncomplete,
@@ -230,33 +230,39 @@ def test_invariants_refuse_a_lattice_that_is_no_degree_2_basis(ruled, embed, tex
         assert str(exc.value) == text
 
 
-def counted_solves(monkeypatch):
-    """The list that gets one item per ManifoldModel.solve_pairing call."""
-    calls, solve = [], ManifoldModel.solve_pairing
+def loop_builds(monkeypatch):
+    """The list that gets one (model name, arity) item per loop that
+    FibrationModel._loop builds: per operator it returns that it has not
+    returned before, so handing out a kept loop again adds nothing."""
+    builds, seen, loop = [], [], FibrationModel._loop
 
-    def counted(self, rhs):
-        calls.append(self.name)
-        return solve(self, rhs)
+    def counted(self, arity):
+        op = loop(self, arity)
+        if not any(op is old for old in seen):
+            seen.append(op)
+            builds.append((self.name, arity))
+        return op
 
-    monkeypatch.setattr(ManifoldModel, "solve_pairing", counted)
-    return calls
+    monkeypatch.setattr(FibrationModel, "_loop", counted)
+    return builds
 
 
 @pytest.mark.parametrize("name", ["ruled", "sphere-rotation", "sphere-product"])
 def test_a_warm_suite_solves_no_loop_again(name, monkeypatch):
     fib = catalog.build(name)
+    builds = loop_builds(monkeypatch)
     run_suite(fib, "all", CUTOFF)
-    calls = counted_solves(monkeypatch)
+    assert (fib.name, "two_point") in builds
+    builds.clear()
     run_suite(fib, "all", CUTOFF)
-    assert calls == []
+    assert builds == []
 
 
 def test_compose_with_the_mirror_solves_each_loop_once(monkeypatch, capsys):
-    # ruled and its mirror: one solve per (basis class, fiber class) row,
-    # six rows each; the composite only multiplies the two loops
-    calls = counted_solves(monkeypatch)
+    # ruled and its mirror: the composite only multiplies the two loops
+    builds = loop_builds(monkeypatch)
     assert main(["compose", "--mirror", "--builtin", "ruled", "--cutoff", "6"]) == 0
-    assert len(calls) == 12
+    assert builds == [("ruled-loop", "two_point"), ("ruled-loop~", "two_point")]
 
 
 def test_nonsqueezing_needs_a_declared_window(ruled):

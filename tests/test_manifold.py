@@ -205,16 +205,6 @@ def test_qh_truncate_drops_deep_terms(surface):
     assert x.truncate(Fraction(3)).is_zero()
 
 
-def test_qh_pairing_collects_novikov_output(surface):
-    T = surface.qh_basis("T-")
-    F = surface.qh_basis("F")
-    e = surface.h2.gen("F")
-    val = T.pair(F.shift(-e))
-    assert dict(val.terms) == {-e: Fraction(1)}
-    trip = T.triple(T, surface.qh_unit())
-    assert dict(trip.terms) == {surface.h2.zero(): Fraction(-1)}
-
-
 def _sparse_models():
     models = {}
     for name in catalog.BUILTIN_FIBRATIONS:

@@ -1,4 +1,5 @@
-"""The README's command examples print what the README shows."""
+"""The README's command examples print what the README shows, and its
+library example runs."""
 
 import re
 import shlex
@@ -39,3 +40,9 @@ def test_a_readme_example_prints_what_it_shows(capsys, monkeypatch, argv, want):
         want = want[:-1]
         got = got[:len(want)]
     assert got == want
+
+
+def test_the_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -113,6 +113,44 @@ def test_ring_split_reports_an_honest_hypothesis_failure(ruled):
     assert not any(STEP_LINE.match(line) for line in rep["details"])
 
 
+@pytest.mark.parametrize("entries, pairing, triple", [
+    # n(pt, 1, s(e1)) = 2: s(pt) gains 2 e2 x pt, which meets s(e1) and so
+    # t([M], s(e1), s(pt)) = s(e1) . s(pt)
+    ({("1", "pt", "s(e1)"): 2},
+     "pairing-isotropic: fail (s(e1) . s(pt) != 0)",
+     "triple-isotropic: fail (t(s(1), s(e1), s(pt)) != 0)"),
+    # s(e1) gains the fiber class and s(pt) loses e2 x pt: the two cancel in
+    # s(e1) . s(pt), while t(F, s(e1), s(e2)) = e1 . e2 survives
+    ({("1", "e1", "s(pt)"): 1, ("1", "pt", "s(e1)"): -1},
+     "pairing-isotropic: pass",
+     "triple-isotropic: fail (t(s(e1), s(e1), s(e2)) != 0)"),
+])
+def test_ring_split_names_the_first_section_images_that_meet(trivial_product, entries,
+                                                             pairing, triple):
+    """Classical section counts that tilt the section map off the splitting
+    slots: every image stays classical and restricts to its class, but some
+    images meet."""
+    fib = trivial_product
+    m = fib.total
+    section = fib.section_gw.entries(m.h2)
+    for labels, n in entries.items():
+        section["three_point"][tuple(map(m.label_index, labels)), m.h2.zero()] = Fraction(n)
+    rep = ring_split_check(fib.replace(section=section), CUTOFF)
+    assert rep["status"] == "fail"
+    assert rep["details"] == [
+        "hypothesis: pass (all listed fiber and vertical invariants vanish)",
+        "seidel-element: pass (rho = QH<quantum-trivial: 1>)",
+        "section-map: pass (s(x) classical for every basis class)",
+        "restricts-to-identity: pass",
+        pairing,
+        triple,
+        "fiber-squares-to-total: pass ([M] *h [M] = QH<quantum-trivialxS2: s(1)>, "
+        "expected QH<quantum-trivialxS2: s(1)>)",
+        "chern-invariant-vanishes: pass (Ic = 0)",
+        "coupling-invariant-vanishes: pass (Iu = {E1: 0, E2: 0})",
+    ]
+
+
 def test_product_pattern_matches_the_stored_tables(sphere_product, trivial_product):
     assert verify_product_pattern(sphere_product)["status"] == "pass"
     assert verify_product_pattern(trivial_product)["status"] == "pass"
@@ -159,7 +197,7 @@ def test_product_tables_load_through_gwtable_unchanged(fiber):
         "torus": catalog.torus,
     }[fiber]()
     fib = product_fixture(model, gw, 3)
-    vertical, section = product_section_tables(model, gw, fib.iota_h2_class)
+    vertical, section = product_section_tables(fib.fiber_ring, fib.iota_h2_class)
     loaded = (
         (vertical, GWTable(fib.total, "fiber", **vertical)),
         (section, GWTable(fib.total, "section", **section, section_c1=fib.section_c1)),
