@@ -30,9 +30,9 @@ from .errors import (
     QhfibError,
     TableIncomplete,
 )
-from .manifold import ManifoldModel, QHClass, evaluate, orderings, slot_pairs
+from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, format_rational
-from .quantum import GWTable, QuantumRing, accumulate, check, step
+from .quantum import GWTable, QuantumRing, accumulate, check, contract, step
 
 
 class PsiOperator:
@@ -409,38 +409,31 @@ class FibrationModel:
 
     def horizontal_product(self, a: QHClass, b: QHClass, cutoff,
                            sigma: H2Class | None = None) -> QHClass:
-        """Section-class product: three-point section invariants of a and b
-        against the dual basis, weighted by the fiber-class offset. Past the
-        window check every class read lies inside the window, so each class
-        is one solve of its scattered entries."""
+        """Section-class product: the three-point section invariants of a and
+        b at each section class sigma + B, B a fiber class, contracted with
+        weight e^{-B} (`contract`). Past the window check every class read
+        lies inside the window, so no slot is read."""
         sigma = self.sigma_ref if sigma is None else sigma
         offset0 = sigma - self.sigma_ref
         m = self.total
         w = self.section_gw.window("three_point")
-        acc = {}
         cutoff = Fraction(cutoff)
-        cands = [offset0] + [
+
+        def cover(base):
+            need = offset0.omega + base.omega + cutoff
+            if w is None or need > w:
+                raise TableIncomplete(
+                    f"{self.name}: horizontal product needs three-point section "
+                    f"data through area {format_rational(need)} "
+                    f"({'none declared' if w is None else 'have ' + format_rational(w)})"
+                )
+            m._pairing_columns()  # a singular pairing raises even when every sum vanishes
+
+        sources = [(offset0 - cls, cls) for cls in [offset0] + [
             cls for cls in self.section_gw.known_key_classes("three_point")
             if cls != offset0 and self.fiber_class_from_total(cls - offset0) is not None
-        ]
-        for ea, va in a.terms.items():
-            for eb, vb in b.terms.items():
-                base = ea + eb
-                need = offset0.omega + base.omega + cutoff
-                if w is None or need > w:
-                    raise TableIncomplete(
-                        f"{self.name}: horizontal product needs three-point section "
-                        f"data through area {format_rational(need)} "
-                        f"({'none declared' if w is None else 'have ' + format_rational(w)})"
-                    )
-                m._pairing_columns()  # a singular pairing raises even when every sum vanishes
-                pairs = slot_pairs(va, vb)
-                for cls in cands:
-                    if base.omega - cls.omega + offset0.omega >= -cutoff:
-                        x = m.solve_rows(self.section_gw.rows(cls), pairs)
-                        if x:
-                            accumulate(acc, base - (cls - offset0), x, m.zero_vector())
-        return m.qh(acc).truncate(cutoff)
+        ]]
+        return contract(self.section_gw, a, b, sources, cover, -cutoff).truncate(cutoff)
 
     # -- restriction to the fiber ----------------------------------------------
 

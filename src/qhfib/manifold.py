@@ -11,9 +11,11 @@ intersection pairing and are filled in automatically. `kunneth` is the one
 signed cross product behind every product model's pairing, triple and
 invariants. `scatter` turns canonical three-slot entries into right-hand
 sides. `ManifoldModel.solve_pairing` is the one pairing solve, sparse in
-and out: `solve_rows` sums scattered rows into its right-hand side for
-every product and cap (after `read_slots` where a read can raise), and the
-loop operator and the Poincare duals of the invariants call it directly.
+and out. Every three-point contraction (the cap, and every quantum product
+through `quantum.contract`) sums kept per-pair constants, e_i cap e_k on the
+model and those of each stored class on its table, all filled by
+`ManifoldModel.fill`; the loop operator and the Poincare duals of the
+invariants call `solve_pairing` directly.
 """
 
 from __future__ import annotations
@@ -83,6 +85,16 @@ def scatter(entries, degrees) -> dict:
 def slot_pairs(va, vb) -> list:
     """(i, k, va_i vb_k) over the nonzero coordinates of two vectors."""
     return [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
+
+
+def combine(constants, pairs) -> dict:
+    """The sum of c constants[i, k] over (i, k, c) in pairs, as {t: x_t},
+    constants as `ManifoldModel.fill` keeps them."""
+    vec = {}
+    for i, k, c in pairs:
+        for t, x in constants[i, k]:
+            vec[t] = vec.get(t, 0) + c * x
+    return vec
 
 
 def evaluate(covector, b) -> Fraction:
@@ -184,6 +196,8 @@ class ManifoldModel:
                         f"{want} entries (one per degree-2 basis class)"
                     )
 
+        # (i, k) -> the nonzero (t, x) entries of e_i cap e_k, filled by `fill`
+        self._cap_constants = {}
         self._kept = {}
 
     def _unique_degree_index(self, d, what) -> int:
@@ -276,35 +290,35 @@ class ManifoldModel:
         """t(a,b,c) = (a cap b) . c on homology vectors."""
         return multilinear(self.triple_eval, a, b, c)
 
-    def triple_rows(self, pairs):
-        """The triple form scattered into right-hand sides (see `scatter`),
-        kept, declared zeros included. A form not declared complete first
-        reads the slots of the sum over `pairs` (`read_slots`)."""
-        if not self.triple_complete:
-            self.read_slots(self.triple_eval, pairs)
-        return self._scattered_triple()
+    def cap_constants(self, pairs) -> dict:
+        """The kept constants of e_i cap e_k for the slot pairs of `pairs`
+        (`fill`); a form not declared complete reads the slots it needs first."""
+        return self.fill(self._cap_constants, pairs, self._scattered_triple,
+                         None if self.triple_complete else self.triple_eval)
 
     @kept
     def _scattered_triple(self):
         return scatter(self.triple, self.degrees)
 
-    def read_slots(self, read, pairs):
-        """Read each slot read(i, k, j) of the sum over (i, k, c) in pairs in
-        the sum's order, j outermost, so its first raising read raises here;
-        a singular pairing raises before any read."""
-        self._pairing_columns()
-        for j in range(len(self.basis)):
-            for i, k, _ in pairs:
-                read(i, k, j)
-
-    def solve_rows(self, rows, pairs) -> dict:
-        """`solve_pairing` of the right-hand side sum c rows[i, k] over
-        (i, k, c) in pairs, rows as `scatter` builds them."""
-        rhs = {}
-        for i, k, c in pairs:
-            for j, v in rows.get((i, k), {}).items():
-                rhs[j] = rhs.get(j, 0) + c * v
-        return self.solve_pairing(rhs)
+    def fill(self, store, pairs, scattered, read=None) -> dict:
+        """The one three-point fill: keep in `store` the constants of each
+        slot pair (i, k) of `pairs` it lacks, the nonzero (t, x) entries of
+        the x with x . e_j = rows[i, k][j] for every j, rows = scattered()
+        as `scatter` builds them, one `solve_pairing` each; return the
+        store. With `read` given, a singular pairing raises first, then
+        every slot read(i, k, j) of those pairs is read, j outermost, so
+        the first raising read of their sum raises here and nothing is kept."""
+        todo = [p for p in pairs if p[:2] not in store]
+        if todo:
+            if read is not None:
+                self._pairing_columns()
+                for j in range(len(self.basis)):
+                    for i, k, _ in todo:
+                        read(i, k, j)
+            rows = scattered()
+            for i, k, _ in todo:
+                store[i, k] = list(self.solve_pairing(rows.get((i, k), {})).items())
+        return store
 
     @kept
     def _pairing_columns(self):
@@ -326,10 +340,11 @@ class ManifoldModel:
         return {t: v for t, v in sorted(x.items()) if v}
 
     def cap(self, a, b) -> list[Fraction]:
-        """Classical cap product a cap b: the three-point contraction of a
-        and b against the triple form, solved from its scattered rows."""
+        """Classical cap product a cap b: the kept constants e_i cap e_k
+        (`cap_constants`) summed over the nonzero coordinates of a and b."""
+        self._pairing_columns()  # a singular pairing raises even when a or b is 0
         pairs = slot_pairs(a, b)
-        return self.vector(self.solve_rows(self.triple_rows(pairs), pairs).items())
+        return self.vector(combine(self.cap_constants(pairs), pairs).items())
 
     def fundamental_vector(self) -> list[Fraction]:
         return self.vector([(self.fundamental_index, Fraction(1))])
@@ -365,20 +380,15 @@ class QHClass:
     def __init__(self, model: ManifoldModel, terms):
         self.model = model
         dim = len(model.basis)
+        # the keys of a dict are distinct classes: each nonzero vector is kept as given
         out: dict[H2Class, tuple[Fraction, ...]] = {}
-        merged = False
         for e, vec in terms.items():
             vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if len(vec) != dim:
                 raise ValueError("vector length does not match the basis")
             if any(vec):
-                old = out.get(e)
-                if old is not None:
-                    vec = tuple(a + b for a, b in zip(old, vec))
-                    merged = True
                 out[e] = vec
-        # a merge can cancel to zero; only then is a second pass needed
-        self.terms = {e: v for e, v in out.items() if any(v)} if merged else out
+        self.terms = out
 
     def __add__(self, other: QHClass) -> QHClass:
         if self.model is not other.model:

@@ -23,7 +23,8 @@ from math import lcm
 
 from ._memo import kept
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
-from .manifold import ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs
+from .manifold import (
+    ManifoldModel, QHClass, combine, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs)
 from .novikov import H2Class, NovikovElement, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
@@ -72,6 +73,8 @@ class GWTable:
         self.kind = kind
         self.section_c1 = section_c1
         self.complete_below = _normalize_completeness(complete_below)
+        # class -> {(i, k): nonzero (t, x) entries of e_i * e_k there}, filled by `constants`
+        self._pair_constants = {}
         self._kept = {}
         self.two_point = self._load("two_point", two_point or {})
         self.three_point = self._load("three_point", three_point or {})
@@ -160,15 +163,19 @@ class GWTable:
             groups.setdefault(cls, {})[ck] = n
         return groups
 
-    def rows(self, cls: H2Class, pairs=()) -> dict:
-        """The stored three-point entries of one class scattered into
-        right-hand sides (manifold.scatter), kept per class. Above the
-        declared window, or without one, the slots of the sum over `pairs`
-        are read first (`ManifoldModel.read_slots`), as `query` may raise."""
+    def constants(self, cls, pairs) -> dict:
+        """The kept constants {(i, k): nonzero (t, x) entries of e_i * e_k}
+        of the stored three-point entries in class cls, for the slot pairs
+        of `pairs` (cls None: the model's cap constants), filled by
+        `ManifoldModel.fill`. Above the declared window, or without one, the
+        slots of the pairs it lacks are read first, as `query` may raise."""
+        m = self.model
+        if cls is None:
+            return m.cap_constants(pairs)
         w = self.complete_below["three_point"]
-        if w is None or cls.omega > w:
-            self.model.read_slots(lambda i, k, j: self.three(i, k, j, cls), pairs)
-        return self._scattered(cls)
+        inside = w is not None and cls.omega <= w
+        return m.fill(self._pair_constants.setdefault(cls, {}), pairs, lambda: self._scattered(cls),
+                      None if inside else lambda i, k, j: self.three(i, k, j, cls))
 
     @kept
     def _scattered(self, cls: H2Class) -> dict:
@@ -245,12 +252,35 @@ def accumulate(acc, e, x, zero):
         acc.pop(e, None)
 
 
+def contract(table: GWTable, a: QHClass, b: QHClass, sources, cover=None, floor=None) -> QHClass:
+    """The one bilinear three-point product of a and b over a table. Each
+    term pair runs cover(base), base = ea + eb, first (the caller's window
+    check); each source (shift, cls) then adds the kept constants of class
+    cls (`GWTable.constants`) summed over the pairs, at exponent base + shift.
+    A shift None is the cap at base, read for every term pair; any other
+    source is skipped when the area of base + shift is below floor."""
+    m = table.model
+    acc, zero = {}, m.zero_vector()
+    for ea, va in a.terms.items():
+        for eb, vb in b.terms.items():
+            base = ea + eb
+            if cover is not None:
+                cover(base)
+            pairs = slot_pairs(va, vb)
+            for shift, cls in sources:
+                if shift is not None and floor is not None and base.omega + shift.omega < floor:
+                    continue
+                vec = combine(table.constants(cls, pairs), pairs)
+                if any(vec.values()):
+                    accumulate(acc, base if shift is None else base + shift, vec, zero)
+    return m.qh(acc)
+
+
 class QuantumRing:
-    """QH(M) with the product induced by a three-point fiber-type table,
-    compiled lazily into structure constants e_i * e_k at each key class
-    and for the cap: the stored entries are scattered into right-hand sides
-    once, and each pair a product asks for is solved once by solve_rows.
-    Tables never change after construction, so nothing goes stale."""
+    """QH(M) with the product induced by a three-point fiber-type table:
+    each product is `contract` over the cap and the key classes, reading
+    the structure constants e_i * e_k that the model and the table keep
+    once filled. Tables never change after construction, so nothing goes stale."""
 
     def __init__(self, model: ManifoldModel, table: GWTable):
         if table.model is not model:
@@ -259,32 +289,10 @@ class QuantumRing:
             raise ValueError(f"a quantum ring needs a fiber table, not a {table.kind} one")
         self.model = model
         self.table = table
-        # key-class position (None: the cap) -> {(i, k): nonzero (t, x) entries of e_i * e_k}
-        self._constants: dict = {}
+        # the (shift, class) sources of every product: the cap, then each key class
+        self._sources = [(None, None)] + [
+            (-cls, cls) for cls in table.known_key_classes("three_point")]
         self._kept = {}
-
-    def _block(self, pos, cls, pairs) -> dict:
-        """The constants {(i, k): nonzero (t, x) entries of e_i * e_k} at key
-        class cls in position pos (None, None: the cap), each pair of `pairs`
-        it lacks solved once, after its rows read its slots where one can raise."""
-        m = self.model
-        block = self._constants.setdefault(pos, {})
-        todo = [p for p in pairs if p[:2] not in block]
-        if todo:
-            rows = m.triple_rows(todo) if cls is None else self.table.rows(cls, todo)
-            for i, k, _ in todo:
-                block[i, k] = list(m.solve_rows(rows, [(i, k, 1)]).items())
-        return block
-
-    def _gather(self, acc, base, pos, cls, pairs):
-        """acc[base - cls] (cls None: acc[base]) += sum c e_i * e_k over (i, k, c) in pairs."""
-        block = self._block(pos, cls, pairs)
-        vec = {}
-        for i, k, c in pairs:
-            for t, x in block[i, k]:
-                vec[t] = vec.get(t, 0) + c * x
-        if any(vec.values()):
-            accumulate(acc, base if cls is None else base - cls, vec, self.model.zero_vector())
 
     def _cover(self, need):
         """Raise TableIncomplete unless the declared window reaches area need."""
@@ -294,27 +302,16 @@ class QuantumRing:
                                   f"through area {format_rational(need)}")
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
-        """a * b, summed bilinearly from the compiled structure constants.
-        With a cutoff the result is truncated and the table must cover the
-        needed window. With cutoff=None the stored keys are trusted to be
-        complete, as they always were: every class missing from the table
-        counts as zero, whatever window the table declares."""
-        m = self.model
-        keys = self.table.known_key_classes("three_point")
-        cutoff = None if cutoff is None else Fraction(cutoff)
-        acc: dict[H2Class, list] = {}
-        for ea, va in a.terms.items():
-            for eb, vb in b.terms.items():
-                base = ea + eb
-                if cutoff is not None:
-                    self._cover(base.omega + cutoff)
-                pairs = slot_pairs(va, vb)
-                self._gather(acc, base, None, None, pairs)
-                for pos, cls in enumerate(keys):
-                    if cutoff is None or base.omega - cls.omega >= -cutoff:
-                        self._gather(acc, base, pos, cls, pairs)
-        out = m.qh(acc)
-        return out if cutoff is None else out.truncate(cutoff)
+        """a * b, summed bilinearly from the kept structure constants. With
+        a cutoff the result is truncated and the table must cover the needed
+        window. With cutoff=None the stored keys are trusted to be complete,
+        as they always were: every class missing from the table counts as
+        zero, whatever window the table declares."""
+        if cutoff is None:
+            return contract(self.table, a, b, self._sources)
+        cutoff = Fraction(cutoff)
+        return contract(self.table, a, b, self._sources,
+                        lambda base: self._cover(base.omega + cutoff), -cutoff).truncate(cutoff)
 
     @kept
     def basis_product(self, i, j, cutoff) -> QHClass:
@@ -393,7 +390,7 @@ class QuantumRing:
     def associativity_report(self, cutoff) -> dict:
         """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
         with no product while it passes. P[i][j] = e_i*e_j is read from the
-        compiled blocks, filled in the order the nested products first needed
+        kept constants, filled in the order the nested products first needed
         them, so a raise has the same text; both sides are summed in integers,
         every coefficient scaled by the lcm of their denominators. A failing
         triple builds its two sides by one product each."""
@@ -401,15 +398,15 @@ class QuantumRing:
         cutoff = None if cutoff is None else Fraction(cutoff)
         if cutoff is not None:
             self._cover(cutoff)  # as the first basis product checked it
-        blocks = [(None, None)] + [(pos, cls) for pos, cls in enumerate(
-            self.table.known_key_classes("three_point")) if cutoff is None or cls.omega <= cutoff]
-        exps = [m.h2.zero()] + [-cls for _, cls in blocks[1:]]
+        blocks = [None] + [cls for cls in self.table.known_key_classes("three_point")
+                           if cutoff is None or cls.omega <= cutoff]
+        exps = [m.h2.zero()] + [-cls for cls in blocks[1:]]
         products = {}  # (i, j) -> nonzero (exponent position, t, x) of P[i][j]
 
         def basis_product(i, j):
             if (i, j) not in products:
-                products[i, j] = [(e, t, x) for e, (pos, cls) in enumerate(blocks)
-                                  for t, x in self._block(pos, cls, [(i, j, 1)])[i, j]]
+                products[i, j] = [(e, t, x) for e, cls in enumerate(blocks)
+                                  for t, x in self.table.constants(cls, [(i, j, 1)])[i, j]]
             return products[i, j]
 
         for j in range(size):  # the nested products' first uses; all come while i is 0
@@ -428,10 +425,8 @@ class QuantumRing:
         rows = [[scaled[i, t] for t in range(size)] for i in range(size)]
 
         def as_class(i, j):  # P[i][j] as its basis product sums it
-            acc = {}
-            for pos, cls in blocks:
-                self._gather(acc, exps[0], pos, cls, [(i, j, 1)])
-            return m.qh(acc)
+            return contract(self.table, m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]),
+                            self._sources, floor=None if cutoff is None else -cutoff)
 
         failures = []
         for i, j, k in itertools.product(range(size), repeat=3):
@@ -454,20 +449,21 @@ class QuantumRing:
         """The sum over A1 + A2 = cls of (e_k*e_l)_A2 . (e_i*e_j)_A1, the
         three-point splitting of the fixed-cross-ratio invariant
         n(e_i, e_j, e_k, e_l; cls); A1 and A2 are zero (the cap) or key
-        classes. Both factors are read from the compiled blocks, A1 in
-        key-class order and zero last, so a block's rows raise where a slot
-        they read is unavailable."""
+        classes. Both factors are read from the kept constants, A1 in
+        key-class order and zero last, so a fill raises where a slot it
+        reads is unavailable."""
         m = self.model
-        blocks = {c: (pos, c) for pos, c in enumerate(self.table.known_key_classes("three_point"))}
-        blocks[m.h2.zero()] = (None, None)
+        keys = self.table.known_key_classes("three_point")
+        blocks = dict(zip(keys, keys))
+        blocks[m.h2.zero()] = None  # the cap
         total = Fraction(0)
         for a1, first in blocks.items():
-            second = blocks.get(cls - a1)
-            if second is None:
+            a2 = cls - a1
+            if a2 not in blocks:
                 continue
-            x = self._block(*first, [(i, j, 1)])[i, j]
+            x = self.table.constants(first, [(i, j, 1)])[i, j]
             if x:
-                y = self._block(*second, [(k, l, 1)])[k, l]
+                y = self.table.constants(blocks[a2], [(k, l, 1)])[k, l]
                 total += m.intersect(m.vector(y), m.vector(x))
         return total
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qhfib import catalog, format_rational
+from qhfib import catalog, fixtures, format_rational
 from qhfib.quantum import ARITIES
 
 settings.register_profile(
@@ -54,3 +54,17 @@ def sphere_product():
 @pytest.fixture(scope="session")
 def trivial_product():
     return catalog.build("quantum-trivial-product")
+
+
+def trivial_product_with_a_spherical_class(**entries):
+    """The quantum-trivial-product fixture as a dict, with its generator E1
+    made spherical of Chern number -1 in the fiber and total lattices, so
+    that section classes can differ by the fiber class E1, plus the section
+    entries {arity: [labels, ...]}, each of count 1 at offset E1."""
+    d = fixtures.to_dict(catalog.build("quantum-trivial-product"))
+    for space in ("fiber", "total"):
+        d[space]["h2"]["spherical"][0] = True
+        d[space]["h2"]["c1"][0] = "-1"
+    for arity, keys in entries.items():
+        d["section_gw"][arity] += [[list(key), ["1", "0", "0"], "1"] for key in keys]
+    return d

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from qhfib import catalog, cli
+from qhfib import catalog, cli, fixtures
 from qhfib.cli import main
 from qhfib.fixtures import from_dict, parse_qh, to_dict
 from qhfib.validator import NEEDS_CUTOFF, SUITE_NAMES
+from tests.conftest import trivial_product_with_a_spherical_class
 
 RULED_FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "ruled.json")
 
@@ -44,6 +45,24 @@ def test_vertical_product_command(capsys):
                        "--space", "vertical", "S", "T")
     assert code == 0
     assert out.strip() != ""
+
+
+@pytest.mark.parametrize("cutoff, want", [
+    ("6", "s(e2)+s(pt)+s(pt)@e^{-E1}\n"),
+    ("1/2", "s(e2)+s(pt)\n"),  # the term at e^{-E1} falls outside the window
+])
+def test_horizontal_product_command(capsys, cutoff, want):
+    assert run(capsys, "product", "--builtin", "quantum-trivial-product", "--cutoff", cutoff,
+               "--space", "horizontal", "1+e1@e^{-E1}", "pt+e2") == (0, want, "")
+
+
+def test_a_ring_fixture_multiplies_in_the_fiber_only(capsys, tmp_path):
+    path = str(tmp_path / "ring.json")
+    fixtures.save(catalog.ruled_surface_fiber(), path)
+    assert run(capsys, "product", "--fixture", path, "--cutoff", "6", "T-", "T-") == (
+        0, "-pt+1@e^{-F}\n", "")
+    assert run(capsys, "product", "--fixture", path, "--cutoff", "6", "--space", "vertical",
+               "T-", "T-") == (2, "", "error: ring fixtures only have the fiber product\n")
 
 
 def test_cutoff_comes_from_the_environment(capsys, monkeypatch):
@@ -644,3 +663,21 @@ def test_every_single_entry_mutation_is_refused_or_fails_a_check(capsys, tmp_pat
         elif not any(c["status"] == "fail" for c in json.loads(out)["checks"].values()):
             missed.append(what)
     assert (missed, aborted) == ([], [])
+
+
+def test_rho_says_when_the_seidel_element_is_not_a_monomial(capsys, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(trivial_product_with_a_spherical_class(two_point=[("1", "e1")])))
+    assert run(capsys, "rho", "--fixture", str(path), "--cutoff", "6") == (
+        0, "rho = 1+e2@e^{-E1}\nrho^-1 = 1-e2@e^{-E1}\nmonomial: no\n", "")
+
+
+def test_nonsqueeze_without_a_through_point_invariant_gives_no_bound(capsys, tmp_path):
+    d = to_dict(catalog.build("quantum-trivial-product"))
+    section = d["section_gw"]
+    section["three_point"] = [e for e in section["three_point"] if "pt" not in e[0]]
+    path = tmp_path / "no-point.json"
+    path.write_text(json.dumps(d))
+    assert run(capsys, "nonsqueeze", "--fixture", str(path)) == (0, (
+        "table complete through area 100\n"
+        "no bound: all through-point section invariants vanish through area 100\n"), "")

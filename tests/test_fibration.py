@@ -18,8 +18,10 @@ from qhfib import (
     catalog,
     mirror,
     run_suite,
+    tensor_model,
 )
 from qhfib.cli import main
+from qhfib.fibration import _normalizing_class
 from qhfib.fixtures import from_dict, parse_qh, to_dict
 from tests.conftest import BUILTINS, CUTOFF
 
@@ -310,3 +312,32 @@ def test_a_dropped_model_is_freed_without_the_cycle_collector():
         assert [ref() for ref in gone] == [None] * 5
     finally:
         gc.enable()
+
+
+def test_a_primed_splitting_fails_the_structure_report():
+    assert catalog.sphere_rotation(primed=True).structure_report() == {
+        "status": "fail", "details": ["splitting is primed but not corrected: "
+                                      "s(e_i).s(e_j) != 0 (q = [['0', '0'], ['0', '-1']])"]}
+
+
+def test_fiber_classes_that_multiply_vertically_fail_the_vertical_report():
+    # n(pt, pt, s(1); A) = 1 makes iota(pt) *v iota(pt) = pt e^{-A}
+    d = to_dict(catalog.build("sphere-product"))
+    d["vertical_gw"]["three_point"].append([["pt", "pt", "s(1)"], ["1", "0"], "1"])
+    assert from_dict(d).vertical_report(CUTOFF) == {"status": "fail", "details": [
+        "s(1) *v iota(pt) = QH<spherexS2: pt + s(1)@e^H2<-1*A>> != iota(1*pt) = QH<spherexS2: pt>",
+        "iota(pt) *v iota(pt) = QH<spherexS2: pt@e^H2<-1*A>>, fiber classes in distinct "
+        "fibers must multiply to zero",
+    ]}
+
+
+@pytest.mark.parametrize("u0, c0", [
+    (0, 0), (1, 0), (0, 1), (Fraction(-3, 2), 4), (7, Fraction(-5, 3))])
+def test_normalization_fixes_area_and_chern_number_where_the_fiber_tells_them_apart(u0, c0):
+    # the spherical generators have (area, Chern) = (1, 2) and (5, 2): rank 2
+    lattice = tensor_model(*catalog.sphere(1), *catalog.sphere(5))[0].h2
+    sph = lattice.spherical_indices()
+    assert [(lattice.omega[i], lattice.c1[i]) for i in sph] == [(1, 2), (5, 2)]
+    b = _normalizing_class(lattice, Fraction(u0), Fraction(c0), "test")
+    assert b.is_spherical()
+    assert (b.omega, b.c1) == (-u0, -c0)

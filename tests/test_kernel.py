@@ -3,6 +3,7 @@ system anew, term by term, by elimination on the transposed pairing."""
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -21,6 +22,7 @@ from qhfib import (
     TableIncomplete,
     catalog,
     format_rational,
+    run_suite,
     tensor_model,
 )
 from qhfib._linalg import multilinear, solve
@@ -870,35 +872,49 @@ def test_singular_pairing_raises_instead_of_choosing_a_solution():
         m.cap(a, b)  # every sum vanishes, and still no unique answer
 
 
-# -- the scattered constants ----------------------------------------------------
+# -- the kept constants ----------------------------------------------------------
+
+
+def kept_stores(r):
+    """(store, slot reader, class) for the cap constants the model keeps and
+    the constants the table keeps at each key class, filled or not."""
+    m, table = r.model, r.table
+    triple = lambda i, k, j, _: m.triple_eval(i, k, j)  # noqa: E731
+    return [(m._cap_constants, triple, None)] + [
+        (table._pair_constants.get(cls, {}), table.three, cls)
+        for cls in table.known_key_classes("three_point")]
 
 
 @pytest.mark.parametrize("name", SCATTERED)
 def test_scattered_constants_equal_the_slot_by_slot_contraction(name):
-    r = ring.__wrapped__(name)  # fresh: every block below is filled here
+    r = ring(name)
     m = r.model
     k = len(m.basis)
-    keys = r.table.known_key_classes("three_point")
     for a in m.labels:
         for b in m.labels:
             r.product(m.qh_basis(a), m.qh_basis(b))
-    triple = lambda i, k, j, _: m.triple_eval(i, k, j)  # noqa: E731
-    for pos, cls, three in [(None, None, triple)] + [
-            (pos, cls, r.table.three) for pos, cls in enumerate(keys)]:
-        for i in range(k):
-            for j in range(k):
-                rhs = ref_rhs(m, unit_vector(m, i), unit_vector(m, j), three, cls)
-                want = ref_solve_pairing(m, rhs) if any(rhs) else ()
-                assert r._constants[pos][i, j] == [(t, x) for t, x in enumerate(want) if x]
+    # every pair of the cap and of each key class is filled, and each
+    # filled constant is the reference solve of its slots
+    for store, three, cls in kept_stores(r):
+        assert set(store) == set(product(range(k), repeat=2))
+        for (i, j), got in store.items():
+            rhs = ref_rhs(m, unit_vector(m, i), unit_vector(m, j), three, cls)
+            want = ref_solve_pairing(m, rhs) if any(rhs) else ()
+            assert got == [(t, x) for t, x in enumerate(want) if x]
 
 
 def test_odd_entries_scatter_with_their_koszul_signs():
     r = ring("torus x sphere")
     m = r.model
-    a, b, one = (m.label_index(x) for x in ("a|pt", "b|pt", "1|pt"))
-    rows = r.table.rows(r.table.known_key_classes("three_point")[0])
+    a, b, one, dual = (m.label_index(x) for x in ("a|pt", "b|pt", "1|pt", "pt|1"))
+    cls = r.table.known_key_classes("three_point")[0]
+    rows = r.table._scattered(cls)
     assert rows[a, b][one] == -rows[b, a][one] == 1
     assert rows[one, a][b] == -rows[one, b][a] == 1
+    # the kept constants carry the same signs: x . e_j = n(a, b, e_j) is
+    # the class pairing to 1 with 1|pt alone
+    kept = r.table.constants(cls, [(a, b, 1), (b, a, 1)])
+    assert kept[a, b] == [(dual, Fraction(1))] == [(t, -x) for t, x in kept[b, a]]
 
 
 @pytest.mark.parametrize("name", [f"{b}/{s}" for b in BUILTINS for s in ("fiber", "vertical")])
@@ -914,22 +930,52 @@ def test_a_fresh_associativity_report_reads_no_slot(name, monkeypatch):
     assert reads == []
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_warm_verify_makes_no_three_point_solve(name, monkeypatch):
+    # every contraction reads constants kept on the models and tables; only
+    # the invariants' Poincare duals solve again
+    callers = []
+    real = ManifoldModel.solve_pairing
+    monkeypatch.setattr(ManifoldModel, "solve_pairing", lambda self, rhs: callers.append(
+        sys._getframe(1).f_code.co_name) or real(self, rhs))
+    fib = catalog.build(name)
+    cold = run_suite(fib, "all", CUTOFF).to_json()
+    assert "fill" in callers
+    callers.clear()
+    assert run_suite(fib, "all", CUTOFF).to_json() == cold
+    assert set(callers) <= {"_pd_of_covector"}
+
+
+def fresh_copy(r):
+    """A ring on a new model and a new table built from r's data, so that
+    nothing it reads has been filled yet."""
+    m = r.model
+    fresh = ManifoldModel(m.name, m.n, m.basis, m.pairing, m.triple, m.h2, m.triple_complete)
+    return QuantumRing(fresh, GWTable(fresh, "fiber", **r.table.entries(fresh.h2)))
+
+
 @pytest.mark.parametrize("name", SCATTERED)
 def test_a_single_product_solves_once_per_key_class_at_most(name, monkeypatch):
     r = ring(name)
     m = r.model
     bound = len(r.table.known_key_classes("three_point")) + 1  # plus the cap
     solves = []
-    real = ManifoldModel.solve_rows
-    monkeypatch.setattr(ManifoldModel, "solve_rows",
-                        lambda self, *args: solves.append(args) or real(self, *args))
+    real = ManifoldModel.solve_pairing
+    monkeypatch.setattr(ManifoldModel, "solve_pairing",
+                        lambda self, rhs: solves.append(rhs) or real(self, rhs))
     for a in m.labels:
         for b in m.labels:
             want = r.product(m.qh_basis(a), m.qh_basis(b), CUTOFF)
+            fresh = fresh_copy(r)
+            fm = fresh.model
             solves.clear()
-            fresh = QuantumRing(m, r.table)
-            assert_same(fresh.product(m.qh_basis(a), m.qh_basis(b), CUTOFF), want)
-            assert len(solves) <= bound
+            got = fresh.product(fm.qh_basis(a), fm.qh_basis(b), CUTOFF)
+            assert (got.terms, format_qh(got)) == (want.terms, format_qh(want))
+            # one pair: at most one solve per class it reads, and a repeat reads them kept
+            assert 0 < len(solves) <= bound
+            solves.clear()
+            fresh.product(fm.qh_basis(a), fm.qh_basis(b), CUTOFF)
+            assert solves == []
 
 
 @pytest.mark.parametrize("name,key", [

@@ -24,7 +24,8 @@ from qhfib import (
 from qhfib import fixtures
 from qhfib.quantum import ARITIES, QuantumRing
 from qhfib.splitting import correction_valid, product_section_tables
-from tests.conftest import CUTOFF, STEP_LINE, offending_lines
+from tests.conftest import (
+    CUTOFF, STEP_LINE, offending_lines, trivial_product_with_a_spherical_class)
 
 
 def random_defect(rng, n):
@@ -149,6 +150,23 @@ def test_ring_split_names_the_first_section_images_that_meet(trivial_product, en
         "chern-invariant-vanishes: pass (Ic = 0)",
         "coupling-invariant-vanishes: pass (Iu = {E1: 0, E2: 0})",
     ]
+
+
+@pytest.mark.parametrize("entries, want", [
+    # n(1, e1; sigma + E1) = 1 puts e2 e^{-E1} into rho
+    ({"two_point": [("1", "e1")]},
+     ["seidel-element: fail (Seidel element is not a basis monomial: "
+      "QH<quantum-trivial: 1 + e2@e^H2<-1*E1>>)"]),
+    # n(1, 1, s(pt); sigma + E1) = 1 gives [M] *h [M] a term at e^{-E1}
+    ({"three_point": [("1", "1", "s(pt)")]},
+     ["seidel-element: pass (rho = QH<quantum-trivial: 1>)",
+      "section-map: fail (s(1) = QH<quantum-trivialxS2: s(1) + 1@e^H2<-1*E1>> has quantum "
+      "corrections, not a classical class)"]),
+])
+def test_ring_split_stops_at_a_quantum_seidel_element_or_section_map(entries, want):
+    fib = fixtures.from_dict(trivial_product_with_a_spherical_class(**entries))
+    assert ring_split_check(fib, CUTOFF) == {"status": "fail", "details": [
+        "hypothesis: pass (all listed fiber and vertical invariants vanish)", *want]}
 
 
 def test_product_pattern_matches_the_stored_tables(sphere_product, trivial_product):
