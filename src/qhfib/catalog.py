@@ -32,6 +32,11 @@ from .quantum import GWTable
 from .splitting import corrected_splitting, product_fixture
 
 
+def _vec(model, **coords):
+    """The homology vector of model with the given coordinates by basis label."""
+    return model.vector((model.label_index(lbl), Fraction(x)) for lbl, x in coords.items())
+
+
 def ruled_surface_fiber():
     h2 = H2Lattice(
         generators=("F",),
@@ -111,15 +116,9 @@ def ruled_surface_loop(kappa=1) -> FibrationModel:
          ("M", 4), ("Zm", 4), ("Zp", 4), ("P", 6)],
         pairing, triple, lat,
     )
-
-    def vec(**coords):
-        v = [Fraction(0)] * 8
-        for lbl, x in coords.items():
-            v[total.label_index(lbl)] = Fraction(x)
-        return v
-
-    iota = [vec(M=1), vec(F=1), vec(T=1), vec(pt=1)]          # 1, F, T-, pt
-    splitting = [vec(P=1), vec(Zp=1, Zm=-1, M=-1), vec(Zm=1, M=1), vec(S=1)]
+    iota = [_vec(total, M=1), _vec(total, F=1), _vec(total, T=1), _vec(total, pt=1)]  # 1, F, T-, pt
+    splitting = [_vec(total, P=1), _vec(total, Zp=1, Zm=-1, M=-1), _vec(total, Zm=1, M=1),
+                 _vec(total, S=1)]
     iota_h2 = [(1, 0, 0)]
     fc = lat.gen("F")
     zero = lat.zero()
@@ -207,15 +206,8 @@ def sphere_rotation(area=1, primed=False) -> FibrationModel:
         [("pt", 0), ("F", 2), ("S", 2), ("P", 4)],
         pairing, {}, lat,
     )
-
-    def vec(**coords):
-        v = [Fraction(0)] * 4
-        for lbl, x in coords.items():
-            v[total.label_index(lbl)] = Fraction(x)
-        return v
-
-    iota = [vec(F=1), vec(pt=1)]
-    splitting = [vec(P=1), vec(S=1)]  # primed: s(pt).s(pt) = -1
+    iota = [_vec(total, F=1), _vec(total, pt=1)]
+    splitting = [_vec(total, P=1), _vec(total, S=1)]  # primed: s(pt).s(pt) = -1
     af = lat.gen("Af")
     zero = lat.zero()
     vertical = {

@@ -210,11 +210,6 @@ class FibrationModel:
 
     # -- degree-2 plumbing --------------------------------------------------
 
-    def section_c1(self, offset: H2Class) -> Fraction:
-        """First Chern number of the tangent bundle on sigma_ref + offset:
-        vertical part plus the base sphere's 2."""
-        return self.section_gw.section_c1(offset)
-
     def iota_h2_class(self, b: H2Class) -> H2Class:
         """The image of a fiber class. Its area and Chern number are b's:
         the constructor checked that iota_h2 keeps both on every generator,

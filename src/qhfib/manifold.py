@@ -12,10 +12,10 @@ signed cross product behind every product model's pairing, triple and
 invariants. `scatter` turns canonical three-slot entries into right-hand
 sides. `ManifoldModel.solve_pairing` is the one pairing solve, sparse in
 and out. Every three-point contraction (the cap, and every quantum product
-through `quantum.contract`) sums kept per-pair constants, e_i cap e_k on the
-model and those of each stored class on its table, all filled by
-`ManifoldModel.fill`; the loop operator and the Poincare duals of the
-invariants call `solve_pairing` directly.
+through `quantum.contract`) sums per-pair constants by `ManifoldModel._combine`:
+e_i cap e_k on the model and e_i * e_k at each stored class on its table, each
+pair's a `kept` value of one `solve_pairing`. The loop operator and the
+Poincare duals of the invariants call `solve_pairing` directly.
 """
 
 from __future__ import annotations
@@ -85,16 +85,6 @@ def scatter(entries, degrees) -> dict:
 def slot_pairs(va, vb) -> list:
     """(i, k, va_i vb_k) over the nonzero coordinates of two vectors."""
     return [(i, k, x * y) for i, x in enumerate(va) if x for k, y in enumerate(vb) if y]
-
-
-def combine(constants, pairs) -> dict:
-    """The sum of c constants[i, k] over (i, k, c) in pairs, as {t: x_t},
-    constants as `ManifoldModel.fill` keeps them."""
-    vec = {}
-    for i, k, c in pairs:
-        for t, x in constants[i, k]:
-            vec[t] = vec.get(t, 0) + c * x
-    return vec
 
 
 def evaluate(covector, b) -> Fraction:
@@ -196,8 +186,6 @@ class ManifoldModel:
                         f"{want} entries (one per degree-2 basis class)"
                     )
 
-        # (i, k) -> the nonzero (t, x) entries of e_i cap e_k, filled by `fill`
-        self._cap_constants = {}
         self._kept = {}
 
     def _unique_degree_index(self, d, what) -> int:
@@ -290,35 +278,39 @@ class ManifoldModel:
         """t(a,b,c) = (a cap b) . c on homology vectors."""
         return multilinear(self.triple_eval, a, b, c)
 
-    def cap_constants(self, pairs) -> dict:
-        """The kept constants of e_i cap e_k for the slot pairs of `pairs`
-        (`fill`); a form not declared complete reads the slots it needs first."""
-        return self.fill(self._cap_constants, pairs, self._scattered_triple,
-                         None if self.triple_complete else self.triple_eval)
-
     @kept
     def _scattered_triple(self):
         return scatter(self.triple, self.degrees)
 
-    def fill(self, store, pairs, scattered, read=None) -> dict:
-        """The one three-point fill: keep in `store` the constants of each
-        slot pair (i, k) of `pairs` it lacks, the nonzero (t, x) entries of
-        the x with x . e_j = rows[i, k][j] for every j, rows = scattered()
-        as `scatter` builds them, one `solve_pairing` each; return the
-        store. With `read` given, a singular pairing raises first, then
-        every slot read(i, k, j) of those pairs is read, j outermost, so
-        the first raising read of their sum raises here and nothing is kept."""
-        todo = [p for p in pairs if p[:2] not in store]
-        if todo:
-            if read is not None:
-                self._pairing_columns()
-                for j in range(len(self.basis)):
-                    for i, k, _ in todo:
-                        read(i, k, j)
-            rows = scattered()
-            for i, k, _ in todo:
-                store[i, k] = list(self.solve_pairing(rows.get((i, k), {})).items())
-        return store
+    @kept
+    def _cap_pair(self, i, k) -> list:
+        """The nonzero (t, x) entries of e_i cap e_k: one `solve_pairing`
+        of the triple entries scattered at (i, k)."""
+        return list(self.solve_pairing(self._scattered_triple().get((i, k), {})).items())
+
+    def _cap_sum(self, pairs) -> dict:
+        """The kept e_i cap e_k summed over pairs (`_combine`); a form not
+        declared complete reads its slots first."""
+        read = None if self.triple_complete else self.triple_eval
+        return self._combine(pairs, self._cap_pair, read)
+
+    def _combine(self, pairs, constants, read=None) -> dict:
+        """The sum of c constants(i, k) over (i, k, c) in pairs, as {t: x_t},
+        constants(i, k) a pair's kept (t, x) entries. With `read` given, a
+        singular pairing raises first, then every slot read(i, k, j) of the
+        pairs is read, j outermost, on every call, so the first raising read
+        of the whole sum raises before any constant is built. The data never
+        change, so a pair already kept reads again without raising."""
+        if read is not None:
+            self._pairing_columns()
+            for j in range(len(self.basis)):
+                for i, k, _ in pairs:
+                    read(i, k, j)
+        vec = {}
+        for i, k, c in pairs:
+            for t, x in constants(i, k):
+                vec[t] = vec.get(t, 0) + c * x
+        return vec
 
     @kept
     def _pairing_columns(self):
@@ -341,10 +333,9 @@ class ManifoldModel:
 
     def cap(self, a, b) -> list[Fraction]:
         """Classical cap product a cap b: the kept constants e_i cap e_k
-        (`cap_constants`) summed over the nonzero coordinates of a and b."""
+        (`_cap_pair`) summed over the nonzero coordinates of a and b."""
         self._pairing_columns()  # a singular pairing raises even when a or b is 0
-        pairs = slot_pairs(a, b)
-        return self.vector(combine(self.cap_constants(pairs), pairs).items())
+        return self.vector(self._cap_sum(slot_pairs(a, b)).items())
 
     def fundamental_vector(self) -> list[Fraction]:
         return self.vector([(self.fundamental_index, Fraction(1))])
@@ -365,8 +356,8 @@ class ManifoldModel:
     def qh_basis(self, label: str) -> QHClass:
         return QHClass(self, {self.h2.zero(): self.basis_vector(label)})
 
-    def qh_from_vector(self, v, e: H2Class | None = None) -> QHClass:
-        return QHClass(self, {e if e is not None else self.h2.zero(): list(v)})
+    def qh_from_vector(self, v) -> QHClass:
+        return QHClass(self, {self.h2.zero(): list(v)})
 
     def qh_unit(self) -> QHClass:
         return self.qh_from_vector(self.fundamental_vector())

@@ -16,7 +16,7 @@ omega(E) >= -cutoff.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -101,33 +101,25 @@ class H2Lattice:
         return [i for i, s in enumerate(self.spherical) if s]
 
 
-@dataclass(frozen=True)
 class H2Class:
-    lattice: H2Lattice
-    coords: tuple[Fraction, ...]
-    # area and Chern number; computed from the coordinates unless given
-    _omega: Fraction = field(default=None, repr=False, compare=False)
-    _c1: Fraction = field(default=None, repr=False, compare=False)
+    """A lattice class: its coordinates, and its area and Chern number,
+    computed from the coordinates unless given."""
 
-    def __post_init__(self):
-        if self._omega is None:  # both covectors, summed over the nonzero coordinates
+    __slots__ = ("lattice", "coords", "omega", "c1", "_hash")
+
+    def __init__(self, lattice: H2Lattice, coords, omega=None, c1=None):
+        self.lattice = lattice
+        self.coords = coords
+        if omega is None:  # both covectors, summed over the nonzero coordinates
             omega = c1 = Fraction(0)
-            for w, c, x in zip(self.lattice.omega, self.lattice.c1, self.coords):
+            for w, c, x in zip(lattice.omega, lattice.c1, coords):
                 if x:
                     omega, c1 = omega + w * x, c1 + c * x
-            object.__setattr__(self, "_omega", omega)
-            object.__setattr__(self, "_c1", c1)
-        omega, c1 = self._omega, self._c1  # in lowest terms: equal classes hash alike
-        object.__setattr__(self, "_hash", hash((id(self.lattice), omega.numerator, omega.denominator,
-                                                c1.numerator, c1.denominator)))
-
-    @property
-    def omega(self) -> Fraction:
-        return self._omega
-
-    @property
-    def c1(self) -> Fraction:
-        return self._c1
+        self.omega = omega
+        self.c1 = c1
+        # in lowest terms: equal classes hash alike
+        self._hash = hash((id(lattice), omega.numerator, omega.denominator,
+                           c1.numerator, c1.denominator))
 
     # classes are identified when area and Chern number both agree
     def __eq__(self, other):
@@ -135,8 +127,8 @@ class H2Class:
             return NotImplemented
         return (
             self.lattice is other.lattice
-            and self._omega == other._omega
-            and self._c1 == other._c1
+            and self.omega == other.omega
+            and self.c1 == other.c1
         )
 
     def __hash__(self):
@@ -149,20 +141,20 @@ class H2Class:
             return self
         # both covectors are linear, so the sum's values are the operands' sums
         return H2Class(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)),
-                       self._omega + other._omega, self._c1 + other._c1)
+                       self.omega + other.omega, self.c1 + other.c1)
 
     def __sub__(self, other: H2Class) -> H2Class:
         return self + (-other)
 
     def __neg__(self) -> H2Class:
-        return H2Class(self.lattice, tuple(-a for a in self.coords), -self._omega, -self._c1)
+        return H2Class(self.lattice, tuple(-a for a in self.coords), -self.omega, -self.c1)
 
     def scale(self, r) -> H2Class:
         r = Fraction(r)
         return self.lattice.cls(tuple(r * a for a in self.coords))
 
     def is_zero(self) -> bool:
-        return self._omega == 0 and self._c1 == 0
+        return self.omega == 0 and self.c1 == 0
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)

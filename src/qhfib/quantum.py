@@ -17,6 +17,7 @@ Two table kinds:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -24,7 +25,7 @@ from math import lcm
 from ._memo import kept
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
 from .manifold import (
-    ManifoldModel, QHClass, combine, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs)
+    ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs)
 from .novikov import H2Class, NovikovElement, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
@@ -73,8 +74,6 @@ class GWTable:
         self.kind = kind
         self.section_c1 = section_c1
         self.complete_below = _normalize_completeness(complete_below)
-        # class -> {(i, k): nonzero (t, x) entries of e_i * e_k there}, filled by `constants`
-        self._pair_constants = {}
         self._kept = {}
         self.two_point = self._load("two_point", two_point or {})
         self.three_point = self._load("three_point", three_point or {})
@@ -164,22 +163,28 @@ class GWTable:
         return groups
 
     def constants(self, cls, pairs) -> dict:
-        """The kept constants {(i, k): nonzero (t, x) entries of e_i * e_k}
-        of the stored three-point entries in class cls, for the slot pairs
-        of `pairs` (cls None: the model's cap constants), filled by
-        `ManifoldModel.fill`. Above the declared window, or without one, the
-        slots of the pairs it lacks are read first, as `query` may raise."""
+        """The kept constants e_i * e_k of the stored three-point entries in
+        class cls (`_pair`; cls None: the model's e_i cap e_k) summed over
+        the slot pairs of `pairs` (`ManifoldModel._combine`). Above the
+        declared window, or without one, their slots are read first, as
+        `query` may raise."""
         m = self.model
         if cls is None:
-            return m.cap_constants(pairs)
+            return m._cap_sum(pairs)
         w = self.complete_below["three_point"]
         inside = w is not None and cls.omega <= w
-        return m.fill(self._pair_constants.setdefault(cls, {}), pairs, lambda: self._scattered(cls),
-                      None if inside else lambda i, k, j: self.three(i, k, j, cls))
+        return m._combine(pairs, functools.partial(self._pair, cls),
+                          None if inside else lambda i, k, j: self.three(i, k, j, cls))
 
     @kept
     def _scattered(self, cls: H2Class) -> dict:
         return scatter(self.by_class("three_point").get(cls, {}), self.model.degrees)
+
+    @kept
+    def _pair(self, cls: H2Class, i, k) -> list:
+        """The nonzero (t, x) entries of e_i * e_k at class cls: one
+        `solve_pairing` of the entries of cls scattered at (i, k)."""
+        return list(self.model.solve_pairing(self._scattered(cls).get((i, k), {})).items())
 
     def query(self, arity, indices, cls: H2Class) -> Fraction:
         ck, sign = koszul_sorted(tuple(indices), self.model.degrees)
@@ -270,7 +275,7 @@ def contract(table: GWTable, a: QHClass, b: QHClass, sources, cover=None, floor=
             for shift, cls in sources:
                 if shift is not None and floor is not None and base.omega + shift.omega < floor:
                     continue
-                vec = combine(table.constants(cls, pairs), pairs)
+                vec = table.constants(cls, pairs)
                 if any(vec.values()):
                     accumulate(acc, base if shift is None else base + shift, vec, zero)
     return m.qh(acc)
@@ -279,8 +284,9 @@ def contract(table: GWTable, a: QHClass, b: QHClass, sources, cover=None, floor=
 class QuantumRing:
     """QH(M) with the product induced by a three-point fiber-type table:
     each product is `contract` over the cap and the key classes, reading
-    the structure constants e_i * e_k that the model and the table keep
-    once filled. Tables never change after construction, so nothing goes stale."""
+    the structure constants e_i * e_k that the model (the cap) and the
+    table keep, each pair's once solved. Tables never change after
+    construction, so nothing goes stale."""
 
     def __init__(self, model: ManifoldModel, table: GWTable):
         if table.model is not model:
@@ -406,7 +412,7 @@ class QuantumRing:
         def basis_product(i, j):
             if (i, j) not in products:
                 products[i, j] = [(e, t, x) for e, cls in enumerate(blocks)
-                                  for t, x in self.table.constants(cls, [(i, j, 1)])[i, j]]
+                                  for t, x in self.table.constants(cls, [(i, j, 1)]).items()]
             return products[i, j]
 
         for j in range(size):  # the nested products' first uses; all come while i is 0
@@ -445,40 +451,41 @@ class QuantumRing:
                 failures.append(f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
         return check(failures)
 
-    def _split_four(self, i, j, k, l, cls) -> Fraction:
-        """The sum over A1 + A2 = cls of (e_k*e_l)_A2 . (e_i*e_j)_A1, the
-        three-point splitting of the fixed-cross-ratio invariant
-        n(e_i, e_j, e_k, e_l; cls); A1 and A2 are zero (the cap) or key
-        classes. Both factors are read from the kept constants, A1 in
-        key-class order and zero last, so a fill raises where a slot it
-        reads is unavailable."""
-        m = self.model
+    @kept
+    def _splittings(self) -> dict:
+        """{A: [(A1, A2), ...]}: every sum A = A1 + A2 of two blocks, a block
+        a key class or the cap (None, class zero), with A1 in key-class
+        order and the cap last. Each A keeps the coordinates of its first
+        sum, A2 the cap and then the key classes in order for each A1, so
+        the classes read from it keep theirs. Kept, as tables never change."""
         keys = self.table.known_key_classes("three_point")
-        blocks = dict(zip(keys, keys))
-        blocks[m.h2.zero()] = None  # the cap
+        zero = self.model.h2.zero()
+        out = {}
+        for a1 in [*keys, None]:
+            for a2 in [None, *keys]:
+                out.setdefault((a1 or zero) + (a2 or zero), []).append((a1, a2))
+        return out
+
+    def _split_four(self, i, j, k, l, cls) -> Fraction:
+        """The sum over A1 + A2 = cls (`_splittings`) of (e_k*e_l)_A2 .
+        (e_i*e_j)_A1, the three-point splitting of the fixed-cross-ratio
+        invariant n(e_i, e_j, e_k, e_l; cls). Both factors are read from the
+        kept constants, A1 in key-class order and the cap last, so a read
+        raises where a slot it needs is unavailable."""
+        m = self.model
         total = Fraction(0)
-        for a1, first in blocks.items():
-            a2 = cls - a1
-            if a2 not in blocks:
-                continue
-            x = self.table.constants(first, [(i, j, 1)])[i, j]
+        for a1, a2 in self._splittings().get(cls, ()):
+            x = self.table.constants(a1, [(i, j, 1)])
             if x:
-                y = self.table.constants(blocks[a2], [(k, l, 1)])[k, l]
-                total += m.intersect(m.vector(y), m.vector(x))
+                y = self.table.constants(a2, [(k, l, 1)])
+                total += m.intersect(m.vector(y.items()), m.vector(x.items()))
         return total
 
     def _chi_candidate_classes(self) -> list[H2Class]:
         """classes where a fixed-cross-ratio invariant could be nonzero:
         stored 4-point keys plus sums of up to two 3-point keys."""
-        three = self.table.known_key_classes("three_point")
-        out: dict[H2Class, H2Class] = {}
-        for c in self.table.known_key_classes("four_point_chi"):
-            out.setdefault(c, c)
-        for c in three:
-            out.setdefault(c, c)
-            for d in three:
-                s = c + d
-                out.setdefault(s, s)
+        out = dict.fromkeys(self.table.known_key_classes("four_point_chi"))
+        out.update(dict.fromkeys(s for s in self._splittings() if not s.is_zero()))
         return sorted(out, key=lambda c: (c.omega, c.c1, c.coords))
 
     def assoc1_report(self) -> dict:

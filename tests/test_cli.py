@@ -681,3 +681,20 @@ def test_nonsqueeze_without_a_through_point_invariant_gives_no_bound(capsys, tmp
     assert run(capsys, "nonsqueeze", "--fixture", str(path)) == (0, (
         "table complete through area 100\n"
         "no bound: all through-point section invariants vanish through area 100\n"), "")
+
+
+def test_compose_with_a_loop_whose_composite_is_no_unit(capsys, tmp_path):
+    # without two-point section counts the second loop's operator is 0
+    d = to_dict(catalog.build("ruled"))
+    d["section_gw"]["two_point"] = []
+    path = tmp_path / "no-two-point.json"
+    path.write_text(json.dumps(d))
+    assert run(capsys, "compose", "--builtin", "ruled", "--cutoff", "6", "--with", str(path)) == (
+        1,
+        "convolution-matches-operator-composition: pass "
+        "(two-point convolution against Psi_g after Psi_f)\n"
+        "normalization-glues: pass (composite normalized coupling 0, glued sections give 0 "
+        "(chern: 1/3 vs 1/3))\n"
+        "rho(composite): ruled-loop*ruled-loop: composite Seidel element not invertible\n",
+        "",
+    )

@@ -11,6 +11,8 @@ from qhfib import (
     composable,
     compose,
     mirror,
+    run_suite,
+    validator,
 )
 from qhfib.fixtures import format_qh, from_dict, to_dict
 from tests.conftest import CUTOFF
@@ -115,3 +117,22 @@ def test_composite_rho_is_read_at_the_normalized_section():
                 assert format_qh(got) == format_qh(want)
                 shifted += off.omega != 0
     assert shifted
+
+
+def test_a_coupling_that_cannot_be_normalized_fails_the_gluing():
+    # the section generator sec gets area 1, and the fiber has no spherical
+    # direction to normalize it by
+    d = to_dict(catalog.build("quantum-trivial-product"))
+    d["total"]["h2"]["omega"][d["total"]["h2"]["generators"].index("sec")] = "1"
+    fib = from_dict(d)
+    _, rep = compose(fib, mirror(fib, CUTOFF), CUTOFF)
+    want = {"status": "fail", "details": [
+        "convolution-matches-operator-composition: pass "
+        "(two-point convolution against Psi_g after Psi_f)",
+        "normalization-glues: fail (quantum-trivialxS2: coupling value 1 cannot be "
+        "normalized: the coupling class vanishes on all 0 spherical fiber directions)",
+    ]}
+    assert rep == want
+    # the mirror-composition check hands the failing record on as it is
+    assert validator._mirror_composition(fib, CUTOFF) == want
+    assert run_suite(fib, "compose", CUTOFF).checks["mirror-composition"] == want

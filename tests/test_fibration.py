@@ -12,6 +12,7 @@ from qhfib import (
     DegeneratePairing,
     FibrationModel,
     GWTable,
+    ManifoldModel,
     PrimingInvalid,
     QhfibError,
     TableIncomplete,
@@ -22,7 +23,7 @@ from qhfib import (
 )
 from qhfib.cli import main
 from qhfib.fibration import _normalizing_class
-from qhfib.fixtures import from_dict, parse_qh, to_dict
+from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from tests.conftest import BUILTINS, CUTOFF
 
 SPHERE_PRODUCT_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sphere-product.json"
@@ -341,3 +342,74 @@ def test_normalization_fixes_area_and_chern_number_where_the_fiber_tells_them_ap
     b = _normalizing_class(lattice, Fraction(u0), Fraction(c0), "test")
     assert b.is_spherical()
     assert (b.omega, b.c1) == (-u0, -c0)
+
+
+# -- failure lines of the Wang, vertical-table and rho-shape checks ---------------
+
+
+def with_odd_classes(model, name, extra, pairs):
+    """model plus the odd basis classes extra [(label, degree)], appended,
+    each pair (a, b) of pairs meeting once (and (b, a) with the graded sign)."""
+    basis = list(model.basis) + extra
+    labels = [lbl for lbl, _ in basis]
+    pairing = [list(row) + [0] * len(extra) for row in model.pairing]
+    pairing += [[0] * len(basis) for _ in extra]
+    for a, b in pairs:
+        pairing[labels.index(a)][labels.index(b)] = 1
+        pairing[labels.index(b)][labels.index(a)] = -1
+    return ManifoldModel(name, model.n, basis, pairing, model.triple, model.h2)
+
+
+def vectors(model, *images):
+    """Homology vectors of model, each given as {label: coordinate}."""
+    return [model.vector((model.label_index(lbl), Fraction(x)) for lbl, x in img.items())
+            for img in images]
+
+
+def test_a_total_space_of_the_wrong_size_fails_the_wang_sequence(rotation):
+    # an odd pair v . w = 1 makes 6 classes over a 2-class fiber
+    total = with_odd_classes(rotation.total, "odd-total", [("v", 1), ("w", 3)], [("v", "w")])
+    fib = rotation.replace(total_data=total, iota=vectors(total, {"F": 1}, {"pt": 1}),
+                           splitting=vectors(total, {"P": 1}, {"S": 1}))
+    assert fib.wang_report() == {"status": "fail", "details": [
+        "total space has 6 classes, expected twice the fiber's 2",
+        "rank(iota) + rank(restriction) = 2+2 != 6 = dim H(P): sequence not exact",
+    ]}
+
+
+def test_a_non_injective_iota_fails_the_wang_sequence(rotation):
+    # the priming forces iota(e_i) . s(e_j) to be the fiber pairing, so iota
+    # has a kernel only where the fiber pairing does: here the odd classes
+    # b and c, which meet nothing and both go to v
+    fiber = with_odd_classes(rotation.fiber, "odd-fiber", [("b", 1), ("c", 1)], [])
+    total = with_odd_classes(rotation.total, "odd-total",
+                             [("v", 1), ("y", 1), ("w", 3), ("z", 3)], [("v", "w"), ("y", "z")])
+    fib = rotation.replace(
+        fiber=fiber, fiber_gw=GWTable(fiber, "fiber", **rotation.fiber_gw.entries(fiber.h2)),
+        total_data=total, iota=vectors(total, {"F": 1}, {"pt": 1}, {"v": 1}, {"v": 1}),
+        splitting=vectors(total, {"P": 1}, {"S": 1}, {"z": 1}, {"z": 1}))
+    assert fib.wang_report() == {"status": "fail", "details": [
+        "iota is not injective",
+        "restriction to the fiber is not surjective",
+        "rank(iota) + rank(restriction) = 3+2 != 8 = dim H(P): sequence not exact",
+    ]}
+
+
+def test_a_vertical_key_off_the_fiber_classes_fails_the_vertical_entries_check(ruled):
+    m = ruled.total
+    entries = ruled.vertical_gw.entries(m.h2)
+    key = m.h2.gen("F") + m.h2.gen("S")
+    entries["three_point"][tuple(map(m.label_index, ("pt", "Zp", "P"))), key] = 1
+    assert ruled.replace(vertical=entries).vertical_table_report() == {
+        "status": "fail", "details": ["vertical key H2<1*F + 1*S> is not a fiber class"]}
+
+
+def test_a_seidel_element_with_two_coordinates_is_no_monomial(ruled):
+    # without the section count n(T, M; sigma_ref) the one term of rho is F + T-
+    m = ruled.total
+    entries = ruled.section_gw.entries(m.h2)
+    del entries["two_point"][(m.label_index("T"), m.label_index("M")), m.h2.zero()]
+    fib = ruled.replace(section=entries)
+    shape = fib.rho_shape(CUTOFF)
+    assert format_qh(shape["value"]) == "F@e^{7/12*F}+T-@e^{7/12*F}"
+    assert shape == {"monomial": False, "value": fib.rho(CUTOFF)}

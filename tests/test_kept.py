@@ -23,16 +23,25 @@ from tests.test_derived import MUTATED
 
 CUTOFFS = (Fraction(2), Fraction(6), Fraction(24))
 
+
+def basis_pairs(m):
+    return [(i, k) for i in range(len(m.basis)) for k in range(len(m.basis))]
+
+
 # every kept function, leaves first, by qualified name: the type of its owner
 # and the argument tuples to read it at, given the owner and the cutoff
 CALLS = {
     "ManifoldModel.dual_basis": (ManifoldModel, lambda m, c: [()]),
     "ManifoldModel._pairing_columns": (ManifoldModel, lambda m, c: [()]),
     "ManifoldModel._scattered_triple": (ManifoldModel, lambda m, c: [()]),
+    "ManifoldModel._cap_pair": (ManifoldModel, lambda m, c: basis_pairs(m)),
     "GWTable.by_class": (GWTable, lambda t, c: [(a,) for a in ARITIES]),
     "GWTable.known_key_classes": (GWTable, lambda t, c: [(a,) for a in ARITIES]),
     "GWTable._scattered": (
         GWTable, lambda t, c: [(cls,) for cls in t.known_key_classes("three_point")]),
+    "GWTable._pair": (GWTable, lambda t, c: [(cls, *ik) for cls in t.known_key_classes(
+        "three_point") for ik in basis_pairs(t.model)]),
+    "QuantumRing._splittings": (QuantumRing, lambda r, c: [()]),
     "QuantumRing.basis_product": (
         QuantumRing, lambda r, c: [(i, j, c) for i in range(len(r.model.basis))
                                    for j in range(len(r.model.basis))]),

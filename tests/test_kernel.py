@@ -875,14 +875,13 @@ def test_singular_pairing_raises_instead_of_choosing_a_solution():
 # -- the kept constants ----------------------------------------------------------
 
 
-def kept_stores(r):
-    """(store, slot reader, class) for the cap constants the model keeps and
-    the constants the table keeps at each key class, filled or not."""
-    m, table = r.model, r.table
-    triple = lambda i, k, j, _: m.triple_eval(i, k, j)  # noqa: E731
-    return [(m._cap_constants, triple, None)] + [
-        (table._pair_constants.get(cls, {}), table.three, cls)
-        for cls in table.known_key_classes("three_point")]
+def kept_constants(r):
+    """{(class, i, k): (t, x) entries} of every constant the model keeps for
+    e_i cap e_k (class None) and the table for e_i * e_k at a class."""
+    out = {(None, *args): v for (name, args), v in r.model._kept.items()
+           if name == "ManifoldModel._cap_pair"}
+    out.update({args: v for (name, args), v in r.table._kept.items() if name == "GWTable._pair"})
+    return out
 
 
 @pytest.mark.parametrize("name", SCATTERED)
@@ -893,14 +892,17 @@ def test_scattered_constants_equal_the_slot_by_slot_contraction(name):
     for a in m.labels:
         for b in m.labels:
             r.product(m.qh_basis(a), m.qh_basis(b))
-    # every pair of the cap and of each key class is filled, and each
-    # filled constant is the reference solve of its slots
-    for store, three, cls in kept_stores(r):
-        assert set(store) == set(product(range(k), repeat=2))
-        for (i, j), got in store.items():
-            rhs = ref_rhs(m, unit_vector(m, i), unit_vector(m, j), three, cls)
-            want = ref_solve_pairing(m, rhs) if any(rhs) else ()
-            assert got == [(t, x) for t, x in enumerate(want) if x]
+    # every pair of the cap and of each key class is kept, and each kept
+    # constant is the reference solve of its slots
+    kept = kept_constants(r)
+    classes = [None, *r.table.known_key_classes("three_point")]
+    assert set(kept) == {(cls, i, j) for cls in classes for i, j in product(range(k), repeat=2)}
+    triple = lambda i, k, j, _: m.triple_eval(i, k, j)  # noqa: E731
+    for (cls, i, j), got in kept.items():
+        three = triple if cls is None else r.table.three
+        rhs = ref_rhs(m, unit_vector(m, i), unit_vector(m, j), three, cls)
+        want = ref_solve_pairing(m, rhs) if any(rhs) else ()
+        assert got == [(t, x) for t, x in enumerate(want) if x]
 
 
 def test_odd_entries_scatter_with_their_koszul_signs():
@@ -913,8 +915,8 @@ def test_odd_entries_scatter_with_their_koszul_signs():
     assert rows[one, a][b] == -rows[one, b][a] == 1
     # the kept constants carry the same signs: x . e_j = n(a, b, e_j) is
     # the class pairing to 1 with 1|pt alone
-    kept = r.table.constants(cls, [(a, b, 1), (b, a, 1)])
-    assert kept[a, b] == [(dual, Fraction(1))] == [(t, -x) for t, x in kept[b, a]]
+    assert r.table._pair(cls, a, b) == [(dual, Fraction(1))] == [
+        (t, -x) for t, x in r.table._pair(cls, b, a)]
 
 
 @pytest.mark.parametrize("name", [f"{b}/{s}" for b in BUILTINS for s in ("fiber", "vertical")])
@@ -932,15 +934,16 @@ def test_a_fresh_associativity_report_reads_no_slot(name, monkeypatch):
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_warm_verify_makes_no_three_point_solve(name, monkeypatch):
-    # every contraction reads constants kept on the models and tables; only
-    # the invariants' Poincare duals solve again
+    # cold, the constants solve through their kept builders; warm, every
+    # contraction reads them kept, and only the invariants' Poincare duals
+    # solve again
     callers = []
     real = ManifoldModel.solve_pairing
     monkeypatch.setattr(ManifoldModel, "solve_pairing", lambda self, rhs: callers.append(
         sys._getframe(1).f_code.co_name) or real(self, rhs))
     fib = catalog.build(name)
     cold = run_suite(fib, "all", CUTOFF).to_json()
-    assert "fill" in callers
+    assert {"_cap_pair", "_pair"} <= set(callers)
     callers.clear()
     assert run_suite(fib, "all", CUTOFF).to_json() == cold
     assert set(callers) <= {"_pd_of_covector"}

@@ -196,3 +196,11 @@ def test_a_unit_is_inverted_however_far_its_inverse_lies(ring):
         want = (m.qh_basis("F") + m.qh_basis("T-")).shift(F.scale(n + 1))
         for cutoff in (0, 2, CUTOFF):
             assert ring.inverse(q, cutoff) == want
+
+
+def test_a_stored_invariant_with_a_fundamental_slot_fails_the_axioms(ring):
+    m = ring.model
+    idx = tuple(map(m.label_index, ("1", "pt", "pt")))
+    bad = QuantumRing(m, ring.table.replace("three_point", {(idx, m.h2.gen("F")): 1}))
+    assert bad.axioms_report() == {"status": "fail", "details": [
+        "three_point (1,pt,pt; H2<1*F>) = 1, must vanish (fundamental-class insertion)"]}

@@ -218,7 +218,7 @@ def test_product_tables_load_through_gwtable_unchanged(fiber):
     vertical, section = product_section_tables(fib.fiber_ring, fib.iota_h2_class)
     loaded = (
         (vertical, GWTable(fib.total, "fiber", **vertical)),
-        (section, GWTable(fib.total, "section", **section, section_c1=fib.section_c1)),
+        (section, GWTable(fib.total, "section", **section, section_c1=fib.section_gw.section_c1)),
     )
 
     def items(entries):
