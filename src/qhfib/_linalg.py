@@ -44,11 +44,14 @@ def apply(v, rows, width) -> Vector:
 def multilinear(read, *vectors) -> Fraction:
     """Sum of x_1 x_2 ... read(t_1, t_2, ...) over the nonzero coordinates
     x_s = vectors[s][t_s], slots read in order with the first vector
-    outermost, so the first raising read raises first."""
+    outermost, so the first raising read raises first; a read of 0 adds
+    no product."""
     supports = [[(t, x) for t, x in enumerate(v) if x] for v in vectors]
     total = Fraction(0)
     for combo in product(*supports):
-        total += prod([x for _, x in combo], start=read(*[t for t, _ in combo]))
+        value = read(*[t for t, _ in combo])
+        if value:
+            total += prod([x for _, x in combo], start=value)
     return total
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import apply, identity, invert, multilinear, rank, solve
+from ._linalg import apply, identity, invert, rank, solve
 from ._memo import kept
 from .errors import (
     FiberMismatch,
@@ -444,6 +444,14 @@ class FibrationModel:
         """The fiber vector x with iota(x) = vec, or None."""
         return solve([list(col) for col in zip(*self.iota)], vec)
 
+    @kept
+    def _iota_preimages(self) -> tuple:
+        """The nonzero (a, x) of the iota preimage of each total basis
+        class (None off iota's image), solved once and kept."""
+        pres = (self._iota_preimage(self.total.basis_vector(lbl)) for lbl in self.total.labels)
+        return tuple(None if x is None else tuple((a, y) for a, y in enumerate(x) if y)
+                     for x in pres)
+
     def _restriction_rows(self):
         m = self.total
         fund = self.fiber.fundamental_index
@@ -546,46 +554,70 @@ class FibrationModel:
         return check(failures)
 
     def vertical_table_report(self) -> dict:
-        """Entry-level check of the vertical table against fiber data:
-        any entry with an iota-type slot is the fiber invariant of the
-        restricted insertions."""
-        m = self.total
+        """Entry-level check of the vertical table against fiber data: at
+        each vertical key class, the fiber class B under it, every entry
+        n(i, j, k) with e_i = iota(pre) (j <= k) equals the fiber sum of
+        pre[a] d[j][b] d[k][c] n_M(a, b, c; B), d the restriction to the
+        fiber. Both tables are read from their kept scattered rows, signed
+        as `query` signs them; for each (i, j) the row over c of the sum
+        over (a, b) is built once, and each k sums it over the support of
+        d[k]. Outside a table's declared window an unstored slot is read
+        through `three`, and its TableIncomplete text skips the entry. The
+        iota preimages are kept per model (`_iota_preimages`)."""
+        m, fgw, vgw = self.total, self.fiber_gw, self.vertical_gw
         failures, skips = [], []
         try:
             d = self.fiber_restriction_matrix()
         except Inconsistent as exc:
             return check([str(exc)])
-        classes = self.vertical_gw.known_key_classes("three_point")
-        # the iota-preimage of each basis class (None off iota's image), solved once
-        pres = [self._iota_preimage(m.basis_vector(lbl)) for lbl in m.labels] if classes else []
+        classes = vgw.known_key_classes("three_point")
+        pres = self._iota_preimages() if classes else ()
+        supp = [[(t, x) for t, x in enumerate(row) if x] for row in d]
+
+        def gap(table, slots, cls):  # the text of an unstored slot outside the window
+            try:
+                table.three(*slots, cls)
+            except TableIncomplete as exc:
+                return str(exc)
+
+        def open_at(table, cls):
+            w = table.window("three_point")
+            return w is None or cls.omega > w
+
         for cls in classes:
             b = self.fiber_class_from_total(cls)
             if b is None:
                 failures.append(f"vertical key {cls!r} is not a fiber class")
                 continue
-
-            def read(*slots):  # a slot the fiber table lacks goes to `missing`, read as 0
-                try:
-                    return self.fiber_gw.three(*slots, b)
-                except TableIncomplete as exc:
-                    missing.append(str(exc))
-                    return 0
-
+            fiber, vert = fgw._scattered(b), vgw._scattered(cls)
+            f_open, v_open = open_at(fgw, b), open_at(vgw, cls)
             for i, pre in enumerate(pres):
                 if pre is None:
                     continue
                 for j in range(len(m.basis)):
+                    # row[c]: the sum over the stored slots; gaps[c]: the unstored (a, b, c)
+                    row, gaps, got_row = {}, {}, vert.get((i, j), {})
+                    for a, x in pre:
+                        for b2, y in supp[j]:
+                            stored = fiber.get((a, b2), {})
+                            for c, v in stored.items():
+                                row[c] = row.get(c, 0) + x * y * v
+                            if f_open:
+                                for c in range(len(self.fiber.basis)):
+                                    if c not in stored:
+                                        gaps.setdefault(c, []).append((a, b2, c))
                     for k in range(j, len(m.basis)):
-                        try:
-                            got = self.vertical_gw.three(i, j, k, cls)
-                        except TableIncomplete as exc:
-                            skips.append(str(exc))
+                        got = got_row.get(k)
+                        if got is None:
+                            if v_open:
+                                skips.append(gap(vgw, (i, j, k), cls))
+                                continue
+                            got = Fraction(0)
+                        lost = [s for c, _ in supp[k] for s in gaps.get(c, ())]
+                        if lost:
+                            skips.extend(gap(fgw, s, b) for s in lost)
                             continue
-                        missing = []
-                        want = multilinear(read, pre, d[j], d[k])
-                        if missing:
-                            skips.extend(missing)
-                            continue
+                        want = sum((y * row[c] for c, y in supp[k] if c in row), Fraction(0))
                         if want != got:
                             failures.append(
                                 f"vertical ({m.labels[i]},{m.labels[j]},{m.labels[k]}; "

@@ -339,11 +339,12 @@ class QuantumRing:
         polynomials over Q, whose units are monomials). Faddeev-LeVerrier
         gives det A and the adjugate, dividing only by integers:
         M_j = A M_(j-1) + c I, c = -tr(A M_j) / j, each entry of A M_(j-1)
-        summed over the nonzero entries of A's row only, and at j = k
-        q^-1 = -M_k e_[X] / c. The terms of area >= -(cutoff + max(0, leading
-        area of q)) are kept, so q q^-1 = 1 modulo the cutoff; they are exact
-        because 1/c is taken on that window widened by the largest area in
-        M_k e_[X]. The final check multiplies q q^-1 through the cutoff, so
+        summed over the nonzero entries of A's row only (at the last step
+        only its diagonal and column X), and at j = k q^-1 = -M_k e_[X] / c.
+        The terms of area >= -(cutoff + max(0, leading area of q)) are
+        kept, so q q^-1 = 1 modulo the cutoff; they are exact because 1/c
+        is taken on that window widened by the largest area in M_k e_[X].
+        The final check multiplies q q^-1 through the cutoff, so
         it reads only classes the table declares complete, or raises."""
         m, k = self.model, len(self.model.basis)
         zero = NovikovElement(m.h2)
@@ -358,11 +359,13 @@ class QuantumRing:
             prods = [x * mj[s][u] for s, x in row if mj[s][u].terms]
             return sum(prods[1:], prods[0]) if prods else zero
 
+        fx = m.fundamental_index
         for j in range(1, k):
-            am = [[times(row, u) for u in range(k)] for row in a]
+            # past the last step only the trace and column X of M_k are read
+            am = [[times(row, u) if j < k - 1 or u in (t, fx) else None for u in range(k)]
+                  for t, row in enumerate(a)]
             c = sum((am[t][t] for t in range(k)), zero) * Fraction(-1, j)
             mj = [[x + c if t == u else x for u, x in enumerate(row)] for t, row in enumerate(am)]
-        fx = m.fundamental_index
         adj_x = [row[fx] for row in mj]
         # A M_k = -c I (Cayley-Hamilton), so its entry (X, X) is -c
         minus_c = times(a[fx], fx)

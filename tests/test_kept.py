@@ -50,6 +50,7 @@ CALLS = {
                                       if f.section_gw.window(a) is not None]),
     "FibrationModel._seidel": (FibrationModel, lambda f, c: [(c,)]),
     "FibrationModel.fiber_restriction_matrix": (FibrationModel, lambda f, c: [()]),
+    "FibrationModel._iota_preimages": (FibrationModel, lambda f, c: [()]),
     "mirror": (FibrationModel, lambda f, c: [(c,)]),
     "_mirror_composition": (FibrationModel, lambda f, c: [(c,)]),
 }
