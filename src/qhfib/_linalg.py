@@ -70,7 +70,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = m[r][c]
-        prow = m[r] = {j: x / inv for j, x in m[r].items()}
+        prow = m[r] = {j: Fraction(x) / inv for j, x in m[r].items()}  # int / int is a float
         for i in range(rows):
             row = m[i]
             if i != r and c in row:

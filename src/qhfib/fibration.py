@@ -31,7 +31,7 @@ from .errors import (
     TableIncomplete,
 )
 from .manifold import ManifoldModel, QHClass, evaluate, orderings
-from .novikov import H2Class, H2Lattice, format_rational
+from .novikov import H2Class, H2Lattice, _exact, format_rational
 from .quantum import GWTable, QuantumRing, accumulate, check, contract, step
 
 
@@ -42,7 +42,7 @@ class PsiOperator:
     def __init__(self, model: ManifoldModel, images, cutoff):
         self.model = model
         self.images = list(images)
-        self.cutoff = Fraction(cutoff)
+        self.cutoff = _exact(cutoff)
 
     def shifted(self, offset: H2Class, cutoff) -> PsiOperator:
         """This operator at the section moved by the fiber class `offset`:
@@ -72,7 +72,7 @@ class PsiOperator:
     def moved(self, cutoff=None) -> int | None:
         """The first basis index whose image is not its own class modulo the
         cutoff, or None."""
-        cutoff = self.cutoff if cutoff is None else Fraction(cutoff)
+        cutoff = self.cutoff if cutoff is None else _exact(cutoff)
         m = self.model
         return next((i for i, img in enumerate(self.images)
                      if img.truncate(cutoff) != m.qh_basis(m.labels[i]).truncate(cutoff)), None)
@@ -108,7 +108,7 @@ def _normalizing_class(lattice: H2Lattice, u0, c0, name) -> H2Class:
         )
     else:
         rows, rhs = ([c_row], [-c0]) if any(c_row) else ([], [])
-    x = solve(rows, rhs) if rows else [Fraction(0)] * len(sph)
+    x = solve(rows, rhs) if rows else [0] * len(sph)
     if x is None:
         raise Inconsistent(f"{name}: section normalization system unsolvable")
     return _spherical_class(lattice, x)
@@ -116,7 +116,7 @@ def _normalizing_class(lattice: H2Lattice, u0, c0, name) -> H2Class:
 
 def _spherical_class(lattice: H2Lattice, x) -> H2Class:
     """The class with coordinates x on the spherical generators, 0 elsewhere."""
-    coords = [Fraction(0)] * len(lattice.generators)
+    coords = [0] * len(lattice.generators)
     for i, xi in zip(lattice.spherical_indices(), x):
         coords[i] = xi
     return lattice.cls(coords)
@@ -140,7 +140,7 @@ class FibrationModel:
             raise ValueError(f"{name}: total space must have dimension dim(fiber)+2")
 
         self.iota, self.splitting_map, self.iota_h2 = (
-            [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+            [[_exact(x) for x in row] for row in rows]
             for rows in (iota, splitting, iota_h2))
         if len(self.iota) != len(fiber.basis) or len(self.splitting_map) != len(fiber.basis):
             raise ValueError(f"{name}: iota/splitting need one image per fiber class")
@@ -186,7 +186,7 @@ class FibrationModel:
         self.section_gw = GWTable(self.total, "section", **(section or {}),
                                   section_c1=lambda offset: sigma_ref.c1 + offset.c1 + 2)
         self.vertical_ring = QuantumRing(self.total, self.vertical_gw)
-        self.base_area = None if base_area is None else Fraction(base_area)
+        self.base_area = None if base_area is None else _exact(base_area)
         self.product_structure = bool(product_structure)
         self._kept = {}
 
@@ -215,7 +215,7 @@ class FibrationModel:
         the constructor checked that iota_h2 keeps both on every generator,
         and both are linear."""
         coords = apply(b.coords, self.iota_h2, len(self.total.h2.generators))
-        return H2Class(self.total.h2, tuple(coords), b.omega, b.c1)
+        return H2Class(self.total.h2, tuple(map(_exact, coords)), b.omega, b.c1)
 
     def fiber_class_from_total(self, c: H2Class) -> H2Class | None:
         """A spherical fiber class mapping to c modulo the identification,
@@ -337,7 +337,7 @@ class FibrationModel:
                 f"{self.name}: {sigma!r} is not a section class: it differs from "
                 "the reference section by a class that is not a fiber class"
             )
-        need = offset0.omega + Fraction(cutoff)
+        need = offset0.omega + _exact(cutoff)
         for arity in ("two_point", "three_point"):
             w = self.section_gw.window(arity)
             if w is not None and need <= w:
@@ -360,7 +360,7 @@ class FibrationModel:
         b = _normalizing_class(self.fiber.h2, self.sigma_ref.omega, self.sigma_ref.c1, self.name)
         return self.sigma_ref + self.iota_h2_class(b)
 
-    @kept(convert=Fraction)
+    @kept(convert=_exact)
     def _seidel(self, cutoff) -> tuple[QHClass, QHClass]:
         """(rho, rho^-1) modulo the cutoff, from one verified inverse solve,
         kept per cutoff."""
@@ -412,7 +412,7 @@ class FibrationModel:
         offset0 = sigma - self.sigma_ref
         m = self.total
         w = self.section_gw.window("three_point")
-        cutoff = Fraction(cutoff)
+        cutoff = _exact(cutoff)
 
         def cover(base):
             need = offset0.omega + base.omega + cutoff
@@ -442,7 +442,8 @@ class FibrationModel:
 
     def _iota_preimage(self, vec):
         """The fiber vector x with iota(x) = vec, or None."""
-        return solve([list(col) for col in zip(*self.iota)], vec)
+        x = solve([list(col) for col in zip(*self.iota)], vec)
+        return None if x is None else list(map(_exact, x))
 
     @kept
     def _iota_preimages(self) -> tuple:
@@ -612,12 +613,12 @@ class FibrationModel:
                             if v_open:
                                 skips.append(gap(vgw, (i, j, k), cls))
                                 continue
-                            got = Fraction(0)
+                            got = 0
                         lost = [s for c, _ in supp[k] for s in gaps.get(c, ())]
                         if lost:
                             skips.extend(gap(fgw, s, b) for s in lost)
                             continue
-                        want = sum((y * row[c] for c, y in supp[k] if c in row), Fraction(0))
+                        want = sum((y * row[c] for c, y in supp[k] if c in row), 0)
                         if want != got:
                             failures.append(
                                 f"vertical ({m.labels[i]},{m.labels[j]},{m.labels[k]}; "
@@ -640,7 +641,7 @@ class FibrationModel:
         failures, skips = [], []
 
         def meets(w, off):
-            return m.meet_class(m.vector([(w, Fraction(1))]), self.sigma_ref + off)
+            return m.meet_class(m.vector([(w, 1)]), self.sigma_ref + off)
 
         groups = set()
         for (idx, off) in self.section_gw._store("two_point"):
@@ -831,7 +832,7 @@ class LoopComposite:
         self.window = window
 
     def psi_operator(self, cutoff, offset: H2Class | None = None) -> PsiOperator:
-        cutoff = Fraction(cutoff)
+        cutoff = _exact(cutoff)
         offset = self.fiber.h2.zero() if offset is None else offset
         if self.window < offset.omega + cutoff:
             raise TableIncomplete(
@@ -861,7 +862,7 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     if g.fiber is not f.fiber:
         # the fibers agree structurally: rebuild g on f's, so classes compare
         g = g.replace(fiber=f.fiber, fiber_gw=f.fiber_gw)
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     fiber = f.fiber
     name = f"{g.name}*{f.name}"
 
@@ -874,7 +875,7 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     # a term e^E of one factor with omega(E) > 0 meets the other's terms
     # down to area -cutoff - omega(E): m is minus the largest such area, or 0
     def reach(loop):
-        return -max([Fraction(0)] + [e.omega for img in loop.images for e in img.terms])
+        return -max([0] + [e.omega for img in loop.images for e in img.terms])
 
     m_f, m_g = reach(loop_f), reach(loop_g)
     window = min(w_f + m_g, w_g + m_f)
@@ -919,7 +920,7 @@ def compose(f: FibrationModel, g: FibrationModel, cutoff):
     return comp, report
 
 
-@kept(convert=Fraction)
+@kept(convert=_exact)
 def mirror(fib: FibrationModel, cutoff) -> FibrationModel:
     """The reversed loop: same total-space topology, coupling and vertical
     Chern values flipped in the section direction, two-point section data

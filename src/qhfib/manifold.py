@@ -30,7 +30,7 @@ from .errors import (
     MissingTripleData,
     UnknownBasisLabel,
 )
-from .novikov import H2Class, H2Lattice, format_rational
+from .novikov import H2Class, H2Lattice, _exact, format_rational
 
 
 def koszul_sorted(indices, degrees):
@@ -89,18 +89,18 @@ def slot_pairs(va, vb) -> list:
 
 def evaluate(covector, b) -> Fraction:
     """A covector {j: a . e_j} (ManifoldModel.covector) applied to a vector b."""
-    return sum((x * b[j] for j, x in covector.items() if b[j]), Fraction(0))
+    return _exact(sum((x * b[j] for j, x in covector.items() if b[j]), 0))
 
 
 def graded_matrix(entries, degrees) -> list[list[Fraction]]:
     """The pairing matrix of two-slot entries {(p, q): v}, each also written
     at (q, p) with its graded-symmetry sign (-1)^(|p| |q|)."""
-    out = [[Fraction(0)] * len(degrees) for _ in degrees]
+    out = [[0] * len(degrees) for _ in degrees]
     for (p, q), v in entries.items():
         for a, b, x in ((p, q, v), (q, p, (-1) ** (degrees[p] * degrees[q]) * v)):
             if out[a][b] not in (0, x):
                 raise ValueError(f"conflicting pairing entries at ({a}, {b})")
-            out[a][b] = Fraction(x)
+            out[a][b] = _exact(x)
     return out
 
 
@@ -114,7 +114,7 @@ class ManifoldModel:
         self.degrees = tuple(d for _, d in self.basis)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"{name}: duplicate basis labels")
-        self.pairing = [[Fraction(x) for x in row] for row in pairing]
+        self.pairing = [[_exact(x) for x in row] for row in pairing]
         self.h2: H2Lattice = h2
         self.triple_complete = bool(triple_complete)
 
@@ -145,7 +145,7 @@ class ManifoldModel:
             if len(idx) != 3:
                 raise ValueError(f"{name}: triple keys are 3-tuples")
             ck, sign = koszul_sorted(idx, self.degrees)
-            val = sign * Fraction(val)
+            val = sign * _exact(val)
             if sum(self.degrees[i] for i in ck) != 4 * self.n:
                 raise ValueError(
                     f"{name}: triple entry {key} has wrong total degree"
@@ -164,7 +164,7 @@ class ManifoldModel:
                          for j in self.indices_of_degree(2 * self.n - self.degrees[i]))
         for i, j in sorted(cells):
             ck, sign = koszul_sorted((i, f, j), self.degrees)
-            forced = sign * self._pairing_rows[i].get(j, Fraction(0))
+            forced = sign * self._pairing_rows[i].get(j, 0)
             old = self.triple.get(ck)
             if old is not None and old != forced:
                 raise ValueError(
@@ -212,7 +212,7 @@ class ManifoldModel:
         return [i for i, deg in enumerate(self.degrees) if deg == d]
 
     def zero_vector(self) -> list[Fraction]:
-        return [Fraction(0)] * len(self.basis)
+        return [0] * len(self.basis)
 
     def vector(self, entries=()) -> list[Fraction]:
         """The vector with coordinate x at t for each (t, x) of entries."""
@@ -222,7 +222,7 @@ class ManifoldModel:
         return v
 
     def basis_vector(self, label: str) -> list[Fraction]:
-        return self.vector([(self.label_index(label), Fraction(1))])
+        return self.vector([(self.label_index(label), 1)])
 
     # -- classical structure ----------------------------------------------
 
@@ -259,12 +259,12 @@ class ManifoldModel:
         if inv is None:
             raise DegeneratePairing(f"{self.name}: intersection pairing is singular")
         # e_i . f_j = sum_k inv[j][k] P_ik = (P inv^T)_ij = delta required
-        return [list(col) for col in zip(*inv)]
+        return [list(map(_exact, col)) for col in zip(*inv)]
 
     def triple_eval(self, i: int, j: int, k: int) -> Fraction:
         ck, sign = koszul_sorted((i, j, k), self.degrees)
         if sum(self.degrees[t] for t in ck) != 4 * self.n:
-            return Fraction(0)
+            return 0
         if ck in self.triple:
             return sign * self.triple[ck]
         if not self.triple_complete:
@@ -272,7 +272,7 @@ class ManifoldModel:
                 f"{self.name}: triple intersection "
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]}) undeclared"
             )
-        return Fraction(0)
+        return 0
 
     def triple_form(self, a, b, c) -> Fraction:
         """t(a,b,c) = (a cap b) . c on homology vectors."""
@@ -329,7 +329,7 @@ class ManifoldModel:
         for j, r in rhs.items():
             for t, d in cols[j]:
                 x[t] = x.get(t, 0) + d * r
-        return {t: v for t, v in sorted(x.items()) if v}
+        return {t: _exact(v) for t, v in sorted(x.items()) if v}
 
     def cap(self, a, b) -> list[Fraction]:
         """Classical cap product a cap b: the kept constants e_i cap e_k
@@ -338,10 +338,10 @@ class ManifoldModel:
         return self.vector(self._cap_sum(slot_pairs(a, b)).items())
 
     def fundamental_vector(self) -> list[Fraction]:
-        return self.vector([(self.fundamental_index, Fraction(1))])
+        return self.vector([(self.fundamental_index, 1)])
 
     def point_vector(self) -> list[Fraction]:
-        return self.vector([(self.point_index, Fraction(1))])
+        return self.vector([(self.point_index, 1)])
 
     def vector_degree(self, v) -> int | None:
         """Degree of a homogeneous vector, None for 0 or mixed."""
@@ -372,9 +372,9 @@ class QHClass:
         self.model = model
         dim = len(model.basis)
         # the keys of a dict are distinct classes: each nonzero vector is kept as given
-        out: dict[H2Class, tuple[Fraction, ...]] = {}
+        out: dict[H2Class, tuple[int | Fraction, ...]] = {}
         for e, vec in terms.items():
-            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
+            vec = tuple(map(_exact, vec))
             if len(vec) != dim:
                 raise ValueError("vector length does not match the basis")
             if any(vec):
@@ -399,7 +399,7 @@ class QHClass:
         return self + (-other)
 
     def scale(self, r) -> QHClass:
-        r = Fraction(r)
+        r = _exact(r)
         return QHClass(self.model, {e: [r * x for x in v] for e, v in self.terms.items()})
 
     def shift(self, e: H2Class) -> QHClass:
@@ -407,7 +407,7 @@ class QHClass:
         return QHClass(self.model, {k + e: list(v) for k, v in self.terms.items()})
 
     def truncate(self, cutoff) -> QHClass:
-        cutoff = Fraction(cutoff)
+        cutoff = _exact(cutoff)
         return QHClass(
             self.model,
             {e: list(v) for e, v in self.terms.items() if e.omega >= -cutoff},

@@ -10,7 +10,8 @@ coordinate representative around for operations that need coordinates.
 Novikov elements are finite sums sum_E a_E * e^E with rational coefficients
 and lattice-class exponents E. The valuation of e^E is -omega(E), so the
 energy filtration keeps e^{-B} with omega(B) <= cutoff, i.e. exponents with
-omega(E) >= -cutoff.
+omega(E) >= -cutoff. Every stored scalar is an int when its denominator is
+1 and a Fraction otherwise, never a float (`_exact`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from ._linalg import apply
 from .errors import CutoffTooSmall, NotInvertible, QhfibError
@@ -46,9 +48,18 @@ def parse_rational(text) -> Fraction:
     raise QhfibError(f"not an exact rational: {text!r}")
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _exact(x):
+    """x under the scalar rule: an int as it is, an integral Fraction as its
+    numerator, another Fraction as it is, anything else through Fraction(x)."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def format_rational(x) -> str:
+    return str(_exact(x))
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,10 @@ class H2Lattice:
     embed: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
+        for name in ("omega", "c1"):
+            object.__setattr__(self, name, tuple(map(_exact, getattr(self, name))))
+        if self.embed is not None:
+            object.__setattr__(self, "embed", tuple(tuple(map(_exact, r)) for r in self.embed))
         k = len(self.generators)
         if not (len(self.omega) == len(self.c1) == len(self.spherical) == k):
             raise ValueError("lattice covector lengths disagree with generators")
@@ -74,18 +89,18 @@ class H2Lattice:
             raise ValueError("embed must give one homology vector per generator")
 
     def cls(self, coords) -> H2Class:
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(_exact, coords))
         if len(coords) != len(self.generators):
             raise ValueError("coordinate length mismatch")
         return H2Class(self, coords)
 
     def zero(self) -> H2Class:
         # built on demand: a class kept on the lattice would point back at it, a cycle
-        return H2Class(self, (Fraction(0),) * len(self.generators), Fraction(0), Fraction(0))
+        return H2Class(self, (0,) * len(self.generators), 0, 0)
 
     def gen(self, label: str) -> H2Class:
         i = self.generators.index(label)
-        return self.cls(tuple(Fraction(int(j == i)) for j in range(len(self.generators))))
+        return self.cls(tuple(int(j == i) for j in range(len(self.generators))))
 
     def minimal_chern_number(self) -> int:
         """gcd of c1 over spherical generators; 0 when c1 vanishes there."""
@@ -111,10 +126,11 @@ class H2Class:
         self.lattice = lattice
         self.coords = coords
         if omega is None:  # both covectors, summed over the nonzero coordinates
-            omega = c1 = Fraction(0)
+            omega = c1 = 0
             for w, c, x in zip(lattice.omega, lattice.c1, coords):
                 if x:
                     omega, c1 = omega + w * x, c1 + c * x
+            omega, c1 = _exact(omega), _exact(c1)
         self.omega = omega
         self.c1 = c1
         # in lowest terms: equal classes hash alike
@@ -137,11 +153,16 @@ class H2Class:
     def __add__(self, other: H2Class) -> H2Class:
         if self.lattice is not other.lattice:
             raise ValueError("classes live on different lattices")
-        if not any(other.coords):  # classes are immutable, so e + 0 can be e
+        if not any(other.coords):  # classes are immutable, so e + 0 and 0 + e can be e
             return self
+        if not any(self.coords):
+            return other
         # both covectors are linear, so the sum's values are the operands' sums
-        return H2Class(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)),
-                       self.omega + other.omega, self.c1 + other.c1)
+        coords = tuple(map(add, self.coords, other.coords))
+        if Fraction in map(type, coords):  # only a Fraction sum can be integral
+            coords = tuple(map(_exact, coords))
+        return H2Class(self.lattice, coords,
+                       _exact(self.omega + other.omega), _exact(self.c1 + other.c1))
 
     def __sub__(self, other: H2Class) -> H2Class:
         return self + (-other)
@@ -150,7 +171,7 @@ class H2Class:
         return H2Class(self.lattice, tuple(-a for a in self.coords), -self.omega, -self.c1)
 
     def scale(self, r) -> H2Class:
-        r = Fraction(r)
+        r = _exact(r)
         return self.lattice.cls(tuple(r * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -187,16 +208,16 @@ class NovikovElement:
 
     def __init__(self, lattice: H2Lattice, terms=None):
         self.lattice = lattice
-        exact = ((e, a if type(a) is Fraction else Fraction(a)) for e, a in (terms or {}).items())
-        self.terms: dict[H2Class, Fraction] = {e: a for e, a in exact if a}
+        self.terms: dict[H2Class, int | Fraction] = {  # an int needs no _exact call
+            e: x for e, a in (terms or {}).items() if (x := a if type(a) is int else _exact(a))}
 
     @classmethod
     def unit(cls, lattice: H2Lattice) -> NovikovElement:
-        return cls(lattice, {lattice.zero(): Fraction(1)})
+        return cls(lattice, {lattice.zero(): 1})
 
     @classmethod
     def exp(cls, e: H2Class, coeff=1) -> NovikovElement:
-        return cls(e.lattice, {e: Fraction(coeff)})
+        return cls(e.lattice, {e: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -227,7 +248,7 @@ class NovikovElement:
             return NovikovElement(
                 self.lattice, {e: a * other for e, a in self.terms.items()}
             )
-        out: dict[H2Class, Fraction] = {}
+        out: dict[H2Class, int | Fraction] = {}
         for e1, a1 in self.terms.items():
             for e2, a2 in other.terms.items():
                 e = e1 + e2
@@ -248,7 +269,7 @@ class NovikovElement:
 
 def nov_truncate(x: NovikovElement, cutoff) -> NovikovElement:
     """Drop terms below the energy window: keep e^E with omega(E) >= -cutoff."""
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     return NovikovElement(
         x.lattice, {e: a for e, a in x.terms.items() if e.omega >= -cutoff}
     )
@@ -262,7 +283,7 @@ def nov_invert(x: NovikovElement, cutoff) -> NovikovElement:
     the ring is Laurent polynomials over Q, whose only units are monomials,
     and the leading part of a product is the product of the leading parts.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     if x.is_zero():
         raise NotInvertible("zero is not invertible")
     top = max(e.omega for e in x.terms)
@@ -278,7 +299,7 @@ def nov_invert(x: NovikovElement, cutoff) -> NovikovElement:
     # x = a0 e^{e0} (1 + r) with every term of r of strictly negative area
     r = NovikovElement(
         x.lattice,
-        {e - e0: a / a0 for e, a in x.terms.items() if e != e0},
+        {e - e0: Fraction(a) / a0 for e, a in x.terms.items() if e != e0},  # not int / int
     )
     # sum (-r)^k, truncating against the shifted window after each power
     shifted = cutoff + (-e0).omega  # window for the series factor

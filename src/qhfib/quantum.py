@@ -20,13 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from ._memo import kept
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
 from .manifold import (
     ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs)
-from .novikov import H2Class, NovikovElement, format_rational, nov_invert
+from .novikov import H2Class, NovikovElement, _exact, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
 _SLOTS = {"two_point": 2, "three_point": 3, "four_point_chi": 4}
@@ -52,14 +51,9 @@ def step(report, name, passed, detail=""):
 
 
 def _normalize_completeness(level):
-    if isinstance(level, dict):
-        out = {}
-        for a in ARITIES:
-            v = level.get(a)
-            out[a] = None if v is None else Fraction(v)
-        return out
-    v = None if level is None else Fraction(level)
-    return {a: v for a in ARITIES}
+    if not isinstance(level, dict):
+        level = dict.fromkeys(ARITIES, level)
+    return {a: None if level.get(a) is None else _exact(level[a]) for a in ARITIES}
 
 
 class GWTable:
@@ -129,7 +123,7 @@ class GWTable:
                 self._check_class(cls, f"{self.model.name} {arity}")
                 want = wants[cls.coords] = self._dim_target(arity, self._key_c1(cls))
             ck, sign = koszul_sorted(idx, self.model.degrees)
-            val = sign * Fraction(val)
+            val = sign * _exact(val)
             total = sum(self.model.degrees[i] for i in ck)
             if total != want:
                 labels = ",".join(self.model.labels[i] for i in ck)
@@ -194,7 +188,7 @@ class GWTable:
             return sign * hit
         w = self.complete_below[arity]
         if w is not None and cls.omega <= w:
-            return Fraction(0)
+            return 0
         labels = ",".join(self.model.labels[i] for i in ck)
         raise TableIncomplete(
             f"{self.model.name}: {arity} invariant ({labels}; {cls!r}) is outside "
@@ -239,7 +233,7 @@ class GWTable:
         for (idx, cls), v in updates.items():
             ck, sign = koszul_sorted(tuple(idx), self.model.degrees)
             if v:
-                store[ck, cls] = sign * Fraction(v)
+                store[ck, cls] = sign * _exact(v)
             else:
                 store.pop((ck, cls), None)
         return t
@@ -315,7 +309,7 @@ class QuantumRing:
         zero, whatever window the table declares."""
         if cutoff is None:
             return contract(self.table, a, b, self._sources)
-        cutoff = Fraction(cutoff)
+        cutoff = _exact(cutoff)
         return contract(self.table, a, b, self._sources,
                         lambda base: self._cover(base.omega + cutoff), -cutoff).truncate(cutoff)
 
@@ -339,8 +333,8 @@ class QuantumRing:
         polynomials over Q, whose units are monomials). Faddeev-LeVerrier
         gives det A and the adjugate, dividing only by integers:
         M_j = A M_(j-1) + c I, c = -tr(A M_j) / j, each entry of A M_(j-1)
-        summed over the nonzero entries of A's row only (at the last step
-        only its diagonal and column X), and at j = k q^-1 = -M_k e_[X] / c.
+        that A reaches summed over the nonzero entries of A's row only (at the
+        last step only its diagonal and column X), and at j = k q^-1 = -M_k e_[X] / c.
         The terms of area >= -(cutoff + max(0, leading area of q)) are
         kept, so q q^-1 = 1 modulo the cutoff; they are exact because 1/c
         is taken on that window widened by the largest area in M_k e_[X].
@@ -349,10 +343,11 @@ class QuantumRing:
         m, k = self.model, len(self.model.basis)
         zero = NovikovElement(m.h2)
         cols = [self.product(q, m.qh_basis(lbl)).terms for lbl in m.labels]
-        # row t of A as its nonzero entries (s, A_ts), s ascending
+        # row t of A as its nonzero entries (s, A_ts), s ascending; reach[u]: column u's rows
         a = [[(s, x) for s, col in enumerate(cols)
               if (x := NovikovElement(m.h2, {e: v[t] for e, v in col.items()})).terms]
              for t in range(k)]
+        reach = [{t for t, row in enumerate(a) for s, _ in row if s == u} for u in range(k)]
         mj = [[NovikovElement.unit(m.h2) if t == u else zero for u in range(k)] for t in range(k)]
 
         def times(row, u):  # (A M_j)_tu: the nonzero products summed in turn, s ascending
@@ -361,15 +356,16 @@ class QuantumRing:
 
         fx = m.fundamental_index
         for j in range(1, k):
-            # past the last step only the trace and column X of M_k are read
-            am = [[times(row, u) if j < k - 1 or u in (t, fx) else None for u in range(k)]
-                  for t, row in enumerate(a)]
+            # (A M_j)_tu is 0 off hit[u]; past the last step only the trace and column X are read
+            hit = [{t for s in range(k) if mj[s][u].terms for t in reach[s]} for u in range(k)]
+            am = [[(times(row, u) if t in hit[u] else zero) if j < k - 1 or u in (t, fx) else None
+                   for u in range(k)] for t, row in enumerate(a)]
             c = sum((am[t][t] for t in range(k)), zero) * Fraction(-1, j)
             mj = [[x + c if t == u else x for u, x in enumerate(row)] for t, row in enumerate(am)]
         adj_x = [row[fx] for row in mj]
         # A M_k = -c I (Cayley-Hamilton), so its entry (X, X) is -c
         minus_c = times(a[fx], fx)
-        window = Fraction(cutoff) + max((e.omega for e in q.terms if e.omega > 0), default=0)
+        window = _exact(cutoff) + max((e.omega for e in q.terms if e.omega > 0), default=0)
         widen = max((e.omega for p in adj_x for e in p.terms), default=0)
         try:
             inv_c = nov_invert(minus_c, window + widen)
@@ -400,11 +396,10 @@ class QuantumRing:
         """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
         with no product while it passes. P[i][j] = e_i*e_j is read from the
         kept constants, filled in the order the nested products first needed
-        them, so a raise has the same text; both sides are summed in integers,
-        every coefficient scaled by the lcm of their denominators. A failing
-        triple builds its two sides by one product each."""
+        them, so a raise has the same text. A failing triple builds its two
+        sides by one product each."""
         m, size = self.model, len(self.model.basis)
-        cutoff = None if cutoff is None else Fraction(cutoff)
+        cutoff = None if cutoff is None else _exact(cutoff)
         if cutoff is not None:
             self._cover(cutoff)  # as the first basis product checked it
         blocks = [None] + [cls for cls in self.table.known_key_classes("three_point")
@@ -424,14 +419,11 @@ class QuantumRing:
                     basis_product(t, k)
                 for _, t, _ in basis_product(j, k):
                     basis_product(0, t)
-        d = lcm(*(x.denominator for p in products.values() for _, _, x in p))
-        scaled = {ij: [(e, t, x.numerator * (d // x.denominator)) for e, t, x in p]
-                  for ij, p in products.items()}
         ids = {}  # a sum of two exponents -> where its coefficients start in acc
         sums = [[None if cutoff is not None and (e + f).omega < -cutoff
                  else size * ids.setdefault(e + f, len(ids)) for f in exps] for e in exps]
-        cols = [[scaled[t, k] for t in range(size)] for k in range(size)]
-        rows = [[scaled[i, t] for t in range(size)] for i in range(size)]
+        cols = [[products[t, k] for t in range(size)] for k in range(size)]
+        rows = [[products[i, t] for t in range(size)] for i in range(size)]
 
         def as_class(i, j):  # P[i][j] as its basis product sums it
             return contract(self.table, m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]),
@@ -440,7 +432,7 @@ class QuantumRing:
         failures = []
         for i, j, k in itertools.product(range(size), repeat=3):
             acc = {}  # (e_i*e_j)*e_k - e_i*(e_j*e_k)
-            for sign, outer, inner in ((1, scaled[i, j], cols[k]), (-1, scaled[j, k], rows[i])):
+            for sign, outer, inner in ((1, products[i, j], cols[k]), (-1, products[j, k], rows[i])):
                 for e, t, x in outer:
                     row, x = sums[e], sign * x
                     for f, s, y in inner[t]:
@@ -476,7 +468,7 @@ class QuantumRing:
         kept constants, A1 in key-class order and the cap last, so a read
         raises where a slot it needs is unavailable."""
         m = self.model
-        total = Fraction(0)
+        total = 0
         for a1, a2 in self._splittings().get(cls, ()):
             x = self.table.constants(a1, [(i, j, 1)])
             if x:
@@ -573,7 +565,7 @@ class QuantumRing:
                     skips.append(str(exc))
                     continue
                 for w in deg2:
-                    wb = m.meet_class(m.vector([(w, Fraction(1))]), cls)
+                    wb = m.meet_class(m.vector([(w, 1)]), cls)
                     try:
                         lhs = self.table.three(pair[0], pair[1], w, cls)
                     except TableIncomplete as exc:
@@ -670,7 +662,7 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
         own = m.indices_of_degree(2)
         for row in m.h2.embed:
             embed.append(tuple(row[own.index(ij[s])] if ij[1 - s] == other.point_index
-                               else Fraction(0) for ij in deg2))
+                               else 0 for ij in deg2))
     h2 = H2Lattice(
         generators=tuple(gens + gens2),
         omega=tuple(m1.h2.omega) + tuple(m2.h2.omega),
@@ -686,7 +678,7 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
         by_class = t.by_class("three_point")
         return [(None, m.triple)] + [(c, by_class[c]) for c in t.known_key_classes("three_point")]
 
-    zeros1, zeros2 = (Fraction(0),) * len(gens), (Fraction(0),) * len(gens2)
+    zeros1, zeros2 = (0,) * len(gens), (0,) * len(gens2)
     entries = {}
     for c1, block1 in blocks(m1, t1):
         for c2, block2 in blocks(m2, t2):

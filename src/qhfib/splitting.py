@@ -254,8 +254,8 @@ def _product_layout(k):
     """The standard iota and splitting of a trivial bundle whose total basis
     is the fiber basis followed by its s(...) copies: e_i -> e_i and
     s(e_i) -> e_{k+i}."""
-    iota = [[Fraction(int(t == i)) for t in range(2 * k)] for i in range(k)]
-    split = [[Fraction(int(t == k + i)) for t in range(2 * k)] for i in range(k)]
+    iota = [[int(t == i) for t in range(2 * k)] for i in range(k)]
+    split = [[int(t == k + i) for t in range(2 * k)] for i in range(k)]
     return iota, split
 
 
@@ -291,10 +291,10 @@ def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,
     )
     total = ManifoldModel(name, fiber.n + 1, basis, pairing, triple, h2)
     iota, split = _product_layout(k)
-    iota_h2 = [[Fraction(int(t == gi)) for t in range(g + 1)] for gi in range(g)]
-    sigma_ref = [Fraction(0)] * g + [Fraction(1)]
+    iota_h2 = [[int(t == gi) for t in range(g + 1)] for gi in range(g)]
+    sigma_ref = [0] * g + [1]
     vertical, section = product_section_tables(
-        QuantumRing(fiber, fiber_gw), lambda b: h2.cls(b.coords + (Fraction(0),)))
+        QuantumRing(fiber, fiber_gw), lambda b: h2.cls(b.coords + (0,)))
     return FibrationModel(
         name, fiber, fiber_gw, total, iota, split, iota_h2, sigma_ref,
         vertical=vertical, section=section,

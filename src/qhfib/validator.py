@@ -28,7 +28,7 @@ from .errors import (
     UnknownSuite,
 )
 from .fibration import FibrationModel, compose, mirror
-from .novikov import format_rational
+from .novikov import _exact, format_rational
 from .quantum import QuantumRing, check
 from .splitting import ring_split_check, verify_product_pattern
 
@@ -192,7 +192,7 @@ def run_suite(obj, suite: str, cutoff) -> VerificationReport:
         )
     if cutoff is None and suite in NEEDS_CUTOFF:
         raise QhfibError(f"suite {suite!r} multiplies classes and needs a cutoff")
-    cutoff = None if cutoff is None else Fraction(cutoff)
+    cutoff = None if cutoff is None else _exact(cutoff)
     fibration = isinstance(obj, FibrationModel)
     target = obj.name if fibration else obj[0].name
     report = VerificationReport(target=target, suite=suite, cutoff=cutoff)
