@@ -32,7 +32,7 @@ from .errors import (
 )
 from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, _exact, format_rational
-from .quantum import GWTable, QuantumRing, accumulate, check, contract, step
+from .quantum import GWTable, QuantumRing, accumulate, check, contract, step, table_axioms
 
 
 class PsiOperator:
@@ -496,11 +496,6 @@ class FibrationModel:
                 f"rank(iota) + rank(restriction) = {iota_rank}+{d_rank} != "
                 f"{len(m.basis)} = dim H(P): sequence not exact"
             )
-        for i, img in enumerate(self.iota):
-            if any(apply(img, d, len(f.basis))):
-                failures.append(
-                    f"restriction of iota({f.labels[i]}) to the fiber is nonzero"
-                )
         return check(failures)
 
     # -- identities tying the tables together -----------------------------------
@@ -628,66 +623,9 @@ class FibrationModel:
         return check(failures, skips)
 
     def section_divisor_report(self) -> dict:
-        """Divisor slots in section invariants: over the section class
-        sigma_ref + iota(off), an insertion of a divisor w contributes the
-        factor w.(sigma_ref + off). Two divisors against the same companion
-        must therefore store proportional values, and a 3-point entry with a
-        divisor slot reduces to the matching 2-point one."""
-        m = self.total
-        if m.h2.embed is None:
-            return check([], ["no degree-2 embedding on the total lattice"])
-        codim2 = 2 * m.n - 2
-        divisors = m.indices_of_degree(codim2)
-        failures, skips = [], []
-
-        def meets(w, off):
-            return m.meet_class(m.vector([(w, 1)]), self.sigma_ref + off)
-
-        groups = set()
-        for (idx, off) in self.section_gw._store("two_point"):
-            for pos in (0, 1):
-                if m.degrees[idx[pos]] == codim2:
-                    groups.add((idx[1 - pos], off))
-        for v, off in sorted(groups,
-                             key=lambda g: (g[0], g[1].omega, g[1].c1, g[1].coords)):
-            vals = {}
-            for w in divisors:
-                try:
-                    vals[w] = self.section_gw.two(w, v, off)
-                except TableIncomplete as exc:
-                    skips.append(str(exc))
-            ws = sorted(vals)
-            for ai in range(len(ws)):
-                for bi in range(ai + 1, len(ws)):
-                    w1, w2 = ws[ai], ws[bi]
-                    if vals[w1] * meets(w2, off) != vals[w2] * meets(w1, off):
-                        failures.append(
-                            f"2-point divisor slots disagree over companion "
-                            f"{m.labels[v]} at offset {off!r}: "
-                            f"n({m.labels[w1]},..) = {format_rational(vals[w1])} with "
-                            f"{m.labels[w1]}.sigma = {format_rational(meets(w1, off))}, "
-                            f"n({m.labels[w2]},..) = {format_rational(vals[w2])} with "
-                            f"{m.labels[w2]}.sigma = {format_rational(meets(w2, off))}"
-                        )
-        for (idx, off), val in self.section_gw._store("three_point").items():
-            for pos, w in enumerate(idx):
-                # a divisor in two slots is one check: both reductions agree
-                if m.degrees[w] != codim2 or w in idx[:pos]:
-                    continue
-                rest = tuple(x for q, x in enumerate(idx) if q != pos)
-                try:
-                    base = self.section_gw.two(rest[0], rest[1], off)
-                except TableIncomplete as exc:
-                    skips.append(str(exc))
-                    continue
-                if val != meets(w, off) * base:
-                    labels = ",".join(m.labels[i] for i in idx)
-                    failures.append(
-                        f"3-point ({labels}; {off!r}) = {format_rational(val)} but the "
-                        f"divisor slot {m.labels[w]} forces "
-                        f"{format_rational(meets(w, off) * base)}"
-                    )
-        return check(failures, skips)
+        """The fundamental-class and divisor axioms of the section table
+        (`quantum.table_axioms`): a key off counts curves in sigma_ref + off."""
+        return table_axioms(self.section_gw, lambda off: self.sigma_ref + off)
 
     # -- loop invariants --------------------------------------------------------
 

@@ -275,6 +275,96 @@ def contract(table: GWTable, a: QHClass, b: QHClass, sources, cover=None, floor=
     return m.qh(acc)
 
 
+def table_axioms(table: GWTable, curve) -> dict:
+    """The fundamental-class and divisor axioms of one table, whose key cls
+    stands for curves in class B = curve(cls): cls itself in a fiber table,
+    sigma_ref + cls in a section table. In order:
+    1. a stored 2- or 3-point count with an [X] slot must vanish, and a chi
+       4-point count with one equals the 3-point count without that slot;
+    2. for each companion v stored in a 2-point entry with a divisor, any
+       two divisors w1, w2 read n(w1, v) (w2.B) = n(w2, v) (w1.B);
+    3. each pair left by removing a divisor slot from a stored 3-point
+       entry, and each stored 2-point pair whose class lies inside the
+       declared 3-point window, meets every divisor w as
+       n(pair, w) = (w.B) n(pair).
+    A read the declared window does not cover skips with its
+    TableIncomplete text."""
+    m = table.model
+    failures, skips = [], []
+    fund = m.fundamental_index
+
+    def read(arity, idx, cls):  # the count, or None with its skip recorded
+        try:
+            return table.query(arity, idx, cls)
+        except TableIncomplete as exc:
+            skips.append(str(exc))
+
+    for arity in ("two_point", "three_point"):
+        for (idx, cls), val in table._store(arity).items():
+            if fund in idx and val != 0:
+                labels = ",".join(m.labels[i] for i in idx)
+                failures.append(
+                    f"{arity} ({labels}; {cls!r}) = {format_rational(val)}, "
+                    "must vanish (fundamental-class insertion)"
+                )
+    for (idx, cls), val in table.four_point_chi.items():
+        if fund not in idx:
+            continue
+        rest = list(idx)
+        rest.remove(fund)
+        expect = read("three_point", rest, cls)
+        if expect is not None and val != expect:
+            labels = ",".join(m.labels[i] for i in idx)
+            failures.append(
+                f"chi 4-point ({labels}; {cls!r}) = {format_rational(val)} "
+                f"but removing the fundamental slot gives {format_rational(expect)}"
+            )
+    if m.h2.embed is None:
+        skips.append("no degree-2 embedding on the lattice: divisor axiom unchecked")
+        return check(failures, skips)
+    deg2 = m.indices_of_degree(2 * m.n - 2)
+    meets = {}  # class coordinates -> {w: w.B}, each divisor met once per class
+
+    def meet(w, cls):
+        if cls.coords not in meets:
+            b = curve(cls)
+            meets[cls.coords] = {d: m.meet_class(m.vector([(d, 1)]), b) for d in deg2}
+        return meets[cls.coords][w]
+
+    companions = {(idx[1 - pos], cls) for idx, cls in table.two_point
+                  for pos in (0, 1) if idx[pos] in deg2}
+    for v, cls in sorted(companions, key=lambda g: (g[0], g[1].omega, g[1].c1, g[1].coords)):
+        vals = {w: read("two_point", (w, v), cls) for w in deg2}
+        for w1, w2 in itertools.combinations([w for w in deg2 if vals[w] is not None], 2):
+            lhs, rhs = vals[w1] * meet(w2, cls), vals[w2] * meet(w1, cls)
+            if lhs != rhs:
+                failures.append(
+                    f"divisor axiom fails: n({m.labels[w1]},{m.labels[v]}; {cls!r}) "
+                    f"({m.labels[w2]}.B) = {format_rational(lhs)} but "
+                    f"n({m.labels[w2]},{m.labels[v]}; {cls!r}) ({m.labels[w1]}.B) = "
+                    f"{format_rational(rhs)}"
+                )
+    w3 = table.window("three_point")
+    checked = {(tuple(x for q, x in enumerate(idx) if q != pos), cls)
+               for idx, cls in table.three_point for pos in range(3) if idx[pos] in deg2}
+    checked.update((idx, cls) for idx, cls in table.two_point
+                   if w3 is not None and cls.omega <= w3)
+    for (pair, cls) in sorted(checked, key=lambda t: (t[0], t[1].omega, t[1].c1)):
+        base = read("two_point", pair, cls)
+        if base is None:
+            continue
+        for w in deg2:
+            lhs = read("three_point", (*pair, w), cls)
+            if lhs is not None and lhs != meet(w, cls) * base:
+                labels = ",".join(m.labels[i] for i in pair)
+                failures.append(
+                    f"divisor axiom fails: n({labels},{m.labels[w]}; {cls!r}) = "
+                    f"{format_rational(lhs)} but (w.B) n({labels}; {cls!r}) = "
+                    f"{format_rational(meet(w, cls) * base)}"
+                )
+    return check(failures, skips)
+
+
 class QuantumRing:
     """QH(M) with the product induced by a three-point fiber-type table:
     each product is `contract` over the cap and the key classes, reading
@@ -513,72 +603,8 @@ class QuantumRing:
         return check(failures, skips)
 
     def axioms_report(self) -> dict:
-        """Fundamental-class and divisor axioms plus the 4-point reduction."""
-        m = self.model
-        failures, skips = [], []
-        fund = m.fundamental_index
-        # fundamental class: plain invariants with an [X] slot vanish
-        for arity in ("two_point", "three_point"):
-            for (idx, cls), val in self.table._store(arity).items():
-                if fund in idx and val != 0:
-                    labels = ",".join(m.labels[i] for i in idx)
-                    failures.append(
-                        f"{arity} ({labels}; {cls!r}) = {format_rational(val)}, "
-                        "must vanish (fundamental-class insertion)"
-                    )
-        # fixed-cross-ratio 4-point with an [X] slot reduces to 3-point
-        for (idx, cls), val in self.table.four_point_chi.items():
-            if fund not in idx:
-                continue
-            rest = list(idx)
-            rest.remove(fund)
-            try:
-                expect = self.table.three(rest[0], rest[1], rest[2], cls)
-            except TableIncomplete as exc:
-                skips.append(str(exc))
-                continue
-            if val != expect:
-                labels = ",".join(m.labels[i] for i in idx)
-                failures.append(
-                    f"chi 4-point ({labels}; {cls!r}) = {format_rational(val)} "
-                    f"but removing the fundamental slot gives {format_rational(expect)}"
-                )
-        # divisor axiom both ways across stored 2/3-point entries
-        if m.h2.embed is None:
-            skips.append("no degree-2 embedding on the lattice: divisor axiom unchecked")
-        else:
-            deg2 = m.indices_of_degree(2 * m.n - 2)
-            checked = set()
-            for (idx, cls), val in self.table.three_point.items():
-                for pos in range(3):
-                    w = idx[pos]
-                    if m.degrees[w] != 2 * m.n - 2:
-                        continue
-                    rest = tuple(x for q, x in enumerate(idx) if q != pos)
-                    checked.add((rest, cls))
-            for (idx, cls), _ in self.table.two_point.items():
-                checked.add((idx, cls))
-            for (pair, cls) in sorted(checked, key=lambda t: (t[0], t[1].omega, t[1].c1)):
-                try:
-                    base = self.table.two(pair[0], pair[1], cls)
-                except TableIncomplete as exc:
-                    skips.append(str(exc))
-                    continue
-                for w in deg2:
-                    wb = m.meet_class(m.vector([(w, 1)]), cls)
-                    try:
-                        lhs = self.table.three(pair[0], pair[1], w, cls)
-                    except TableIncomplete as exc:
-                        skips.append(str(exc))
-                        continue
-                    if lhs != wb * base:
-                        labels = ",".join(m.labels[i] for i in pair)
-                        failures.append(
-                            f"divisor axiom fails: n({labels},{m.labels[w]}; {cls!r}) = "
-                            f"{format_rational(lhs)} but (w.B) n({labels}; {cls!r}) = "
-                            f"{format_rational(wb * base)}"
-                        )
-        return check(failures, skips)
+        """The fundamental-class and divisor axioms of the table (`table_axioms`)."""
+        return table_axioms(self.table, lambda cls: cls)
 
     # -- the energy-positive part -------------------------------------------
 

@@ -153,14 +153,16 @@ def test_module_identities_hold_at_the_normalized_section(name, cutoff):
 
 
 def test_a_divisor_in_two_slots_is_reported_once():
-    """(1,1,pt) holds the divisor 1 in two slots; both reduce to the same
-    two-point entry, so a wrong value is one failure."""
+    """(1,1,pt) holds the divisor 1 in two slots; both leave the same pair
+    (1,pt), so a wrong value is one divisor failure. The stored chi entry
+    (1,1,pt,s(1)), s(1) = [P], reduces to it and fails too."""
     d = json.loads(SPHERE_PRODUCT_FIXTURE.read_text())
     d["product_structure"] = False
     entry = next(e for e in d["section_gw"]["three_point"] if e[0] == ["1", "1", "pt"])
     entry[2] = "2"
     assert from_dict(d).section_divisor_report() == {"status": "fail", "details": [
-        "3-point (1,1,pt; H2<0>) = 2 but the divisor slot 1 forces 1"]}
+        "chi 4-point (1,1,pt,s(1); H2<0>) = 1 but removing the fundamental slot gives 2",
+        "divisor axiom fails: n(1,pt,1; H2<0>) = 2 but (w.B) n(1,pt; H2<0>) = 1"]}
 
 
 def test_vertical_product_identities(ruled):
