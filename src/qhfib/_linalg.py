@@ -114,6 +114,35 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
+def reduction(a: Matrix) -> tuple:
+    """a (rows n > 0) reduced once for `solved`, which gives solve(a, b) for
+    any b: rref([a | I]) is [rref(a) | E], E a = rref(a), wherever the
+    pivots past a fall. Returns the nonzero (r, E_rj) of each column j of
+    E, the pivot columns in a, and a's width."""
+    cols = len(a[0])
+    red, pivots = rref([list(row) + e for row, e in zip(a, identity(len(a)))])
+    return ([[(r, row[cols + j]) for r, row in enumerate(red) if row[cols + j]]
+             for j in range(len(a))], [c for c in pivots if c < cols], cols)
+
+
+def solved(reduced, b) -> Vector | None:
+    """solve(a, b) from a's `reduction`: E b is the last column of
+    rref([a | b]) when a x = b is consistent, that is when E b vanishes
+    below a's pivot rows."""
+    columns, pivots, cols = reduced
+    y = [0] * len(columns)
+    for j, v in enumerate(b):
+        if v:
+            for r, x in columns[j]:
+                y[r] += x * v
+    if any(y[len(pivots):]):
+        return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = y[r]
+    return x
+
+
 def invert(a: Matrix) -> Matrix | None:
     n = len(a)
     aug = [a[i] + e for i, e in enumerate(identity(n))]

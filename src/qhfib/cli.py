@@ -111,10 +111,7 @@ def cmd_product(args) -> int:
 def cmd_psi(args) -> int:
     fib = _fibration(_load(args))
     cutoff = _cutoff(args)
-    if args.normalized:
-        sigma = fib.sigma_phi()
-    else:
-        sigma = fib.sigma_ref
+    sigma = fib.sigma_phi() if args.normalized else fib.sigma_ref
     if args.offset:
         sigma = sigma + fixtures.parse_lin(fib.total.h2, args.offset)
     op = fib.psi_operator(cutoff, sigma=sigma)

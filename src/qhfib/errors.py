@@ -37,6 +37,10 @@ class TableIncomplete(QhfibError):
         self.missing = missing
 
 
+class MissingInput(QhfibError):
+    """A model lacks optional data a computation needs; a verify check skips."""
+
+
 class DimensionRuleViolation(QhfibError):
     """A table entry violates the dimension constraint for its arity."""
 

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import apply, identity, invert, rank, solve
+from ._linalg import apply, identity, invert, rank, reduction, solve, solved
 from ._memo import kept
 from .errors import (
     FiberMismatch,
     Inconsistent,
+    MissingInput,
     NotInvertible,
     PrimingInvalid,
     QhfibError,
@@ -32,7 +33,8 @@ from .errors import (
 )
 from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, _exact, format_rational
-from .quantum import GWTable, QuantumRing, accumulate, check, contract, step, table_axioms
+from .quantum import (
+    GWTable, QuantumRing, accumulate, check, contract, copied, step, table_axioms)
 
 
 class PsiOperator:
@@ -154,6 +156,8 @@ class FibrationModel:
             d = self.total.vector_degree(row)
             if d != fiber.degrees[i] + 2:
                 raise ValueError(f"{name}: splitting must raise degree by 2 ({fiber.labels[i]})")
+        if any(len(row) != len(self.total.basis) for row in self.iota + self.splitting_map):
+            raise ValueError(f"{name}: iota/splitting images need one entry per total class")
         self._validate_priming()
 
         # lattice compatibility: coupling and vertical Chern restrict to the
@@ -217,9 +221,10 @@ class FibrationModel:
         coords = apply(b.coords, self.iota_h2, len(self.total.h2.generators))
         return H2Class(self.total.h2, tuple(map(_exact, coords)), b.omega, b.c1)
 
+    @kept
     def fiber_class_from_total(self, c: H2Class) -> H2Class | None:
         """A spherical fiber class mapping to c modulo the identification,
-        or None; well defined up to the identification."""
+        or None; well defined up to the identification. Kept per class."""
         lat = self.fiber.h2
         sph = lat.spherical_indices()
         if not sph:
@@ -248,18 +253,21 @@ class FibrationModel:
         return self.push_forward(a, self.splitting_map)
 
     def _validate_priming(self):
-        m, f = self.total, self.fiber
+        """iota(e_i) . iota(e_j) = 0 and iota(e_i) . s(e_j) = e_i . e_j, for
+        i and then j in order: each covector met with the sparse images."""
+        m, f, k = self.total, self.fiber, len(self.fiber.basis)
+        images = [[(t, x) for t, x in enumerate(v) if x] for v in self.iota + self.splitting_map]
         for i, row in enumerate(self.iota):
             cov = m.covector(row)
-            for j in range(len(f.basis)):
-                ii = evaluate(cov, self.iota[j])
+            meets = [sum(cov.get(t, 0) * x for t, x in v) for v in images]
+            for j in range(k):
+                ii = meets[j]
                 if ii != 0:
                     raise PrimingInvalid(
                         f"{self.name}: iota({f.labels[i]}) . iota({f.labels[j]}) = "
                         f"{format_rational(ii)}, fiber classes must not meet"
                     )
-                got = evaluate(cov, self.splitting_map[j])
-                want = f.pairing[i][j]
+                got, want = meets[k + j], f.pairing[i][j]
                 if got != want:
                     raise PrimingInvalid(
                         f"{self.name}: iota({f.labels[i]}) . s({f.labels[j]}) = "
@@ -440,9 +448,15 @@ class FibrationModel:
         cutoff, so it is kept; each call returns a fresh copy of the rows."""
         return tuple(map(tuple, self._restriction_rows()))
 
+    @kept
+    def _iota_reduction(self):
+        """iota transposed, reduced once for every preimage (`_linalg.reduction`)."""
+        columns, pivots, cols = reduction([list(col) for col in zip(*self.iota)])
+        return [[(r, _exact(x)) for r, x in col] for col in columns], pivots, cols
+
     def _iota_preimage(self, vec):
         """The fiber vector x with iota(x) = vec, or None."""
-        x = solve([list(col) for col in zip(*self.iota)], vec)
+        x = solved(self._iota_reduction(), vec)
         return None if x is None else list(map(_exact, x))
 
     @kept
@@ -466,14 +480,14 @@ class FibrationModel:
                 )
             x = self._iota_preimage(image.classical())
             if x is None:
-                raise Inconsistent(
-                    f"{self.name}: {lbl} . [fiber] is not a fiber class"
-                )
+                raise Inconsistent(f"{self.name}: {lbl} . [fiber] is not a fiber class")
             rows.append(x)
         return rows
 
+    @kept(copy=copied)
     def wang_report(self) -> dict:
-        """Exactness of  H(M) -iota-> H(P) -cap fiber-> H(M)  rank by rank."""
+        """Exactness of  H(M) -iota-> H(P) -cap fiber-> H(M)  rank by rank,
+        kept; each call gets a fresh copy."""
         failures = []
         f, m = self.fiber, self.total
         if len(m.basis) != 2 * len(f.basis):
@@ -510,17 +524,13 @@ class FibrationModel:
         for i, lbl in enumerate(self.fiber.labels):
             want = ring.product(qcls, self.fiber.qh_basis(lbl), cutoff)
             if op.images[i] != want:
-                failures.append(
-                    f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}"
-                )
+                failures.append(f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}")
         for i, la in enumerate(self.fiber.labels):
             for j, lb in enumerate(self.fiber.labels):
                 left = op.apply(ring.basis_product(i, j, cutoff))
                 right = ring.product(op.images[i], self.fiber.qh_basis(lb), cutoff)
                 if left != right:
-                    failures.append(
-                        f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}"
-                    )
+                    failures.append(f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}")
         return check(failures)
 
     def vertical_report(self, cutoff) -> dict:
@@ -629,18 +639,19 @@ class FibrationModel:
 
     # -- loop invariants --------------------------------------------------------
 
+    @kept
     def _lattice_embed_inverse(self):
         """The inverse of the lattice embedding (rows: generators, columns:
-        degree-2 basis classes)."""
+        degree-2 basis classes), kept."""
         emb = self.total.h2.embed
         if emb is None:
-            raise QhfibError(f"{self.name}: total lattice has no degree-2 embedding")
+            raise MissingInput(f"{self.name}: total lattice has no degree-2 embedding")
         inv = invert([list(row) for row in emb]) if len(emb) == len(emb[0]) else None
         if inv is None:
             raise QhfibError(
                 f"{self.name}: lattice generators must form a basis of degree-2 homology"
             )
-        return inv
+        return [list(map(_exact, row)) for row in inv]
 
     def _covector_on_deg2(self, values):
         """The covector on the degree-2 basis with the given generator values."""
@@ -872,16 +883,12 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     t = fib.total
     lat = t.h2
     if lat.embed is None:
-        raise QhfibError(f"{fib.name}: mirror needs an embedded total lattice")
+        raise MissingInput(f"{fib.name}: mirror needs an embedded total lattice")
     fund = fib.iota[fib.fiber.fundamental_index]
     fiber_meet = [t.meet_class(fund, lat.cls(e)) for e in identity(len(lat.generators))]
     u0, c0 = fib.sigma_ref.omega, fib.sigma_ref.c1
-    new_omega = tuple(
-        lat.omega[g] - 2 * fiber_meet[g] * u0 for g in range(len(lat.generators))
-    )
-    new_c1 = tuple(
-        lat.c1[g] - 2 * fiber_meet[g] * c0 for g in range(len(lat.generators))
-    )
+    new_omega = tuple(w - 2 * x * u0 for w, x in zip(lat.omega, fiber_meet))
+    new_c1 = tuple(c - 2 * x * c0 for c, x in zip(lat.c1, fiber_meet))
     new_lat = H2Lattice(lat.generators, new_omega, new_c1, lat.spherical, lat.embed)
     new_total = ManifoldModel(
         t.name + "~", t.n, t.basis,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import QhfibError, UnknownBasisLabel
 from .fibration import FibrationModel
 from .manifold import ManifoldModel, QHClass
-from .novikov import H2Class, H2Lattice, format_rational, parse_rational
+from .novikov import H2Class, H2Lattice, _exact, format_rational, parse_rational
 from .quantum import ARITIES, GWTable
 
 _COEFF = re.compile(r"(\d+(?:/\d+)?)\*")
@@ -167,8 +167,24 @@ def _flag(x, path) -> bool:
     return x
 
 
-def _rational(x, path) -> Fraction:
-    return parse_rational(_scalar(x, path, (str, int), 'a rational such as "1/3"'))
+def _number(x):
+    """A JSON scalar as an exact rational (`_exact`), read with no JSON
+    path: a JSON integer as it is, and a string of decimal digits (any
+    script's, as parse_rational reads them) with an optional minus sign by
+    int; any other string through parse_rational. Anything else raises, as
+    a malformed string does, and the caller reads again with paths."""
+    if type(x) is int:
+        return x
+    if type(x) is not str:
+        raise QhfibError("not a JSON rational")
+    return int(x) if (x[1:] if x[:1] == "-" else x).isdecimal() else _exact(parse_rational(x))
+
+
+def _rational(x, path):
+    try:
+        return _number(x)
+    except QhfibError:
+        return _exact(parse_rational(_scalar(x, path, (str, int), 'a rational such as "1/3"')))
 
 
 def _list(x, path, size=None) -> list:
@@ -177,17 +193,31 @@ def _list(x, path, size=None) -> list:
     return x
 
 
-def _rationals(x, path) -> list[Fraction]:
-    return [_rational(v, f"{path}[{i}]") for i, v in enumerate(_list(x, path))]
+# Each reads its elements without building their JSON paths; when one
+# fails, it reads again from the start with paths, so the first bad element
+# raises the text it always did.
+
+def _rationals(x, path) -> list:
+    x = _list(x, path)
+    try:
+        return [_number(v) for v in x]
+    except QhfibError:
+        return [_rational(v, f"{path}[{i}]") for i, v in enumerate(x)]
 
 
-def _matrix(x, path) -> list[list[Fraction]]:
-    return [_rationals(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path))]
+def _matrix(x, path) -> list[list]:
+    x = _list(x, path)
+    try:
+        return [[_number(v) for v in _list(row, path)] for row in x]
+    except QhfibError:
+        return [_rationals(row, f"{path}[{i}]") for i, row in enumerate(x)]
 
 
 def _labels(x, path, size=None) -> tuple[str, ...]:
-    return tuple(_scalar(v, f"{path}[{i}]", str, "a label")
-                 for i, v in enumerate(_list(x, path, size)))
+    x = _list(x, path, size)
+    if all(isinstance(v, str) for v in x):
+        return tuple(x)
+    return tuple(_scalar(v, f"{path}[{i}]", str, "a label") for i, v in enumerate(x))
 
 
 def _lattice_from_dict(d: dict, path: str) -> H2Lattice:
@@ -248,15 +278,8 @@ def manifold_from_dict(d: dict, path: str = "model") -> ManifoldModel:
 
 
 def _entries_to_list(model: ManifoldModel, table: GWTable, arity: str) -> list:
-    out = []
-    for (idx, cls), val in table._store(arity).items():
-        out.append([
-            [model.labels[i] for i in idx],
-            [format_rational(x) for x in cls.coords],
-            format_rational(val),
-        ])
-    out.sort()
-    return out
+    return sorted([[model.labels[i] for i in idx], [format_rational(x) for x in cls.coords],
+                   format_rational(val)] for (idx, cls), val in table._store(arity).items())
 
 
 def gw_to_dict(model: ManifoldModel, table: GWTable) -> dict:
@@ -276,13 +299,14 @@ def _entry_dicts(d: dict, lattice: H2Lattice, path: str) -> dict:
     area and Chern number) is refused, where a dict would keep the last."""
     if not isinstance(d, dict):
         _fail(path, "a JSON object", d)
-    tables = {}
+    tables, classes = {}, {}  # classes: one per coordinate tuple
     for arity in ARITIES:
         entries, first = {}, {}
         for n, entry in enumerate(_list(d.get(arity, []), f"{path}.{arity}")):
             at = f"{path}.{arity}[{n}]"
             labels, coords, val = _list(entry, at, 3)
-            cls = lattice.cls(_rationals(coords, f"{at}[1]"))
+            coords = tuple(_rationals(coords, f"{at}[1]"))
+            cls = classes.get(coords) or classes.setdefault(coords, lattice.cls(coords))
             key = _labels(labels, f"{at}[0]") + (cls,)
             if first.setdefault(key, n) != n:
                 raise QhfibError(f"{at}: repeats the entry at {path}.{arity}[{first[key]}]")

@@ -21,7 +21,7 @@ Poincare duals of the invariants call `solve_pairing` directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from ._linalg import invert, multilinear
 from ._memo import kept
@@ -34,16 +34,12 @@ from .novikov import H2Class, H2Lattice, _exact, format_rational
 
 
 def koszul_sorted(indices, degrees):
-    """Sort index tuple, tracking the sign from swapping odd-degree slots."""
-    idx = list(indices)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                if degrees[idx[j]] % 2 and degrees[idx[j + 1]] % 2:
-                    sign = -sign
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-    return tuple(idx), sign
+    """The sorted index tuple and the Koszul sign of sorting it: -1 for each
+    pair of odd-degree slots out of order, the pairs a sort swaps."""
+    odd = [i for i in indices if degrees[i] % 2]
+    if len(odd) < 2:
+        return tuple(sorted(indices)), 1
+    return tuple(sorted(indices)), (-1) ** sum(a > b for a, b in combinations(odd, 2))
 
 
 def kunneth(first, second, deg1, deg2, at) -> dict:
@@ -112,7 +108,8 @@ class ManifoldModel:
         self.basis = tuple((str(lbl), int(d)) for lbl, d in basis)
         self.labels = tuple(lbl for lbl, _ in self.basis)
         self.degrees = tuple(d for _, d in self.basis)
-        if len(set(self.labels)) != len(self.labels):
+        self._index = {lbl: i for i, lbl in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
             raise ValueError(f"{name}: duplicate basis labels")
         self.pairing = [[_exact(x) for x in row] for row in pairing]
         self.h2: H2Lattice = h2
@@ -141,15 +138,13 @@ class ManifoldModel:
 
         self.triple: dict[tuple[int, int, int], Fraction] = {}
         for key, val in triple.items():
-            idx = tuple(self.label_index(x) if isinstance(x, str) else int(x) for x in key)
+            idx = tuple(map(self._slot, key))
             if len(idx) != 3:
                 raise ValueError(f"{name}: triple keys are 3-tuples")
             ck, sign = koszul_sorted(idx, self.degrees)
             val = sign * _exact(val)
-            if sum(self.degrees[i] for i in ck) != 4 * self.n:
-                raise ValueError(
-                    f"{name}: triple entry {key} has wrong total degree"
-                )
+            if sum(map(self.degrees.__getitem__, ck)) != 4 * self.n:
+                raise ValueError(f"{name}: triple entry {key} has wrong total degree")
             old = self.triple.get(ck)
             if old is not None and old != val:
                 raise ValueError(f"{name}: conflicting triple entries at {key}")
@@ -198,12 +193,16 @@ class ManifoldModel:
 
     def label_index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownBasisLabel(
                 f"{self.name}: unknown basis label {label!r} "
                 f"(have: {', '.join(self.labels)})"
             ) from None
+
+    def _slot(self, x) -> int:
+        """The basis index of a slot given by its label or by its index."""
+        return self.label_index(x) if isinstance(x, str) else int(x)
 
     def degree_of(self, i: int) -> int:
         return self.degrees[i]
@@ -354,7 +353,7 @@ class ManifoldModel:
         return QHClass(self, terms or {})
 
     def qh_basis(self, label: str) -> QHClass:
-        return QHClass(self, {self.h2.zero(): self.basis_vector(label)})
+        return QHClass._canonical(self, {self.h2.zero(): tuple(self.basis_vector(label))})
 
     def qh_from_vector(self, v) -> QHClass:
         return QHClass(self, {self.h2.zero(): list(v)})
@@ -381,6 +380,14 @@ class QHClass:
                 out[e] = vec
         self.terms = out
 
+    @classmethod
+    def _canonical(cls, model, terms) -> QHClass:
+        """A class on terms already in the constructor's form (nonzero tuples
+        of exact scalars, one per basis class), taken as they are."""
+        q = object.__new__(cls)
+        q.model, q.terms = model, terms
+        return q
+
     def __add__(self, other: QHClass) -> QHClass:
         if self.model is not other.model:
             raise ValueError("classes belong to different models")
@@ -393,7 +400,8 @@ class QHClass:
         return QHClass(self.model, out)
 
     def __neg__(self) -> QHClass:
-        return QHClass(self.model, {e: [-x for x in v] for e, v in self.terms.items()})
+        return QHClass._canonical(
+            self.model, {e: tuple(-x for x in v) for e, v in self.terms.items()})
 
     def __sub__(self, other: QHClass) -> QHClass:
         return self + (-other)
@@ -404,14 +412,12 @@ class QHClass:
 
     def shift(self, e: H2Class) -> QHClass:
         """Multiply by e^e (tensoring with a Novikov exponential)."""
-        return QHClass(self.model, {k + e: list(v) for k, v in self.terms.items()})
+        return QHClass._canonical(self.model, {k + e: v for k, v in self.terms.items()})
 
     def truncate(self, cutoff) -> QHClass:
         cutoff = _exact(cutoff)
-        return QHClass(
-            self.model,
-            {e: list(v) for e, v in self.terms.items() if e.omega >= -cutoff},
-        )
+        return QHClass._canonical(
+            self.model, {e: v for e, v in self.terms.items() if e.omega >= -cutoff})
 
     def coefficient(self, e: H2Class) -> list[Fraction]:
         return list(self.terms.get(e, self.model.zero_vector()))

@@ -38,9 +38,7 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         match = _RATIONAL.fullmatch(text.strip())
         if not match:
-            raise QhfibError(
-                f"not an exact rational: {text!r} (write p/q, not a decimal)"
-            )
+            raise QhfibError(f"not an exact rational: {text!r} (write p/q, not a decimal)")
         try:
             return Fraction(int(match[1]), int(match[2] or 1))
         except ZeroDivisionError:
@@ -181,9 +179,7 @@ class H2Class:
         return all(c.denominator == 1 for c in self.coords)
 
     def is_spherical(self) -> bool:
-        return all(
-            c == 0 or s for c, s in zip(self.coords, self.lattice.spherical)
-        )
+        return all(c == 0 or s for c, s in zip(self.coords, self.lattice.spherical))
 
     def embedded(self) -> list[Fraction]:
         """Coordinates in the ambient degree-2 homology basis."""
@@ -245,9 +241,7 @@ class NovikovElement:
 
     def __mul__(self, other) -> NovikovElement:
         if isinstance(other, (int, Fraction)):
-            return NovikovElement(
-                self.lattice, {e: a * other for e, a in self.terms.items()}
-            )
+            return NovikovElement(self.lattice, {e: a * other for e, a in self.terms.items()})
         out: dict[H2Class, int | Fraction] = {}
         for e1, a1 in self.terms.items():
             for e2, a2 in other.terms.items():
@@ -270,9 +264,7 @@ class NovikovElement:
 def nov_truncate(x: NovikovElement, cutoff) -> NovikovElement:
     """Drop terms below the energy window: keep e^E with omega(E) >= -cutoff."""
     cutoff = _exact(cutoff)
-    return NovikovElement(
-        x.lattice, {e: a for e, a in x.terms.items() if e.omega >= -cutoff}
-    )
+    return NovikovElement(x.lattice, {e: a for e, a in x.terms.items() if e.omega >= -cutoff})
 
 
 def nov_invert(x: NovikovElement, cutoff) -> NovikovElement:
@@ -293,9 +285,7 @@ def nov_invert(x: NovikovElement, cutoff) -> NovikovElement:
     e0 = leaders[0]
     a0 = x.terms[e0]
     if (-e0).omega < -cutoff:
-        raise CutoffTooSmall(
-            "the inverse's leading term already falls outside the cutoff window"
-        )
+        raise CutoffTooSmall("the inverse's leading term already falls outside the cutoff window")
     # x = a0 e^{e0} (1 + r) with every term of r of strictly negative area
     r = NovikovElement(
         x.lattice,

@@ -41,6 +41,11 @@ def check(failures, skips=()) -> dict:
     return {"status": "pass", "details": []}
 
 
+def copied(report) -> dict:
+    """A fresh copy of a check record, as a kept one is handed out."""
+    return {"status": report["status"], "details": list(report["details"])}
+
+
 def step(report, name, passed, detail=""):
     """Append the line "name: pass|fail (detail)" to a check record; a
     failing step fails the record."""
@@ -109,10 +114,7 @@ class GWTable:
                 idx = tuple(idx[0])
             if len(idx) != _SLOTS[arity]:
                 raise ValueError(f"{arity} keys need {_SLOTS[arity]} insertions")
-            idx = tuple(
-                self.model.label_index(i) if isinstance(i, str) else int(i)
-                for i in idx
-            )
+            idx = tuple(map(self.model._slot, idx))
             if cls.lattice is not self.model.h2:
                 # a class on another lattice never equals a query's: it would read as 0
                 labels = ",".join(self.model.labels[i] for i in idx)
@@ -124,7 +126,7 @@ class GWTable:
                 want = wants[cls.coords] = self._dim_target(arity, self._key_c1(cls))
             ck, sign = koszul_sorted(idx, self.model.degrees)
             val = sign * _exact(val)
-            total = sum(self.model.degrees[i] for i in ck)
+            total = sum(map(self.model.degrees.__getitem__, ck))
             if total != want:
                 labels = ",".join(self.model.labels[i] for i in ck)
                 raise DimensionRuleViolation(
@@ -611,17 +613,9 @@ class QuantumRing:
     def qh_plus_member(self, q: QHClass) -> bool:
         """Every term has dimension below the top, or top-dimensional with
         strictly positive energy (exponent of negative area)."""
-        top = 2 * self.model.n
-        for e, vec in q.terms.items():
-            for i, x in enumerate(vec):
-                if x == 0:
-                    continue
-                if self.model.degrees[i] < top:
-                    continue
-                if e.omega < 0:
-                    continue
-                return False
-        return True
+        top, degrees = 2 * self.model.n, self.model.degrees
+        return all(degrees[i] < top or e.omega < 0
+                   for e, vec in q.terms.items() for i, x in enumerate(vec) if x != 0)
 
     def qh_plus_closure_report(self, cutoff) -> dict:
         """Products of generators of the energy-positive part stay inside.
@@ -660,10 +654,7 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
                 "(triple_complete is false)"
             )
     name = name or f"{m1.name}x{m2.name}"
-    basis = []
-    for la, da in m1.basis:
-        for lb, db in m2.basis:
-            basis.append((f"{la}|{lb}", da + db))
+    basis = [(f"{la}|{lb}", da + db) for la, da in m1.basis for lb, db in m2.basis]
     k1, k2 = len(m1.basis), len(m2.basis)
 
     def cross(first, second):
@@ -672,14 +663,8 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
     pairing = graded_matrix(cross(m1.pairing_entries(), m2.pairing_entries()),
                             [d for _, d in basis])
     gens = list(m1.h2.generators)
-    gens2 = []
-    for g in m2.h2.generators:
-        gens2.append(g if g not in gens else f"{g}'")
-    deg2 = []
-    for i in range(k1):
-        for j in range(k2):
-            if m1.degrees[i] + m2.degrees[j] == 2:
-                deg2.append((i, j))
+    gens2 = [g if g not in gens else f"{g}'" for g in m2.h2.generators]
+    deg2 = [(i, j) for i in range(k1) for j in range(k2) if m1.degrees[i] + m2.degrees[j] == 2]
     if m1.h2.embed is None or m2.h2.embed is None:
         raise ValueError("tensor models need embedded lattices on both factors")
     # a factor's degree-2 class times the other factor's point

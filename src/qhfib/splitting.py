@@ -58,11 +58,8 @@ def correction_valid(degrees, q, lam) -> bool:
     """The corrected self-pairing vanishes:
     q_ij + lam_ij (-1)^{d_j} + lam_ji = 0 for all i, j."""
     k = len(degrees)
-    for i in range(k):
-        for j in range(k):
-            if Fraction(q[i][j]) + lam[i][j] * (-1) ** degrees[j] + lam[j][i] != 0:
-                return False
-    return True
+    return all(Fraction(q[i][j]) + lam[i][j] * (-1) ** degrees[j] + lam[j][i] == 0
+               for i in range(k) for j in range(k))
 
 
 def corrected_splitting(fib: FibrationModel) -> FibrationModel:
@@ -73,11 +70,10 @@ def corrected_splitting(fib: FibrationModel) -> FibrationModel:
     f = fib.fiber
     lam = splitting_correction(f.degrees, f.n, q)
     dual = f.dual_basis()
-    new_s = []
-    for lam_i, row in zip(lam, fib.splitting_map):
-        fix = apply(apply(lam_i, dual, len(f.basis)), fib.iota, len(fib.total.basis))
-        new_s.append([x + y for x, y in zip(row, fix)])
-    return fib.replace(splitting=new_s)
+    fixes = (apply(apply(lam_i, dual, len(f.basis)), fib.iota, len(fib.total.basis))
+             for lam_i in lam)
+    return fib.replace(splitting=[[x + y for x, y in zip(row, fix)]
+                                  for row, fix in zip(fib.splitting_map, fixes)])
 
 
 def ring_split_check(fib: FibrationModel, cutoff) -> dict:
@@ -98,9 +94,7 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
         for arity in ("two_point", "three_point", "four_point_chi"):
             for (idx, cls), val in table._store(arity).items():
                 names = ",".join(table.model.labels[i] for i in idx)
-                offending.append(
-                    f"{label} {arity} ({names}; {cls!r}) = {format_rational(val)}"
-                )
+                offending.append(f"{label} {arity} ({names}; {cls!r}) = {format_rational(val)}")
     if offending:
         return {"status": "skip", "details": offending}
     report = check([])

@@ -6,9 +6,9 @@ fibration or a bare (manifold model, invariant table) pair; a pair gets only
 the checks that need no fibration. Each check is stored as the record
 {"status": pass|fail|skip, "details"} that every report returns. Skips flag
 data the tables genuinely cannot answer; they are never failures. A report
-method raises TableIncomplete when a whole check lacks data, and the loop
-records that as a skip. Reports serialize to stable JSON so runs can be
-diffed.
+method raises TableIncomplete (or MissingInput, for optional model data)
+when a whole check lacks data, and the loop records that as a skip.
+Reports serialize to stable JSON so runs can be diffed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from ._memo import kept
 from .errors import (
     DegeneratePairing,
     Inconsistent,
+    MissingInput,
     NotInvertible,
     QhfibError,
     TableIncomplete,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fibration import FibrationModel, compose, mirror
 from .novikov import _exact, format_rational
-from .quantum import QuantumRing, check
+from .quantum import QuantumRing, check, copied
 from .splitting import ring_split_check, verify_product_pattern
 
 
@@ -89,8 +90,7 @@ def _ring_splitting(fib, cutoff):
 
 # fixed per (fibration, cutoff) as the mirror is, so a passing record is
 # kept, and each caller gets its own copy; a failing one is computed again
-@kept(keep=lambda rep: rep["status"] == "pass",
-      copy=lambda rep: {"status": rep["status"], "details": list(rep["details"])})
+@kept(keep=lambda rep: rep["status"] == "pass", copy=copied)
 def _mirror_composition(fib, cutoff):
     try:
         rev = mirror(fib, cutoff)
@@ -156,7 +156,7 @@ _CHECKS = {
 
 def _run_checks(suite, obj, cutoff) -> dict:
     """One suite's records in table order; a check whose data the tables
-    lack (TableIncomplete) is recorded as a skip."""
+    or the model lack (TableIncomplete, MissingInput) is recorded as a skip."""
     fibration = isinstance(obj, FibrationModel)
     rows = [row for row in _CHECKS[suite] if fibration or row[1] != "fibration"]
     if not rows:
@@ -167,7 +167,7 @@ def _run_checks(suite, obj, cutoff) -> dict:
             ring = obj.fiber_ring if fibration else QuantumRing(*obj)
         try:
             result = body(ring if takes == "ring" else obj, cutoff)
-        except TableIncomplete as exc:
+        except (TableIncomplete, MissingInput) as exc:
             result = check([], [str(exc)])
         if result is not None:
             checks[name] = result
@@ -187,9 +187,7 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 def run_suite(obj, suite: str, cutoff) -> VerificationReport:
     """obj is a FibrationModel or a (ManifoldModel, GWTable) pair."""
     if suite not in SUITE_NAMES:
-        raise UnknownSuite(
-            f"unknown suite {suite!r}; have {', '.join(SUITE_NAMES)}"
-        )
+        raise UnknownSuite(f"unknown suite {suite!r}; have {', '.join(SUITE_NAMES)}")
     if cutoff is None and suite in NEEDS_CUTOFF:
         raise QhfibError(f"suite {suite!r} multiplies classes and needs a cutoff")
     cutoff = None if cutoff is None else _exact(cutoff)

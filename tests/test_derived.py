@@ -194,7 +194,7 @@ def test_a_raising_mirror_build_raises_again(monkeypatch):
 
 def test_a_failed_restriction_build_is_not_kept(monkeypatch, builds):
     fib = catalog.build("ruled")
-    monkeypatch.setattr(fibration, "solve", lambda a, b: None)
+    monkeypatch.setattr(fibration, "solved", lambda reduced, b: None)
     texts = set()
     for _ in range(3):
         with pytest.raises(Inconsistent) as err:

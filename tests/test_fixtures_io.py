@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhfib import QhfibError, UnknownBasisLabel, catalog, run_suite
+from qhfib import QhfibError, UnknownBasisLabel, catalog, fixtures, run_suite
 from qhfib.cli import main
 from qhfib.fixtures import (
     format_lin,
@@ -21,6 +22,7 @@ from qhfib.fixtures import (
     save,
     to_dict,
 )
+from qhfib.novikov import format_rational, parse_rational
 from qhfib.quantum import ARITIES
 from tests.conftest import BUILTINS, CUTOFF
 
@@ -390,3 +392,106 @@ def test_shuffled_table_entries_give_the_same_check_statuses(name):
         return {check: c["status"] for check, c in run_suite(fib, "all", CUTOFF).checks.items()}
 
     assert statuses(from_dict(d)) == statuses(catalog.build(name))
+
+
+# -- the loader's fast paths -----------------------------------------------------
+
+
+def set_node(d, path, value):
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def json_path(path):
+    """The path text the loader names: keys joined by dots, indices in brackets."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (f".{key}" if text else key)
+    return text
+
+
+def scalar_rule(value, path):
+    """The scalar rule the loader kept before its int fast path: a JSON
+    string or integer through parse_rational, anything else refused by path."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise QhfibError(f'{path}: expected a rational such as "1/3", got {json.dumps(value)}')
+    return parse_rational(value)
+
+
+def outcome(d):
+    try:
+        return "loads", to_dict(from_dict(d))
+    except (QhfibError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+SCALARS = ("+3", "-0", "007", " 3 ", "3/6", "1_0", "٣", True, 1.5, "")
+# a lone scalar, a list element, a matrix cell and a table value
+SCALAR_PATHS = (("base_area",), ("sigma_ref", 0), ("total", "pairing", 0, 7),
+                ("vertical_gw", "two_point", 0, 2))
+
+
+@pytest.mark.parametrize("value", SCALARS)
+@pytest.mark.parametrize("path", SCALAR_PATHS)
+def test_a_scalar_loads_as_parse_rational_reads_it(path, value):
+    """Read through from_dict, a scalar gives what parse_rational gives (an
+    int when integral), or the error text the old rule raised."""
+    d = fixture_dict("ruled")
+    set_node(d, path, value)
+    try:
+        want = scalar_rule(value, json_path(path))
+    except QhfibError as exc:
+        with pytest.raises(QhfibError) as err:
+            from_dict(d)
+        assert str(err.value) == str(exc)
+        return
+    same = fixture_dict("ruled")
+    set_node(same, path, format_rational(want))
+    assert outcome(d) == outcome(same)
+    if path == ("base_area",):
+        got = from_dict(d).base_area
+        assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("path", (("total", "h2", "generators"), ("fiber", "triple", 1),
+                                  ("vertical_gw", "three_point", 2, 0)))
+def test_a_label_list_names_its_first_non_string_element(path):
+    d = fixture_dict("ruled")
+    node = d
+    for key in path:
+        node = node[key]
+    for i in range(3):
+        bad = json.loads(json.dumps(d))
+        set_node(bad, path + (i,), 99)
+        if i < 2:  # a later bad element too: the first one is named
+            set_node(bad, path + (2,), [])
+        with pytest.raises(QhfibError) as err:
+            from_dict(bad)
+        assert str(err.value) == f"{json_path(path)}[{i}]: expected a label, got 99"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_loading_a_shipped_fixture_parses_only_its_non_integral_scalars(name, monkeypatch):
+    """A count, not a timing: integral scalars load as int without
+    parse_rational, so it reads exactly the p/q strings, none integral."""
+    text = (FIXTURES / f"{name}.json").read_text()
+    fractions = re.findall(r'"(-?\d+/\d+)"', text)
+    assert all(Fraction(s).denominator != 1 for s in fractions)
+    seen = []
+    monkeypatch.setattr(fixtures, "parse_rational",
+                        lambda x: seen.append(x) or parse_rational(x))
+    from_dict(json.loads(text))
+    assert sorted(seen) == sorted(fractions)
+
+
+@pytest.mark.parametrize("where, row", ((("iota", 3), ["1"]),
+                                        (("splitting", 3), ["0", "0", "0", "1"])))
+def test_an_image_row_of_the_wrong_width_is_a_data_error(where, row):
+    """A short row of the right degree, which once crashed the priming check."""
+    d = fixture_dict("ruled")
+    set_node(d, where, row)
+    with pytest.raises(ValueError, match="^ruled-loop: iota/splitting images need one entry "
+                                         "per total class$"):
+        from_dict(d)

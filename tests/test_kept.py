@@ -45,12 +45,18 @@ CALLS = {
     "QuantumRing.basis_product": (
         QuantumRing, lambda r, c: [(i, j, c) for i in range(len(r.model.basis))
                                    for j in range(len(r.model.basis))]),
+    "FibrationModel.fiber_class_from_total": (
+        FibrationModel, lambda f, c: [(cls,) for t in (f.vertical_gw, f.section_gw)
+                                      for a in ARITIES for cls in t.known_key_classes(a)]),
+    "FibrationModel._lattice_embed_inverse": (FibrationModel, lambda f, c: [()]),
     "FibrationModel._loop": (
         FibrationModel, lambda f, c: [(a,) for a in ("two_point", "three_point")
                                       if f.section_gw.window(a) is not None]),
     "FibrationModel._seidel": (FibrationModel, lambda f, c: [(c,)]),
     "FibrationModel.fiber_restriction_matrix": (FibrationModel, lambda f, c: [()]),
+    "FibrationModel._iota_reduction": (FibrationModel, lambda f, c: [()]),
     "FibrationModel._iota_preimages": (FibrationModel, lambda f, c: [()]),
+    "FibrationModel.wang_report": (FibrationModel, lambda f, c: [()]),
     "mirror": (FibrationModel, lambda f, c: [(c,)]),
     "_mirror_composition": (FibrationModel, lambda f, c: [(c,)]),
 }
@@ -131,8 +137,11 @@ def held(owner, fn, args):
 
 
 def moved(args, owner):
-    """args with each class re-keyed onto the lattice of owner's model."""
-    return tuple(owner.model.h2.cls(a.coords) if isinstance(a, H2Class) else a for a in args)
+    """args with each class re-keyed onto the lattice of owner's model (a
+    fibration's: its total space's)."""
+    def lattice():
+        return (owner.total if isinstance(owner, FibrationModel) else owner.model).h2
+    return tuple(lattice().cls(a.coords) if isinstance(a, H2Class) else a for a in args)
 
 
 def assert_warm_equals_fresh(make, cutoff):

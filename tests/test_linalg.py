@@ -1,7 +1,8 @@
 """Sparse elimination against the dense Gauss-Jordan reference it replaced.
 
-The reduced row echelon form is unique, so rref, rank, solve and invert
-must give exactly the reference's answers on every matrix, singular or not.
+The reduced row echelon form is unique, so rref, rank, solve (also from a
+kept `reduction`) and invert must give exactly the reference's answers on
+every matrix, singular or not.
 The vector-times-matrix and slot-sum helpers are checked against dense sums.
 """
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhfib._linalg import apply, invert, multilinear, rank, rref, solve
+from qhfib._linalg import apply, invert, multilinear, rank, reduction, rref, solve, solved
 
 
 def ref_rref(a):
@@ -133,9 +134,10 @@ def test_solve_matches_the_dense_reference_on_consistent_and_inconsistent_system
         x0 = [random_entry(rng, 0.7) for _ in range(cols)]
         consistent = [sum((r * x for r, x in zip(row, x0)), Fraction(0)) for row in a]
         arbitrary = [random_entry(rng, 0.5) for _ in a]
+        reduced = reduction(a)
         for b in (consistent, arbitrary):
             got = solve(a, b)
-            assert got == ref_solve(a, b)
+            assert got == ref_solve(a, b) == solved(reduced, b)
             seen["solved" if got is not None else "none"] += 1
         assert solve(a, consistent) is not None
     assert seen["solved"] and seen["none"]
@@ -164,6 +166,8 @@ def test_edge_shapes():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     assert rref(zero) == ref_rref(zero)
     assert solve(zero, [Fraction(0), Fraction(1)]) is None
+    assert solved(reduction(zero), [Fraction(0), Fraction(1)]) is None
+    assert solved(reduction(zero), [Fraction(0), Fraction(0)]) == [0, 0, 0]
 
 
 def test_apply_is_the_dense_row_vector_times_matrix_product():

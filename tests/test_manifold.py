@@ -1,5 +1,6 @@
 """Classical layer: basis bookkeeping, pairing, triple form, cap products."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,32 @@ def test_koszul_sorting_tracks_odd_swaps():
     # two odd-degree slots swap with a sign
     assert koszul_sorted((1, 0), (1, 1)) == ((0, 1), -1)
     assert koszul_sorted((1, 0), (2, 1)) == ((0, 1), 1)
+
+
+def bubble_koszul_sorted(indices, degrees):
+    """The bubble sort koszul_sorted once was, kept as the reference: each
+    swap of two adjacent odd-degree slots flips the sign."""
+    idx, sign = list(indices), 1
+    for i in range(len(idx)):
+        for j in range(len(idx) - 1 - i):
+            if idx[j] > idx[j + 1]:
+                if degrees[idx[j]] % 2 and degrees[idx[j + 1]] % 2:
+                    sign = -sign
+                idx[j], idx[j + 1] = idx[j + 1], idx[j]
+    return tuple(idx), sign
+
+
+def test_koszul_sorting_matches_the_bubble_sort_on_every_short_key():
+    """Every key of up to four slots, repeats included, over five classes of
+    mixed parity; the degree lists put the odd classes in every position."""
+    seen = set()
+    for degrees in ((0, 1, 2, 3, 4), (1, 2, 1, 3, 2), (2, 3, 3, 2, 1), (1, 1, 1, 1, 1)):
+        for size in range(5):
+            for key in itertools.product(range(5), repeat=size):
+                got = koszul_sorted(key, degrees)
+                assert got == bubble_koszul_sorted(key, degrees), (key, degrees)
+                seen.add(got[1])
+    assert seen == {1, -1}
 
 
 def test_basis_lookup(surface):

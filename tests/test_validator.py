@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from qhfib import (
     fibration,
     run_suite,
 )
+from qhfib.cli import main
 from qhfib.fixtures import from_dict, to_dict
 from tests.conftest import BUILTINS, CUTOFF
 
@@ -234,3 +236,30 @@ def test_a_passing_mirror_composition_solves_only_the_mirror_inverse(name, monke
     rep = run_suite(catalog.build(name), "compose", CUTOFF)
     assert rep.checks["mirror-composition"]["details"][-1] == "reverse loop cancels"
     assert len(solves) == 1  # the mirror's Seidel inverse; the composite is the identity
+
+
+def test_a_missing_lattice_embedding_skips_only_the_checks_that_read_it(tmp_path, capsys):
+    """Without total.h2.embed the mirror cannot be built: mirror-composition
+    skips, and the rest of the report comes out as on the unedited file,
+    but for the two divisor checks, which read the embedding too."""
+    original = Path(__file__).resolve().parent.parent / "fixtures" / "sphere-product.json"
+    d = json.loads(original.read_text())
+    del d["total"]["h2"]["embed"]
+    edited = tmp_path / "sphere-product-unembedded.json"
+    edited.write_text(json.dumps(d))
+
+    def checks(path):
+        argv = ["verify", "--fixture", str(path), "--suite", "all", "--cutoff", "6"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("suite all: ok\n")
+        assert main(argv + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    before, after = checks(original), checks(edited)
+    assert list(after) == list(before)
+    assert after.pop("mirror-composition") == {
+        "status": "skip", "details": ["spherexS2: mirror needs an embedded total lattice"]}
+    divisor = {"status": "skip",
+               "details": ["no degree-2 embedding on the lattice: divisor axiom unchecked"]}
+    assert after.pop("vertical-axioms") == after.pop("section-divisor") == divisor
+    assert {k: c["status"] for k, c in after.items()} == {k: before[k]["status"] for k in after}
