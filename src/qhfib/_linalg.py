@@ -1,58 +1,76 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra under the scalar rule: every answer is an int when
+integral and a Fraction otherwise, never a float (`_exact`).
 
 Matrices come in dense (lists of rows) and go out dense, but elimination
 runs on sparse rows, each a {column: value} dict of its nonzero entries,
 so work grows with the nonzeros touched, not with the matrix area. The
-systems are small: pairings, lattice coordinates and the homology maps of
-a fibration. Pivoting is deterministic: the first row at or below the
-current one that holds the column wins, so repeated runs give identical
-reduced forms and the "first/minimal" tie-breaking rules elsewhere in the
-package are stable.
+systems are small and mostly unimodular integer ones: a pivot row divides
+in ints, and only a quotient that is not an integer becomes a Fraction.
+Pivoting is deterministic: the first row at or below the current one that
+holds the column wins, so repeated runs give identical reduced forms and
+the "first/minimal" tie-breaking rules elsewhere in the package are stable.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import prod
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list[int | Fraction]]
+Vector = list[int | Fraction]
+
+
+def _exact(x):
+    """x under the scalar rule: an int as it is, an integral Fraction as its
+    numerator, another Fraction as it is, anything else through Fraction(x)."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(x, d):
+    """x / d under the scalar rule: an int when both are ints and d divides x."""
+    if type(x) is int and type(d) is int:
+        return Fraction(x, d) if x % d else x // d
+    return _exact(x / d)
 
 
 def zeros(n: int, m: int) -> Matrix:
-    return [[Fraction(0)] * m for _ in range(n)]
+    return [[0] * m for _ in range(n)]
 
 
 def identity(n: int) -> Matrix:
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
 def apply(v, rows, width) -> Vector:
     """The row vector v times the matrix rows (one row of the given width
     per coordinate of v): sum of x rows[i] over the nonzero x = v[i], zeros skipped."""
-    out = [Fraction(0)] * width
+    out = [0] * width
     for x, row in zip(v, rows):
         if x:
             for t, y in enumerate(row):
                 if y:
                     out[t] += x * y
-    return out
+    return [x if type(x) is int else _exact(x) for x in out]
 
 
-def multilinear(read, *vectors) -> Fraction:
+def multilinear(read, *vectors):
     """Sum of x_1 x_2 ... read(t_1, t_2, ...) over the nonzero coordinates
     x_s = vectors[s][t_s], slots read in order with the first vector
     outermost, so the first raising read raises first; a read of 0 adds
     no product."""
     supports = [[(t, x) for t, x in enumerate(v) if x] for v in vectors]
-    total = Fraction(0)
+    total = 0
     for combo in product(*supports):
         value = read(*[t for t, _ in combo])
         if value:
             total += prod([x for _, x in combo], start=value)
-    return total
+    return _exact(total)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -60,7 +78,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     if not a:
         return [], []
     cols = len(a[0])
-    m = [{j: x for j, x in enumerate(row) if x} for row in a]
+    m = [{j: x if type(x) is int else _exact(x) for j, x in enumerate(row) if x} for row in a]
     rows = len(m)
     pivots: list[int] = []
     r = 0
@@ -69,8 +87,9 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        prow = m[r] = {j: Fraction(x) / inv for j, x in m[r].items()}  # int / int is a float
+        inv, prow = m[r][c], m[r]
+        if inv != 1:
+            prow = m[r] = {j: _quotient(x, inv) for j, x in prow.items()}
         for i in range(rows):
             row = m[i]
             if i != r and c in row:
@@ -85,13 +104,10 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    zero = Fraction(0)
-    out = []
-    for row in m:
-        dense = [zero] * cols
+    out = [[0] * cols for _ in m]
+    for dense, row in zip(out, m):
         for j, x in row.items():
-            dense[j] = x
-        out.append(dense)
+            dense[j] = x if type(x) is int else _exact(x)
     return out, pivots
 
 
@@ -103,12 +119,11 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b with free variables set to 0, or None."""
     if not a:
         return [] if all(x == 0 for x in b) else None
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
     cols = len(a[0])
+    red, pivots = rref([row + [v] for row, v in zip(a, b)])
     if cols in pivots:  # pivot in the constants column: inconsistent
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
@@ -137,10 +152,10 @@ def solved(reduced, b) -> Vector | None:
                 y[r] += x * v
     if any(y[len(pivots):]):
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for r, c in enumerate(pivots):
         x[c] = y[r]
-    return x
+    return [v if type(v) is int else _exact(v) for v in x]
 
 
 def invert(a: Matrix) -> Matrix | None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._linalg import identity
 from .fibration import FibrationModel
 from .manifold import ManifoldModel
 from .novikov import H2Lattice, parse_rational
@@ -87,11 +88,7 @@ def ruled_surface_loop(kappa=1) -> FibrationModel:
         omega=(Fraction(2), kappa, eps - 1),
         c1=(Fraction(2), Fraction(-1), Fraction(-1)),
         spherical=(True, False, True),
-        embed=(
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        ),
+        embed=identity(3),
     )
     #        pt F  T  S  M  Zm Zp P
     pairing = [
@@ -192,7 +189,7 @@ def sphere_rotation(area=1, primed=False) -> FibrationModel:
         omega=(area, -area / 2),
         c1=(Fraction(2), Fraction(-1)),
         spherical=(True, True),
-        embed=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        embed=identity(2),
     )
     #        pt F  S  P
     pairing = [
@@ -239,7 +236,7 @@ def quantum_trivial_fiber():
         omega=(Fraction(1), Fraction(1)),
         c1=(Fraction(0), Fraction(0)),
         spherical=(False, False),
-        embed=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        embed=identity(2),
     )
     pairing = [
         [0, 0, 0, 1],

@@ -219,7 +219,7 @@ class FibrationModel:
         the constructor checked that iota_h2 keeps both on every generator,
         and both are linear."""
         coords = apply(b.coords, self.iota_h2, len(self.total.h2.generators))
-        return H2Class(self.total.h2, tuple(map(_exact, coords)), b.omega, b.c1)
+        return H2Class(self.total.h2, tuple(coords), b.omega, b.c1)
 
     @kept
     def fiber_class_from_total(self, c: H2Class) -> H2Class | None:
@@ -227,13 +227,7 @@ class FibrationModel:
         or None; well defined up to the identification. Kept per class."""
         lat = self.fiber.h2
         sph = lat.spherical_indices()
-        if not sph:
-            return lat.zero() if (c.omega == 0 and c.c1 == 0) else None
-        a = [
-            [lat.omega[i] for i in sph],
-            [lat.c1[i] for i in sph],
-        ]
-        x = solve(a, [c.omega, c.c1])
+        x = solve([[lat.omega[i] for i in sph], [lat.c1[i] for i in sph]], [c.omega, c.c1])
         return None if x is None else _spherical_class(lat, x)
 
     def push_forward(self, a: QHClass, matrix) -> QHClass:
@@ -362,9 +356,10 @@ class FibrationModel:
 
     # -- normalized section ---------------------------------------------------
 
+    @kept
     def sigma_phi(self) -> H2Class:
         """The section class normalized against the coupling class (and the
-        vertical Chern class when the spherical directions allow both)."""
+        vertical Chern class when the spherical directions allow both), kept."""
         b = _normalizing_class(self.fiber.h2, self.sigma_ref.omega, self.sigma_ref.c1, self.name)
         return self.sigma_ref + self.iota_h2_class(b)
 
@@ -451,13 +446,11 @@ class FibrationModel:
     @kept
     def _iota_reduction(self):
         """iota transposed, reduced once for every preimage (`_linalg.reduction`)."""
-        columns, pivots, cols = reduction([list(col) for col in zip(*self.iota)])
-        return [[(r, _exact(x)) for r, x in col] for col in columns], pivots, cols
+        return reduction([list(col) for col in zip(*self.iota)])
 
     def _iota_preimage(self, vec):
         """The fiber vector x with iota(x) = vec, or None."""
-        x = solved(self._iota_reduction(), vec)
-        return None if x is None else list(map(_exact, x))
+        return solved(self._iota_reduction(), vec)
 
     @kept
     def _iota_preimages(self) -> tuple:
@@ -651,7 +644,7 @@ class FibrationModel:
             raise QhfibError(
                 f"{self.name}: lattice generators must form a basis of degree-2 homology"
             )
-        return [list(map(_exact, row)) for row in inv]
+        return inv
 
     def _covector_on_deg2(self, values):
         """The covector on the degree-2 basis with the given generator values."""
@@ -779,6 +772,7 @@ class LoopComposite:
         self.u0 = u0
         self.c0 = c0
         self.window = window
+        self._kept = {}
 
     def psi_operator(self, cutoff, offset: H2Class | None = None) -> PsiOperator:
         cutoff = _exact(cutoff)
@@ -791,6 +785,7 @@ class LoopComposite:
             )
         return self.loop.shifted(offset, cutoff)
 
+    @kept
     def normalized_offset(self) -> H2Class:
         return _normalizing_class(self.fiber.h2, self.u0, self.c0, self.name)
 

@@ -172,7 +172,7 @@ def _number(x):
     path: a JSON integer as it is, and a string of decimal digits (any
     script's, as parse_rational reads them) with an optional minus sign by
     int; any other string through parse_rational. Anything else raises, as
-    a malformed string does, and the caller reads again with paths."""
+    a malformed string does, and the caller names the JSON path."""
     if type(x) is int:
         return x
     if type(x) is not str:
@@ -183,8 +183,9 @@ def _number(x):
 def _rational(x, path):
     try:
         return _number(x)
-    except QhfibError:
-        return _exact(parse_rational(_scalar(x, path, (str, int), 'a rational such as "1/3"')))
+    except QhfibError as exc:  # a wrong JSON type, else the string parse_rational refused
+        _scalar(x, path, (str, int), 'a rational such as "1/3"')
+        raise QhfibError(f"{path}: {exc}") from None
 
 
 def _list(x, path, size=None) -> list:

@@ -258,7 +258,7 @@ class ManifoldModel:
         if inv is None:
             raise DegeneratePairing(f"{self.name}: intersection pairing is singular")
         # e_i . f_j = sum_k inv[j][k] P_ik = (P inv^T)_ij = delta required
-        return [list(map(_exact, col)) for col in zip(*inv)]
+        return [list(col) for col in zip(*inv)]
 
     def triple_eval(self, i: int, j: int, k: int) -> Fraction:
         ck, sign = koszul_sorted((i, j, k), self.degrees)
@@ -353,7 +353,12 @@ class ManifoldModel:
         return QHClass(self, terms or {})
 
     def qh_basis(self, label: str) -> QHClass:
-        return QHClass._canonical(self, {self.h2.zero(): tuple(self.basis_vector(label))})
+        # the terms are kept, not the class: a kept class would hold its model, a cycle
+        return QHClass._canonical(self, self._basis_terms(label))
+
+    @kept
+    def _basis_terms(self, label: str) -> dict:
+        return {self.h2.zero(): tuple(self.basis_vector(label))}
 
     def qh_from_vector(self, v) -> QHClass:
         return QHClass(self, {self.h2.zero(): list(v)})

@@ -11,7 +11,8 @@ Novikov elements are finite sums sum_E a_E * e^E with rational coefficients
 and lattice-class exponents E. The valuation of e^E is -omega(E), so the
 energy filtration keeps e^{-B} with omega(B) <= cutoff, i.e. exponents with
 omega(E) >= -cutoff. Every stored scalar is an int when its denominator is
-1 and a Fraction otherwise, never a float (`_exact`).
+1 and a Fraction otherwise, never a float: `_linalg._exact`, the rule every
+`_linalg` answer follows, re-exported here for the rest of the package.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from ._linalg import apply
+from ._linalg import _exact, apply
 from .errors import CutoffTooSmall, NotInvertible, QhfibError
 
 
@@ -44,16 +45,6 @@ def parse_rational(text) -> Fraction:
         except ZeroDivisionError:
             raise QhfibError(f"zero denominator in {text!r}") from None
     raise QhfibError(f"not an exact rational: {text!r}")
-
-
-def _exact(x):
-    """x under the scalar rule: an int as it is, an integral Fraction as its
-    numerator, another Fraction as it is, anything else through Fraction(x)."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def format_rational(x) -> str:

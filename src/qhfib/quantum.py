@@ -25,7 +25,7 @@ from ._memo import kept
 from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
 from .manifold import (
     ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs)
-from .novikov import H2Class, NovikovElement, _exact, format_rational, nov_invert
+from .novikov import H2Class, H2Lattice, NovikovElement, _exact, format_rational, nov_invert
 
 ARITIES = ("two_point", "three_point", "four_point_chi")
 _SLOTS = {"two_point": 2, "three_point": 3, "four_point_chi": 4}
@@ -645,8 +645,6 @@ def tensor_model(m1: ManifoldModel, t1: GWTable, m2: ManifoldModel, t2: GWTable,
     cross product reads only declared entries. Lattice generators keep
     their names with factor suffixes only on collision.
     """
-    from .novikov import H2Lattice
-
     for m in (m1, m2):
         if not m.triple_complete:
             raise MissingTripleData(

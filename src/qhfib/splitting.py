@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from ._linalg import apply, invert
+from ._linalg import apply, identity, invert
 from .errors import QhfibError, TableIncomplete
 from .fibration import FibrationModel
 from .manifold import ManifoldModel, graded_matrix, kunneth
@@ -138,11 +138,10 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
     basis = [(lbl, img.classical()) for lbl, img in zip(f.labels, images)]
     for i, (lbl, x) in enumerate(basis):
         restr = apply(x, d, len(f.basis))
-        want = [Fraction(int(j == i)) for j in range(len(f.basis))]
-        if restr != want:
+        if restr != [int(j == i) for j in range(len(f.basis))]:
             step(
                 report, "restricts-to-identity", False,
-                f"s({lbl}) restricts to {restr}, not {lbl}",
+                f"s({lbl}) restricts to [{', '.join(map(format_rational, restr))}], not {lbl}",
             )
             break
     else:
@@ -248,9 +247,8 @@ def _product_layout(k):
     """The standard iota and splitting of a trivial bundle whose total basis
     is the fiber basis followed by its s(...) copies: e_i -> e_i and
     s(e_i) -> e_{k+i}."""
-    iota = [[int(t == i) for t in range(2 * k)] for i in range(k)]
-    split = [[int(t == k + i) for t in range(2 * k)] for i in range(k)]
-    return iota, split
+    rows = identity(2 * k)
+    return rows[:k], rows[k:]
 
 
 def product_fixture(fiber: ManifoldModel, fiber_gw: GWTable, base_area,

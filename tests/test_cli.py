@@ -601,11 +601,13 @@ def test_a_zero_denominator_is_a_usage_error(capsys, monkeypatch, tmp_path, argv
         monkeypatch.delenv("QHFIB_CUTOFF", raising=False)
     else:
         monkeypatch.setenv("QHFIB_CUTOFF", env)
+    # a fixture names the JSON path of the bad scalar
+    where = "" if argv else "fiber_gw.two_point[0][2]: "
     argv = argv or _fixture_with_a_zero_denominator(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: zero denominator in '") and err.endswith("/0'\n")
+    assert err.startswith(f"error: {where}zero denominator in '") and err.endswith("/0'\n")
 
 
 def test_a_mirror_that_is_not_a_unit_still_gives_a_report(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """The scalar rule: every stored exact rational is an int when its
 denominator is 1 and a Fraction otherwise, never a float. `_exact` applies
-it; `_linalg` still answers in Fractions, and a quotient of ints stays exact.
+it, `_linalg` answers under it, and a quotient of ints stays exact.
 A walk over the shipped models finds every stored scalar canonical, and a
 property test checks the class arithmetic against plain Fraction sums."""
 
@@ -49,7 +49,17 @@ def test_linalg_on_int_input_divides_exactly():
     inv = invert([[2, 0], [0, 1]])
     assert inv == [[Fraction(1, 2), 0], [0, 1]]
     for x in [*solve([[2]], [1]), *red[0], *inv[0], *inv[1]]:
-        assert type(x) is Fraction
+        assert canonical(x)
+    assert [type(x) for x in [*red[0], *inv[0], *inv[1]]] == [int, Fraction, Fraction, int, int, int]
+
+
+def test_linalg_divides_by_a_unit_or_an_even_pivot_in_ints():
+    red, pivots = rref([[-1, 3, 0], [2, 4, 6]])
+    assert red == [[1, 0, Fraction(9, 5)], [0, 1, Fraction(3, 5)]] and pivots == [0, 1]
+    rows = [*rref([[2, 4, -6], [0, 3, 9]])[0], *invert([[1, 2], [0, -1]]), solve([[3, 6]], [9]),
+            *rref([[Fraction(2), Fraction(4, 2)]])[0]]
+    assert rows == [[1, 0, -9], [0, 1, 3], [1, 2], [0, -1], [3, 0], [1, 1]]
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_nov_invert_of_two_is_one_half():

@@ -414,10 +414,14 @@ def json_path(path):
 
 def scalar_rule(value, path):
     """The scalar rule the loader kept before its int fast path: a JSON
-    string or integer through parse_rational, anything else refused by path."""
+    string or integer through parse_rational, anything else refused by path;
+    a string parse_rational refuses is named by its path too."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise QhfibError(f'{path}: expected a rational such as "1/3", got {json.dumps(value)}')
-    return parse_rational(value)
+    try:
+        return parse_rational(value)
+    except QhfibError as exc:
+        raise QhfibError(f"{path}: {exc}") from None
 
 
 def outcome(d):

@@ -14,7 +14,7 @@ import pytest
 import qhfib
 from qhfib import (
     FibrationModel, GWTable, ManifoldModel, QHClass, QuantumRing, catalog, mirror, run_suite)
-from qhfib.fibration import PsiOperator
+from qhfib.fibration import LoopComposite, PsiOperator, compose
 from qhfib.fixtures import from_dict, to_dict
 from qhfib.novikov import H2Class
 from qhfib.quantum import ARITIES
@@ -35,6 +35,7 @@ CALLS = {
     "ManifoldModel._pairing_columns": (ManifoldModel, lambda m, c: [()]),
     "ManifoldModel._scattered_triple": (ManifoldModel, lambda m, c: [()]),
     "ManifoldModel._cap_pair": (ManifoldModel, lambda m, c: basis_pairs(m)),
+    "ManifoldModel._basis_terms": (ManifoldModel, lambda m, c: [(lbl,) for lbl in m.labels]),
     "GWTable.by_class": (GWTable, lambda t, c: [(a,) for a in ARITIES]),
     "GWTable.known_key_classes": (GWTable, lambda t, c: [(a,) for a in ARITIES]),
     "GWTable._scattered": (
@@ -57,6 +58,8 @@ CALLS = {
     "FibrationModel._iota_reduction": (FibrationModel, lambda f, c: [()]),
     "FibrationModel._iota_preimages": (FibrationModel, lambda f, c: [()]),
     "FibrationModel.wang_report": (FibrationModel, lambda f, c: [()]),
+    "FibrationModel.sigma_phi": (FibrationModel, lambda f, c: [()]),
+    "LoopComposite.normalized_offset": (LoopComposite, lambda comp, c: [()]),
     "mirror": (FibrationModel, lambda f, c: [(c,)]),
     "_mirror_composition": (FibrationModel, lambda f, c: [(c,)]),
 }
@@ -85,12 +88,15 @@ KEPT = kept_functions()
 def owners(fib, cutoff, phase):
     """{path: object} of what keeps values: in phase 0 the fibration and
     the objects it holds, in phase 1 those of its mirror at the cutoff that
-    the fibration does not share (none when the mirror cannot be built)."""
+    the fibration does not share, in phase 2 the loop glued from the two
+    (none when the mirror or the loop cannot be built)."""
     mine = {"": fib, **{p: getattr(fib, p) for p in PARTS}}
     if phase == 0:
         return mine
     try:
         rev = mirror(fib, cutoff)
+        if phase == 2:
+            return {"composite": compose(fib, rev, cutoff)[0]}
     except qhfib.QhfibError:
         return {}
     ids = {id(x) for x in mine.values()}
@@ -152,7 +158,7 @@ def assert_warm_equals_fresh(make, cutoff):
         run_suite(warm, "all", cutoff)
     except qhfib.QhfibError:
         pass
-    for phase in (0, 1):
+    for phase in (0, 1, 2):
         fresh = owners(make(), cutoff, phase)
         for path, owner, fn, args in reads(warm, cutoff, phase):
             site = f"{path or 'fibration'}: {fn.__qualname__}{args}"
@@ -202,7 +208,7 @@ def test_every_kept_function_is_read_warm_and_fresh():
     reached = set()
     for name in BUILTINS:
         fib = catalog.build(name)
-        for phase in (0, 1):
+        for phase in (0, 1, 2):
             for _, owner, fn, args in reads(fib, CUTOFF, phase):
                 if attempt(fn, owner, args)[0] == "value":
                     reached.add(fn.__qualname__)

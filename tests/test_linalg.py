@@ -4,15 +4,26 @@ The reduced row echelon form is unique, so rref, rank, solve (also from a
 kept `reduction`) and invert must give exactly the reference's answers on
 every matrix, singular or not.
 The vector-times-matrix and slot-sum helpers are checked against dense sums.
+Every answer follows the scalar rule (an int when integral, else a
+Fraction, never a float), and on int, Fraction and mixed input it has the
+values of the Fraction-only elimination the integer one replaced.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qhfib._linalg import apply, invert, multilinear, rank, reduction, rref, solve, solved
+
+
+def canonical(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def ref_rref(a):
@@ -41,10 +52,10 @@ def ref_rref(a):
     return m, pivots
 
 
-def ref_solve(a, b):
+def ref_solve(a, b, elimination=ref_rref):
     if not a:
         return [] if all(x == 0 for x in b) else None
-    red, pivots = ref_rref([row[:] + [b[i]] for i, row in enumerate(a)])
+    red, pivots = elimination([row[:] + [b[i]] for i, row in enumerate(a)])
     cols = len(a[0])
     if cols in pivots:
         return None
@@ -54,10 +65,10 @@ def ref_solve(a, b):
     return x
 
 
-def ref_invert(a):
+def ref_invert(a, elimination=ref_rref):
     n = len(a)
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    red, pivots = ref_rref([a[i][:] + eye[i] for i in range(n)])
+    red, pivots = elimination([a[i][:] + eye[i] for i in range(n)])
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
@@ -181,7 +192,7 @@ def test_apply_is_the_dense_row_vector_times_matrix_product():
                     for t in range(cols)]
             got = apply(v, a, cols)
             assert got == want
-            assert all(type(x) is Fraction for x in got)
+            assert all(map(canonical, got))
 
 
 def test_multilinear_is_the_dense_slot_sum_read_in_order():
@@ -206,7 +217,7 @@ def test_multilinear_is_the_dense_slot_sum_read_in_order():
                 if coeff:
                     order.append(slots)
                     want += coeff * table[slots]
-            assert got == want and type(got) is Fraction
+            assert got == want and canonical(got)
             assert seen == order
 
 
@@ -223,3 +234,116 @@ def test_multilinear_raises_at_the_first_raising_slot():
     with pytest.raises(KeyError):
         multilinear(read, [one, one, one], [one, 0, one])
     assert reads == [(0, 0), (0, 2), (1, 0)]
+
+
+# -- the Fraction-only elimination the integer one replaced ---------------------
+# Every pivot row is divided through Fraction and every sum is seeded with
+# Fraction(0), so every answer is a Fraction: the values the scalar rule
+# must keep, in the old type. Its solve and invert are ref_solve and
+# ref_invert over fraction_rref.
+
+
+def fraction_rref(a):
+    if not a:
+        return [], []
+    cols = len(a[0])
+    m = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows = len(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if c in m[i]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        prow = m[r] = {j: Fraction(x) / inv for j, x in m[r].items()}
+        for i in range(rows):
+            row = m[i]
+            if i != r and c in row:
+                f = row[c]
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    out = []
+    for row in m:
+        dense = [Fraction(0)] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out, pivots
+
+
+def fraction_apply(v, rows, width):
+    out = [Fraction(0)] * width
+    for x, row in zip(v, rows):
+        if x:
+            for t, y in enumerate(row):
+                if y:
+                    out[t] += x * y
+    return out
+
+
+def fraction_multilinear(read, *vectors):
+    supports = [[(t, x) for t, x in enumerate(v) if x] for v in vectors]
+    total = Fraction(0)
+    for combo in product(*supports):
+        value = read(*[t for t, _ in combo])
+        if value:
+            total += prod([x for _, x in combo], start=value)
+    return total
+
+
+units = st.integers(-1, 1)
+ints = st.integers(-4, 4)
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+ENTRIES = {"unit": units, "int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}
+
+
+def scalars_of(x):
+    """The numbers in a nested list or tuple of answers."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from scalars_of(y)
+    elif x is not None:
+        yield x
+
+
+@pytest.mark.parametrize("kind", ENTRIES)
+@given(data=st.data())
+def test_every_answer_has_the_fraction_value_under_the_scalar_rule(kind, data):
+    """On int, Fraction and mixed input, singular or not, each function
+    gives the Fraction-only answer in value, each scalar canonical."""
+    entry = st.one_of(st.just(0), ENTRIES[kind])  # about half the cells are zero
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    a = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    if rows > 1 and data.draw(st.booleans()):  # a dependent row
+        a[0] = [x + 2 * y for x, y in zip(a[0], a[-1])]
+    b = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+    square = [row[:rows] + [0] * (rows - len(row[:rows])) for row in a]
+    table = {}
+
+    def read(*slots):
+        if slots not in table:
+            table[slots] = data.draw(ENTRIES[kind])
+        return table[slots]
+
+    answers = [
+        (rref(a), fraction_rref(a)),
+        (solve(a, b), ref_solve(a, b, fraction_rref)),
+        (solved(reduction(a), b), ref_solve(a, b, fraction_rref)),
+        (invert(square), ref_invert(square, fraction_rref)),
+        (apply(b, a, cols), fraction_apply(b, a, cols)),
+        (multilinear(read, b, a[0]), fraction_multilinear(read, b, a[0])),
+    ]
+    for got, want in answers:
+        assert got == want
+        assert all(map(canonical, scalars_of(got))), got

@@ -169,6 +169,20 @@ def test_ring_split_stops_at_a_quantum_seidel_element_or_section_map(entries, wa
         "hypothesis: pass (all listed fiber and vertical invariants vanish)", *want]}
 
 
+@pytest.mark.parametrize("count, restriction", [("2", "[0, 2, 0, 0]"), ("1/2", "[0, 1/2, 0, 0]")])
+def test_ring_split_prints_a_wrong_restriction_as_rationals(count, restriction):
+    """n(1, e1, e2; sigma) = count makes s(e1) restrict to count e1; the
+    restriction prints each coordinate as format_rational does."""
+    d = fixtures.to_dict(catalog.build("quantum-trivial-product"))
+    for entry in d["section_gw"]["three_point"]:
+        if entry[0] == ["1", "e1", "e2"]:
+            entry[2] = count
+    rep = ring_split_check(fixtures.from_dict(d), CUTOFF)
+    assert rep["status"] == "fail"
+    assert rep["details"][3] == (
+        f"restricts-to-identity: fail (s(e1) restricts to {restriction}, not e1)")
+
+
 def test_product_pattern_matches_the_stored_tables(sphere_product, trivial_product):
     assert verify_product_pattern(sphere_product)["status"] == "pass"
     assert verify_product_pattern(trivial_product)["status"] == "pass"
