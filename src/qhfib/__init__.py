@@ -44,20 +44,3 @@ from .splitting import (
 from .validator import SUITE_NAMES, VerificationReport, run_suite
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CutoffTooSmall", "DegeneratePairing", "DimensionRuleViolation",
-    "FiberMismatch", "Inconsistent", "MissingTripleData",
-    "NotInvertible", "PrimingInvalid", "QhfibError", "TableIncomplete",
-    "UnknownBasisLabel", "UnknownSuite",
-    "FibrationModel", "LoopComposite", "NonsqueezingResult",
-    "PsiOperator", "composable", "compose", "mirror",
-    "ManifoldModel", "QHClass",
-    "H2Class", "H2Lattice", "NovikovElement", "format_rational",
-    "nov_invert", "parse_rational",
-    "GWTable", "QuantumRing", "tensor_model",
-    "corrected_splitting", "product_fixture",
-    "ring_split_check", "splitting_correction", "verify_product_pattern",
-    "SUITE_NAMES", "VerificationReport", "run_suite",
-    "__version__",
-]

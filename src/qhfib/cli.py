@@ -30,17 +30,20 @@ _CLASS_HELP = ("class expression, e.g. 'F@e^{-F}+2*T-'; "
                "put '--' before one that starts with '-'")
 
 
-def _add_source(p: argparse.ArgumentParser):
+def _command(sub, name, fn, help, cutoff=True) -> argparse.ArgumentParser:
+    """The subcommand that runs fn on a --fixture or --builtin target,
+    with --cutoff when cutoff is true."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--fixture", metavar="FILE", help="fixture JSON file")
     p.add_argument("--builtin", metavar="NAME",
                    help="builtin model (%s)" % ", ".join(sorted(catalog.BUILTIN_FIBRATIONS)))
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="builtin parameter, e.g. kappa=1/2 (repeatable)")
-
-
-def _add_cutoff(p: argparse.ArgumentParser):
-    p.add_argument("--cutoff", metavar="Q",
-                   help="energy cutoff (rational); default from QHFIB_CUTOFF")
+    if cutoff:
+        p.add_argument("--cutoff", metavar="Q",
+                       help="energy cutoff (rational); default from QHFIB_CUTOFF")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def _build(name, param_items):
@@ -242,51 +245,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("product", help="multiply two classes")
-    _add_source(sp); _add_cutoff(sp)
+    sp = _command(sub, "product", cmd_product, "multiply two classes")
     sp.add_argument("--space", choices=("fiber", "vertical", "horizontal"),
                     default="fiber")
     sp.add_argument("a", help=_CLASS_HELP); sp.add_argument("b", help=_CLASS_HELP)
-    sp.set_defaults(fn=cmd_product)
 
-    sp = sub.add_parser("psi", help="apply the loop operator")
-    _add_source(sp); _add_cutoff(sp)
+    sp = _command(sub, "psi", cmd_psi, "apply the loop operator")
     sp.add_argument("--offset", metavar="LIN",
                     help="add a lattice offset to the section class")
     sp.add_argument("--normalized", action="store_true",
                     help="use the normalized section class")
     sp.add_argument("a", help=_CLASS_HELP)
-    sp.set_defaults(fn=cmd_psi)
 
-    sp = sub.add_parser("rho", help="the Seidel element and its inverse")
-    _add_source(sp); _add_cutoff(sp)
-    sp.set_defaults(fn=cmd_rho)
+    _command(sub, "rho", cmd_rho, "the Seidel element and its inverse")
+    _command(sub, "invariants", cmd_invariants, "loop invariants Ic, Iu, I_k", cutoff=False)
+    _command(sub, "split", cmd_split, "test the ring-splitting criteria")
+    _command(sub, "nonsqueeze", cmd_nonsqueeze, "capacity bound from section counts",
+             cutoff=False)
 
-    sp = sub.add_parser("invariants", help="loop invariants Ic, Iu, I_k")
-    _add_source(sp)
-    sp.set_defaults(fn=cmd_invariants)
-
-    sp = sub.add_parser("split", help="test the ring-splitting criteria")
-    _add_source(sp); _add_cutoff(sp)
-    sp.set_defaults(fn=cmd_split)
-
-    sp = sub.add_parser("nonsqueeze", help="capacity bound from section counts")
-    _add_source(sp)
-    sp.set_defaults(fn=cmd_nonsqueeze)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    _add_source(sp); _add_cutoff(sp)
+    sp = _command(sub, "verify", cmd_verify, "run a verification suite")
     sp.add_argument("--suite", choices=SUITE_NAMES, default="all")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--strict", action="store_true", help="exit 1 if any check is skipped")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("compose", help="glue two loops")
-    _add_source(sp); _add_cutoff(sp)
+    sp = _command(sub, "compose", cmd_compose, "glue two loops")
     sp.add_argument("--with", dest="with_", metavar="FILE")
     sp.add_argument("--mirror", action="store_true",
                     help="compose with the reversed loop")
-    sp.set_defaults(fn=cmd_compose)
 
     sp = sub.add_parser("fixture", help="write a builtin model as JSON")
     sp.add_argument("name")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, repeat
 from operator import mul
 
 from ._linalg import apply, identity, invert, rank, reduction, solve, solved
@@ -34,7 +35,8 @@ from .errors import (
 from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, _exact, format_rational
 from .quantum import (
-    GWTable, QuantumRing, accumulate, check, contract, copied, step, table_axioms)
+    GWTable, QuantumRing, accumulate, check, contract, copied, step, sum_offsets, table_axioms,
+    vanishes)
 
 
 class PsiOperator:
@@ -387,14 +389,10 @@ class FibrationModel:
     def rho_shape(self, cutoff) -> dict:
         """Is the Seidel element a single basis monomial a . e^E?"""
         q = self.rho(cutoff)
-        terms = list(q.terms.items())
-        if len(terms) != 1:
+        hits = [(e, i, x) for e, vec in q.terms.items() for i, x in enumerate(vec) if x]
+        if len(hits) != 1:  # every term is a nonzero vector: one term, one coordinate
             return {"monomial": False, "value": q}
-        e, vec = terms[0]
-        hits = [(i, x) for i, x in enumerate(vec) if x != 0]
-        if len(hits) != 1:
-            return {"monomial": False, "value": q}
-        i, coeff = hits[0]
+        e, i, coeff = hits[0]
         return {
             "monomial": True, "value": q, "coefficient": coeff,
             "label": self.fiber.labels[i], "index": i, "exponent": e,
@@ -508,48 +506,78 @@ class FibrationModel:
     # -- identities tying the tables together -----------------------------------
 
     def module_report(self, cutoff, sigma: H2Class | None = None) -> dict:
-        """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis.
-        Raises TableIncomplete when the tables do not cover the cutoff."""
+        """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis, summed
+        exactly (`quantum.vanishes`); only a failing identity builds its sides,
+        and a data error in the sums builds them all, so the products raise
+        first, as they did: TableIncomplete when the tables miss the cutoff."""
         failures = []
         op = self.psi_operator(cutoff, sigma)
-        ring = self.fiber_ring
-        qcls = op.images[self.fiber.fundamental_index]
-        for i, lbl in enumerate(self.fiber.labels):
-            want = ring.product(qcls, self.fiber.qh_basis(lbl), cutoff)
-            if op.images[i] != want:
-                failures.append(f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}")
-        for i, la in enumerate(self.fiber.labels):
-            for j, lb in enumerate(self.fiber.labels):
-                left = op.apply(ring.basis_product(i, j, cutoff))
-                right = ring.product(op.images[i], self.fiber.qh_basis(lb), cutoff)
-                if left != right:
-                    failures.append(f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}")
+        f, ring, k, c = self.fiber, self.fiber_ring, len(self.fiber.basis), op.cutoff
+        try:  # whether each identity holds, in order
+            where = {}  # each exponent of the images, numbered
+            imgs = [[(where.setdefault(e, len(where)), s, y) for e, v in img.terms.items()
+                     for s, y in enumerate(v) if y] for img in op.images]
+            rows = ring.basis_table(ring._cover(c + max([0, *(e.omega for e in where)])))
+            cols, q = list(zip(*rows)), imgs[f.fundamental_index]
+            unit = [((0, t, 1),) for t in range(k)]  # e_t at the cap's block
+            blocks, exps, ids = ring.exponents, list(where), {}
+            right = sum_offsets(ids, exps, blocks, c, k)  # a term of Psi, then a block
+            left = sum_offsets(ids, [e if e.omega >= -c else None for e in blocks], exps, c, k)
+            holds = iter([vanishes((imgs[i], unit, right, 1), (q, cols[i], right, -1))
+                          for i in range(k)] + [
+                vanishes((rows[i][j], imgs, left, 1), (imgs[i], cols[j], right, -1))
+                for i, j in product(range(k), repeat=2)])
+        except QhfibError:
+            holds = repeat(False)
+        for i, lbl in enumerate(f.labels):
+            if not next(holds):
+                want = ring.product(op.images[f.fundamental_index], f.qh_basis(lbl), cutoff)
+                if op.images[i] != want:
+                    failures.append(f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}")
+        for i, la in enumerate(f.labels):
+            for j, lb in enumerate(f.labels):
+                if not next(holds):
+                    left = op.apply(ring.product(f.qh_basis(la), f.qh_basis(lb), cutoff))
+                    right = ring.product(op.images[i], f.qh_basis(lb), cutoff)
+                    if left != right:
+                        failures.append(f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}")
         return check(failures)
 
     def vertical_report(self, cutoff) -> dict:
-        """iota is a ring map and the splitting is a module map for the
-        vertical product. Raises TableIncomplete when the tables do not
-        cover the cutoff."""
+        """iota is a ring map and the splitting a module map for the vertical
+        product: iota(e_i) *v iota(e_j) = 0 and s(e_i) *v iota(e_j) =
+        iota(e_i * e_j), summed as `module_report` sums, from the kept basis
+        products of both rings; only a failing pair builds its sides."""
         failures = []
-        ring = self.fiber_ring
-        basis = [self.fiber.qh_basis(lbl) for lbl in self.fiber.labels]
-        iotas = [self.iota_class(a) for a in basis]
-        splits = [self.splitting_class(a) for a in basis]
-        for i, la in enumerate(self.fiber.labels):
-            for j, lb in enumerate(self.fiber.labels):
-                fiber_prod = ring.basis_product(i, j, cutoff)
-                left = self.vertical_product(iotas[i], iotas[j], cutoff)
-                mid = self.vertical_product(splits[i], iotas[j], cutoff)
+        f, fr, vr, k = self.fiber, self.fiber_ring, self.vertical_ring, len(self.fiber.basis)
+        try:  # whether each pair meets both identities, in order
+            c, zero, ids, size = _exact(cutoff), self.total.h2.zero(), {}, len(self.total.basis)
+            rows, cols = fr.basis_table(fr._cover(c)), list(zip(*vr.basis_table(vr._cover(c))))
+            iotas, splits = ([[(0, t, x) for t, x in enumerate(v) if x] for v in images]
+                             for images in (self.iota, self.splitting_map))
+            vsums = sum_offsets(ids, [zero], vr.exponents, c, size)
+            fsums = sum_offsets(ids, [self.iota_h2_class(e) for e in fr.exponents], [zero], c, size)
+            holds = iter([vanishes(*[(iotas[i], cols[q], vsums, x) for _, q, x in iotas[j]])
+                          and vanishes((rows[i][j], iotas, fsums, -1), *[
+                              (splits[i], cols[q], vsums, x) for _, q, x in iotas[j]])
+                          for i, j in product(range(k), repeat=2)])
+        except QhfibError:
+            holds = repeat(False)
+        for i, la in enumerate(f.labels):
+            for j, lb in enumerate(f.labels):
+                if next(holds):
+                    continue
+                a, b = f.qh_basis(la), f.qh_basis(lb)
+                fiber_prod = fr.product(a, b, cutoff)
+                left = self.vertical_product(self.iota_class(a), self.iota_class(b), cutoff)
+                mid = self.vertical_product(self.splitting_class(a), self.iota_class(b), cutoff)
                 want = self.iota_class(fiber_prod).truncate(cutoff)
                 if not left.is_zero():
-                    failures.append(
-                        f"iota({la}) *v iota({lb}) = {left!r}, fiber classes in "
-                        "distinct fibers must multiply to zero"
-                    )
+                    failures.append(f"iota({la}) *v iota({lb}) = {left!r}, fiber classes in "
+                                    "distinct fibers must multiply to zero")
                 if mid != want:
                     failures.append(
-                        f"s({la}) *v iota({lb}) = {mid!r} != iota({la}*{lb}) = {want!r}"
-                    )
+                        f"s({la}) *v iota({lb}) = {mid!r} != iota({la}*{lb}) = {want!r}")
         return check(failures)
 
     def vertical_table_report(self) -> dict:
@@ -675,17 +703,11 @@ class FibrationModel:
     def invariant_Iu(self):
         """Coupling-power class: dual of u^n in lattice coordinates, reduced
         modulo the spherical generators. Dict over non-spherical generators."""
-        u = self._covector_on_deg2(self.total.h2.omega)
-        n = self.fiber.n
-        x = self._power_cap([u] * n)
-        deg2 = self.total.indices_of_degree(2)
         lat = self.total.h2
-        y = apply([x[idx] for idx in deg2], self._lattice_embed_inverse(), len(lat.generators))
-        return {
-            lat.generators[g]: y[g]
-            for g in range(len(lat.generators))
-            if not lat.spherical[g]
-        }
+        x = self._power_cap([self._covector_on_deg2(lat.omega)] * self.fiber.n)
+        y = apply([x[idx] for idx in self.total.indices_of_degree(2)],
+                  self._lattice_embed_inverse(), len(lat.generators))
+        return {g: y[t] for t, g in enumerate(lat.generators) if not lat.spherical[t]}
 
     def invariant_Ik(self, k: int) -> Fraction:
         """Mixed characteristic number int c^k u^(n+1-k) over the total space."""

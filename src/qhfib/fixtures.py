@@ -325,14 +325,8 @@ def _entry_dicts(d: dict, lattice: H2Lattice, path: str) -> dict:
 
 
 def gw_from_dict(d: dict, model: ManifoldModel, path: str = "gw") -> GWTable:
-    t = _entry_dicts(d, model.h2, path)
-    return GWTable(
-        model, d.get("kind", "fiber"),
-        two_point=t["two_point"],
-        three_point=t["three_point"],
-        four_point_chi=t["four_point_chi"],
-        complete_below=t["complete_below"],
-    )
+    tables = _entry_dicts(d, model.h2, path)  # first: it refuses a d that is not an object
+    return GWTable(model, d.get("kind", "fiber"), **tables)
 
 
 def fibration_to_dict(fib: FibrationModel) -> dict:

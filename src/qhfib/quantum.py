@@ -22,7 +22,8 @@ import itertools
 from fractions import Fraction
 
 from ._memo import kept
-from .errors import DimensionRuleViolation, MissingTripleData, NotInvertible, TableIncomplete
+from .errors import (
+    DimensionRuleViolation, MissingTripleData, NotInvertible, QhfibError, TableIncomplete)
 from .manifold import (
     ManifoldModel, QHClass, graded_matrix, koszul_sorted, kunneth, scatter, slot_pairs)
 from .novikov import H2Class, H2Lattice, NovikovElement, _exact, format_rational, nov_invert
@@ -277,6 +278,30 @@ def contract(table: GWTable, a: QHClass, b: QHClass, sources, cover=None, floor=
     return m.qh(acc)
 
 
+def vanishes(*terms) -> bool:
+    """Whether the sum of scale (a * rows) over terms (a, rows, sums, scale)
+    vanishes, the one sparse sum of every identity check: each (e, t, x) of
+    a meets each (f, s, y) of rows[t], adding scale x y at offset
+    sums[e][f] + s (`sum_offsets`); a None offset adds nothing."""
+    acc = {}
+    for a, rows, sums, scale in terms:
+        for e, t, x in a:
+            row, x = sums[e], scale * x
+            for f, s, y in rows[t]:
+                g = row[f]
+                if g is not None:
+                    acc[g + s] = acc.get(g + s, 0) + x * y
+    return not any(acc.values())
+
+
+def sum_offsets(ids, firsts, seconds, cutoff, size) -> list:
+    """The offsets `vanishes` reads: size times the number in ids of each
+    exponent sum e + f, e in firsts and f in seconds, or None where e or f
+    is None or the sum lies below the cutoff (None: no cutoff)."""
+    return [[None if e is None or f is None or (cutoff is not None and (e + f).omega < -cutoff)
+             else size * ids.setdefault(e + f, len(ids)) for f in seconds] for e in firsts]
+
+
 def table_axioms(table: GWTable, curve) -> dict:
     """The fundamental-class and divisor axioms of one table, whose key cls
     stands for curves in class B = curve(cls): cls itself in a fiber table,
@@ -371,8 +396,9 @@ class QuantumRing:
     """QH(M) with the product induced by a three-point fiber-type table:
     each product is `contract` over the cap and the key classes, reading
     the structure constants e_i * e_k that the model (the cap) and the
-    table keep, each pair's once solved. Tables never change after
-    construction, so nothing goes stale."""
+    table keep, each pair's once solved. The basis products are kept once
+    more as one table (`basis_table`), which every identity check reads.
+    Tables never change after construction, so nothing goes stale."""
 
     def __init__(self, model: ManifoldModel, table: GWTable):
         if table.model is not model:
@@ -384,14 +410,17 @@ class QuantumRing:
         # the (shift, class) sources of every product: the cap, then each key class
         self._sources = [(None, None)] + [
             (-cls, cls) for cls in table.known_key_classes("three_point")]
+        # the exponent of each source's block of `_row`: 0 for the cap
+        self.exponents = [model.h2.zero(), *(shift for shift, _ in self._sources[1:])]
         self._kept = {}
 
     def _cover(self, need):
-        """Raise TableIncomplete unless the declared window reaches area need."""
+        """The declared window; raise TableIncomplete unless it reaches area need."""
         w = self.table.window("three_point")
         if w is None or need > w:
             raise TableIncomplete(f"{self.model.name}: product needs three-point data "
                                   f"through area {format_rational(need)}")
+        return w
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
         """a * b, summed bilinearly from the kept structure constants. With
@@ -405,11 +434,20 @@ class QuantumRing:
         return contract(self.table, a, b, self._sources,
                         lambda base: self._cover(base.omega + cutoff), -cutoff).truncate(cutoff)
 
+    def _row(self, i, j, reach) -> tuple:
+        """e_i * e_j as its nonzero (block, t, x), block b the source
+        `_sources[b]` (0 the cap), over the key classes of area at most
+        reach (None: every one), read from the kept constants in block order."""
+        return tuple((b, t, x) for b, (_, cls) in enumerate(self._sources)
+                     if b == 0 or reach is None or cls.omega <= reach
+                     for t, x in self.table.constants(cls, [(i, j, 1)]).items())
+
     @kept
-    def basis_product(self, i, j, cutoff) -> QHClass:
-        """e_i * e_j modulo the cutoff, kept once the product returns."""
-        m = self.model
-        return self.product(m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]), cutoff)
+    def basis_table(self, reach) -> tuple:
+        """The kept table of basis products: e_i * e_j at row i, column j
+        (`_row`), read row by row; a raise keeps nothing."""
+        k = range(len(self.model.basis))
+        return tuple(tuple(self._row(i, j, reach) for j in k) for i in k)
 
     def unit(self) -> QHClass:
         return self.model.qh_unit()
@@ -486,55 +524,34 @@ class QuantumRing:
 
     def associativity_report(self, cutoff) -> dict:
         """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
-        with no product while it passes. P[i][j] = e_i*e_j is read from the
-        kept constants, filled in the order the nested products first needed
-        them, so a raise has the same text. A failing triple builds its two
-        sides by one product each."""
+        with no product while it passes: both sides are summed exactly
+        (`vanishes`) from the kept basis products (`basis_table`). Where a row
+        raises, the rows are read again in the order the nested products
+        first needed them, so the raise has their text. Only a failing
+        triple makes the nested products, for its line."""
         m, size = self.model, len(self.model.basis)
         cutoff = None if cutoff is None else _exact(cutoff)
-        if cutoff is not None:
-            self._cover(cutoff)  # as the first basis product checked it
-        blocks = [None] + [cls for cls in self.table.known_key_classes("three_point")
-                           if cutoff is None or cls.omega <= cutoff]
-        exps = [m.h2.zero()] + [-cls for cls in blocks[1:]]
-        products = {}  # (i, j) -> nonzero (exponent position, t, x) of P[i][j]
-
-        def basis_product(i, j):
-            if (i, j) not in products:
-                products[i, j] = [(e, t, x) for e, cls in enumerate(blocks)
-                                  for t, x in self.table.constants(cls, [(i, j, 1)]).items()]
-            return products[i, j]
-
-        for j in range(size):  # the nested products' first uses; all come while i is 0
-            for k in range(size):
-                for _, t, _ in basis_product(0, j):
-                    basis_product(t, k)
-                for _, t, _ in basis_product(j, k):
-                    basis_product(0, t)
-        ids = {}  # a sum of two exponents -> where its coefficients start in acc
-        sums = [[None if cutoff is not None and (e + f).omega < -cutoff
-                 else size * ids.setdefault(e + f, len(ids)) for f in exps] for e in exps]
-        cols = [[products[t, k] for t in range(size)] for k in range(size)]
-        rows = [[products[i, t] for t in range(size)] for i in range(size)]
-
-        def as_class(i, j):  # P[i][j] as its basis product sums it
-            return contract(self.table, m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]),
-                            self._sources, floor=None if cutoff is None else -cutoff)
-
-        failures = []
+        exps = [e if cutoff is None or e.omega >= -cutoff else None for e in self.exponents]
+        reach = None if cutoff is None else self._cover(cutoff)  # as the first product did
+        try:
+            rows = self.basis_table(reach)
+        except QhfibError:  # read again as the nested products first did, all while i is 0
+            for j, k in itertools.product(range(size), repeat=2):
+                for b, t, _ in self._row(0, j, reach):
+                    if exps[b] is not None:
+                        self._row(t, k, reach)
+                for b, t, _ in self._row(j, k, reach):
+                    if exps[b] is not None:
+                        self._row(0, t, reach)
+            raise
+        sums, cols, failures = sum_offsets({}, exps, exps, cutoff, size), list(zip(*rows)), []
         for i, j, k in itertools.product(range(size), repeat=3):
-            acc = {}  # (e_i*e_j)*e_k - e_i*(e_j*e_k)
-            for sign, outer, inner in ((1, products[i, j], cols[k]), (-1, products[j, k], rows[i])):
-                for e, t, x in outer:
-                    row, x = sums[e], sign * x
-                    for f, s, y in inner[t]:
-                        g = row[f]
-                        if g is not None:
-                            acc[g + s] = acc.get(g + s, 0) + x * y
-            if any(acc.values()):
+            # (e_i*e_j)*e_k - e_i*(e_j*e_k)
+            if not vanishes((rows[i][j], cols[k], sums, 1), (rows[j][k], rows[i], sums, -1)):
                 la, lb, lc = m.labels[i], m.labels[j], m.labels[k]
-                left = self.product(as_class(i, j), m.qh_basis(lc), cutoff)
-                right = self.product(m.qh_basis(la), as_class(j, k), cutoff)
+                a, b, c = map(m.qh_basis, (la, lb, lc))
+                left = self.product(self.product(a, b, cutoff), c, cutoff)
+                right = self.product(a, self.product(b, c, cutoff), cutoff)
                 failures.append(f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
         return check(failures)
 

@@ -6,8 +6,9 @@ fibration or a bare (manifold model, invariant table) pair; a pair gets only
 the checks that need no fibration. Each check is stored as the record
 {"status": pass|fail|skip, "details"} that every report returns. Skips flag
 data the tables genuinely cannot answer; they are never failures. A report
-method raises TableIncomplete (or MissingInput, for optional model data)
-when a whole check lacks data, and the loop records that as a skip.
+method raises TableIncomplete (MissingInput for optional model data,
+MissingTripleData for an undeclared triple intersection) when a whole check
+lacks data, and the loop records that as a skip.
 Reports serialize to stable JSON so runs can be diffed.
 """
 
@@ -23,6 +24,7 @@ from .errors import (
     DegeneratePairing,
     Inconsistent,
     MissingInput,
+    MissingTripleData,
     NotInvertible,
     QhfibError,
     TableIncomplete,
@@ -156,7 +158,8 @@ _CHECKS = {
 
 def _run_checks(suite, obj, cutoff) -> dict:
     """One suite's records in table order; a check whose data the tables
-    or the model lack (TableIncomplete, MissingInput) is recorded as a skip."""
+    or the model lack (TableIncomplete, MissingInput, MissingTripleData) is
+    recorded as a skip."""
     fibration = isinstance(obj, FibrationModel)
     rows = [row for row in _CHECKS[suite] if fibration or row[1] != "fibration"]
     if not rows:
@@ -167,7 +170,7 @@ def _run_checks(suite, obj, cutoff) -> dict:
             ring = obj.fiber_ring if fibration else QuantumRing(*obj)
         try:
             result = body(ring if takes == "ring" else obj, cutoff)
-        except (TableIncomplete, MissingInput) as exc:
+        except (TableIncomplete, MissingInput, MissingTripleData) as exc:
             result = check([], [str(exc)])
         if result is not None:
             checks[name] = result

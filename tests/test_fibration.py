@@ -1,6 +1,7 @@
 """Fibrations over the sphere: Seidel elements, module structure, invariants."""
 
 import gc
+import itertools
 import json
 import weakref
 from fractions import Fraction
@@ -21,6 +22,7 @@ from qhfib import (
     run_suite,
     tensor_model,
 )
+from qhfib._linalg import solve
 from qhfib.cli import main
 from qhfib.fibration import _normalizing_class
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
@@ -295,6 +297,33 @@ def test_fiber_class_recovery(ruled):
     back = ruled.fiber_class_from_total(total_F)
     assert back == F
     assert ruled.fiber_class_from_total(ruled.sigma_ref) is None
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_total_class_lifts_to_a_spherical_fiber_class_with_its_area_and_chern(name):
+    """Every total class with coordinates in -2..2 lifts to a class on the
+    fiber's spherical generators with its area and Chern number, or to None
+    when the [area; Chern] system of those generators cannot reach it.
+    torus-product has no spherical generator: only its classes of area and
+    Chern number 0 lift, to 0."""
+    fib = catalog.build(name)
+    lat = fib.fiber.h2
+    sph = lat.spherical_indices()
+    system = [[lat.omega[i] for i in sph], [lat.c1[i] for i in sph]]
+    lifted = []
+    for coords in itertools.product(range(-2, 3), repeat=len(fib.total.h2.generators)):
+        c = fib.total.h2.cls(coords)
+        b = fib.fiber_class_from_total(c)
+        assert (b is None) == (solve(system, [c.omega, c.c1]) is None), coords
+        if b is not None:
+            assert (b.omega, b.c1) == (c.omega, c.c1)
+            assert all(x == 0 for g, x in enumerate(b.coords) if g not in sph)
+            lifted.append(c)
+    assert lifted
+    if name == "torus-product":
+        assert sph == []
+        assert all(c.omega == c.c1 == 0 for c in lifted)
+        assert {fib.fiber_class_from_total(c).coords for c in lifted} == {(0,) * len(lat.generators)}
 
 
 def test_a_dropped_model_is_freed_without_the_cycle_collector():

@@ -2,6 +2,7 @@
 system anew, term by term, by elimination on the transposed pairing."""
 
 import functools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from qhfib import (
     ManifoldModel,
     MissingTripleData,
     QHClass,
+    QhfibError,
     QuantumRing,
     TableIncomplete,
     catalog,
@@ -31,6 +33,7 @@ from qhfib.manifold import koszul_sorted
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from qhfib.quantum import check
 from tests.conftest import BUILTINS
+from tests.test_derived import MUTATED
 
 CUTOFF = Fraction(6)
 
@@ -562,6 +565,39 @@ def test_associativity_report_names_the_undeclared_triple_the_nested_products_me
     assert got == report_or_raise(lambda: ref_associativity_failures(r, CUTOFF))
 
 
+def zm_first_total():
+    """The fixture dict of ruled's total space and vertical table as a ring,
+    its basis reordered to put Zm first: a first class that is not the
+    unit, whose products reach rows past its own."""
+    d = to_dict((fibration("ruled").total, fibration("ruled").vertical_gw))
+    basis = d["model"]["basis"]
+    order = sorted(range(len(basis)), key=lambda i: basis[i][0] != "Zm")
+    d["model"]["basis"] = [basis[i] for i in order]
+    d["model"]["pairing"] = [[d["model"]["pairing"][i][j] for j in order] for i in order]
+    return d
+
+
+ZM_FIRST = zm_first_total()
+
+
+@pytest.mark.parametrize("ck", [ck for ck in combinations_with_replacement(range(8), 3) if sum(
+    from_dict(ZM_FIRST)[0].degrees[t] for t in ck) == 12])
+def test_a_raising_row_is_named_as_the_nested_products_first_meet_it(ck):
+    # read row by row the table would meet another undeclared slot first in
+    # half of these; the report reads its rows again in the nested products' order
+    m, table = from_dict(ZM_FIRST)
+    for c in combinations_with_replacement(range(len(m.basis)), 3):
+        if sum(m.degrees[t] for t in c) == 4 * m.n:
+            m.triple.setdefault(c, Fraction(0))
+    del m.triple[ck]
+    m.triple_complete = False
+    r = QuantumRing(m, table)
+    for cutoff in (Fraction(1), CUTOFF):  # below and above the area of F
+        got = report_or_raise(lambda: r.associativity_report(cutoff))
+        assert got[0] == "MissingTripleData"
+        assert got == report_or_raise(lambda: ref_associativity_failures(r, cutoff))
+
+
 # -- the cap on a triple form not declared complete -----------------------------
 
 
@@ -618,11 +654,11 @@ def test_only_a_failing_triple_makes_products(name, monkeypatch):
     monkeypatch.setattr(QuantumRing, "product", counted)
     assert ring(name).associativity_report(CUTOFF)["status"] == "pass"
     assert calls == []
-    # a failing triple builds each of its two sides with one product
+    # a failing triple builds its two sides by the nested products, two each
     for key in ring(name).table.three_point:
         calls.clear()
         details = tampered(name, key, 1).associativity_report(CUTOFF)["details"]
-        assert len(calls) == 2 * len(details)
+        assert len(calls) == 4 * len(details)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -738,60 +774,250 @@ BASIS_RINGS = [f"{b}/fiber" for b in BUILTINS] + [
     "sphere x sphere", "ruled fiber x sphere", "torus x sphere", "ruled fiber x sphere x sphere"]
 
 
+def table_class(r, entries, cutoff):
+    """Row (i, j) of a ring's kept basis table as the class e_i * e_j it
+    sums to modulo the cutoff."""
+    m, terms = r.model, {}
+    for b, t, x in entries:
+        if r.exponents[b].omega >= -cutoff:
+            terms.setdefault(r.exponents[b], m.zero_vector())[t] += x
+    return m.qh(terms)
+
+
 @pytest.mark.parametrize("name", BASIS_RINGS)
-def test_a_kept_basis_product_is_the_product(name):
+def test_the_kept_basis_table_is_the_product(name):
     r = ring(name)
-    m = r.model
+    m, w = r.model, r.table.window("three_point")
     kept = QuantumRing(m, r.table)
+    table = kept.basis_table(w)
+    assert kept.basis_table(w) is table
     for cutoff in (Fraction(2), Fraction(6), Fraction(24)):
+        if cutoff > w:
+            continue
         for i, j in product(range(len(m.basis)), repeat=2):
-            a, b = m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j])
-            want = report_or_raise(lambda: r.product(a, b, cutoff))
-            got = report_or_raise(lambda: kept.basis_product(i, j, cutoff))
-            if isinstance(want, tuple):
-                assert got == want
-                continue
-            assert_same(got, want)
-            assert kept.basis_product(i, j, cutoff) is got
+            want = r.product(m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]), cutoff)
+            assert_same(table_class(kept, table[i][j], cutoff), want)
 
 
-def test_a_basis_product_outside_the_window_raises_every_time_and_is_not_kept():
+def test_a_basis_table_that_raises_raises_every_time_and_is_not_kept():
+    # with no reach, the key class F above the declared window reads its
+    # slots, as a product without a cutoff does, and an unstored one raises
     d = to_dict(fibration("ruled"))
-    d["fiber_gw"]["complete_below"]["three_point"] = "3"
+    d["fiber_gw"]["complete_below"]["three_point"] = "1"
     r = from_dict(d).fiber_ring
     texts = set()
     for _ in range(3):
         with pytest.raises(TableIncomplete) as err:
-            r.basis_product(0, 0, CUTOFF)
+            r.basis_table(None)
         texts.add(str(err.value))
-    assert texts == {"ruled-surface: product needs three-point data through area 6"}
-    assert [args for name, args in r._kept if name == "QuantumRing.basis_product"] == []
-    assert_same(r.basis_product(0, 0, 2), r.product(r.unit(), r.unit(), 2))
+    assert texts == {report_or_raise(lambda: r.product(r.unit(), r.unit()))[1]}
+    assert [args for name, args in r._kept if name == "QuantumRing.basis_table"] == []
+    # over the declared window the table leaves F out, and is kept
+    assert r.basis_table(1) is r.basis_table(1)
+    assert {b for row in r.basis_table(1) for entries in row for b, _, _ in entries} == {0}
+    assert r.associativity_report(1) == check([])
+
+
+# -- the module and vertical identities against the parent's reports -------------
+
+
+def ref_module_identities(fib, cutoff, sigma=None):
+    """The module identities as the parent's report made them, in order:
+    (the (a, b) of each product the identity makes, its failure lines)."""
+    op = fib.psi_operator(cutoff, sigma)
+    ring, f = fib.fiber_ring, fib.fiber
+    q = op.images[f.fundamental_index]
+    for i, lbl in enumerate(f.labels):
+        e = f.qh_basis(lbl)
+        want = ring.product(q, e, cutoff)
+        yield [(q, e)], ([] if op.images[i] == want else [
+            f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}"])
+    for i, la in enumerate(f.labels):
+        for j, lb in enumerate(f.labels):
+            a, b = f.qh_basis(la), f.qh_basis(lb)
+            left = op.apply(ring.product(a, b, cutoff))
+            right = ring.product(op.images[i], b, cutoff)
+            yield [(a, b), (op.images[i], b)], ([] if left == right else [
+                f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}"])
+
+
+def ref_vertical_identities(fib, cutoff):
+    """The vertical identities of each pair as the parent's report made
+    them, in order: (the (a, b) of each product, the failure lines)."""
+    ring, f = fib.fiber_ring, fib.fiber
+    basis = [f.qh_basis(lbl) for lbl in f.labels]
+    iotas = [fib.iota_class(a) for a in basis]
+    splits = [fib.splitting_class(a) for a in basis]
+    for i, la in enumerate(f.labels):
+        for j, lb in enumerate(f.labels):
+            fiber_prod = ring.product(basis[i], basis[j], cutoff)
+            left = fib.vertical_product(iotas[i], iotas[j], cutoff)
+            mid = fib.vertical_product(splits[i], iotas[j], cutoff)
+            want = fib.iota_class(fiber_prod).truncate(cutoff)
+            lines = [] if left.is_zero() else [
+                f"iota({la}) *v iota({lb}) = {left!r}, fiber classes in "
+                "distinct fibers must multiply to zero"]
+            if mid != want:
+                lines.append(f"s({la}) *v iota({lb}) = {mid!r} != iota({la}*{lb}) = {want!r}")
+            yield [(basis[i], basis[j]), (iotas[i], iotas[j]), (splits[i], iotas[j])], lines
+
+
+def ref_report(identities, *args):
+    """The parent's module or vertical report: its record, or the type and
+    text of its first raise."""
+    try:
+        return check([line for _, lines in identities(*args) for line in lines])
+    except QhfibError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def new_report(report, *args):
+    try:
+        return report(*args)
+    except QhfibError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def normalized_section(fib):
+    """sigma_phi, where Psi has terms of positive area, or None."""
+    try:
+        return fib.sigma_phi()
+    except QhfibError:
+        return None
+
+
+def edited_fixtures():
+    """(site, fixture dict): each builtin, and each with one stored count
+    +1, negated or deleted; each with a three-point window of 3 on the
+    fiber table, on the vertical table, or none declared on either; and
+    each whose fiber or total triple form is not declared complete and
+    leaves one entry out; and ruled with one vertical entry added whose
+    two iota slots break only iota(F) *v iota(T-) = 0."""
+    for name in BUILTINS:
+        clean = to_dict(fibration(name))
+        yield name, clean
+        for tk in ("fiber_gw", "vertical_gw", "section_gw"):
+            for arity in ("two_point", "three_point", "four_point_chi"):
+                for pos in range(len(clean[tk].get(arity, ()))):
+                    for edit in ("+1", "negated", "deleted"):
+                        d = json.loads(json.dumps(clean))
+                        if edit == "deleted":
+                            del d[tk][arity][pos]
+                        else:
+                            v = Fraction(d[tk][arity][pos][2])
+                            d[tk][arity][pos][2] = str(v + 1 if edit == "+1" else -v)
+                        yield f"{name} {tk}.{arity}[{pos}] {edit}", d
+        for tks, window in ((("fiber_gw",), "3"), (("vertical_gw",), "3"),
+                            (("fiber_gw", "vertical_gw"), None)):
+            d = json.loads(json.dumps(clean))
+            for tk in tks:
+                d[tk]["complete_below"]["three_point"] = window
+            yield f"{name} {'+'.join(tks)} three-point window {window}", d
+        for part in ("fiber", "total"):
+            for pos in range(len(clean[part]["triple"])):
+                d = json.loads(json.dumps(clean))
+                d[part]["triple_complete"] = False
+                del d[part]["triple"][pos]
+                yield f"{name} {part}.triple[{pos}] undeclared", d
+    d = to_dict(fibration("ruled"))
+    d["vertical_gw"]["three_point"].append([["F", "T", "pt"], ["2", "0", "0"], "1"])
+    yield "ruled vertical_gw.three_point (F,T,pt; 2F) added", d
+
+
+EDITED = dict(edited_fixtures())
+ORACLE_CUTOFFS = (Fraction(1, 2), Fraction(2), Fraction(6), Fraction(24))
+
+
+@pytest.mark.parametrize("site", EDITED)
+def test_module_and_vertical_reports_match_the_parents_products(site):
+    # the module identities at the reference section and at sigma_phi
+    fib = from_dict(EDITED[site])
+    for cutoff in ORACLE_CUTOFFS:
+        for sigma in (None, normalized_section(fib)):
+            assert new_report(fib.module_report, cutoff, sigma) == ref_report(
+                ref_module_identities, fib, cutoff, sigma), (cutoff, sigma)
+        assert new_report(fib.vertical_report, cutoff) == ref_report(
+            ref_vertical_identities, fib, cutoff), cutoff
+
+
+def test_the_edited_fixtures_reach_every_outcome():
+    # passing, failing and raising reports, raises of both kinds among them
+    seen = set()
+    for site, d in EDITED.items():
+        fib = from_dict(d)
+        for report in (fib.module_report, fib.vertical_report):
+            got = new_report(report, CUTOFF)
+            seen.add(got[0] if isinstance(got, tuple) else got["status"])
+    assert seen == {"pass", "fail", "TableIncomplete", "MissingTripleData"}
+
+
+IDENTITY_REPORTS = (
+    lambda fib: fib.fiber_ring.associativity_report(CUTOFF),
+    lambda fib: fib.vertical_ring.associativity_report(CUTOFF),
+    lambda fib: fib.module_report(CUTOFF),
+    lambda fib: fib.vertical_report(CUTOFF),
+)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
-def test_warm_module_and_vertical_reports_multiply_no_basis_pair(name, monkeypatch):
-    """Cold, the module report makes k products Q*e_i, k^2 basis products
-    e_i*e_j and k^2 products Psi(e_i)*e_j; the vertical report then finds
-    every basis product kept, and so does a second module report. (Psi(e_i)
-    and Q can be basis classes themselves: Psi(1) = pt on sphere-rotation.)"""
-    fib = catalog.build(name)
-    r, k = fib.fiber_ring, len(fib.fiber.basis)
-    basis = [fib.fiber.qh_basis(lbl) for lbl in fib.fiber.labels]
+def test_a_passing_identity_report_makes_no_product(name, monkeypatch):
     calls = []
     real = QuantumRing.product
-    monkeypatch.setattr(QuantumRing, "product", lambda self, a, b, cutoff=None: (
-        self is r and calls.append((a, b))) or real(self, a, b, cutoff))
-    made = []
-    for report in (fib.module_report, fib.vertical_report) * 2:
+    monkeypatch.setattr(QuantumRing, "product",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    fib = catalog.build(name)
+    for _ in range(2):  # cold, then warm
+        assert [report(fib)["status"] for report in IDENTITY_REPORTS] == ["pass"] * 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_second_identity_report_reads_no_constants(name, monkeypatch):
+    fib = catalog.build(name)
+    firsts = [report(fib) for report in IDENTITY_REPORTS]
+    reads = []
+    real = GWTable.constants
+    monkeypatch.setattr(GWTable, "constants",
+                        lambda self, *args: reads.append(args) or real(self, *args))
+    assert [report(fib) for report in IDENTITY_REPORTS] == firsts
+    assert reads == []
+
+
+@pytest.mark.parametrize("site", [*MUTATED, *EDITED])
+def test_a_failing_identity_makes_only_its_own_sides(site, monkeypatch):
+    fib = from_dict(MUTATED.get(site) or EDITED[site])
+    sigma = normalized_section(fib)
+    calls = []
+    real = QuantumRing.product
+    for report, identities, args in ((fib.module_report, ref_module_identities, (None,)),
+                                     (fib.module_report, ref_module_identities, (sigma,)),
+                                     (fib.vertical_report, ref_vertical_identities, ())):
+        try:
+            want = list(identities(fib, CUTOFF, *args))
+        except QhfibError:
+            continue
+        monkeypatch.setattr(QuantumRing, "product",
+                            lambda self, a, b, cutoff=None: calls.append((a, b)) or real(
+                                self, a, b, cutoff))
+        got = report(CUTOFF, *args)
+        monkeypatch.setattr(QuantumRing, "product", real)
+        assert got == check([line for _, lines in want for line in lines])
+        assert calls == [ab for sides, lines in want if lines for ab in sides]
         calls.clear()
-        assert report(CUTOFF)["status"] == "pass"
-        made.append(list(calls))
-    assert [len(c) for c in made] == [k + 2 * k * k, 0, k + k * k, 0]
-    # the warm module report's products are the module identities' right sides
-    images = fib.psi_operator(CUTOFF).images
-    q = images[fib.fiber.fundamental_index]
-    assert made[2] == [(q, b) for b in basis] + [(img, b) for img in images for b in basis]
+
+
+def test_one_failing_vertical_pair_makes_only_its_three_products(monkeypatch):
+    # a vertical count +1 on sphere-product breaks the identities of one pair
+    fib = from_dict(MUTATED["sphere-product vertical_gw.three_point[0]"])
+    [(sides, lines)] = [(sides, lines) for sides, lines in ref_vertical_identities(fib, CUTOFF)
+                        if lines]
+    calls = []
+    real = QuantumRing.product
+    monkeypatch.setattr(QuantumRing, "product", lambda self, a, b, cutoff=None: calls.append(
+        (self, a, b)) or real(self, a, b, cutoff))
+    assert fib.vertical_report(CUTOFF) == check(lines)
+    rings = [fib.fiber_ring, fib.vertical_ring, fib.vertical_ring]
+    assert calls == [(r, a, b) for r, (a, b) in zip(rings, sides)]
 
 
 @pytest.mark.parametrize("name", ["sphere-product", "quantum-trivial-product"])

@@ -263,3 +263,36 @@ def test_a_missing_lattice_embedding_skips_only_the_checks_that_read_it(tmp_path
                "details": ["no degree-2 embedding on the lattice: divisor axiom unchecked"]}
     assert after.pop("vertical-axioms") == after.pop("section-divisor") == divisor
     assert {k: c["status"] for k, c in after.items()} == {k: before[k]["status"] for k in after}
+
+
+def test_an_undeclared_triple_skips_the_checks_that_read_it(tmp_path, capsys):
+    """ruled.json with total.triple_complete false and its first total.triple
+    entry dropped: the four checks that multiply on the total space or
+    restrict to the fiber skip with the MissingTripleData text, the rest of
+    the report is as on the unedited file, and --strict exits 1."""
+    original = Path(__file__).resolve().parent.parent / "fixtures" / "ruled.json"
+    d = json.loads(original.read_text())
+    d["total"]["triple_complete"] = False
+    del d["total"]["triple"][0]
+    edited = tmp_path / "ruled-undeclared.json"
+    edited.write_text(json.dumps(d))
+
+    def checks(path):
+        argv = ["verify", "--fixture", str(path), "--suite", "all", "--cutoff", "6"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("suite all: ok\n")
+        assert main(argv + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    before, after = checks(original), checks(edited)
+    assert list(after) == list(before)
+    skip = {"status": "skip", "details": ["ruled-total: triple intersection (M, M, M) undeclared"]}
+    for name in ("vertical-associativity", "vertical-products", "vertical-entries",
+                 "wang-sequence"):
+        assert after.pop(name) == skip, name
+    assert after == {k: before[k] for k in after}
+    argv = ["verify", "--fixture", str(edited), "--suite", "all", "--cutoff", "6", "--strict"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith(
+        "strict: skipped vertical-associativity, vertical-products, vertical-entries, "
+        "wang-sequence, ring-splitting\n")
