@@ -272,15 +272,18 @@ def torus():
 
 
 def sphere_product(fiber_area=1, base_area=5) -> FibrationModel:
-    return product_fixture(*sphere(fiber_area), parse_rational(base_area))
+    m, gw = sphere(fiber_area)
+    return product_fixture(m, gw, parse_rational(base_area))
 
 
 def quantum_trivial_product(base_area=2) -> FibrationModel:
-    return product_fixture(*quantum_trivial_fiber(), parse_rational(base_area))
+    m, gw = quantum_trivial_fiber()
+    return product_fixture(m, gw, parse_rational(base_area))
 
 
 def torus_product(base_area=2) -> FibrationModel:
-    return product_fixture(*torus(), parse_rational(base_area))
+    m, gw = torus()
+    return product_fixture(m, gw, parse_rational(base_area))
 
 
 BUILTIN_FIBRATIONS = {

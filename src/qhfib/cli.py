@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _command(sub, "product", cmd_product, "multiply two classes")
     sp.add_argument("--space", choices=("fiber", "vertical", "horizontal"),
                     default="fiber")
-    sp.add_argument("a", help=_CLASS_HELP); sp.add_argument("b", help=_CLASS_HELP)
+    sp.add_argument("a", help=_CLASS_HELP)
+    sp.add_argument("b", help=_CLASS_HELP)
 
     sp = _command(sub, "psi", cmd_psi, "apply the loop operator")
     sp.add_argument("--offset", metavar="LIN",

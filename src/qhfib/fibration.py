@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from operator import mul
 
 from ._linalg import apply, identity, invert, rank, reduction, solve, solved
@@ -36,7 +36,7 @@ from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, _exact, format_rational
 from .quantum import (
     GWTable, QuantumRing, accumulate, check, contract, copied, step, sum_offsets, table_axioms,
-    vanishes)
+    vanishes, verdicts)
 
 
 class PsiOperator:
@@ -150,14 +150,11 @@ class FibrationModel:
             raise ValueError(f"{name}: iota/splitting need one image per fiber class")
         if len(self.iota_h2) != len(fiber.h2.generators):
             raise ValueError(f"{name}: iota_h2 needs one row per fiber lattice generator")
-        for i, row in enumerate(self.iota):
-            d = self.total.vector_degree(row)
-            if d != fiber.degrees[i]:
-                raise ValueError(f"{name}: iota must preserve degree ({fiber.labels[i]})")
-        for i, row in enumerate(self.splitting_map):
-            d = self.total.vector_degree(row)
-            if d != fiber.degrees[i] + 2:
-                raise ValueError(f"{name}: splitting must raise degree by 2 ({fiber.labels[i]})")
+        for rows, rise, rule in ((self.iota, 0, "iota must preserve degree"),
+                                 (self.splitting_map, 2, "splitting must raise degree by 2")):
+            for i, row in enumerate(rows):
+                if self.total.vector_degree(row) != fiber.degrees[i] + rise:
+                    raise ValueError(f"{name}: {rule} ({fiber.labels[i]})")
         if any(len(row) != len(self.total.basis) for row in self.iota + self.splitting_map):
             raise ValueError(f"{name}: iota/splitting images need one entry per total class")
         self._validate_priming()
@@ -389,10 +386,14 @@ class FibrationModel:
     def rho_shape(self, cutoff) -> dict:
         """Is the Seidel element a single basis monomial a . e^E?"""
         q = self.rho(cutoff)
-        hits = [(e, i, x) for e, vec in q.terms.items() for i, x in enumerate(vec) if x]
-        if len(hits) != 1:  # every term is a nonzero vector: one term, one coordinate
+        terms = list(q.terms.items())
+        if len(terms) != 1:
             return {"monomial": False, "value": q}
-        e, i, coeff = hits[0]
+        e, vec = terms[0]
+        hits = [(i, x) for i, x in enumerate(vec) if x != 0]
+        if len(hits) != 1:
+            return {"monomial": False, "value": q}
+        i, coeff = hits[0]
         return {
             "monomial": True, "value": q, "coefficient": coeff,
             "label": self.fiber.labels[i], "index": i, "exponent": e,
@@ -506,78 +507,95 @@ class FibrationModel:
     # -- identities tying the tables together -----------------------------------
 
     def module_report(self, cutoff, sigma: H2Class | None = None) -> dict:
-        """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis, summed
-        exactly (`quantum.vanishes`); only a failing identity builds its sides,
-        and a data error in the sums builds them all, so the products raise
-        first, as they did: TableIncomplete when the tables miss the cutoff."""
+        """Psi(a) = Q * a and Psi(a *: b) = Psi(a) * b over the basis. Both
+        sides are summed exactly from the fiber ring's kept basis products,
+        and only a failing identity builds them as classes (`verdicts`).
+        Raises TableIncomplete when the tables do not cover the cutoff."""
         failures = []
         op = self.psi_operator(cutoff, sigma)
-        f, ring, k, c = self.fiber, self.fiber_ring, len(self.fiber.basis), op.cutoff
-        try:  # whether each identity holds, in order
+        ring = self.fiber_ring
+        qcls = op.images[self.fiber.fundamental_index]
+
+        def identities():  # whether each identity holds, in order
+            k, c = len(self.fiber.basis), op.cutoff
             where = {}  # each exponent of the images, numbered
-            imgs = [[(where.setdefault(e, len(where)), s, y) for e, v in img.terms.items()
-                     for s, y in enumerate(v) if y] for img in op.images]
-            rows = ring.basis_table(ring._cover(c + max([0, *(e.omega for e in where)])))
-            cols, q = list(zip(*rows)), imgs[f.fundamental_index]
-            unit = [((0, t, 1),) for t in range(k)]  # e_t at the cap's block
-            blocks, exps, ids = ring.exponents, list(where), {}
-            right = sum_offsets(ids, exps, blocks, c, k)  # a term of Psi, then a block
-            left = sum_offsets(ids, [e if e.omega >= -c else None for e in blocks], exps, c, k)
-            holds = iter([vanishes((imgs[i], unit, right, 1), (q, cols[i], right, -1))
-                          for i in range(k)] + [
-                vanishes((rows[i][j], imgs, left, 1), (imgs[i], cols[j], right, -1))
-                for i, j in product(range(k), repeat=2)])
-        except QhfibError:
-            holds = repeat(False)
-        for i, lbl in enumerate(f.labels):
+            images = [[(where.setdefault(e, len(where)), t, x) for e, vec in img.terms.items()
+                       for t, x in enumerate(vec) if x] for img in op.images]
+            ring._cover(c + max([0, *(e.omega for e in where)]))  # the products' highest check
+            rows, cols = ring.basis_table(True)
+            ids, exps = {}, list(where)
+            right = sum_offsets(ids, exps, ring.exponents, c, k)  # an image term, then a block
+            blocks = [e if e.omega >= -c else None for e in ring.exponents]  # a product's blocks
+            left = sum_offsets(ids, blocks, exps, c, k)  # a block, then an image term
+            unit = [((0, t, 1),) for t in range(k)]  # e_t itself
+            q = images[self.fiber.fundamental_index]
+            for i in range(k):  # Psi(e_i) - Q * e_i
+                yield vanishes((images[i], unit, right, 1), (q, cols[i], right, -1))
+            for i, j in product(range(k), repeat=2):  # Psi(e_i * e_j) - Psi(e_i) * e_j
+                yield vanishes((rows[i][j], images, left, 1), (images[i], cols[j], right, -1))
+
+        holds = verdicts(identities())
+        for i, lbl in enumerate(self.fiber.labels):
             if not next(holds):
-                want = ring.product(op.images[f.fundamental_index], f.qh_basis(lbl), cutoff)
+                want = ring.product(qcls, self.fiber.qh_basis(lbl), cutoff)
                 if op.images[i] != want:
                     failures.append(f"Psi({lbl}) = {op.images[i]!r} but Q*{lbl} = {want!r}")
-        for i, la in enumerate(f.labels):
-            for j, lb in enumerate(f.labels):
-                if not next(holds):
-                    left = op.apply(ring.product(f.qh_basis(la), f.qh_basis(lb), cutoff))
-                    right = ring.product(op.images[i], f.qh_basis(lb), cutoff)
-                    if left != right:
-                        failures.append(f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}")
+        for i, la in enumerate(self.fiber.labels):
+            for j, lb in enumerate(self.fiber.labels):
+                if next(holds):
+                    continue
+                b = self.fiber.qh_basis(lb)
+                left = op.apply(ring.product(self.fiber.qh_basis(la), b, cutoff))
+                right = ring.product(op.images[i], b, cutoff)
+                if left != right:
+                    failures.append(f"Psi({la}*{lb}) = {left!r} != Psi({la})*{lb} = {right!r}")
         return check(failures)
 
     def vertical_report(self, cutoff) -> dict:
         """iota is a ring map and the splitting a module map for the vertical
-        product: iota(e_i) *v iota(e_j) = 0 and s(e_i) *v iota(e_j) =
-        iota(e_i * e_j), summed as `module_report` sums, from the kept basis
-        products of both rings; only a failing pair builds its sides."""
+        product, iota(e_i) *v iota(e_j) = 0 and s(e_i) *v iota(e_j) =
+        iota(e_i * e_j), summed exactly from the kept basis products of both
+        rings; only a failing pair builds its sides as classes (`verdicts`).
+        Raises TableIncomplete when the tables do not cover the cutoff."""
         failures = []
-        f, fr, vr, k = self.fiber, self.fiber_ring, self.vertical_ring, len(self.fiber.basis)
-        try:  # whether each pair meets both identities, in order
-            c, zero, ids, size = _exact(cutoff), self.total.h2.zero(), {}, len(self.total.basis)
-            rows, cols = fr.basis_table(fr._cover(c)), list(zip(*vr.basis_table(vr._cover(c))))
-            iotas, splits = ([[(0, t, x) for t, x in enumerate(v) if x] for v in images]
-                             for images in (self.iota, self.splitting_map))
-            vsums = sum_offsets(ids, [zero], vr.exponents, c, size)
-            fsums = sum_offsets(ids, [self.iota_h2_class(e) for e in fr.exponents], [zero], c, size)
-            holds = iter([vanishes(*[(iotas[i], cols[q], vsums, x) for _, q, x in iotas[j]])
-                          and vanishes((rows[i][j], iotas, fsums, -1), *[
-                              (splits[i], cols[q], vsums, x) for _, q, x in iotas[j]])
-                          for i, j in product(range(k), repeat=2)])
-        except QhfibError:
-            holds = repeat(False)
-        for i, la in enumerate(f.labels):
-            for j, lb in enumerate(f.labels):
+        ring = self.fiber_ring
+
+        def identities():  # whether each pair meets both identities, in order
+            vr, c = self.vertical_ring, _exact(cutoff)
+            ring._cover(c)
+            vr._cover(c)
+            rows, cols = ring.basis_table(True)[0], vr.basis_table(True)[1]
+            iotas = [[(0, t, x) for t, x in enumerate(v) if x] for v in self.iota]
+            splits = [[(0, t, x) for t, x in enumerate(v) if x] for v in self.splitting_map]
+            zero, size, ids = self.total.h2.zero(), len(self.total.basis), {}
+            vsums = sum_offsets(ids, [zero], vr.exponents, c, size)  # a class, then a block
+            lifted = [self.iota_h2_class(e) for e in ring.exponents]  # the fiber's blocks in P
+            fsums = sum_offsets(ids, lifted, [zero], c, size)
+            for i, j in product(range(len(self.fiber.basis)), repeat=2):
+                by = [(cols[q], x) for _, q, x in iotas[j]]  # *v iota(e_j), column by column
+                yield (vanishes(*[(iotas[i], col, vsums, x) for col, x in by])
+                       and vanishes((rows[i][j], iotas, fsums, -1),
+                                    *[(splits[i], col, vsums, x) for col, x in by]))
+
+        holds = verdicts(identities())
+        for i, la in enumerate(self.fiber.labels):
+            for j, lb in enumerate(self.fiber.labels):
                 if next(holds):
                     continue
-                a, b = f.qh_basis(la), f.qh_basis(lb)
-                fiber_prod = fr.product(a, b, cutoff)
+                a, b = self.fiber.qh_basis(la), self.fiber.qh_basis(lb)
+                fiber_prod = ring.product(a, b, cutoff)
                 left = self.vertical_product(self.iota_class(a), self.iota_class(b), cutoff)
                 mid = self.vertical_product(self.splitting_class(a), self.iota_class(b), cutoff)
                 want = self.iota_class(fiber_prod).truncate(cutoff)
                 if not left.is_zero():
-                    failures.append(f"iota({la}) *v iota({lb}) = {left!r}, fiber classes in "
-                                    "distinct fibers must multiply to zero")
+                    failures.append(
+                        f"iota({la}) *v iota({lb}) = {left!r}, fiber classes in "
+                        "distinct fibers must multiply to zero"
+                    )
                 if mid != want:
                     failures.append(
-                        f"s({la}) *v iota({lb}) = {mid!r} != iota({la}*{lb}) = {want!r}")
+                        f"s({la}) *v iota({lb}) = {mid!r} != iota({la}*{lb}) = {want!r}"
+                    )
         return check(failures)
 
     def vertical_table_report(self) -> dict:
@@ -703,11 +721,17 @@ class FibrationModel:
     def invariant_Iu(self):
         """Coupling-power class: dual of u^n in lattice coordinates, reduced
         modulo the spherical generators. Dict over non-spherical generators."""
+        u = self._covector_on_deg2(self.total.h2.omega)
+        n = self.fiber.n
+        x = self._power_cap([u] * n)
+        deg2 = self.total.indices_of_degree(2)
         lat = self.total.h2
-        x = self._power_cap([self._covector_on_deg2(lat.omega)] * self.fiber.n)
-        y = apply([x[idx] for idx in self.total.indices_of_degree(2)],
-                  self._lattice_embed_inverse(), len(lat.generators))
-        return {g: y[t] for t, g in enumerate(lat.generators) if not lat.spherical[t]}
+        y = apply([x[idx] for idx in deg2], self._lattice_embed_inverse(), len(lat.generators))
+        return {
+            lat.generators[g]: y[g]
+            for g in range(len(lat.generators))
+            if not lat.spherical[g]
+        }
 
     def invariant_Ik(self, k: int) -> Fraction:
         """Mixed characteristic number int c^k u^(n+1-k) over the total space."""

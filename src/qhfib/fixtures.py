@@ -32,11 +32,7 @@ _COEFF = re.compile(r"(\d+(?:/\d+)?)\*")
 
 
 def _longest_match(names, s, i):
-    best = None
-    for name in names:
-        if s.startswith(name, i) and (best is None or len(name) > len(best)):
-            best = name
-    return best
+    return max((name for name in names if s.startswith(name, i)), key=len, default=None)
 
 
 def _scan_terms(s, names, what):
@@ -88,15 +84,19 @@ def parse_lin(lattice: H2Lattice, text) -> H2Class:
     return lattice.cls(coords)
 
 
-def format_lin(cls: H2Class) -> str:
+def _signed_sum(terms) -> str:
+    """The sum of the (coefficient, name) terms with a nonzero coefficient,
+    as '2*a-b+1/2*c': a coefficient of magnitude 1 is left out; 0 when none."""
     parts = []
-    for g, x in zip(cls.lattice.generators, cls.coords):
-        if x == 0:
-            continue
-        lead = "-" if x < 0 else ("+" if parts else "")
-        mag = abs(x)
-        parts.append(lead + (f"{format_rational(mag)}*" if mag != 1 else "") + g)
+    for x, name in terms:
+        if x:
+            lead = "-" if x < 0 else ("+" if parts else "")
+            parts.append(lead + (f"{format_rational(abs(x))}*" if abs(x) != 1 else "") + name)
     return "".join(parts) if parts else "0"
+
+
+def format_lin(cls: H2Class) -> str:
+    return _signed_sum(zip(cls.coords, cls.lattice.generators))
 
 
 def parse_qh(model: ManifoldModel, text) -> QHClass:
@@ -111,19 +111,11 @@ def parse_qh(model: ManifoldModel, text) -> QHClass:
 
 
 def format_qh(q: QHClass) -> str:
-    m = q.model
-    keys = sorted(q.terms, key=lambda e: (-e.omega, e.c1, e.coords))
-    parts = []
-    for e in keys:
+    terms = []
+    for e in sorted(q.terms, key=lambda e: (-e.omega, e.c1, e.coords)):
         suffix = "" if e.is_zero() else f"@e^{{{format_lin(e)}}}"
-        for i, x in enumerate(q.terms[e]):
-            if x == 0:
-                continue
-            lead = "-" if x < 0 else ("+" if parts else "")
-            mag = abs(x)
-            coeff = f"{format_rational(mag)}*" if mag != 1 else ""
-            parts.append(lead + coeff + m.labels[i] + suffix)
-    return "".join(parts) if parts else "0"
+        terms += [(x, lbl + suffix) for x, lbl in zip(q.terms[e], q.model.labels)]
+    return _signed_sum(terms)
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -325,8 +317,14 @@ def _entry_dicts(d: dict, lattice: H2Lattice, path: str) -> dict:
 
 
 def gw_from_dict(d: dict, model: ManifoldModel, path: str = "gw") -> GWTable:
-    tables = _entry_dicts(d, model.h2, path)  # first: it refuses a d that is not an object
-    return GWTable(model, d.get("kind", "fiber"), **tables)
+    t = _entry_dicts(d, model.h2, path)
+    return GWTable(
+        model, d.get("kind", "fiber"),
+        two_point=t["two_point"],
+        three_point=t["three_point"],
+        four_point_chi=t["four_point_chi"],
+        complete_below=t["complete_below"],
+    )
 
 
 def fibration_to_dict(fib: FibrationModel) -> dict:

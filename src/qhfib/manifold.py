@@ -443,12 +443,8 @@ class QHClass:
 
     def homogeneous_degree(self) -> int | None:
         """deg(a e^E) = dim a + 2 c1(E); None when mixed or zero."""
-        degs = set()
-        for e, v in self.terms.items():
-            shift = 2 * e.c1
-            for i, x in enumerate(v):
-                if x != 0:
-                    degs.add(self.model.degrees[i] + shift)
+        degs = {self.model.degrees[i] + 2 * e.c1
+                for e, v in self.terms.items() for i, x in enumerate(v) if x != 0}
         if len(degs) != 1:
             return None
         d = degs.pop()

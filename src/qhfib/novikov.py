@@ -96,10 +96,7 @@ class H2Lattice:
         vals = [self.c1[i] for i, s in enumerate(self.spherical) if s]
         if any(v.denominator != 1 for v in vals):
             raise ValueError("c1 must be integral on spherical generators")
-        n = 0
-        for v in vals:
-            n = gcd(n, abs(v.numerator))
-        return n
+        return gcd(*(v.numerator for v in vals))
 
     def spherical_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.spherical) if s]

@@ -222,25 +222,6 @@ class GWTable:
         out["complete_below"] = dict(self.complete_below)
         return out
 
-    def replace(self, arity, updates):
-        """New table with some entries {(indices, class): n} replaced, a
-        zero deleting one (for tamper testing). Each key is sorted and its
-        Koszul sign folded into n, as the constructor does, so `query`
-        reads it in any slot order; the dimension rule is not checked, so
-        a tamper may store a key it forbids."""
-        t = GWTable(self.model, self.kind, complete_below=self.complete_below,
-                    section_c1=self.section_c1)
-        for a in ARITIES:
-            setattr(t, a, dict(self._store(a)))
-        store = t._store(arity)
-        for (idx, cls), v in updates.items():
-            ck, sign = koszul_sorted(tuple(idx), self.model.degrees)
-            if v:
-                store[ck, cls] = sign * _exact(v)
-            else:
-                store.pop((ck, cls), None)
-        return t
-
 
 def accumulate(acc, e, x, zero):
     """acc[e] += x for the sparse vector x {t: x_t}, zero the dense zero
@@ -300,6 +281,16 @@ def sum_offsets(ids, firsts, seconds, cutoff, size) -> list:
     is None or the sum lies below the cutoff (None: no cutoff)."""
     return [[None if e is None or f is None or (cutoff is not None and (e + f).omega < -cutoff)
              else size * ids.setdefault(e + f, len(ids)) for f in seconds] for e in firsts]
+
+
+def verdicts(identities):
+    """Whether each identity of a report holds, in order, from its exact
+    sums (`vanishes`); all False when their data raises, so that the report
+    builds every identity's sides as classes and raises where they raise."""
+    try:
+        return iter(list(identities))
+    except QhfibError:
+        return itertools.repeat(False)
 
 
 def table_axioms(table: GWTable, curve) -> dict:
@@ -410,17 +401,16 @@ class QuantumRing:
         # the (shift, class) sources of every product: the cap, then each key class
         self._sources = [(None, None)] + [
             (-cls, cls) for cls in table.known_key_classes("three_point")]
-        # the exponent of each source's block of `_row`: 0 for the cap
+        # the exponent of each source's block in `basis_table`: 0 for the cap
         self.exponents = [model.h2.zero(), *(shift for shift, _ in self._sources[1:])]
         self._kept = {}
 
     def _cover(self, need):
-        """The declared window; raise TableIncomplete unless it reaches area need."""
+        """Raise TableIncomplete unless the declared window reaches area need."""
         w = self.table.window("three_point")
         if w is None or need > w:
             raise TableIncomplete(f"{self.model.name}: product needs three-point data "
                                   f"through area {format_rational(need)}")
-        return w
 
     def product(self, a: QHClass, b: QHClass, cutoff=None) -> QHClass:
         """a * b, summed bilinearly from the kept structure constants. With
@@ -434,20 +424,24 @@ class QuantumRing:
         return contract(self.table, a, b, self._sources,
                         lambda base: self._cover(base.omega + cutoff), -cutoff).truncate(cutoff)
 
-    def _row(self, i, j, reach) -> tuple:
-        """e_i * e_j as its nonzero (block, t, x), block b the source
-        `_sources[b]` (0 the cap), over the key classes of area at most
-        reach (None: every one), read from the kept constants in block order."""
-        return tuple((b, t, x) for b, (_, cls) in enumerate(self._sources)
-                     if b == 0 or reach is None or cls.omega <= reach
-                     for t, x in self.table.constants(cls, [(i, j, 1)]).items())
-
     @kept
-    def basis_table(self, reach) -> tuple:
-        """The kept table of basis products: e_i * e_j at row i, column j
-        (`_row`), read row by row; a raise keeps nothing."""
+    def basis_table(self, bounded) -> tuple:
+        """The kept table of basis products, (rows, columns): e_i * e_j at
+        row i, column j as its nonzero (block, t, x), block b the source
+        `_sources[b]` (0 the cap), read row by row from the kept constants
+        over the key classes inside the declared window when bounded (a
+        product at a cutoff reads no others), else over every key class,
+        as a product without a cutoff reads them. A raise keeps nothing."""
+        w = self.table.window("three_point") if bounded else None
+
+        def row(i, j):
+            return tuple((b, t, x) for b, (_, cls) in enumerate(self._sources)
+                         if b == 0 or w is None or cls.omega <= w
+                         for t, x in self.table.constants(cls, [(i, j, 1)]).items())
+
         k = range(len(self.model.basis))
-        return tuple(tuple(self._row(i, j, reach) for j in k) for i in k)
+        rows = tuple(tuple(row(i, j) for j in k) for i in k)
+        return rows, tuple(zip(*rows))
 
     def unit(self) -> QHClass:
         return self.model.qh_unit()
@@ -525,34 +519,35 @@ class QuantumRing:
     def associativity_report(self, cutoff) -> dict:
         """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
         with no product while it passes: both sides are summed exactly
-        (`vanishes`) from the kept basis products (`basis_table`). Where a row
-        raises, the rows are read again in the order the nested products
-        first needed them, so the raise has their text. Only a failing
-        triple makes the nested products, for its line."""
+        (`vanishes`) from the kept basis products (`basis_table`). A failing
+        triple builds its two sides by one product each; when the table
+        raises, every triple does (`verdicts`), so the nested products raise
+        where they first meet the missing data, with their text."""
         m, size = self.model, len(self.model.basis)
         cutoff = None if cutoff is None else _exact(cutoff)
-        exps = [e if cutoff is None or e.omega >= -cutoff else None for e in self.exponents]
-        reach = None if cutoff is None else self._cover(cutoff)  # as the first product did
-        try:
-            rows = self.basis_table(reach)
-        except QhfibError:  # read again as the nested products first did, all while i is 0
-            for j, k in itertools.product(range(size), repeat=2):
-                for b, t, _ in self._row(0, j, reach):
-                    if exps[b] is not None:
-                        self._row(t, k, reach)
-                for b, t, _ in self._row(j, k, reach):
-                    if exps[b] is not None:
-                        self._row(0, t, reach)
-            raise
-        sums, cols, failures = sum_offsets({}, exps, exps, cutoff, size), list(zip(*rows)), []
+        if cutoff is not None:
+            self._cover(cutoff)  # as the first basis product checked it
+
+        def identities():  # whether (e_i*e_j)*e_k - e_i*(e_j*e_k) vanishes, in order
+            rows, cols = self.basis_table(cutoff is not None)
+            exps = [e if cutoff is None or e.omega >= -cutoff else None for e in self.exponents]
+            sums = sum_offsets({}, exps, exps, cutoff, size)
+            for i, j, k in itertools.product(range(size), repeat=3):
+                yield vanishes((rows[i][j], cols[k], sums, 1), (rows[j][k], rows[i], sums, -1))
+
+        def as_class(i, j):  # e_i*e_j as its basis product sums it
+            return contract(self.table, m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]),
+                            self._sources, floor=None if cutoff is None else -cutoff)
+
+        failures, holds = [], verdicts(identities())
         for i, j, k in itertools.product(range(size), repeat=3):
-            # (e_i*e_j)*e_k - e_i*(e_j*e_k)
-            if not vanishes((rows[i][j], cols[k], sums, 1), (rows[j][k], rows[i], sums, -1)):
+            if not next(holds):
                 la, lb, lc = m.labels[i], m.labels[j], m.labels[k]
-                a, b, c = map(m.qh_basis, (la, lb, lc))
-                left = self.product(self.product(a, b, cutoff), c, cutoff)
-                right = self.product(a, self.product(b, c, cutoff), cutoff)
-                failures.append(f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
+                left = self.product(as_class(i, j), m.qh_basis(lc), cutoff)
+                right = self.product(m.qh_basis(la), as_class(j, k), cutoff)
+                if left != right:
+                    failures.append(
+                        f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
         return check(failures)
 
     @kept

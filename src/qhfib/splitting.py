@@ -136,16 +136,12 @@ def ring_split_check(fib: FibrationModel, cutoff) -> dict:
     step(report, "section-map", True, "s(x) classical for every basis class")
 
     basis = [(lbl, img.classical()) for lbl, img in zip(f.labels, images)]
-    for i, (lbl, x) in enumerate(basis):
-        restr = apply(x, d, len(f.basis))
-        if restr != [int(j == i) for j in range(len(f.basis))]:
-            step(
-                report, "restricts-to-identity", False,
-                f"s({lbl}) restricts to [{', '.join(map(format_rational, restr))}], not {lbl}",
-            )
-            break
-    else:
-        step(report, "restricts-to-identity", True, "")
+    # the first basis image that does not restrict to its own class, if any
+    k = len(f.basis)
+    wrong = next((f"s({lbl}) restricts to [{', '.join(map(format_rational, r))}], not {lbl}"
+                  for i, (lbl, x) in enumerate(basis)
+                  if (r := apply(x, d, k)) != [int(j == i) for j in range(k)]), "")
+    step(report, "restricts-to-identity", not wrong, wrong)
 
     # the first pair (triple) of basis images that meet, if any
     meet = next((f"s({la}) . s({lb}) != 0" for la, x in basis for lb, y in basis

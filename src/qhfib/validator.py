@@ -53,10 +53,7 @@ class VerificationReport:
             "suite": self.suite,
             "cutoff": None if self.cutoff is None else format_rational(self.cutoff),
             "ok": self.ok,
-            "checks": {
-                name: {"status": c["status"], "details": list(c["details"])}
-                for name, c in self.checks.items()
-            },
+            "checks": {name: copied(c) for name, c in self.checks.items()},
         }
 
     def to_json(self) -> str:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qhfib import catalog, fixtures, format_rational
+from qhfib import GWTable, catalog, fixtures, format_rational
+from qhfib.manifold import koszul_sorted
+from qhfib.novikov import _exact
 from qhfib.quantum import ARITIES
 
 settings.register_profile(
@@ -22,6 +24,26 @@ BUILTINS = tuple(catalog.BUILTIN_FIBRATIONS)
 
 # a step line of a check record: "name: pass|fail" with an optional detail
 STEP_LINE = re.compile(r"^[a-z-]+: (pass|fail)( \(|$)")
+
+
+def replaced(table, arity, updates):
+    """A copy of the table with some entries {(indices, class): n} replaced,
+    a zero deleting one, for tamper tests. Each key is sorted and its
+    Koszul sign folded into n, as the constructor does, so `query` reads
+    it in any slot order; the dimension rule is not checked, so a tamper
+    may store a key it forbids."""
+    t = GWTable(table.model, table.kind, complete_below=table.complete_below,
+                section_c1=table.section_c1)
+    for a in ARITIES:
+        setattr(t, a, dict(table._store(a)))
+    store = t._store(arity)
+    for (idx, cls), v in updates.items():
+        ck, sign = koszul_sorted(tuple(idx), table.model.degrees)
+        if v:
+            store[ck, cls] = sign * _exact(v)
+        else:
+            store.pop((ck, cls), None)
+    return t
 
 
 def offending_lines(fib):

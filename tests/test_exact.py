@@ -119,7 +119,7 @@ def test_every_stored_scalar_is_an_int_or_a_proper_fraction(name, kappa):
     f, ring = fib.fiber, fib.fiber_ring
     results = [fib.fiber.dual_basis(), fib.total.dual_basis(), fib._iota_preimages(),
                fib.fiber_restriction_matrix(), fib.psi_operator(CUTOFF).images]
-    results += ring.basis_table(ring.table.window("three_point"))
+    results += ring.basis_table(True)[0]
     for table, owner in ((fib.fiber_gw, f), (fib.vertical_gw, fib.total)):
         results += [owner._cap_pair(i, k) for i in range(len(owner.basis))
                     for k in range(len(owner.basis))]

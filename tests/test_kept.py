@@ -43,8 +43,7 @@ CALLS = {
     "GWTable._pair": (GWTable, lambda t, c: [(cls, *ik) for cls in t.known_key_classes(
         "three_point") for ik in basis_pairs(t.model)]),
     "QuantumRing._splittings": (QuantumRing, lambda r, c: [()]),
-    "QuantumRing.basis_table": (
-        QuantumRing, lambda r, c: [(r.table.window("three_point"),), (None,)]),
+    "QuantumRing.basis_table": (QuantumRing, lambda r, c: [(True,), (False,)]),
     "FibrationModel.fiber_class_from_total": (
         FibrationModel, lambda f, c: [(cls,) for t in (f.vertical_gw, f.section_gw)
                                       for a in ARITIES for cls in t.known_key_classes(a)]),

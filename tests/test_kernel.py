@@ -32,7 +32,7 @@ from qhfib.fibration import PsiOperator, compose, mirror
 from qhfib.manifold import koszul_sorted
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from qhfib.quantum import check
-from tests.conftest import BUILTINS
+from tests.conftest import BUILTINS, replaced
 from tests.test_derived import MUTATED
 
 CUTOFF = Fraction(6)
@@ -404,7 +404,7 @@ def ring_with_a_key_above_the_window():
     entries = {(tuple(sorted((f, t, j))), high): Fraction(j + 1) for j in range(4)}
     for j in (one, f, t):
         entries.setdefault((tuple(sorted((one, f, j))), high), Fraction(7))
-    return QuantumRing(m, table.replace("three_point", entries))
+    return QuantumRing(m, replaced(table, "three_point", entries))
 
 
 def sparse_class(data, m):
@@ -469,7 +469,7 @@ def test_associativity_report_matches_the_nested_products(name, key):
 
 def tampered(name, key, d):
     r = ring(name)
-    return QuantumRing(r.model, r.table.replace("three_point", {key: r.table.three_point[key] + d}))
+    return QuantumRing(r.model, replaced(r.table, "three_point", {key: r.table.three_point[key] + d}))
 
 
 def report_or_raise(fn):
@@ -565,27 +565,31 @@ def test_associativity_report_names_the_undeclared_triple_the_nested_products_me
     assert got == report_or_raise(lambda: ref_associativity_failures(r, CUTOFF))
 
 
-def zm_first_total():
+def total_with_first(label):
     """The fixture dict of ruled's total space and vertical table as a ring,
-    its basis reordered to put Zm first: a first class that is not the
-    unit, whose products reach rows past its own."""
+    its basis reordered to put the class label first: a first class that is
+    not the unit, whose products reach rows past its own."""
     d = to_dict((fibration("ruled").total, fibration("ruled").vertical_gw))
     basis = d["model"]["basis"]
-    order = sorted(range(len(basis)), key=lambda i: basis[i][0] != "Zm")
+    order = sorted(range(len(basis)), key=lambda i: basis[i][0] != label)
     d["model"]["basis"] = [basis[i] for i in order]
     d["model"]["pairing"] = [[d["model"]["pairing"][i][j] for j in order] for i in order]
     return d
 
 
-ZM_FIRST = zm_first_total()
+FIRSTS = {label: total_with_first(label) for label in ("Zm", "S")}
 
 
-@pytest.mark.parametrize("ck", [ck for ck in combinations_with_replacement(range(8), 3) if sum(
-    from_dict(ZM_FIRST)[0].degrees[t] for t in ck) == 12])
-def test_a_raising_row_is_named_as_the_nested_products_first_meet_it(ck):
-    # read row by row the table would meet another undeclared slot first in
-    # half of these; the report reads its rows again in the nested products' order
-    m, table = from_dict(ZM_FIRST)
+@pytest.mark.parametrize("first,ck", [(first, ck) for first in FIRSTS
+                                      for ck in combinations_with_replacement(range(8), 3)
+                                      if sum(from_dict(FIRSTS[first])[0].degrees[t]
+                                             for t in ck) == 12])
+def test_a_raising_row_is_named_as_the_nested_products_first_meet_it(first, ck):
+    # reading the table row by row would name another undeclared slot in
+    # half of these with Zm first, and the parent's walk of the rows in the
+    # nested products' first-use order in one with S first; the report
+    # builds the nested products themselves when the table raises
+    m, table = from_dict(FIRSTS[first])
     for c in combinations_with_replacement(range(len(m.basis)), 3):
         if sum(m.degrees[t] for t in c) == 4 * m.n:
             m.triple.setdefault(c, Fraction(0))
@@ -654,11 +658,11 @@ def test_only_a_failing_triple_makes_products(name, monkeypatch):
     monkeypatch.setattr(QuantumRing, "product", counted)
     assert ring(name).associativity_report(CUTOFF)["status"] == "pass"
     assert calls == []
-    # a failing triple builds its two sides by the nested products, two each
+    # a failing triple builds each of its two sides with one product
     for key in ring(name).table.three_point:
         calls.clear()
         details = tampered(name, key, 1).associativity_report(CUTOFF)["details"]
-        assert len(calls) == 4 * len(details)
+        assert len(calls) == 2 * len(details)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -789,8 +793,9 @@ def test_the_kept_basis_table_is_the_product(name):
     r = ring(name)
     m, w = r.model, r.table.window("three_point")
     kept = QuantumRing(m, r.table)
-    table = kept.basis_table(w)
-    assert kept.basis_table(w) is table
+    table, columns = kept.basis_table(True)
+    assert kept.basis_table(True)[0] is table
+    assert columns == tuple(zip(*table))
     for cutoff in (Fraction(2), Fraction(6), Fraction(24)):
         if cutoff > w:
             continue
@@ -800,21 +805,21 @@ def test_the_kept_basis_table_is_the_product(name):
 
 
 def test_a_basis_table_that_raises_raises_every_time_and_is_not_kept():
-    # with no reach, the key class F above the declared window reads its
-    # slots, as a product without a cutoff does, and an unstored one raises
+    # unbounded, the key class F above the declared window reads its slots,
+    # as a product without a cutoff does, and an unstored one raises
     d = to_dict(fibration("ruled"))
     d["fiber_gw"]["complete_below"]["three_point"] = "1"
     r = from_dict(d).fiber_ring
     texts = set()
     for _ in range(3):
         with pytest.raises(TableIncomplete) as err:
-            r.basis_table(None)
+            r.basis_table(False)
         texts.add(str(err.value))
     assert texts == {report_or_raise(lambda: r.product(r.unit(), r.unit()))[1]}
     assert [args for name, args in r._kept if name == "QuantumRing.basis_table"] == []
-    # over the declared window the table leaves F out, and is kept
-    assert r.basis_table(1) is r.basis_table(1)
-    assert {b for row in r.basis_table(1) for entries in row for b, _, _ in entries} == {0}
+    # bounded, the table leaves F out, as a product at a cutoff does, and is kept
+    assert r.basis_table(True) is r.basis_table(True)
+    assert {b for row in r.basis_table(True)[0] for entries in row for b, _, _ in entries} == {0}
     assert r.associativity_report(1) == check([])
 
 
@@ -1214,21 +1219,21 @@ def test_a_tamper_in_any_slot_order_is_the_canonical_tamper(name, key):
     r = ring(name)
     m = r.model
     (ck, cls), new = key, r.table.three_point[key] + 1
-    canonical = QuantumRing(m, r.table.replace("three_point", {(ck, cls): new}))
+    canonical = QuantumRing(m, replaced(r.table, "three_point", {(ck, cls): new}))
     products = {(a, b): canonical.product(m.qh_basis(a), m.qh_basis(b), CUTOFF)
                 for a in m.labels for b in m.labels}
     assert any(p != r.product(m.qh_basis(a), m.qh_basis(b), CUTOFF)
                for (a, b), p in products.items())
     for perm in dict.fromkeys(permutations(ck)):
         sign = koszul_sorted(perm, m.degrees)[1]
-        t = r.table.replace("three_point", {(perm, cls): sign * new})
+        t = replaced(r.table, "three_point", {(perm, cls): sign * new})
         assert t.three_point == canonical.table.three_point
         tampered_ring = QuantumRing(m, t)
         for (a, b), p in products.items():
             assert_same(tampered_ring.product(m.qh_basis(a), m.qh_basis(b), CUTOFF), p)
     # a zero in any slot order deletes the entry
     perm = ck[::-1]
-    assert (ck, cls) not in r.table.replace("three_point", {(perm, cls): 0}).three_point
+    assert (ck, cls) not in replaced(r.table, "three_point", {(perm, cls): 0}).three_point
 
 
 # -- the four-point splitting -----------------------------------------------------
@@ -1265,7 +1270,7 @@ def test_four_point_splitting_equals_the_dual_basis_sum(name):
 def with_changed_count(name, arity, key, d):
     r = ring(name)
     store = r.table._store(arity)
-    return QuantumRing(r.model, r.table.replace(arity, {key: store[key] + d}))
+    return QuantumRing(r.model, replaced(r.table, arity, {key: store[key] + d}))
 
 
 # +1 and -1 on every stored three-point and four-point count of the rings of

@@ -14,7 +14,7 @@ from qhfib import (
     tensor_model,
 )
 from qhfib.quantum import check, step
-from tests.conftest import CUTOFF
+from tests.conftest import CUTOFF, replaced
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ def test_replace_builds_an_independent_table():
     F = model.h2.gen("F")
     key = ((model.label_index("F"), model.label_index("T-"),
             model.label_index("T-"), model.label_index("T-")), F)
-    tampered = table.replace("four_point_chi", {key: Fraction(5)})
+    tampered = replaced(table, "four_point_chi", {key: Fraction(5)})
     assert tampered.four_point_chi[key] == 5
     assert table.four_point_chi[key] == 1
     ring = QuantumRing(model, tampered)
@@ -201,6 +201,6 @@ def test_a_unit_is_inverted_however_far_its_inverse_lies(ring):
 def test_a_stored_invariant_with_a_fundamental_slot_fails_the_axioms(ring):
     m = ring.model
     idx = tuple(map(m.label_index, ("1", "pt", "pt")))
-    bad = QuantumRing(m, ring.table.replace("three_point", {(idx, m.h2.gen("F")): 1}))
+    bad = QuantumRing(m, replaced(ring.table, "three_point", {(idx, m.h2.gen("F")): 1}))
     assert bad.axioms_report() == {"status": "fail", "details": [
         "three_point (1,pt,pt; H2<1*F>) = 1, must vanish (fundamental-class insertion)"]}
