@@ -444,7 +444,8 @@ class FibrationModel:
 
     @kept
     def _iota_reduction(self):
-        """iota transposed, reduced once for every preimage (`_linalg.reduction`)."""
+        """iota transposed, reduced once (`_linalg.reduction`): its E solves
+        every preimage and writes the mirror's counts, its pivots give rank(iota)."""
         return reduction([list(col) for col in zip(*self.iota)])
 
     def _iota_preimage(self, vec):
@@ -479,7 +480,8 @@ class FibrationModel:
     @kept(copy=copied)
     def wang_report(self) -> dict:
         """Exactness of  H(M) -iota-> H(P) -cap fiber-> H(M)  rank by rank,
-        kept; each call gets a fresh copy."""
+        rank(iota) the pivots of its kept reduction; kept, each call gets a
+        fresh copy."""
         failures = []
         f, m = self.fiber, self.total
         if len(m.basis) != 2 * len(f.basis):
@@ -487,7 +489,7 @@ class FibrationModel:
                 f"total space has {len(m.basis)} classes, expected twice the "
                 f"fiber's {len(f.basis)}"
             )
-        iota_rank = rank(self.iota)
+        iota_rank = len(self._iota_reduction()[1])
         if iota_rank != len(f.basis):
             failures.append("iota is not injective")
         try:
@@ -687,7 +689,7 @@ class FibrationModel:
             raise MissingInput(f"{self.name}: total lattice has no degree-2 embedding")
         inv = invert([list(row) for row in emb]) if len(emb) == len(emb[0]) else None
         if inv is None:
-            raise QhfibError(
+            raise MissingInput(
                 f"{self.name}: lattice generators must form a basis of degree-2 homology"
             )
         return inv
@@ -921,6 +923,9 @@ def mirror(fib: FibrationModel, cutoff) -> FibrationModel:
 
 
 def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
+    """Each count v_ij = (Qinv * e_i)_B . e_j adds r_i[p] r_j[q] v_ij at (p, q; -B),
+    r_i row i of E in iota's kept reduction: r_i . iota(e_j) = delta_ij for an
+    injective iota, so `_loop` reads v_ij back on any basis of the total space."""
     t = fib.total
     lat = t.h2
     if lat.embed is None:
@@ -941,10 +946,9 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
     qref = fib.q_class(cutoff)
     qinv = fib.fiber_ring.inverse(qref, cutoff)
     f = fib.fiber
-    pos = []  # the total basis index of iota(e_i), or None if it is not a basis class
-    for row in fib.iota:
-        hits = [p for p, xp in enumerate(row) if xp]
-        pos.append(hits[0] if len(hits) == 1 and row[hits[0]] == 1 else None)
+    columns = fib._iota_reduction()[0]
+    r = [[(p, x) for p, col in enumerate(columns) for row, x in col if row == i]
+         for i in range(len(f.basis))]
     two = {}
     for i in range(len(f.basis)):
         img = fib.fiber_ring.product(qinv, f.qh_basis(f.labels[i]), cutoff)
@@ -952,20 +956,13 @@ def _build_mirror(fib: FibrationModel, cutoff: Fraction) -> FibrationModel:
             off_new = new_lat.cls(fib.iota_h2_class(-e).coords)
             cov = f.covector(vec)
             for j in range(len(f.basis)):
-                # n(iota_i, iota_j; offset) = (Qinv * e_i)_B . e_j
                 val = cov.get(j, 0)
                 if val == 0:
                     continue
-                if pos[i] is None or pos[j] is None:
-                    raise QhfibError(
-                        f"{fib.name}: mirror synthesis expects iota to send basis "
-                        "classes to basis classes"
-                    )
-                key = ((pos[i], pos[j]), off_new)
-                old = two.get(key)
-                if old is not None and old != val:
-                    raise Inconsistent(f"{fib.name}: mirror table conflict at {key}")
-                two[key] = val
+                for p, x in r[i]:
+                    for q, y in r[j]:
+                        key = ((p, q), off_new)
+                        two[key] = two.get(key, 0) + x * y * val
     return fib.replace(
         name=fib.name + "~", total_data=new_total,
         section={"two_point": two, "complete_below": {"two_point": cutoff}},

@@ -87,9 +87,9 @@ def _ring_splitting(fib, cutoff):
     return rep
 
 
-# fixed per (fibration, cutoff) as the mirror is, so a passing record is
-# kept, and each caller gets its own copy; a failing one is computed again
-@kept(keep=lambda rep: rep["status"] == "pass", copy=copied)
+# fixed per (fibration, cutoff) as the mirror is, so the record, passing or
+# failing, is kept, and each caller gets its own copy
+@kept(copy=copied)
 def _mirror_composition(fib, cutoff):
     try:
         rev = mirror(fib, cutoff)

@@ -1,4 +1,4 @@
-"""Data a fibration derives once and keeps: the mirror and the passing
+"""Data a fibration derives once and keeps: the mirror and the
 mirror-composition record per cutoff, the fiber-restriction matrix, and
 pushed-forward classes that carry their area and Chern number over from the
 fiber class. Kept data must never change an answer, and a failed build is
@@ -115,7 +115,7 @@ def test_the_restriction_rows_cannot_be_corrupted_by_a_caller(builds):
 def test_a_failed_mirror_build_is_not_kept(builds):
     """Without the section count n(F, M) the reference Seidel element is
     -F, not a unit, so the mirror cannot be built; each call builds and
-    fails again."""
+    fails again. The failing mirror-composition record is kept."""
     d = json.loads(RULED_FIXTURE.read_text())
     del d["section_gw"]["two_point"][0]
     fib = from_dict(d)
@@ -127,7 +127,7 @@ def test_a_failed_mirror_build_is_not_kept(builds):
     assert texts == {"QH<ruled-surface: -F> is not a unit"}
     assert len(builds["mirror"]) == 3
     assert len({outcome(fib, "compose", CUTOFF) for _ in range(3)}) == 1
-    assert len(builds["mirror"]) == 6
+    assert len(builds["mirror"]) == 4
 
 
 @pytest.fixture
@@ -167,15 +167,19 @@ def test_the_kept_composition_record_cannot_be_corrupted_by_a_caller(name, compo
     assert len(composes) == 1
 
 
-def test_a_failing_composition_record_is_computed_again(monkeypatch, composes, builds):
+def test_a_failing_composition_record_is_built_once_and_copied(monkeypatch, composes, builds):
     monkeypatch.setattr(fibration, "_build_mirror", _transposed_mirror(fibration._build_mirror))
     fib = catalog.build("torus-product")
-    got = {outcome(fib, "compose", CUTOFF) for _ in range(3)}
-    assert len(got) == 1
-    assert json.loads(got.pop())["checks"]["mirror-composition"]["status"] == "fail"
-    assert len(composes) == 3
-    assert builds["mirror"] == [(fib.name, CUTOFF)]  # the mirror itself is kept
-    assert [args for name, args in fib._kept if name == "_mirror_composition"] == []
+    want = outcome(fib, "compose", CUTOFF)
+    assert json.loads(want)["checks"]["mirror-composition"]["status"] == "fail"
+    rec = validator._mirror_composition(fib, CUTOFF)
+    assert rec["status"] == "fail" and rec is not validator._mirror_composition(fib, CUTOFF)
+    rec["details"].clear()
+    rec["status"] = "pass"
+    assert {outcome(fib, "compose", CUTOFF) for _ in range(2)} == {want}
+    assert len(composes) == 1
+    assert builds["mirror"] == [(fib.name, CUTOFF)]
+    assert [args for name, args in fib._kept if name == "_mirror_composition"] == [(CUTOFF,)]
 
 
 def test_a_raising_mirror_build_raises_again(monkeypatch):

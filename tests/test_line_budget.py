@@ -5,7 +5,7 @@ package past it fails here."""
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "qhfib"
-BUDGET = 4300
+BUDGET = 4291
 
 
 def test_the_package_stays_within_its_line_budget():

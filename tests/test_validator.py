@@ -265,6 +265,39 @@ def test_a_missing_lattice_embedding_skips_only_the_checks_that_read_it(tmp_path
     assert {k: c["status"] for k, c in after.items()} == {k: before[k]["status"] for k in after}
 
 
+@pytest.mark.parametrize("name", ["torus-product", "quantum-trivial-product"])
+def test_a_lattice_generator_off_the_degree_2_basis_skips_ring_splitting(name, tmp_path, capsys):
+    """A total lattice generator X with area 0, Chern 0, a zero embedding row
+    and coordinate 0 in every class: the generators are no basis of degree-2
+    homology, so the loop invariants refuse, ring-splitting skips with their
+    text and every other status is the builtin's; invariants and split exit 2."""
+    fib = catalog.build(name)
+    d = to_dict(fib)
+    h2 = d["total"]["h2"]
+    for key, value in (("generators", "X"), ("omega", "0"), ("c1", "0"), ("spherical", True)):
+        h2[key].append(value)
+    h2["embed"].append(["0"] * len(h2["embed"][0]))
+    for coords in [d["sigma_ref"], *d["iota_h2"]] + [
+            entry[1] for tk in ("vertical_gw", "section_gw")
+            for part in ("two_point", "three_point", "four_point_chi")
+            for entry in d[tk].get(part) or ()]:
+        coords.append("0")
+    edited = tmp_path / f"{name}-extra-generator.json"
+    edited.write_text(json.dumps(d))
+    text = f"{fib.name}: lattice generators must form a basis of degree-2 homology"
+    argv = ["verify", "--fixture", str(edited), "--suite", "all", "--cutoff", "6"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("suite all: ok\n")
+    assert main(argv + ["--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["checks"]
+    assert got.pop("ring-splitting") == {"status": "skip", "details": [text]}
+    want = run_suite(fib, "all", CUTOFF).checks
+    assert {k: c["status"] for k, c in got.items()} == {k: want[k]["status"] for k in got}
+    for command in (["invariants"], ["split", "--cutoff", "6"]):
+        assert main([*command, "--fixture", str(edited)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+
 def test_an_undeclared_triple_skips_the_checks_that_read_it(tmp_path, capsys):
     """ruled.json with total.triple_complete false and its first total.triple
     entry dropped: the four checks that multiply on the total space or
