@@ -73,15 +73,10 @@ def multilinear(read, *vectors):
     return _exact(total)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form plus the pivot column indices."""
-    if not a:
-        return [], []
-    cols = len(a[0])
-    m = [{j: x if type(x) is int else _exact(x) for j, x in enumerate(row) if x} for row in a]
-    rows = len(m)
-    pivots: list[int] = []
-    r = 0
+def _eliminate(m, cols) -> list[int]:
+    """Reduce the sparse rows m in place over their first cols columns to
+    reduced row echelon form; return the pivot columns."""
+    rows, pivots, r = len(m), [], 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if c in m[i]), None)
         if pivot is None:
@@ -104,7 +99,16 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    out = [[0] * cols for _ in m]
+    return pivots
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form plus the pivot column indices."""
+    if not a:
+        return [], []
+    m = [{j: x if type(x) is int else _exact(x) for j, x in enumerate(row) if x} for row in a]
+    pivots = _eliminate(m, len(a[0]))
+    out = [[0] * len(a[0]) for _ in m]
     for dense, row in zip(out, m):
         for j, x in row.items():
             dense[j] = x if type(x) is int else _exact(x)
@@ -135,9 +139,10 @@ def reduction(a: Matrix) -> tuple:
     pivots past a fall. Returns the nonzero (r, E_rj) of each column j of
     E, the pivot columns in a, and a's width."""
     cols = len(a[0])
-    red, pivots = rref([list(row) + e for row, e in zip(a, identity(len(a)))])
-    return ([[(r, row[cols + j]) for r, row in enumerate(red) if row[cols + j]]
-             for j in range(len(a))], [c for c in pivots if c < cols], cols)
+    m = [{j: _exact(x) for j, x in enumerate(row) if x} | {cols + r: 1} for r, row in enumerate(a)]
+    pivots = _eliminate(m, cols + len(a))
+    return ([[(r, _exact(row[j])) for r, row in enumerate(m) if j in row]
+             for j in range(cols, cols + len(a))], [c for c in pivots if c < cols], cols)
 
 
 def solved(reduced, b) -> Vector | None:

@@ -105,8 +105,7 @@ def cmd_product(args) -> int:
         if args.space != "fiber":
             raise QhfibError("ring fixtures only have the fiber product")
         mul = QuantumRing(model, table).product
-    a = fixtures.parse_qh(model, args.a)
-    b = fixtures.parse_qh(model, args.b)
+    a, b = (fixtures.parse_qh(model, x) for x in (args.a, args.b))
     print(fixtures.format_qh(mul(a, b, cutoff)))
     return 0
 
@@ -118,8 +117,7 @@ def cmd_psi(args) -> int:
     if args.offset:
         sigma = sigma + fixtures.parse_lin(fib.total.h2, args.offset)
     op = fib.psi_operator(cutoff, sigma=sigma)
-    a = fixtures.parse_qh(fib.fiber, args.a)
-    print(fixtures.format_qh(op.apply(a)))
+    print(fixtures.format_qh(op.apply(fixtures.parse_qh(fib.fiber, args.a))))
     return 0
 
 

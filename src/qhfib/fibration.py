@@ -24,14 +24,8 @@ from operator import mul
 from ._linalg import apply, identity, invert, rank, reduction, solve, solved
 from ._memo import kept
 from .errors import (
-    FiberMismatch,
-    Inconsistent,
-    MissingInput,
-    NotInvertible,
-    PrimingInvalid,
-    QhfibError,
-    TableIncomplete,
-)
+    FiberMismatch, Inconsistent, MissingInput, NotInvertible, PrimingInvalid, QhfibError,
+    TableIncomplete)
 from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, _exact, format_rational
 from .quantum import (
@@ -254,11 +248,10 @@ class FibrationModel:
             cov = m.covector(row)
             meets = [sum(cov.get(t, 0) * x for t, x in v) for v in images]
             for j in range(k):
-                ii = meets[j]
-                if ii != 0:
+                if meets[j] != 0:
                     raise PrimingInvalid(
                         f"{self.name}: iota({f.labels[i]}) . iota({f.labels[j]}) = "
-                        f"{format_rational(ii)}, fiber classes must not meet"
+                        f"{format_rational(meets[j])}, fiber classes must not meet"
                     )
                 got, want = meets[k + j], f.pairing[i][j]
                 if got != want:
@@ -386,14 +379,10 @@ class FibrationModel:
     def rho_shape(self, cutoff) -> dict:
         """Is the Seidel element a single basis monomial a . e^E?"""
         q = self.rho(cutoff)
-        terms = list(q.terms.items())
-        if len(terms) != 1:
-            return {"monomial": False, "value": q}
-        e, vec = terms[0]
-        hits = [(i, x) for i, x in enumerate(vec) if x != 0]
+        hits = [(e, i, x) for e, vec in q.terms.items() for i, x in enumerate(vec) if x != 0]
         if len(hits) != 1:
             return {"monomial": False, "value": q}
-        i, coeff = hits[0]
+        e, i, coeff = hits[0]
         return {
             "monomial": True, "value": q, "coefficient": coeff,
             "label": self.fiber.labels[i], "index": i, "exponent": e,
@@ -744,14 +733,6 @@ class FibrationModel:
         c = self._covector_on_deg2(self.total.h2.c1)
         x = self._power_cap([c] * k + [u] * (n + 1 - k))
         return self.total.intersect(x, self.total.fundamental_vector())
-
-    def invariants_summary(self):
-        ic, nmod = self.invariant_Ic()
-        return {
-            "Ic": (ic, nmod),
-            "Iu": self.invariant_Iu(),
-            "Ik": [self.invariant_Ik(k) for k in range(self.fiber.n + 2)],
-        }
 
     # -- nonsqueezing -------------------------------------------------------------
 

@@ -25,11 +25,7 @@ from itertools import combinations, permutations
 
 from ._linalg import invert, multilinear
 from ._memo import kept
-from .errors import (
-    DegeneratePairing,
-    MissingTripleData,
-    UnknownBasisLabel,
-)
+from .errors import DegeneratePairing, MissingTripleData, UnknownBasisLabel
 from .novikov import H2Class, H2Lattice, _exact, format_rational
 
 

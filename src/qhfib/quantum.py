@@ -261,9 +261,9 @@ def contract(table: GWTable, a: QHClass, b: QHClass, sources, cover=None, floor=
 
 def vanishes(*terms) -> bool:
     """Whether the sum of scale (a * rows) over terms (a, rows, sums, scale)
-    vanishes, the one sparse sum of every identity check: each (e, t, x) of
-    a meets each (f, s, y) of rows[t], adding scale x y at offset
-    sums[e][f] + s (`sum_offsets`); a None offset adds nothing."""
+    vanishes, the sparse sum of the module and vertical checks: each
+    (e, t, x) of a meets each (f, s, y) of rows[t], adding scale x y at
+    offset sums[e][f] + s (`sum_offsets`); a None offset adds nothing."""
     acc = {}
     for a, rows, sums, scale in terms:
         for e, t, x in a:
@@ -428,19 +428,26 @@ class QuantumRing:
     def basis_table(self, bounded) -> tuple:
         """The kept table of basis products, (rows, columns): e_i * e_j at
         row i, column j as its nonzero (block, t, x), block b the source
-        `_sources[b]` (0 the cap), read row by row from the kept constants
-        over the key classes inside the declared window when bounded (a
-        product at a cutoff reads no others), else over every key class,
-        as a product without a cutoff reads them. A raise keeps nothing."""
-        w = self.table.window("three_point") if bounded else None
-
-        def row(i, j):
-            return tuple((b, t, x) for b, (_, cls) in enumerate(self._sources)
-                         if b == 0 or w is None or cls.omega <= w
-                         for t, x in self.table.constants(cls, [(i, j, 1)]).items())
-
-        k = range(len(self.model.basis))
-        rows = tuple(tuple(row(i, j) for j in k) for i in k)
+        `_sources[b]` (0 the cap), over the key classes inside the declared
+        window when bounded (as a product at a cutoff), else over all (as a
+        product without one). Filled block by block from the kept constants:
+        a block that reads no slot (a complete triple form, a key class the
+        window covers) only at its scattered slot pairs, any other at each
+        pair (i, j) in turn, reading its slots. A raise keeps nothing."""
+        m, table, w = self.model, self.table, self.table.window("three_point")
+        k = range(len(m.basis))
+        cells = [[[] for _ in k] for _ in k]
+        m._pairing_columns()  # a singular pairing raises first, as every constant read does
+        for b, (_, cls) in enumerate(self._sources):
+            if b == 0:
+                pairs = m._scattered_triple() if m.triple_complete else None
+            elif bounded and w is not None and cls.omega > w:
+                continue
+            else:
+                pairs = table._scattered(cls) if w is not None and cls.omega <= w else None
+            for i, j in itertools.product(k, k) if pairs is None else pairs:
+                cells[i][j] += [(b, t, x) for t, x in table.constants(cls, [(i, j, 1)]).items()]
+        rows = tuple(tuple(map(tuple, row)) for row in cells)
         return rows, tuple(zip(*rows))
 
     def unit(self) -> QHClass:
@@ -516,38 +523,57 @@ class QuantumRing:
 
     # -- structural checks ---------------------------------------------------
 
+    def associator_failures(self, cutoff) -> list:
+        """The basis triples (i, j, k), in order, where (e_i*e_j)*e_k and
+        e_i*(e_j*e_k) differ modulo the exact cutoff (or None), which the
+        declared window must cover. One sparse sum per middle e_j holds every
+        (e_i*e_j)*e_k, from the kept `basis_table`, and e_i*(e_j*e_k) = eps
+        (e_k*e_j)*e_i, eps = (-1)^(|i||j| + |j||k| + |k||i|): the product is
+        graded commutative and each term of e_a*e_b has the parity of |a|+|b|."""
+        rows, deg, out = self.basis_table(cutoff is not None)[0], self.model.degrees, set()
+        exps = [e if cutoff is None or e.omega >= -cutoff else None for e in self.exponents]
+        sums = sum_offsets({}, exps, exps, cutoff, 1)
+        for j in range(len(rows)):
+            acc = {}  # (i, k, g, s): the sum of (e_i*e_j)*e_k at e_s e^(exponent g)
+            for i, row in enumerate(rows):
+                for b, t, x in row[j]:
+                    offsets = sums[b]
+                    for k, cell in enumerate(rows[t]):
+                        for c, s, y in cell:
+                            if offsets[c] is not None:
+                                at = i, k, offsets[c], s
+                                acc[at] = acc.get(at, 0) + x * y
+            for (i, k, g, s), v in acc.items():
+                eps = (-1) ** (deg[i] * deg[j] + deg[j] * deg[k] + deg[k] * deg[i])
+                if v != eps * acc.get((k, i, g, s), 0):
+                    out.update([(i, j, k), (k, j, i)])
+        return sorted(out)
+
     def associativity_report(self, cutoff) -> dict:
         """(a*b)*c vs a*(b*c) over every basis triple, modulo the cutoff,
-        with no product while it passes: both sides are summed exactly
-        (`vanishes`) from the kept basis products (`basis_table`). A failing
-        triple builds its two sides by one product each; when the table
-        raises, every triple does (`verdicts`), so the nested products raise
-        where they first meet the missing data, with their text."""
-        m, size = self.model, len(self.model.basis)
+        with no product while it passes (`associator_failures`). A failing
+        triple builds its sides by one product each; when the table raises
+        every triple does, so the nested products raise where they first
+        meet the missing data, with their text."""
+        m, failures = self.model, []
         cutoff = None if cutoff is None else _exact(cutoff)
         if cutoff is not None:
             self._cover(cutoff)  # as the first basis product checked it
-
-        def identities():  # whether (e_i*e_j)*e_k - e_i*(e_j*e_k) vanishes, in order
-            rows, cols = self.basis_table(cutoff is not None)
-            exps = [e if cutoff is None or e.omega >= -cutoff else None for e in self.exponents]
-            sums = sum_offsets({}, exps, exps, cutoff, size)
-            for i, j, k in itertools.product(range(size), repeat=3):
-                yield vanishes((rows[i][j], cols[k], sums, 1), (rows[j][k], rows[i], sums, -1))
 
         def as_class(i, j):  # e_i*e_j as its basis product sums it
             return contract(self.table, m.qh_basis(m.labels[i]), m.qh_basis(m.labels[j]),
                             self._sources, floor=None if cutoff is None else -cutoff)
 
-        failures, holds = [], verdicts(identities())
-        for i, j, k in itertools.product(range(size), repeat=3):
-            if not next(holds):
-                la, lb, lc = m.labels[i], m.labels[j], m.labels[k]
-                left = self.product(as_class(i, j), m.qh_basis(lc), cutoff)
-                right = self.product(m.qh_basis(la), as_class(j, k), cutoff)
-                if left != right:
-                    failures.append(
-                        f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
+        try:
+            triples = self.associator_failures(cutoff)
+        except QhfibError:
+            triples = itertools.product(range(len(m.basis)), repeat=3)
+        for i, j, k in triples:
+            la, lb, lc = m.labels[i], m.labels[j], m.labels[k]
+            left = self.product(as_class(i, j), m.qh_basis(lc), cutoff)
+            right = self.product(m.qh_basis(la), as_class(j, k), cutoff)
+            if left != right:
+                failures.append(f"({la}*{lb})*{lc} != {la}*({lb}*{lc}): {left!r} vs {right!r}")
         return check(failures)
 
     @kept

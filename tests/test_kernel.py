@@ -114,7 +114,7 @@ def ref_product(r, a, b, cutoff):
     return out if cutoff is None else out.truncate(cutoff)
 
 
-def ref_associativity_failures(r, cutoff):
+def ref_nested_failures(r, cutoff):
     """The failure lines of the nested reference products (a*b)*c and
     a*(b*c), each distinct product made once, in first-use order."""
     m, failures, memo = r.model, [], {}
@@ -462,7 +462,7 @@ TAMPERED = [("sphere x sphere", key) for key in ring("sphere x sphere").table.th
 @pytest.mark.parametrize("name,key", TAMPERED)
 def test_associativity_report_matches_the_nested_products(name, key):
     r = tampered(name, key, 1)
-    want = ref_associativity_failures(r, CUTOFF)
+    want = ref_nested_failures(r, CUTOFF)
     assert want
     assert r.associativity_report(CUTOFF) == {"status": "fail", "details": want}
 
@@ -486,7 +486,7 @@ def report_or_raise(fn):
 def test_associativity_report_matches_the_reference(name, cutoff):
     r = ring(name)
     assert cutoff is None or cutoff <= r.table.window("three_point")
-    assert r.associativity_report(cutoff) == check(ref_associativity_failures(r, cutoff))
+    assert r.associativity_report(cutoff) == check(ref_nested_failures(r, cutoff))
 
 
 # +1 and -1 on every stored three-point count of every ring, at cutoff 6,
@@ -507,7 +507,7 @@ EACH_COUNT += [(name, key, Fraction(1, 3), CUTOFF) for name in RINGS
 @pytest.mark.parametrize("name,key,d,cutoff", EACH_COUNT)
 def test_associativity_report_matches_the_reference_on_each_changed_count(name, key, d, cutoff):
     r = tampered(name, key, d)
-    assert r.associativity_report(cutoff) == check(ref_associativity_failures(r, cutoff))
+    assert r.associativity_report(cutoff) == check(ref_nested_failures(r, cutoff))
 
 
 @pytest.mark.parametrize("name", RINGS)
@@ -522,7 +522,7 @@ def test_associativity_report_raises_where_the_nested_products_raised(name, wind
     for cutoff in (Fraction(2), Fraction(6)):
         got = report_or_raise(lambda: short.associativity_report(cutoff))
         if cutoff <= window:
-            assert got == check(ref_associativity_failures(short, cutoff))
+            assert got == check(ref_nested_failures(short, cutoff))
         else:
             # the first nested product, e_0 * e_0, made the window check
             assert got == report_or_raise(lambda: short.product(first, first, cutoff)) == (
@@ -562,7 +562,7 @@ def test_associativity_report_names_the_undeclared_triple_the_nested_products_me
     r = with_one_undeclared_triple(name, ck)
     got = report_or_raise(lambda: r.associativity_report(CUTOFF))
     assert got[0] == "MissingTripleData"
-    assert got == report_or_raise(lambda: ref_associativity_failures(r, CUTOFF))
+    assert got == report_or_raise(lambda: ref_nested_failures(r, CUTOFF))
 
 
 def total_with_first(label):
@@ -599,7 +599,7 @@ def test_a_raising_row_is_named_as_the_nested_products_first_meet_it(first, ck):
     for cutoff in (Fraction(1), CUTOFF):  # below and above the area of F
         got = report_or_raise(lambda: r.associativity_report(cutoff))
         assert got[0] == "MissingTripleData"
-        assert got == report_or_raise(lambda: ref_associativity_failures(r, cutoff))
+        assert got == report_or_raise(lambda: ref_nested_failures(r, cutoff))
 
 
 # -- the cap on a triple form not declared complete -----------------------------

@@ -154,6 +154,29 @@ def test_solve_matches_the_dense_reference_on_consistent_and_inconsistent_system
     assert seen["solved"] and seen["none"]
 
 
+def ref_reduction(a):
+    """`reduction` as the dense detour gave it: rref([a | I]) written out
+    dense, each column of E read back from it."""
+    cols = len(a[0])
+    red, pivots = rref([list(row) + [int(r == s) for s in range(len(a))]
+                        for r, row in enumerate(a)])
+    return ([[(r, row[cols + j]) for r, row in enumerate(red) if row[cols + j]]
+             for j in range(len(a))], [c for c in pivots if c < cols], cols)
+
+
+def typed(reduced):
+    """A reduction with the type of every scalar, so an int and an equal
+    Fraction differ."""
+    columns, pivots, cols = reduced
+    return [[(r, x, type(x)) for r, x in col] for col in columns], pivots, cols
+
+
+def test_reduction_is_the_dense_detour():
+    for _, a in cases():
+        assert typed(reduction(a)) == typed(ref_reduction(a))
+    assert typed(reduction([[2, 4], [1, 3]])) == typed(ref_reduction([[2, 4], [1, 3]]))
+
+
 def test_invert_matches_the_dense_reference_on_regular_and_singular_matrices():
     rng = random.Random(7)
     seen = {"inverse": 0, "none": 0}

@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 from qhfib import QhfibError, catalog, mirror, run_suite
-from qhfib._linalg import identity
+from qhfib._linalg import identity, reduction
 from qhfib.fixtures import from_dict, to_dict
 from qhfib.manifold import ManifoldModel
 from qhfib.novikov import H2Lattice
 from tests.conftest import BUILTINS, CUTOFF
+from tests.test_linalg import ref_reduction, typed
 
 CUTOFFS = (2, 6, 24)
 TABLES = ("fiber_gw", "vertical_gw", "section_gw")
@@ -169,3 +170,14 @@ def test_an_equivalent_presentation_verifies_as_the_builtin_does(name, label, fa
     assert got == want
     assert [repr(img) for img in mirror(other, CUTOFF)._loop("two_point").images] == [
         repr(img) for img in mirror(fib, CUTOFF)._loop("two_point").images]
+
+
+@pytest.mark.parametrize("name,label,factor", [(name, None, 1) for name in BUILTINS]
+                         + PRESENTATIONS)
+def test_iota_reduces_as_the_dense_detour_did(name, label, factor):
+    fib = catalog.build(name)
+    if label is not None:
+        fib = from_dict(rebased(to_dict(fib), fib.total.labels.index(label), factor))
+    iota_t = [list(col) for col in zip(*fib.iota)]
+    assert typed(fib._iota_reduction()) == typed(reduction(iota_t)) == typed(
+        ref_reduction(iota_t))
