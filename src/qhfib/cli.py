@@ -57,7 +57,7 @@ def _build(name, param_items):
     try:
         return catalog.build(name, **params)
     except KeyError as exc:
-        raise QhfibError(str(exc)) from exc
+        raise QhfibError(exc.args[0]) from exc
 
 
 def _load(args):

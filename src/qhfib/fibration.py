@@ -29,7 +29,7 @@ from .errors import (
 from .manifold import ManifoldModel, QHClass, evaluate, orderings
 from .novikov import H2Class, H2Lattice, _exact, format_rational
 from .quantum import (
-    GWTable, QuantumRing, accumulate, check, contract, copied, step, sum_offsets, table_axioms,
+    GWTable, QuantumRing, accumulate, check, contract, step, sum_offsets, table_axioms,
     vanishes, verdicts)
 
 
@@ -466,11 +466,9 @@ class FibrationModel:
             rows.append(x)
         return rows
 
-    @kept(copy=copied)
     def wang_report(self) -> dict:
         """Exactness of  H(M) -iota-> H(P) -cap fiber-> H(M)  rank by rank,
-        rank(iota) the pivots of its kept reduction; kept, each call gets a
-        fresh copy."""
+        rank(iota) the pivots of its kept reduction."""
         failures = []
         f, m = self.fiber, self.total
         if len(m.basis) != 2 * len(f.basis):

@@ -1,14 +1,14 @@
 """Verification suites.
 
 One ordered table, _CHECKS, names every suite's checks and the body behind
-each. One loop, _run_checks, runs a suite's checks in table order against a
+each. One loop, _run_checks, reads a suite's records in table order for a
 fibration or a bare (manifold model, invariant table) pair; a pair gets only
 the checks that need no fibration. Each check is stored as the record
 {"status": pass|fail|skip, "details"} that every report returns. Skips flag
 data the tables genuinely cannot answer; they are never failures. A report
 method raises TableIncomplete (MissingInput for optional model data,
 MissingTripleData for an undeclared triple intersection) when a whole check
-lacks data, and the loop records that as a skip.
+lacks data, and the one build, _record, records that as a skip.
 Reports serialize to stable JSON so runs can be diffed.
 """
 
@@ -87,9 +87,6 @@ def _ring_splitting(fib, cutoff):
     return rep
 
 
-# fixed per (fibration, cutoff) as the mirror is, so the record, passing or
-# failing, is kept, and each caller gets its own copy
-@kept(copy=copied)
 def _mirror_composition(fib, cutoff):
     try:
         rev = mirror(fib, cutoff)
@@ -151,27 +148,32 @@ _CHECKS = {
     "split": (("ring-splitting", "fibration", _ring_splitting),),
     "compose": (("mirror-composition", "fibration", _mirror_composition),),
 }
+_BODIES = {name: (takes, body) for rows in _CHECKS.values() for name, takes, body in rows}
+
+
+@kept(copy=lambda rec: rec and copied(rec))
+def _record(obj, name, cutoff):
+    """Check `name`'s record on obj at the cutoff, None where it does not
+    apply, a skip where the data lack. A fibration's data never change, so
+    it keeps each record, a skip or None too, and hands out a copy."""
+    takes, body = _BODIES[name]
+    if takes == "ring":
+        obj = obj.fiber_ring if isinstance(obj, FibrationModel) else QuantumRing(*obj)
+    try:
+        return body(obj, cutoff)
+    except (TableIncomplete, MissingInput, MissingTripleData) as exc:
+        return check([], [str(exc)])
 
 
 def _run_checks(suite, obj, cutoff) -> dict:
-    """One suite's records in table order; a check whose data the tables
-    or the model lack (TableIncomplete, MissingInput, MissingTripleData) is
-    recorded as a skip."""
+    """One suite's records in table order: a fibration's kept ones (a copy
+    each call), a pair's built anew on every call."""
     fibration = isinstance(obj, FibrationModel)
-    rows = [row for row in _CHECKS[suite] if fibration or row[1] != "fibration"]
-    if not rows:
+    names = [name for name, takes, _ in _CHECKS[suite] if fibration or takes != "fibration"]
+    if not names:
         raise QhfibError(f"suite {suite!r} needs a fibration, not a bare ring")
-    checks, ring = {}, None
-    for name, takes, body in rows:
-        if takes == "ring" and ring is None:
-            ring = obj.fiber_ring if fibration else QuantumRing(*obj)
-        try:
-            result = body(ring if takes == "ring" else obj, cutoff)
-        except (TableIncomplete, MissingInput, MissingTripleData) as exc:
-            result = check([], [str(exc)])
-        if result is not None:
-            checks[name] = result
-    return checks
+    record = _record if fibration else _record.kept
+    return {name: rec for name in names if (rec := record(obj, name, cutoff)) is not None}
 
 
 # suite -> callable (target, cutoff) -> {check: record}. run_suite calls

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qhfib import GWTable, catalog, fixtures, format_rational
+from qhfib import GWTable, catalog, fixtures, format_rational, validator
 from qhfib.manifold import koszul_sorted
 from qhfib.novikov import _exact
 from qhfib.quantum import ARITIES
@@ -22,8 +22,19 @@ CUTOFF = Fraction(6)
 # every shipped fibration, in catalog order
 BUILTINS = tuple(catalog.BUILTIN_FIBRATIONS)
 
+# every check's name, in the order the suite "all" runs them
+CHECK_NAMES = tuple(validator._BODIES)
+
 # a step line of a check record: "name: pass|fail" with an optional detail
 STEP_LINE = re.compile(r"^[a-z-]+: (pass|fail)( \(|$)")
+
+
+def rerun(fib, cutoff):
+    """Every check's record on fib at the cutoff, each body run again
+    through the record memo's unwrapped build: on a warm model the bodies
+    then show what they re-derive beneath the kept records."""
+    return {name: rec for name in CHECK_NAMES
+            if (rec := validator._record.kept(fib, name, cutoff)) is not None}
 
 
 def replaced(table, arity, updates):

@@ -401,6 +401,21 @@ def test_a_param_without_a_value_is_a_usage_error(capsys, argv):
     assert err == "error: --param wants K=V, got 'kappa'\n"
 
 
+UNKNOWN_BUILTIN = ("error: unknown builtin 'nosuch' (have: quantum-trivial-product, ruled, "
+                   "sphere-product, sphere-rotation, torus-product)\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("verify", "--builtin", "nosuch", "--suite", "all", "--cutoff", "6"), UNKNOWN_BUILTIN),
+    (("fixture", "nosuch"), UNKNOWN_BUILTIN),
+    (("verify", "--builtin", "ruled", "--param", "foo=1", "--suite", "all", "--cutoff", "6"),
+     "error: ruled takes ['kappa'], not ['foo']\n"),
+])
+def test_an_unknown_builtin_or_parameter_is_a_usage_error_printed_plain(capsys, argv, want):
+    # the message as written, not the repr a KeyError's str() gives it
+    assert run(capsys, *argv) == (2, "", want)
+
+
 def test_main_reuses_one_parser_and_leaks_no_state_between_calls(capsys):
     # the --param lists of one call must not reach the next, whatever the subcommand
     first = run(capsys, "rho", "--builtin", "ruled", "--param", "kappa=2", "--cutoff", "6")

@@ -158,7 +158,7 @@ def test_the_kept_composition_record_cannot_be_corrupted_by_a_caller(name, compo
     fib = catalog.build(name)
     want = outcome(catalog.build(name), "compose", CUTOFF)
     composes.clear()
-    rec = validator._mirror_composition(fib, CUTOFF)
+    rec = validator._record(fib, "mirror-composition", CUTOFF)
     assert rec["status"] == "pass" and rec["details"][-1] == "reverse loop cancels"
     rec["details"].append("edited")
     rec["status"] = "fail"
@@ -172,14 +172,16 @@ def test_a_failing_composition_record_is_built_once_and_copied(monkeypatch, comp
     fib = catalog.build("torus-product")
     want = outcome(fib, "compose", CUTOFF)
     assert json.loads(want)["checks"]["mirror-composition"]["status"] == "fail"
-    rec = validator._mirror_composition(fib, CUTOFF)
-    assert rec["status"] == "fail" and rec is not validator._mirror_composition(fib, CUTOFF)
+    rec = validator._record(fib, "mirror-composition", CUTOFF)
+    assert rec["status"] == "fail" and rec is not validator._record(
+        fib, "mirror-composition", CUTOFF)
     rec["details"].clear()
     rec["status"] = "pass"
     assert {outcome(fib, "compose", CUTOFF) for _ in range(2)} == {want}
     assert len(composes) == 1
     assert builds["mirror"] == [(fib.name, CUTOFF)]
-    assert [args for name, args in fib._kept if name == "_mirror_composition"] == [(CUTOFF,)]
+    assert [args for name, args in fib._kept if name == "_record"] == [
+        ("mirror-composition", CUTOFF)]
 
 
 def test_a_raising_mirror_build_raises_again(monkeypatch):

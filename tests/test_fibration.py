@@ -26,7 +26,7 @@ from qhfib._linalg import solve
 from qhfib.cli import main
 from qhfib.fibration import _normalizing_class
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
-from tests.conftest import BUILTINS, CUTOFF
+from tests.conftest import BUILTINS, CUTOFF, rerun
 
 SPHERE_PRODUCT_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sphere-product.json"
 
@@ -256,10 +256,13 @@ def loop_builds(monkeypatch):
 def test_a_warm_suite_solves_no_loop_again(name, monkeypatch):
     fib = catalog.build(name)
     builds = loop_builds(monkeypatch)
-    run_suite(fib, "all", CUTOFF)
+    cold = run_suite(fib, "all", CUTOFF).checks
     assert (fib.name, "two_point") in builds
     builds.clear()
     run_suite(fib, "all", CUTOFF)
+    assert builds == []
+    # every check body again on the warm model, past the record memo
+    assert rerun(fib, CUTOFF) == cold
     assert builds == []
 
 

@@ -18,7 +18,7 @@ from qhfib.fibration import LoopComposite, PsiOperator, compose
 from qhfib.fixtures import from_dict, to_dict
 from qhfib.novikov import H2Class
 from qhfib.quantum import ARITIES
-from tests.conftest import BUILTINS, CUTOFF
+from tests.conftest import BUILTINS, CHECK_NAMES, CUTOFF
 from tests.test_derived import MUTATED
 
 CUTOFFS = (Fraction(2), Fraction(6), Fraction(24))
@@ -55,11 +55,10 @@ CALLS = {
     "FibrationModel.fiber_restriction_matrix": (FibrationModel, lambda f, c: [()]),
     "FibrationModel._iota_reduction": (FibrationModel, lambda f, c: [()]),
     "FibrationModel._iota_preimages": (FibrationModel, lambda f, c: [()]),
-    "FibrationModel.wang_report": (FibrationModel, lambda f, c: [()]),
     "FibrationModel.sigma_phi": (FibrationModel, lambda f, c: [()]),
     "LoopComposite.normalized_offset": (LoopComposite, lambda comp, c: [()]),
     "mirror": (FibrationModel, lambda f, c: [(c,)]),
-    "_mirror_composition": (FibrationModel, lambda f, c: [(c,)]),
+    "_record": (FibrationModel, lambda f, c: [(name, c) for name in CHECK_NAMES]),
 }
 
 PARTS = ("fiber", "total", "fiber_gw", "vertical_gw", "section_gw", "fiber_ring", "vertical_ring")

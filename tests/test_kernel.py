@@ -32,7 +32,7 @@ from qhfib.fibration import PsiOperator, compose, mirror
 from qhfib.manifold import koszul_sorted
 from qhfib.fixtures import format_qh, from_dict, parse_qh, to_dict
 from qhfib.quantum import check
-from tests.conftest import BUILTINS, replaced
+from tests.conftest import BUILTINS, replaced, rerun
 from tests.test_derived import MUTATED
 
 CUTOFF = Fraction(6)
@@ -1173,10 +1173,12 @@ def test_a_warm_verify_makes_no_three_point_solve(name, monkeypatch):
     monkeypatch.setattr(ManifoldModel, "solve_pairing", lambda self, rhs: callers.append(
         sys._getframe(1).f_code.co_name) or real(self, rhs))
     fib = catalog.build(name)
-    cold = run_suite(fib, "all", CUTOFF).to_json()
+    cold = run_suite(fib, "all", CUTOFF)
     assert {"_cap_pair", "_pair"} <= set(callers)
     callers.clear()
-    assert run_suite(fib, "all", CUTOFF).to_json() == cold
+    assert run_suite(fib, "all", CUTOFF).to_json() == cold.to_json()
+    # every check body again on the warm model, past the record memo
+    assert rerun(fib, CUTOFF) == cold.checks
     assert set(callers) <= {"_pd_of_covector"}
 
 

@@ -5,6 +5,7 @@ reads the kept scattered rows instead; its records must be equal on the
 builtins, on every single-count edit of either three-point table, on every
 window change of either table, and below the fiber window."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from qhfib import GWTable, Inconsistent, TableIncomplete, _linalg, catalog, run_
 from qhfib._linalg import multilinear
 from qhfib.novikov import format_rational
 from qhfib.quantum import check
-from tests.conftest import BUILTINS
+from tests.conftest import BUILTINS, rerun
 from tests.test_fibration import ruled_below_the_fiber_window
 
 WINDOWS = (None, Fraction(0), Fraction(1, 2), Fraction(3), Fraction(100))
@@ -152,17 +153,31 @@ def test_the_report_equals_the_reference_below_the_fiber_window():
 def test_a_second_verify_solves_no_iota_preimage(name, monkeypatch):
     """The preimages are solved by the first verify that reads a vertical
     key class and kept; warm, a full verify makes no preimage solve and no
-    rref call at all on every builtin: the Wang ranks, the lattice
-    embedding's inverse and each fiber class of a total class are kept too."""
+    rref call at all on every builtin. Every check body run again past the
+    record memo makes no preimage solve either, and reduces only where the
+    record alone keeps the answer (the Wang check's rank of the restriction
+    matrix, a new composite's normalization): the lattice embedding's
+    inverse and each fiber class of a total class are kept."""
     fib = catalog.build(name)
-    run_suite(fib, "all", 6)
+    cold = run_suite(fib, "all", 6).checks
     held = ("FibrationModel._iota_preimages", ()) in fib._kept
     assert held is bool(fib.vertical_gw.known_key_classes("three_point"))
     preimages, rrefs, real_rref = [], [], _linalg.rref
     real_preimage = type(fib)._iota_preimage
     monkeypatch.setattr(type(fib), "_iota_preimage",
                         lambda self, vec: preimages.append(vec) or real_preimage(self, vec))
-    monkeypatch.setattr(_linalg, "rref", lambda a: rrefs.append(a) or real_rref(a))
+    monkeypatch.setattr(_linalg, "rref", lambda a: rrefs.append(caller()) or real_rref(a))
     run_suite(fib, "all", 6)
     assert preimages == []
     assert rrefs == []
+    assert rerun(fib, 6) == cold
+    assert preimages == []
+    assert set(rrefs) <= {"wang_report", "_normalizing_class"}
+
+
+def caller():
+    """The name of the nearest function outside `_linalg` that led here."""
+    frame = sys._getframe(2)
+    while frame.f_globals["__name__"] == _linalg.__name__:
+        frame = frame.f_back
+    return frame.f_code.co_name
